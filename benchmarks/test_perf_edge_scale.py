@@ -15,6 +15,7 @@ from repro._types import KeyRange
 from repro.edge.session import ClientSession, SessionConfig, Update
 from repro.edge.session_table import SessionTable
 from repro.bench.experiments import e11_edge_storm, e14_session_scale
+from repro.bench.runner import sizing
 from repro.sim.kernel import Simulation
 
 #: E11's session count — the ceiling baseline the gate multiplies
@@ -22,7 +23,7 @@ _E11_SESSIONS = e11_edge_storm.DEFAULTS["num_clients"]
 
 #: gate sizing: one small rung at exactly E11 scale, one at 100x,
 #: identical in every other parameter so the p99 comparison is clean
-_GATE = dict(e14_session_scale.QUICK)
+_GATE = sizing(e14_session_scale, quick=True)
 _GATE["rungs"] = ((_E11_SESSIONS, 0.2), (100 * _E11_SESSIONS, 0.2))
 _GATE["lat_client_sample"] = 1  # measure every client at this size
 
@@ -30,52 +31,19 @@ _GATE["lat_client_sample"] = 1  # measure every client at this size
 def test_edge_scale_ceiling_10x_e11(benchmark):
     """>=10x E11's session count at equal (not merely similar) p99."""
     result = run_once(benchmark, e14_session_scale.run, _GATE)
-    sweep = result.table("session sweep")
-    machinery = result.table("machinery accounting")
+    # conservation, p99 no worse at the large rung, O(active) shared
+    # drain, storm recovery, parked timers: E14's own claim shape
+    e14_session_scale.check(result, _GATE)
 
+    sweep = result.table("session sweep")
     base = sweep.row_by("sessions", _E11_SESSIONS)
     scaled = sweep.row_by("sessions", 100 * _E11_SESSIONS)
-
-    # the ceiling bar: 100x the sessions (>=10x with margin), same
-    # calm-phase delivery p99 — the deterministic pipeline latency did
-    # not degrade with population
+    # the ceiling bar on top of it: 100x the sessions (>=10x with
+    # margin) at *equal* calm-phase delivery latency, and a storm that
+    # scaled with the population
     assert scaled["sessions"] >= 10 * _E11_SESSIONS
-    assert scaled["p99_ms"] <= base["p99_ms"]
     assert scaled["p50_ms"] == base["p50_ms"]
-
-    # conservation holds at every rung, summed over the table columns
-    for row in machinery.rows:
-        assert row["attributed_pct"] == 100.0, row["sessions"]
-
-    # the storm actually happened and recovered at both scales
     assert scaled["reconnects"] >= 10 * base["reconnects"]
-    assert scaled["recover_s"] > 0
-
-    # shared drain is O(active): pump visits track deliveries, and the
-    # pump itself ran orders of magnitude fewer times than deliveries
-    big = machinery.row_by("sessions", 100 * _E11_SESSIONS)
-    assert big["pump_visits"] >= scaled["delivered"]
-    assert big["pump_runs"] < scaled["delivered"] / 10
-
-    # reconnect/connect timers actually exercised the wheel
-    assert big["timers_parked"] > 0
-
-
-def test_e14_replays_identically(benchmark):
-    """Identical seed => identical sweep tables, rung for rung."""
-
-    def run_twice():
-        first = e14_session_scale.run(**e14_session_scale.QUICK)
-        second = e14_session_scale.run(**e14_session_scale.QUICK)
-        return first, second
-
-    first, second = benchmark.pedantic(run_twice, rounds=1, iterations=1)
-    flatten = lambda result: [
-        tuple(sorted(row.items()))
-        for table in result.tables
-        for row in table.rows
-    ]
-    assert flatten(first) == flatten(second)
 
 
 def test_timer_wheel_mass_backoff(benchmark):

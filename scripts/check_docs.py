@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lint: intra-repo markdown links resolve; architecture is complete.
 
-Two checks, run by CI (see ``.github/workflows/ci.yml``):
+Four checks, run by CI (see ``.github/workflows/ci.yml``):
 
 1. Every relative link in every tracked ``*.md`` file points at a file
    or directory that exists (anchors after ``#`` are stripped; external
@@ -12,12 +12,18 @@ Two checks, run by CI (see ``.github/workflows/ci.yml``):
 3. Every file under ``docs/`` is linked from at least one *other*
    tracked markdown file, so a new doc cannot land orphaned (written
    but unreachable from the README / docs index).
+4. Every backticked file path (``scripts/x.py``, ``core/stream.py``,
+   a bare ``kernel.py``) is a path suffix of a file that exists — so
+   deleting or renaming a file fails the lint until the prose that
+   points at it is repointed.  ``CHANGES.md`` and ``ROADMAP.md`` are
+   history and may name what no longer exists.
 
     python scripts/check_docs.py
 
 Exits nonzero with one line per violation.
 """
 
+import fnmatch
 import os
 import re
 import sys
@@ -33,16 +39,28 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: external repos' own relative links verbatim)
 _SKIP_FILES = {"ISSUE.md", "SNIPPETS.md"}
 
+#: per-PR logs: they describe the repo as it was, deleted files included
+_HISTORY_FILES = {"CHANGES.md", "ROADMAP.md"}
+
+#: a backticked file path — bare (``kernel.py``), partial
+#: (``core/stream.py``), full, ``../``-prefixed or a glob — up to the
+#: first space (arguments) or ``:`` (a line number or pytest node id)
+_FILE_RE = re.compile(
+    r"`(?:\.\./)*((?:[\w.-]+/)*[\w.*-]+\.(?:py|json|md|txt|toml|yml))[`\s:]"
+)
+
+_SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
+
+
+def repo_files():
+    for dirpath, dirnames, filenames in os.walk(REPO_ROOT):
+        dirnames[:] = [d for d in dirnames if d not in _SKIP_DIRS]
+        for filename in filenames:
+            yield os.path.join(dirpath, filename)
+
 
 def markdown_files():
-    for dirpath, dirnames, filenames in os.walk(REPO_ROOT):
-        dirnames[:] = [
-            d for d in dirnames
-            if d not in {".git", "__pycache__", ".pytest_cache"}
-        ]
-        for filename in filenames:
-            if filename.endswith(".md"):
-                yield os.path.join(dirpath, filename)
+    return (path for path in repo_files() if path.endswith(".md"))
 
 
 def check_links():
@@ -65,6 +83,24 @@ def check_links():
             )
             if not os.path.exists(resolved):
                 errors.append(f"{rel}: broken link -> {target}")
+    return errors
+
+
+def check_paths_exist():
+    """Every backticked file path is (a suffix of) a file in the repo."""
+    errors = []
+    existing = ["/" + os.path.relpath(path, REPO_ROOT) for path in repo_files()]
+    for path in markdown_files():
+        name = os.path.basename(path)
+        if name in _SKIP_FILES or name in _HISTORY_FILES:
+            continue
+        rel = os.path.relpath(path, REPO_ROOT)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for target in sorted(set(_FILE_RE.findall(text))):
+            pattern = "*/" + target
+            if not any(fnmatch.fnmatchcase(file, pattern) for file in existing):
+                errors.append(f"{rel}: no such file -> {target}")
     return errors
 
 
@@ -122,7 +158,8 @@ def check_docs_reachable():
 
 def main() -> int:
     errors = (
-        check_links() + check_architecture_mentions() + check_docs_reachable()
+        check_links() + check_paths_exist()
+        + check_architecture_mentions() + check_docs_reachable()
     )
     for error in errors:
         print(error, file=sys.stderr)

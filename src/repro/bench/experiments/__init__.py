@@ -1,4 +1,5 @@
-"""Experiment modules E1–E9 (see DESIGN.md §4 for the claim map).
+"""Experiment modules E1–E17 and ablations A1–A4 (see DESIGN.md §4 for
+the claim map).
 
 Modules are imported lazily so running one experiment does not require
 the whole suite's import cost.

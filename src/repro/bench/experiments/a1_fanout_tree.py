@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import DirectIngestBridge
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.relay import WatchRelay
@@ -25,21 +25,6 @@ from repro.sim.kernel import Simulation
 from repro.sim.metrics import Histogram
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
-
-DEFAULTS = dict(
-    num_consumers=48,
-    num_relays=4,
-    update_rate=50.0,
-    duration=30.0,
-    seed=103,
-)
-QUICK = dict(
-    num_consumers=24,
-    num_relays=3,
-    update_rate=30.0,
-    duration=15.0,
-    seed=103,
-)
 
 
 def run(
@@ -139,3 +124,27 @@ def run(
         f"{num_consumers}/{num_relays}."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    num_consumers=24,
+    num_relays=3,
+    update_rate=30.0,
+    duration=15.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Relay trees divide source fan-out work."""
+    table = result.table("topologies")
+    direct = table.row_by("topology", "direct")
+    tree = table.row_by("topology", "tree")
+    # both topologies deliver complete state to every consumer
+    assert direct["all_complete"] and tree["all_complete"]
+    # the tree's source layer serves only the relays
+    assert tree["source_sessions"] == params["num_relays"]
+    assert direct["source_sessions"] == params["num_consumers"]
+    assert tree["source_deliveries"] * 2 < direct["source_deliveries"]
+    # the cost: one extra hop of latency, but same order of magnitude
+    assert tree["latency_p99"] < direct["latency_p99"] * 10

@@ -17,28 +17,13 @@ point** — the knob trades resources, never consistency.
 from __future__ import annotations
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import DirectIngestBridge
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
-
-DEFAULTS = dict(
-    budgets=(200, 1000, 5000, 50_000),
-    num_watchers=20,
-    update_rate=100.0,
-    duration=40.0,
-    seed=107,
-)
-QUICK = dict(
-    budgets=(200, 5000),
-    num_watchers=10,
-    update_rate=60.0,
-    duration=20.0,
-    seed=107,
-)
 
 
 def run(
@@ -120,3 +105,26 @@ def run(
         "come from."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    budgets=(200, 5000),
+    num_watchers=10,
+    update_rate=60.0,
+    duration=20.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """The budget trades memory for resync load, never consistency."""
+    rows = sorted(
+        result.table("budget sweep").rows, key=lambda r: r["budget_events"]
+    )
+    # every budget converges correctly — the knob never costs consistency
+    assert all(r["all_complete"] for r in rows)
+    # smaller budgets force more resyncs (and store snapshot reads)
+    assert rows[0]["resyncs"] > rows[-1]["resyncs"]
+    assert rows[0]["snapshots_taken"] >= rows[-1]["snapshots_taken"]
+    # bigger budgets hold more memory
+    assert rows[0]["peak_soft_state_events"] < rows[-1]["peak_soft_state_events"]

@@ -13,7 +13,7 @@ converges either way.
 from __future__ import annotations
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import DirectIngestBridge, even_ranges
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.sharded_watch import ShardedWatchSystem
@@ -21,21 +21,6 @@ from repro.core.watch_system import WatchSystem
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
-
-DEFAULTS = dict(
-    shard_counts=(1, 4, 8),
-    num_watchers=24,
-    update_rate=80.0,
-    duration=30.0,
-    seed=109,
-)
-QUICK = dict(
-    shard_counts=(1, 4),
-    num_watchers=12,
-    update_rate=50.0,
-    duration=15.0,
-    seed=109,
-)
 
 
 def run(
@@ -123,3 +108,26 @@ def run(
         "are touched.  max_shard_load_frac shows ingest load spreading."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    shard_counts=(1, 4),
+    num_watchers=12,
+    update_rate=50.0,
+    duration=15.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Sharding the watch layer isolates failures and spreads load."""
+    rows = sorted(result.table("shard sweep").rows, key=lambda r: r["shards"])
+    mono = rows[0]
+    sharded = rows[-1]
+    assert all(r["all_complete"] for r in rows)
+    # monolithic: losing the watch system resyncs everyone
+    assert mono["resync_fraction"] == 1.0
+    # sharded: only the failed shard's watchers are touched
+    assert sharded["resync_fraction"] <= 0.5
+    # ingest load spreads across shards
+    assert sharded["max_shard_load_frac"] < 0.6

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.cache.cluster import CacheCluster, Prober
 from repro.cache.invalidation import (
     FreeInvalidationPipeline,
@@ -55,42 +55,6 @@ from repro.sim.network import Network, NetworkConfig
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
 
-DEFAULTS = dict(
-    configs=("pubsub-reliable", "pubsub-fireforget",
-             "watch-reliable", "watch-fireforget"),
-    num_nodes=3,
-    num_keys=120,
-    update_rate=20.0,
-    duration=60.0,
-    drain=45.0,
-    loss_rate=0.08,
-    base_latency=0.005,
-    net_jitter=0.003,
-    outage_mean_interval=18.0,
-    outage_mean_duration=1.5,
-    partition_duration=2.0,
-    probe_rate=40.0,
-    poll_interval=0.5,
-    seed=53,
-)
-QUICK = dict(
-    configs=("pubsub-reliable", "pubsub-fireforget",
-             "watch-reliable", "watch-fireforget"),
-    num_nodes=3,
-    num_keys=60,
-    update_rate=15.0,
-    duration=24.0,
-    drain=20.0,
-    loss_rate=0.08,
-    base_latency=0.005,
-    net_jitter=0.003,
-    outage_mean_interval=8.0,
-    outage_mean_duration=1.0,
-    partition_duration=1.5,
-    probe_rate=40.0,
-    poll_interval=0.5,
-    seed=53,
-)
 
 #: Retransmit schedule for the reliable rows: unbounded, because the
 #: chaos schedule includes partitions longer than any attempt budget —
@@ -311,3 +275,47 @@ def run(
         "application — nothing inside the system will ever fix them."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    num_keys=60,
+    update_rate=15.0,
+    duration=24.0,
+    drain=20.0,
+    outage_mean_interval=8.0,
+    outage_mean_duration=1.0,
+    partition_duration=1.5,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Reliable delivery converges through chaos; fire-and-forget
+    silently loses updates under the same seed and faults."""
+    table = result.table("chaos soak")
+    for system in ("pubsub", "watch"):
+        reliable = table.row_by("config", f"{system}-reliable")
+        fireforget = table.row_by("config", f"{system}-fireforget")
+
+        # with retries the pipeline converges once the faults stop:
+        # nothing lost, nothing permanently stale
+        assert reliable["converged"], system
+        assert reliable["t_converge_s"] is not None, system
+        assert reliable["lost_updates"] == 0, system
+        assert reliable["final_stale"] == 0, system
+        # ...and the convergence was genuinely bought with resilience
+        # machinery, not a quiet fault schedule
+        assert reliable["retransmits"] > 0, system
+        assert reliable["dup_dropped"] > 0, system
+        assert reliable["breaker_trips"] > 0, system
+
+        # fire-and-forget: updates are silently lost and the caches
+        # diverge permanently
+        assert fireforget["lost_updates"] > 0, system
+        assert fireforget["final_stale"] > 0, system
+        assert fireforget["retransmits"] == 0, system
+
+        # the reliable row also serves fresher reads *during* the chaos
+        assert (
+            reliable["stale_reads_frac"] < fireforget["stale_reads_frac"]
+        ), system

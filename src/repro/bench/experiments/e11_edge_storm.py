@@ -39,7 +39,7 @@ from __future__ import annotations
 from statistics import median
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import DirectIngestBridge
 from repro.core.watch_system import WatchSystem
 from repro.edge.client import EdgeClient
@@ -58,50 +58,6 @@ from repro.sim.network import Network, NetworkConfig
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
 
-DEFAULTS = dict(
-    configs=("watch-coalesce", "watch-disconnect",
-             "pubsub-drop", "pubsub-unbounded"),
-    num_frontends=3,
-    num_clients=36,
-    slow_fraction=0.25,
-    num_keys=80,
-    update_rate=30.0,
-    duration=45.0,
-    drain=120.0,
-    storm_at=18.0,
-    storm_fraction=0.6,
-    storm_window=2.0,
-    downtime_mean=4.0,
-    loss_rate=0.02,
-    base_latency=0.002,
-    slow_service_time=0.1,
-    fast_service_time=0.002,
-    max_queue=96,
-    catchup_threshold=100,
-    seed=71,
-)
-QUICK = dict(
-    configs=("watch-coalesce", "watch-disconnect",
-             "pubsub-drop", "pubsub-unbounded"),
-    num_frontends=2,
-    num_clients=16,
-    slow_fraction=0.25,
-    num_keys=48,
-    update_rate=25.0,
-    duration=20.0,
-    drain=50.0,
-    storm_at=8.0,
-    storm_fraction=0.6,
-    storm_window=1.5,
-    downtime_mean=2.5,
-    loss_rate=0.02,
-    base_latency=0.002,
-    slow_service_time=0.1,
-    fast_service_time=0.002,
-    max_queue=96,
-    catchup_threshold=100,
-    seed=71,
-)
 
 _POLICIES = {
     "coalesce": SlowConsumerPolicy.COALESCE,
@@ -382,3 +338,73 @@ def run(
         "converged to the store's final value."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    num_frontends=2,
+    num_clients=16,
+    num_keys=48,
+    update_rate=25.0,
+    duration=20.0,
+    drain=50.0,
+    storm_at=8.0,
+    storm_window=1.5,
+    downtime_mean=2.5,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Every offered update is attributed; watch sessions bound their
+    queues without loss, pubsub sessions shed or grow."""
+    sessions = result.table("edge sessions")
+    provenance = result.table("delivery provenance")
+    trace = result.table("trace summary")
+
+    # conservation: every offered update is attributed to exactly one
+    # outcome bucket, in every configuration
+    for row in provenance.rows:
+        assert row["attributed_pct"] == 100.0, row["config"]
+
+    coalesce = provenance.row_by("config", "watch-coalesce")
+    disconnect = provenance.row_by("config", "watch-disconnect")
+    drop = provenance.row_by("config", "pubsub-drop")
+    unbounded = provenance.row_by("config", "pubsub-unbounded")
+
+    # watch with coalescing: bounded queues, nothing dropped, and the
+    # final state converges for every client — supersession is not loss
+    assert coalesce["dropped_edge"] == 0
+    assert coalesce["final_stale"] == 0
+    assert coalesce["coalesced"] > 0
+    coalesce_sessions = sessions.row_by("config", "watch-coalesce")
+    assert coalesce_sessions["peak_q_slow"] <= params["num_keys"]
+
+    # watch with disconnect: sessions cycle, queued updates return to
+    # the durable cursor, and still nothing is lost
+    assert disconnect["dropped_edge"] == 0
+    assert disconnect["final_stale"] == 0
+    assert disconnect["returned"] > 0
+    disconnect_sessions = sessions.row_by("config", "watch-disconnect")
+    assert disconnect_sessions["sessions"] > coalesce_sessions["sessions"]
+    assert disconnect_sessions["snapshots"] > 0
+
+    # pubsub with a bounded queue must shed, and every shed update is
+    # attributed by trace provenance as "dropped at edge"
+    assert drop["dropped_edge"] > 0
+    drop_trace = trace.row_by("config", "pubsub-drop")
+    assert drop_trace["drop_provenance"] == drop_trace["edge_dropped"]
+    assert drop_trace["edge_dropped"] == drop["dropped_edge"]
+
+    # pubsub refusing to shed grows a queue far beyond the bounded
+    # watch-coalesce peak (every-message contract, no supersession)
+    unbounded_sessions = sessions.row_by("config", "pubsub-unbounded")
+    assert unbounded_sessions["peak_q_slow"] > (
+        3 * coalesce_sessions["peak_q_slow"]
+    )
+    assert unbounded["dropped_edge"] == 0
+
+    # reconnect catch-up hits the source tier only for pubsub: watch
+    # storms are absorbed by the frontends' own relay state
+    assert sessions.row_by("config", "pubsub-drop")["replayed"] > 0
+    assert coalesce_sessions["replayed"] == 0
+    assert drop["src_per_commit"] > coalesce["src_per_commit"]

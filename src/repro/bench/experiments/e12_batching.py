@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.cache.invalidation import (
     FreeInvalidationPipeline,
     InvalidationMode,
@@ -63,48 +63,6 @@ from repro.storage.kv import MVCCStore, Mutation
 from repro.transport import BatchConfig
 from repro.workloads.generators import key_universe
 
-DEFAULTS = dict(
-    pipelines=("pubsub", "watch"),
-    batch_sizes=(1, 4, 16, 64),
-    lingers_ms=(1.0, 5.0, 20.0),
-    fanouts=(1, 3, 8),
-    base_batch=16,
-    base_linger_ms=5.0,
-    base_fanout=3,
-    num_keys=64,
-    txn_size=4,
-    commit_rate=60.0,
-    burst=8,
-    duration=12.0,
-    drain=8.0,
-    loss_rate=0.02,
-    base_latency=0.005,
-    net_jitter=0.002,
-    dispatch_cost=0.004,
-    record_service=0.0005,
-    seed=31,
-)
-QUICK = dict(
-    pipelines=("pubsub", "watch"),
-    batch_sizes=(1, 16),
-    lingers_ms=(5.0,),
-    fanouts=(3,),
-    base_batch=16,
-    base_linger_ms=5.0,
-    base_fanout=3,
-    num_keys=48,
-    txn_size=4,
-    commit_rate=60.0,
-    burst=8,
-    duration=6.0,
-    drain=6.0,
-    loss_rate=0.02,
-    base_latency=0.005,
-    net_jitter=0.002,
-    dispatch_cost=0.004,
-    record_service=0.0005,
-    seed=31,
-)
 
 #: Unbounded retransmits: the sweep measures batching cost, and a
 #: give-up on the reliable rows would conflate loss with the lever.
@@ -386,3 +344,51 @@ def run(
         "shows."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    batch_sizes=(1, 16),
+    lingers_ms=(5.0,),
+    fanouts=(3,),
+    num_keys=48,
+    duration=6.0,
+    drain=6.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Batching changes the wire shape, never what is applied."""
+    rows = result.table("batching sweep").rows
+
+    def cells(config):
+        """(unbatched row, base-cell batched row) of one config."""
+        unbatched = next(
+            r for r in rows if r["config"] == config and r["batch"] == 1
+        )
+        batched = next(
+            r for r in rows
+            if r["config"] == config
+            and r["batch"] == params["base_batch"]
+            and r["linger_ms"] == params["base_linger_ms"]
+            and r["fanout"] == params["base_fanout"]
+        )
+        return unbatched, batched
+
+    for system in params["pipelines"]:
+        unbatched, batched = cells(f"{system}-reliable")
+        assert unbatched["applied"] == batched["applied"] > 0, system
+        assert batched["frames"] < unbatched["frames"] / 4, system
+        assert batched["msgs_per_frame"] > 2.0, system
+        assert batched["retransmits"] < unbatched["retransmits"], system
+        # a lost frame still attributes all N coalesced records
+        fireforget = next(
+            r for r in rows if r["config"] == f"{system}-fireforget"
+        )
+        assert (
+            fireforget["wire_lost"] == fireforget["lost_attributed"] > 0
+        ), system
+    # the throughput crossover: the unbatched pubsub consumer pays the
+    # dispatch cost per record, saturates, and queues
+    unbatched, batched = cells("pubsub-reliable")
+    assert unbatched["e2e_p50_ms"] > 4 * batched["e2e_p50_ms"]

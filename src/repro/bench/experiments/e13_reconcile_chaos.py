@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.cdc.publisher import CdcPublisher
 from repro.core.bridge import DirectIngestBridge
 from repro.core.watch_system import WatchSystem
@@ -73,34 +73,6 @@ from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
 
-DEFAULTS = dict(
-    configs=("pubsub-only", "pubsub+reconciler"),
-    num_frontends=2,
-    num_clients=8,
-    num_keys=60,
-    update_rate=20.0,
-    duration=30.0,
-    settle=30.0,
-    injections_per_class=2,
-    inject_window=6.0,
-    num_shards=4,
-    tick=0.5,
-    seed=97,
-)
-QUICK = dict(
-    configs=("pubsub-only", "pubsub+reconciler"),
-    num_frontends=2,
-    num_clients=6,
-    num_keys=40,
-    update_rate=15.0,
-    duration=14.0,
-    settle=20.0,
-    injections_per_class=1,
-    inject_window=4.0,
-    num_shards=4,
-    tick=0.5,
-    seed=97,
-)
 
 #: classes injected after traffic stops (their damage is to data at
 #: rest; injecting mid-burst would race ordinary replication catch-up)
@@ -326,3 +298,36 @@ def run(
         "corruption into bounded-time repair."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    num_clients=6,
+    num_keys=40,
+    update_rate=15.0,
+    duration=14.0,
+    settle=20.0,
+    injections_per_class=1,
+    inject_window=4.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Only the reconciler plane notices and repairs corruption."""
+    convergence = result.table("convergence")
+    control = convergence.row_by("config", "pubsub-only")
+    repaired = convergence.row_by("config", "pubsub+reconciler")
+    # the pipelines alone never notice arbitrary-state corruption
+    assert not control["legal"] and control["repairs"] == 0
+    # the reconciler plane restores a checker-verified legal state
+    assert repaired["legal"]
+    # ... within a bounded number of reconcile rounds
+    assert 0 < repaired["rounds_max"] <= 4
+    # ... with every repair attributed to the corruption it fixed
+    assert repaired["attributed"] == repaired["repairs"] > 0
+    for row in result.table("corruption classes").rows:
+        if row["config"] == "pubsub+reconciler":
+            assert row["unrepaired"] == 0, row["class"]
+            assert row["rounds"] <= 4, row["class"]
+        else:
+            assert row["repaired"] == 0, row["class"]

@@ -29,7 +29,7 @@ seeded RNG, so the table is byte-deterministic for a given seed.
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.bench.experiments.e12_batching import (
     _RETRY,
     _metric_sum,
@@ -59,42 +59,6 @@ from repro.storage.kv import MVCCStore
 from repro.transport import BatchConfig
 from repro.workloads.generators import key_universe
 
-DEFAULTS = dict(
-    pipelines=("pubsub", "watch"),
-    rates_rps=(60.0, 240.0, 480.0),
-    batch_sizes=(1, 8, 64),
-    linger_ms=5.0,
-    fanout=3,
-    num_keys=64,
-    txn_size=4,
-    burst=8,
-    duration=10.0,
-    drain=15.0,
-    loss_rate=0.01,
-    base_latency=0.005,
-    net_jitter=0.002,
-    dispatch_cost=0.004,
-    record_service=0.0005,
-    seed=47,
-)
-QUICK = dict(
-    pipelines=("pubsub", "watch"),
-    rates_rps=(60.0, 320.0),
-    batch_sizes=(1, 16),
-    linger_ms=5.0,
-    fanout=2,
-    num_keys=48,
-    txn_size=4,
-    burst=8,
-    duration=5.0,
-    drain=8.0,
-    loss_rate=0.01,
-    base_latency=0.005,
-    net_jitter=0.002,
-    dispatch_cost=0.004,
-    record_service=0.0005,
-    seed=47,
-)
 
 COLUMNS = [
     "config", "rate_rps", "batch", "applied", "throughput_rps",
@@ -261,3 +225,40 @@ def run(
         "real encoded wire volume (net.bytes.*, repro.sim.wire)."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    rates_rps=(60.0, 320.0),
+    batch_sizes=(1, 16),
+    fanout=2,
+    num_keys=48,
+    duration=5.0,
+    drain=8.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """The full grid is present and shows the saturation knee."""
+    table = result.table("batch sweep")
+    # a renamed column or a dropped grid cell fails here instead of at
+    # experiments_output.txt regeneration time
+    assert table.columns == COLUMNS, table.columns
+    expected = (
+        len(params["pipelines"]) * len(params["rates_rps"])
+        * len(params["batch_sizes"])
+    )
+    assert len(table.rows) == expected, len(table.rows)
+    # the saturation knee at the hot rate: unbatched queues, batched
+    # keeps up at the same applied count
+    hot = max(params["rates_rps"])
+    pubsub = [
+        r for r in table.rows
+        if r["config"] == "pubsub" and r["rate_rps"] == hot
+    ]
+    unbatched = next(r for r in pubsub if r["batch"] == 1)
+    batched = next(r for r in pubsub if r["batch"] > 1)
+    assert unbatched["e2e_p50_ms"] > 4 * batched["e2e_p50_ms"]
+    assert batched["applied"] == unbatched["applied"] > 0
+    # real wire bytes surfaced in every cell
+    assert all(r["bytes_per_frame"] > 0 for r in table.rows)

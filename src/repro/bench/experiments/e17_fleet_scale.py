@@ -53,7 +53,7 @@ determinism test pins ``jobs=1 == jobs=N`` and run-to-run identity).
 from __future__ import annotations
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import DirectIngestBridge
 from repro.core.watch_system import WatchSystem
 from repro.edge.client import EdgeClient
@@ -86,61 +86,6 @@ SPEEDUP_COLUMNS = [
     "config", "sessions", "mono_wall_s", "fleet_wall_s", "speedup",
 ]
 
-#: rung tuples: (pipeline, num_shards, sessions_per_shard, storm, jobs)
-DEFAULTS = dict(
-    rungs=(
-        ("watch", 1, 1_000_000, "delta", 1),      # monolith speedup base
-        ("watch", 4, 250_000, "delta", 4),        # same 1M, fleet side
-        ("watch", 8, 250_000, "snapshot", 8),     # the 2M mass-snapshot rung
-        ("pubsub", 1, 32_000, "snapshot", 1),     # monolith speedup base
-        ("pubsub", 4, 8_000, "snapshot", 4),      # same 32k, fleet side
-    ),
-    total_groups=64,
-    keys_per_group=8,
-    update_rate=80.0,
-    duration=8.0,
-    drain=12.0,
-    connect_window=3.0,
-    storm_fraction=0.3,
-    storm_window=1.5,
-    downtime_mean=1.5,
-    initial_credits=8,
-    max_queue=256,
-    drain_interval=0.001,
-    delta_threshold=10_000,
-    snapshot_threshold=64,
-    retention_messages=40,
-    lat_client_sample=16,
-    trace_sample=4096,
-    seed=1701,
-)
-QUICK = dict(
-    rungs=(
-        ("watch", 1, 800, "delta", 1),
-        ("watch", 2, 400, "delta", 2),
-        ("watch", 2, 400, "snapshot", 2),
-        ("pubsub", 1, 600, "snapshot", 1),
-        ("pubsub", 2, 300, "snapshot", 2),
-    ),
-    total_groups=16,
-    keys_per_group=8,
-    update_rate=20.0,
-    duration=6.0,
-    drain=10.0,
-    connect_window=2.0,
-    storm_fraction=0.3,
-    storm_window=1.0,
-    downtime_mean=1.0,
-    initial_credits=8,
-    max_queue=256,
-    drain_interval=0.001,
-    delta_threshold=10_000,
-    snapshot_threshold=24,
-    retention_messages=12,
-    lat_client_sample=4,
-    trace_sample=64,
-    seed=1701,
-)
 
 #: conservation funnels checked per shard AND merged (FleetReport)
 _SESSION_FUNNEL = (
@@ -444,24 +389,31 @@ def _funnels(pipeline: str, report) -> dict:
 
 
 def run(
-    rungs=QUICK["rungs"],
-    total_groups: int = 16,
+    # rung tuples: (pipeline, num_shards, sessions_per_shard, storm, jobs)
+    rungs=(
+        ("watch", 1, 1_000_000, "delta", 1),      # monolith speedup base
+        ("watch", 4, 250_000, "delta", 4),        # same 1M, fleet side
+        ("watch", 8, 250_000, "snapshot", 8),     # the 2M mass-snapshot rung
+        ("pubsub", 1, 32_000, "snapshot", 1),     # monolith speedup base
+        ("pubsub", 4, 8_000, "snapshot", 4),      # same 32k, fleet side
+    ),
+    total_groups: int = 64,
     keys_per_group: int = 8,
-    update_rate: float = 20.0,
-    duration: float = 6.0,
-    drain: float = 10.0,
-    connect_window: float = 2.0,
+    update_rate: float = 80.0,
+    duration: float = 8.0,
+    drain: float = 12.0,
+    connect_window: float = 3.0,
     storm_fraction: float = 0.3,
-    storm_window: float = 1.0,
-    downtime_mean: float = 1.0,
+    storm_window: float = 1.5,
+    downtime_mean: float = 1.5,
     initial_credits: int = 8,
     max_queue: int = 256,
     drain_interval: float = 0.001,
     delta_threshold: int = 10_000,
-    snapshot_threshold: int = 24,
-    retention_messages: int = 12,
-    lat_client_sample: int = 4,
-    trace_sample: int = 64,
+    snapshot_threshold: int = 64,
+    retention_messages: int = 40,
+    lat_client_sample: int = 16,
+    trace_sample: int = 4096,
     seed: int = 1701,
 ) -> ExperimentResult:
     result = ExperimentResult(
@@ -615,3 +567,53 @@ def run(
         "partitioning beyond wall-clock"
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    rungs=(
+        ("watch", 1, 800, "delta", 1),
+        ("watch", 2, 400, "delta", 2),
+        ("watch", 2, 400, "snapshot", 2),
+        ("pubsub", 1, 600, "snapshot", 1),
+        ("pubsub", 2, 300, "snapshot", 2),
+    ),
+    total_groups=16,
+    update_rate=20.0,
+    duration=6.0,
+    drain=10.0,
+    connect_window=2.0,
+    storm_window=1.0,
+    downtime_mean=1.0,
+    snapshot_threshold=24,
+    retention_messages=12,
+    lat_client_sample=4,
+    trace_sample=64,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Every rung conserves and attributes; the mass-snapshot
+    machinery really ran; the monolith crosses more replay holes."""
+    sweep = result.table("fleet sweep")
+    assert sweep.columns == COLUMNS, sweep.columns
+    assert len(sweep.rows) == len(params["rungs"])
+    # conservation held in every shard and merged (run() raises
+    # otherwise); attribution is total on every rung
+    assert all(row["conserved"] for row in sweep.rows)
+    assert all(row["attributed_pct"] == 100.0 for row in sweep.rows)
+    # monolith vs fleet pairs carry the same total population
+    for row in sweep.rows[:2]:
+        assert row["sessions"] == sweep.rows[0]["sessions"]
+    # watch rungs served snapshots through the cache, pubsub rungs
+    # replayed across a real retention floor
+    watch_snap = [r for r in sweep.rows if r["config"] == "watch-snapshot"]
+    assert all(r["snapshots"] > 0 for r in watch_snap)
+    assert all(r["cache_hits"] > 0 for r in watch_snap)
+    pubsub = [r for r in sweep.rows if r["config"] == "pubsub-snapshot"]
+    assert all(r["replayed"] > 0 for r in pubsub)
+    # the per-broker retention floor: the monolith's logs GC sooner,
+    # so it crosses more replay holes than the fleet
+    mono = next(r for r in pubsub if r["shards"] == 1)
+    fleet = next(r for r in pubsub if r["shards"] > 1)
+    assert mono["replay_gaps"] > fleet["replay_gaps"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro._types import KEY_MAX, KEY_MIN
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.api import FnWatchCallback
 from repro.core.store_watch import StoreWatch
 from repro.core.stream import WatcherConfig
@@ -26,23 +26,6 @@ from repro.sim.kernel import Simulation, Timeout
 from repro.sim.metrics import Histogram
 from repro.storage.timeseries import IngestionStore
 from repro.workloads.generators import key_universe
-
-DEFAULTS = dict(
-    fanouts=(1, 4, 16),
-    num_producers=8,
-    publish_rate=400.0,
-    duration=30.0,
-    drain=10.0,
-    seed=11,
-)
-QUICK = dict(
-    fanouts=(1, 4),
-    num_producers=4,
-    publish_rate=200.0,
-    duration=8.0,
-    drain=5.0,
-    seed=11,
-)
 
 
 def _producers(sim: Simulation, publish, num_producers: int, rate: float, duration: float, keys) -> None:
@@ -147,3 +130,24 @@ def run(
         "differences appear once consumers lag (E2) or shard (E3/E6)."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    fanouts=(1, 4),
+    num_producers=4,
+    publish_rate=200.0,
+    duration=8.0,
+    drain=5.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """The happy path: both systems complete, nobody queues."""
+    table = result.table("fanout sweep")
+    # every configuration delivered every message to every consumer
+    assert all(table.column("complete"))
+    # latency stayed in the same order of magnitude for both systems
+    for row in table.rows:
+        assert row["latency_p99"] < 1.0, row
+        assert row["final_backlog"] == 0, row

@@ -24,7 +24,7 @@ we sweep D/R.
 from __future__ import annotations
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.stream import WatcherConfig
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
@@ -38,27 +38,12 @@ from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
 
-DEFAULTS = dict(
-    outage_hours=(2.0, 6.0, 12.0, 24.0),
-    retention_hours=8.0,
-    update_rate=1.0,
-    num_keys=200,
-    seed=23,
-)
-QUICK = dict(
-    outage_hours=(2.0, 12.0),
-    retention_hours=8.0,
-    update_rate=0.5,
-    num_keys=100,
-    seed=23,
-)
-
 
 def run(
     outage_hours=(2.0, 6.0, 12.0, 24.0),
     retention_hours: float = 8.0,
-    update_rate: float = 2.0,
-    num_keys: int = 300,
+    update_rate: float = 1.0,
+    num_keys: int = 200,
     seed: int = 23,
 ) -> ExperimentResult:
     result = ExperimentResult(
@@ -204,3 +189,38 @@ def run(
         "exceeded the soft-state window."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    outage_hours=(2.0, 12.0),
+    update_rate=0.5,
+    num_keys=100,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Retention GC loses data silently; watch resyncs."""
+    table = result.table("outage sweep")
+    for outage in params["outage_hours"]:
+        pubsub = next(
+            r for r in table.rows
+            if r["system"] == "pubsub" and r["outage_h"] == outage
+        )
+        watch = next(
+            r for r in table.rows
+            if r["system"] == "watch" and r["outage_h"] == outage
+        )
+        # watch always ends complete and never loses silently
+        assert watch["lost_silently"] == 0, outage
+        assert watch["final_state_complete"], outage
+        if outage > params["retention_hours"]:
+            # pubsub lost messages, told nobody, and ended incomplete
+            assert pubsub["lost_silently"] > 0, outage
+            assert not pubsub["consumer_notified"], outage
+            assert not pubsub["final_state_complete"], outage
+            # watch was *notified* (resync) and recovered
+            assert watch["consumer_notified"], outage
+        else:
+            # within retention both recover fully
+            assert pubsub["final_state_complete"], outage

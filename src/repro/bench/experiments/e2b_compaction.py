@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import DirectIngestBridge
 from repro.core.stream import WatcherConfig
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
@@ -37,23 +37,6 @@ from repro.pubsub.subscription import SubscriptionConfig
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
-
-DEFAULTS = dict(
-    lag_seconds=(50.0, 200.0, 800.0),
-    compaction_window=100.0,
-    update_rate=20.0,
-    num_keys=40,
-    duration=1200.0,
-    seed=31,
-)
-QUICK = dict(
-    lag_seconds=(50.0, 400.0),
-    compaction_window=100.0,
-    update_rate=10.0,
-    num_keys=20,
-    duration=700.0,
-    seed=31,
-)
 
 
 def run(
@@ -187,3 +170,35 @@ def run(
         "snapshot instead of silently applying a jump."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    lag_seconds=(50.0, 400.0),
+    update_rate=10.0,
+    num_keys=20,
+    duration=700.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Compaction loses transitions without notification."""
+    table = result.table("lag sweep")
+    for lag in params["lag_seconds"]:
+        pubsub = next(
+            r for r in table.rows
+            if r["system"] == "pubsub" and r["lag_s"] == lag
+        )
+        watch = next(
+            r for r in table.rows
+            if r["system"] == "watch" and r["lag_s"] == lag
+        )
+        if lag > params["compaction_window"]:
+            # compaction silently removed transitions from pubsub
+            assert pubsub["transitions_missed"] > 0, lag
+            assert not pubsub["gap_signalled"], lag
+            # watch told the consumer it had a gap
+            assert watch["gap_signalled"], lag
+        else:
+            assert pubsub["transitions_missed"] == 0, lag
+            assert watch["transitions_missed"] == 0, lag

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import PartitionedIngestBridge, even_ranges
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
 from repro.core.stream import WatcherConfig
@@ -43,30 +43,6 @@ from repro.replication.watch_replicator import WatchReplicator
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import AclWorkload
-
-DEFAULTS = dict(
-    strategies=("serial", "concurrent-naive", "concurrent-version",
-                "partition-serial", "watch"),
-    workers=4,
-    num_pairs=24,
-    cycle_rate=40.0,
-    filler_rate=400.0,
-    duration=60.0,
-    drain=40.0,
-    service_time=0.008,
-    seed=59,
-)
-QUICK = dict(
-    strategies=("serial", "concurrent-version", "watch"),
-    workers=4,
-    num_pairs=12,
-    cycle_rate=20.0,
-    filler_rate=200.0,
-    duration=25.0,
-    drain=25.0,
-    service_time=0.008,
-    seed=59,
-)
 
 
 def run(
@@ -210,3 +186,58 @@ def run(
         "whose fingerprint never existed at the source."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    strategies=("serial", "concurrent-version", "watch"),
+    num_pairs=12,
+    cycle_rate=20.0,
+    filler_rate=200.0,
+    duration=25.0,
+    drain=25.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """The §3.2.1 spectrum: each pubsub strategy gives up throughput,
+    EC, or point-in-time consistency; watch gives up none.  A row is
+    asserted when the run's ``strategies`` include it."""
+    rows = {row["strategy"]: row for row in result.table("strategies").rows}
+    # keyed on what was requested: a requested row that is missing
+    # raises KeyError instead of passing unasserted
+    asked = params["strategies"]
+
+    if "serial" in asked:
+        # serial: consistent but the bottleneck
+        serial = rows["serial"]
+        assert serial["snapshot_violations"] == 0
+        assert serial["acl_violations"] == 0
+        assert serial["final_divergence"] == 0
+    if "concurrent-naive" in asked:
+        # naive reordering: stale overwrites / resurrections survive
+        naive = rows["concurrent-naive"]
+        assert naive["final_divergence"] > 0
+        assert naive["snapshot_violations"] > 0
+    if "partition-serial" in asked:
+        # per-key order (EC holds) but the member/access anomaly — the
+        # paper's §3.2.1 example — appears at the target
+        partition = rows["partition-serial"]
+        assert partition["final_divergence"] == 0
+        assert partition["acl_violations"] > 0
+    if "concurrent-version" in asked:
+        # version checks restore EC but not snapshot consistency
+        versioned = rows["concurrent-version"]
+        assert versioned["final_divergence"] == 0
+        assert versioned["snapshot_violations"] > 0
+        if "serial" in asked:
+            # serial needs far longer to catch up than concurrent appliers
+            assert rows["serial"]["catchup_s"] > 2 * versioned["catchup_s"]
+    if "watch" in asked:
+        # watch: concurrent AND point-in-time consistent
+        watch = rows["watch"]
+        assert watch["snapshot_violations"] == 0
+        assert watch["acl_violations"] == 0
+        assert watch["final_divergence"] == 0
+        if "serial" in asked:
+            assert watch["catchup_s"] < rows["serial"]["catchup_s"]

@@ -21,7 +21,7 @@ of normal tasks (HoL), and completion guarantees across the churn.
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import PartitionedIngestBridge, even_ranges
 from repro.core.watch_system import WatchSystem
 from repro.pubsub.broker import Broker
@@ -32,35 +32,6 @@ from repro.storage.kv import MVCCStore
 from repro.workqueue.pubsub_worker import PubsubWorkerPool
 from repro.workqueue.watch_worker import WatchWorkerPool
 from repro.workloads.generators import TaskStream, key_universe
-
-DEFAULTS = dict(
-    systems=("pubsub-random", "pubsub-key", "watch"),
-    num_workers=4,
-    num_keys=120,
-    task_rate=60.0,
-    work=0.01,
-    cold_penalty=0.05,
-    poison_fraction=0.01,
-    poison_work=2.0,
-    duration=60.0,
-    drain=40.0,
-    churn=True,
-    seed=71,
-)
-QUICK = dict(
-    systems=("pubsub-key", "watch"),
-    num_workers=3,
-    num_keys=60,
-    task_rate=40.0,
-    work=0.01,
-    cold_penalty=0.05,
-    poison_fraction=0.01,
-    poison_work=2.0,
-    duration=25.0,
-    drain=25.0,
-    churn=True,
-    seed=71,
-)
 
 
 def run(
@@ -159,3 +130,37 @@ def run(
         "auto-sharder moves only the dead worker's ranges."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    systems=("pubsub-key", "watch"),
+    num_workers=3,
+    num_keys=60,
+    task_rate=40.0,
+    duration=25.0,
+    drain=25.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Affinity keeps state warm; watch also dodges head-of-line
+    blocking.  Pubsub rows are asserted when ``systems`` include them."""
+    rows = {row["system"]: row for row in result.table("systems").rows}
+    # keyed on what was requested: a requested row that is missing
+    # raises KeyError instead of passing unasserted
+    asked = params["systems"]
+    watch = rows["watch"]
+    # everything completes (at-least-once + idempotent)
+    assert watch["all_done"]
+    if "pubsub-key" in asked:
+        key_routed = rows["pubsub-key"]
+        assert key_routed["all_done"]
+        # watch + auto-sharding keeps state at least as warm as
+        # key-hash routing (which reshuffled wholesale at the churn point)
+        assert watch["warm_frac"] >= key_routed["warm_frac"] - 0.02
+        # and avoids head-of-line blocking behind poison tasks
+        assert watch["normal_p99_s"] < key_routed["normal_p99_s"]
+    if "pubsub-random" in asked:
+        # without affinity the state cache is markedly colder
+        assert watch["warm_frac"] > rows["pubsub-random"]["warm_frac"] + 0.05

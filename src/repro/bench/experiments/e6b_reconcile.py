@@ -18,7 +18,7 @@ and final convergence.
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.store_watch import StoreWatch
 from repro.pubsub.broker import Broker
 from repro.sim.kernel import Simulation, Timeout
@@ -26,27 +26,6 @@ from repro.workqueue.coordinator import (
     EventDrivenCoordinator,
     ProvisioningWorld,
     WatchReconciler,
-)
-
-DEFAULTS = dict(
-    num_vms=60,
-    num_workloads=20,
-    replicas=2,
-    vm_death_interval=2.0,
-    workload_churn_interval=4.0,
-    duration=120.0,
-    settle=30.0,
-    seed=79,
-)
-QUICK = dict(
-    num_vms=40,
-    num_workloads=12,
-    replicas=2,
-    vm_death_interval=2.5,
-    workload_churn_interval=5.0,
-    duration=60.0,
-    settle=20.0,
-    seed=79,
 )
 
 
@@ -144,3 +123,27 @@ def run(
         "removed workload)."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    num_vms=40,
+    num_workloads=12,
+    vm_death_interval=2.5,
+    workload_churn_interval=5.0,
+    duration=60.0,
+    settle=20.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Reconciling from watched state beats reacting to events."""
+    table = result.table("coordinators")
+    events = table.row_by("coordinator", "event-driven")
+    reconciler = table.row_by("coordinator", "watch-reconciler")
+    # the reconciler keeps the fleet far closer to the desired state
+    assert reconciler["avg_satisfied"] > events["avg_satisfied"]
+    assert reconciler["avg_satisfied"] > 0.9
+    # and wastes (almost) no actions on a stale view of the world
+    assert reconciler["misdirected_frac"] <= 0.02
+    assert events["misdirected_frac"] > reconciler["misdirected_frac"]

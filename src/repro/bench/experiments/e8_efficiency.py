@@ -23,7 +23,7 @@ both per-consumer; the hard-state gap is what §4.4 highlights.
 from __future__ import annotations
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import DirectIngestBridge
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
@@ -34,23 +34,6 @@ from repro.pubsub.subscription import SubscriptionConfig
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
-
-DEFAULTS = dict(
-    num_keys=300,
-    update_rate=100.0,
-    duration=60.0,
-    drain=20.0,
-    wipe_at=0.5,
-    seed=89,
-)
-QUICK = dict(
-    num_keys=150,
-    update_rate=50.0,
-    duration=25.0,
-    drain=10.0,
-    wipe_at=0.5,
-    seed=89,
-)
 
 
 def run(
@@ -161,3 +144,29 @@ def run(
         "'this is soft state that can be recovered if deleted' (§4.2.2)."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    num_keys=150,
+    update_rate=50.0,
+    duration=25.0,
+    drain=10.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """Pubsub pays a second durable copy; watch's soft state is soft."""
+    table = result.table("pipelines")
+    pubsub = table.row_by("system", "pubsub")
+    watch = table.row_by("system", "watch")
+    # pubsub wrote a second durable copy of everything (and then some)
+    assert pubsub["extra_durable_bytes"] > pubsub["store_bytes"]
+    assert pubsub["amplification"] > 1.5
+    # watch wrote zero extra durable bytes
+    assert watch["extra_durable_bytes"] == 0
+    # ... and its soft state is genuinely soft: it was destroyed
+    # mid-run and the consumer still ended complete
+    assert watch["wiped_mid_run"]
+    assert watch["consumer_complete"]
+    assert pubsub["consumer_complete"]  # fair baseline: no outage here

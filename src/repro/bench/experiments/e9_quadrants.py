@@ -16,7 +16,7 @@ resync recovery works.
 from __future__ import annotations
 
 from repro._types import KeyRange
-from repro.bench.runner import ExperimentResult
+from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.bridge import DirectIngestBridge, PartitionedIngestBridge, even_ranges
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.store_watch import StoreWatch
@@ -24,19 +24,6 @@ from repro.core.watch_system import WatchSystem
 from repro.sim.kernel import Simulation, Timeout
 from repro.storage.kv import MVCCStore
 from repro.storage.timeseries import IngestionStore
-
-DEFAULTS = dict(
-    num_keys=120,
-    update_rate=60.0,
-    duration=30.0,
-    seed=97,
-)
-QUICK = dict(
-    num_keys=60,
-    update_rate=40.0,
-    duration=15.0,
-    seed=97,
-)
 
 
 def run(
@@ -155,3 +142,22 @@ def run(
         "design space, covered."
     )
     return result
+
+
+DEFAULTS = signature_defaults(run)
+QUICK = dict(
+    num_keys=60,
+    update_rate=40.0,
+    duration=15.0,
+)
+
+
+def check(result: ExperimentResult, params: dict) -> None:
+    """All four storage x notification quadrants work (Figure 3)."""
+    table = result.table("quadrants")
+    assert len(table.rows) == 4
+    for row in table.rows:
+        assert row["events_seen"] > 0, row
+        assert row["mirror_complete"], row
+        assert row["progress_works"], row
+        assert row["resync_recovers"], row

@@ -1,15 +1,38 @@
-"""Result containers and rendering for the experiment suite.
+"""Result containers, rendering and sizing for the experiment suite.
 
 Every experiment produces an :class:`ExperimentResult`: one or more
 :class:`Table` objects (the paper-style rows) and optional named series
 (time series / sweeps — the "figures").  ``print_result`` renders them
 as aligned ASCII for the bench logs and EXPERIMENTS.md.
+
+An experiment's sizing is stated once: ``run``'s signature defaults
+are its ``DEFAULTS`` (:func:`signature_defaults`), and ``QUICK`` holds
+only the parameters the CI sizing overrides (:func:`sizing`).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+
+def signature_defaults(run: Callable[..., Any]) -> Dict[str, Any]:
+    """``run``'s keyword defaults — an experiment module's ``DEFAULTS``."""
+    return {
+        name: parameter.default
+        for name, parameter in inspect.signature(run).parameters.items()
+    }
+
+
+def sizing(module: Any, quick: bool = False) -> Dict[str, Any]:
+    """The full parameter set ``module.run`` executes at one sizing:
+    ``DEFAULTS``, with ``QUICK``'s overrides on top when ``quick``.
+    This is also the ``params`` handed to ``module.check``."""
+    params = dict(module.DEFAULTS)
+    if quick:
+        params.update(module.QUICK)
+    return params
 
 
 def _fmt(value: Any) -> str:

@@ -4,7 +4,7 @@ A thin, deterministic wrapper over :mod:`multiprocessing`: results come
 back in *item order* (never completion order), ``jobs=1`` runs inline
 in the calling process with no pool at all, and the worker count is
 clamped to the item count so idle processes are never forked.  Both the
-fleet runner and ``scripts/run_all_experiments.py --jobs N`` sit on
+fleet runner and ``python -m repro.bench --jobs N`` sit on
 this one function, so the "parallel run == sequential run" property is
 proven in one place.
 
@@ -64,7 +64,7 @@ def process_map(
     if multiprocessing.current_process().daemon:
         # pool workers are daemonic and may not fork children: a fleet
         # launched *inside* a worker (an E17 run under
-        # ``run_all_experiments --jobs``) degrades to the in-process
+        # ``python -m repro.bench --jobs``) degrades to the in-process
         # path — same results by the determinism contract, just serial
         return [fn(item) for item in items]
     ctx = _context()

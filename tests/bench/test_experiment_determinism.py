@@ -1,144 +1,81 @@
-"""Experiments are replayable: identical params → identical tables."""
+"""Experiments are replayable: identical params → identical tables and
+byte-identical trace exports.
+
+All randomness — retry jitter, fault schedules, loss draws, storm
+timing, client stagger, frame fills, causal hold timers — comes from
+the sim RNG and rides the sim clock, so one parametrized test covers
+every experiment listed here (each at a sizing of a second or less).
+"""
 
 import pytest
 
-from repro.bench.experiments import (
-    e6b_reconcile,
-    e9_quadrants,
-    e10_chaos_soak,
-    e11_edge_storm,
-    e12_batching,
-    e13_reconcile_chaos,
-)
+from repro.bench import experiments
+
+CASES = {
+    "E6b": dict(num_vms=12, num_workloads=4, duration=15.0, settle=5.0, seed=79),
+    "E9": dict(num_keys=20, update_rate=20.0, duration=6.0, seed=97),
+    "E10": dict(
+        configs=("pubsub-reliable", "watch-fireforget"),
+        num_keys=25, update_rate=15.0, duration=10.0, drain=8.0, seed=31,
+    ),
+    "E11": dict(
+        configs=("watch-disconnect", "pubsub-drop"),
+        num_frontends=2, num_clients=8, num_keys=24,
+        update_rate=15.0, duration=10.0, drain=20.0,
+        storm_at=4.0, storm_window=1.0, downtime_mean=1.5, seed=23,
+    ),
+    "E12": dict(
+        pipelines=("pubsub", "watch"),
+        batch_sizes=(1, 16), lingers_ms=(5.0,), fanouts=(2,),
+        base_batch=16, base_linger_ms=5.0, base_fanout=2,
+        num_keys=32, duration=5.0, drain=5.0, seed=41,
+    ),
+    # includes the corrupt.inject/reconcile.repair control events in
+    # the exported trace
+    "E13": dict(
+        num_clients=4, num_keys=24, update_rate=10.0,
+        duration=10.0, settle=16.0, injections_per_class=1,
+        inject_window=3.0, num_shards=2, seed=19,
+    ),
+    # the QUICK sweep, rung for rung
+    "E14": experiments.get("E14").QUICK,
+    # byte counters included
+    "E15": dict(
+        pipelines=("pubsub", "watch"),
+        rates_rps=(50.0, 200.0), batch_sizes=(1, 8),
+        fanout=2, num_keys=32, duration=4.0, drain=5.0, seed=53,
+    ),
+    # inversion counts included
+    "E16": dict(
+        pipelines=("pubsub", "watch"), modes=("fifo", "causal"),
+        num_chains=6, pair_rate=25.0, duration=3.0, drain=5.0, seed=53,
+    ),
+}
 
 
 def _rows(result):
     return [tuple(sorted(row.items())) for table in result.tables for row in table.rows]
 
 
-def test_e9_replays_identically():
-    params = dict(num_keys=20, update_rate=20.0, duration=6.0, seed=97)
-    assert _rows(e9_quadrants.run(**params)) == _rows(e9_quadrants.run(**params))
-
-
-def test_e6b_replays_identically():
-    params = dict(num_vms=12, num_workloads=4, duration=15.0, settle=5.0, seed=79)
-    assert _rows(e6b_reconcile.run(**params)) == _rows(e6b_reconcile.run(**params))
-
-
-def test_e10_replays_identically():
-    # retry jitter, fault schedules, and loss draws all come from the
-    # sim RNG: the chaos soak must replay exactly
-    params = dict(
-        configs=("pubsub-reliable", "watch-fireforget"),
-        num_keys=25, update_rate=15.0, duration=10.0, drain=8.0, seed=31,
-    )
-    assert _rows(e10_chaos_soak.run(**params)) == _rows(
-        e10_chaos_soak.run(**params)
-    )
-
-
-def test_e10_trace_jsonl_is_byte_identical():
+@pytest.mark.parametrize("experiment_id", CASES)
+def test_replays_identically(experiment_id):
+    module = experiments.get(experiment_id)
+    first = module.run(**CASES[experiment_id])
+    second = module.run(**CASES[experiment_id])
+    assert _rows(first) == _rows(second)
     # the causal trace is derived purely from sim-clock events, so the
     # JSONL export must replay byte for byte — the property that makes
     # exported traces diffable across runs
-    params = dict(
-        configs=("pubsub-reliable", "watch-fireforget"),
-        num_keys=25, update_rate=15.0, duration=10.0, drain=8.0, seed=31,
-    )
-    first = e10_chaos_soak.run(**params).artifacts["tracers"]
-    second = e10_chaos_soak.run(**params).artifacts["tracers"]
-    assert first.keys() == second.keys()
-    for config_name in first:
-        jsonl = first[config_name].to_jsonl()
-        assert jsonl  # traced something
-        assert jsonl == second[config_name].to_jsonl()
-
-
-def test_e11_replays_identically():
-    # storm timing, downtime draws, client stagger, and wire loss all
-    # come from the sim RNG: the reconnect storm must replay exactly
-    params = dict(
-        configs=("watch-disconnect", "pubsub-drop"),
-        num_frontends=2, num_clients=8, num_keys=24,
-        update_rate=15.0, duration=10.0, drain=20.0,
-        storm_at=4.0, storm_window=1.0, downtime_mean=1.5, seed=23,
-    )
-    first = e11_edge_storm.run(**params)
-    second = e11_edge_storm.run(**params)
-    assert _rows(first) == _rows(second)
-    for config_name, tracer in first.artifacts["tracers"].items():
-        assert tracer.to_jsonl() == (
-            second.artifacts["tracers"][config_name].to_jsonl()
-        )
-
-
-def test_e12_replays_identically():
-    # frame fills, linger flushes, loss draws, and batch retransmits all
-    # ride the sim clock and seeded RNG: the sweep must replay exactly
-    params = dict(
-        pipelines=("pubsub", "watch"),
-        batch_sizes=(1, 16), lingers_ms=(5.0,), fanouts=(2,),
-        base_batch=16, base_linger_ms=5.0, base_fanout=2,
-        num_keys=32, duration=5.0, drain=5.0, seed=41,
-    )
-    assert _rows(e12_batching.run(**params)) == _rows(
-        e12_batching.run(**params)
-    )
-
-
-def test_e13_replays_identically():
-    # injection points, retry schedules, and edge reconnects all draw
-    # from the sim RNG: the corruption chaos run must replay exactly —
-    # including the corrupt.inject/reconcile.repair control events in
-    # the exported trace
-    params = dict(
-        num_clients=4, num_keys=24, update_rate=10.0,
-        duration=10.0, settle=16.0, injections_per_class=1,
-        inject_window=3.0, num_shards=2, seed=19,
-    )
-    first = e13_reconcile_chaos.run(**params)
-    second = e13_reconcile_chaos.run(**params)
-    assert _rows(first) == _rows(second)
-    for config_name, tracer in first.artifacts["tracers"].items():
+    tracers = first.artifacts.get("tracers", {})
+    assert tracers.keys() == second.artifacts.get("tracers", {}).keys()
+    for config_name, tracer in tracers.items():
         jsonl = tracer.to_jsonl()
-        assert jsonl
+        assert jsonl  # traced something
         assert jsonl == second.artifacts["tracers"][config_name].to_jsonl()
 
 
 def test_seed_changes_outcomes():
-    base = dict(num_vms=12, num_workloads=4, duration=15.0, settle=5.0)
-    a = _rows(e6b_reconcile.run(seed=1, **base))
-    b = _rows(e6b_reconcile.run(seed=2, **base))
-    assert a != b
-
-
-def test_e15_replays_identically():
-    # frame fills, linger flushes, loss draws, and retransmit backoff
-    # all ride the sim clock and seeded RNG: the grid must replay
-    # exactly, byte counters included
-    params = dict(
-        pipelines=("pubsub", "watch"),
-        rates_rps=(50.0, 200.0), batch_sizes=(1, 8),
-        fanout=2, num_keys=32, duration=4.0, drain=5.0, seed=53,
-    )
-    from repro.bench.experiments import e15_broker_batch_sweep
-
-    assert _rows(e15_broker_batch_sweep.run(**params)) == _rows(
-        e15_broker_batch_sweep.run(**params)
-    )
-
-
-def test_e16_replays_identically():
-    # loss draws on the publish wire, retransmit backoff, and causal
-    # hold timers all ride the sim clock and seeded RNG: the fifo/causal
-    # grid must replay exactly, inversion counts included
-    params = dict(
-        pipelines=("pubsub", "watch"), modes=("fifo", "causal"),
-        num_chains=6, pair_rate=25.0, duration=3.0, drain=5.0, seed=53,
-    )
-    from repro.bench.experiments import e16_causal_order
-
-    assert _rows(e16_causal_order.run(**params)) == _rows(
-        e16_causal_order.run(**params)
-    )
+    module = experiments.get("E6b")
+    base = dict(CASES["E6b"])
+    del base["seed"]
+    assert _rows(module.run(seed=1, **base)) != _rows(module.run(seed=2, **base))

@@ -1,31 +1,57 @@
-"""Registry hygiene: every experiment module is well-formed."""
+"""Registry hygiene: every experiment module honours the one contract."""
 
 import inspect
 
 import pytest
 
 from repro.bench import experiments
+from repro.bench.runner import signature_defaults, sizing
 
 
 @pytest.mark.parametrize("experiment_id", experiments.all_ids())
-def test_module_shape(experiment_id):
+def test_module_contract(experiment_id):
     module = experiments.get(experiment_id)
-    assert callable(module.run)
-    assert isinstance(module.DEFAULTS, dict)
-    assert isinstance(module.QUICK, dict)
     assert module.__doc__, f"{experiment_id} needs a claim docstring"
-    # every declared parameter set must be accepted by run()
-    signature = inspect.signature(module.run)
-    for params in (module.DEFAULTS, module.QUICK):
-        unknown = set(params) - set(signature.parameters)
-        assert not unknown, f"{experiment_id}: unknown params {unknown}"
+    assert callable(module.run) and callable(module.check)
+    assert list(inspect.signature(module.check).parameters) == [
+        "result", "params",
+    ]
+    # run's signature is the one statement of the full-size sizing:
+    # every parameter has a default, and DEFAULTS is exactly those
+    parameters = inspect.signature(module.run).parameters
+    assert all(
+        parameter.default is not inspect.Parameter.empty
+        for parameter in parameters.values()
+    ), f"{experiment_id}: run() parameter without a default"
+    assert module.DEFAULTS == signature_defaults(module.run)
+    # QUICK holds overrides only: known parameters, none restating
+    # its default
+    unknown = set(module.QUICK) - set(parameters)
+    assert not unknown, f"{experiment_id}: unknown QUICK params {unknown}"
+    restated = [
+        name for name, value in module.QUICK.items()
+        if value == module.DEFAULTS[name]
+    ]
+    assert not restated, f"{experiment_id}: QUICK restates {restated}"
 
 
 @pytest.mark.parametrize("experiment_id", experiments.all_ids())
 def test_quick_is_not_larger_than_defaults(experiment_id):
     module = experiments.get(experiment_id)
-    if "duration" in module.DEFAULTS and "duration" in module.QUICK:
-        assert module.QUICK["duration"] <= module.DEFAULTS["duration"]
+    if "duration" in module.DEFAULTS:
+        quick = sizing(module, quick=True)
+        assert quick["duration"] <= module.DEFAULTS["duration"]
+
+
+def test_sizing_layers_quick_over_defaults():
+    module = experiments.get("E3")
+    assert sizing(module) == module.DEFAULTS
+    quick = sizing(module, quick=True)
+    assert list(quick) == list(module.DEFAULTS)
+    assert quick["num_keys"] == module.QUICK["num_keys"]
+    assert quick["num_nodes"] == module.DEFAULTS["num_nodes"]
+    quick["num_nodes"] = -1  # a copy: the module's dicts are untouched
+    assert module.DEFAULTS["num_nodes"] != -1
 
 
 def test_all_ids_stable():

@@ -55,7 +55,8 @@ def test_e3_smoke():
 
 def test_e5_smoke():
     result = e5_ingestion.run(
-        event_rate=50.0, duration=8.0, drain=15.0, num_sensors=10,
+        event_rate=50.0, poison_fraction=0.02, duration=8.0, drain=15.0,
+        num_sensors=10,
     )
     table = result.table("pipelines")
     assert (

@@ -1,6 +1,6 @@
 """process_map: ordered results, inline fast paths, daemon guard.
 
-Both the fleet runner and ``run_all_experiments.py --jobs`` sit on this
+Both the fleet runner and ``python -m repro.bench --jobs`` sit on this
 one function; "parallel == sequential" is proven here once.
 """
 
@@ -60,7 +60,7 @@ def test_worker_exception_propagates():
 
 def test_daemonic_process_degrades_to_inline(monkeypatch):
     """A fleet launched inside a pool worker (E17 under
-    ``run_all_experiments --jobs``) may not fork children: it must fall
+    ``python -m repro.bench --jobs``) may not fork children: it must fall
     back to the in-process path, not crash."""
 
     class _FakeDaemon:
