@@ -17,15 +17,22 @@ Path-by-path contract:
   call (the handle is the API) → a small fixed number of blocks per
   event, all dead by the time the burst drains.
 - ``BatchingSender``/``Unbatcher`` round trip → pooled ``Frame`` shells
-  → no frame allocations at steady state (payload bytes caching is
-  per-frame, reclaimed when the unbatcher releases the shell).
+  → no frame allocations at steady state (the stored wire size is an
+  int on the shell, reset when the unbatcher releases it).
+
+The last test pins *work counters* instead of blocks: exact per-frame
+call counts on the reliable networked hop, which repeat bit-for-bit and
+so can be gated at zero tolerance where wall-clock cannot.
 """
 
 import gc
 import sys
 import tracemalloc
 
+from repro.resilience.channel import ReliableChannel
+from repro.sim import wire
 from repro.sim.kernel import Simulation
+from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, NetworkConfig
 from repro.transport import BatchConfig, BatchingSender, Unbatcher
 
@@ -106,8 +113,8 @@ def test_batched_frame_round_trip_reuses_frame_shells():
     before = seen[0]
     delta = _net_blocks(drive, 4_000)
     assert seen[0] - before == 8_000  # both paused-GC rounds delivered
-    # frames come from the slab and go back to it; the per-flush encode
-    # cache is released with the shell.  Budget: well under one block
+    # frames come from the slab and go back to it; the per-flush size
+    # is reset with the shell.  Budget: well under one block
     # per frame (4k messages / 8 per frame = 500 frames per round).
     assert delta <= 64, f"frame round trip retained {delta} blocks"
 
@@ -134,3 +141,64 @@ def test_tracemalloc_confirms_no_per_message_retention():
         tracemalloc.stop()
     delta = second - first
     assert delta < 16 * 1024, f"retained {delta} bytes across 5k events"
+
+
+class _CountingRegistry(MetricsRegistry):
+    """Registry that counts name lookups (``_get`` is every accessor's
+    single way in)."""
+
+    lookups = 0
+
+    def _get(self, name, cls):
+        self.lookups += 1
+        return super()._get(name, cls)
+
+
+def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
+    # one CDC publish command as RemotePublisher ships it (the shape
+    # repl-net-unbatched sends 20k of)
+    record = {
+        "topic": "cdc", "key": "k042",
+        "payload": {
+            "op": "put", "value": 7, "version": 8,
+            "txn_index": 1, "txn_size": 4,
+        },
+    }
+    sim = Simulation(seed=1)
+    metrics = _CountingRegistry()
+    net = Network(sim, NetworkConfig(base_latency=0.001), metrics=metrics)
+    delivered = []
+    ReliableChannel(sim, net, "rx", handler=lambda src, p: delivered.append(p))
+    tx = ReliableChannel(sim, net, "tx")
+
+    def round_trips(n: int) -> None:
+        for _ in range(n):
+            tx.send("rx", record)
+            sim.run()  # data frame, delivery, ack, timer cancel
+
+    round_trips(3)  # first touch binds every counter on the path
+    assert tx.pending_count == 0 and len(delivered) == 3
+
+    visits = [0]
+    size = wire._size
+
+    def counting_size(obj):
+        visits[0] += 1
+        return size(obj)
+
+    def no_encode(obj):
+        raise AssertionError("wire.encode on the send path")
+
+    monkeypatch.setattr(wire, "_size", counting_size)
+    monkeypatch.setattr(wire, "encode", no_encode)
+    metrics.lookups = 0
+    frames = 50
+    round_trips(frames)
+    assert tx.pending_count == 0 and len(delivered) == 3 + frames
+    # steady state: every counter handle is already bound
+    assert metrics.lookups == 0
+    # the record frame is walked once at first transmit — frame, seq,
+    # command dict (3 keys, 2 strings, inner dict of 5 keys + 5 values),
+    # needs_ack = 20 visits — then Network.send reads the stored size
+    # (1 visit), and the ack is frame + seq (2 visits)
+    assert visits[0] == 23 * frames

@@ -39,7 +39,7 @@ class CausalStamp:
     each other, ordered only by the commit version).
     """
 
-    __slots__ = ("version", "deps", "encoded")
+    __slots__ = ("version", "deps")
 
     def __init__(self, version: int, deps: DepList = ()) -> None:
         self.version = version

@@ -51,17 +51,13 @@ the exact hop that lost an update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.trace import hops
 from repro.sim.kernel import EventHandle, Simulation
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import LazyMetric, MetricsRegistry
 from repro.sim.network import Network
-from repro.sim.wire import (
-    encode as _wire_encode,
-    register as _wire_register,
-    wire_size,
-)
+from repro.sim.wire import register as _wire_register, wire_size
 from repro.resilience.breaker import CircuitBreaker, CircuitBreakerConfig
 from repro.resilience.retry import RetryPolicy
 from repro.transport.batcher import BatchConfig
@@ -98,9 +94,9 @@ class _DataFrame:
     seq: int
     payload: Any
     needs_ack: bool
-    #: wire bytes, cached at first transmit so retransmits reuse one
-    #: encoding (the network measures the cache instead of re-walking)
-    encoded: Optional[bytes] = field(default=None, repr=False, compare=False)
+    #: wire size, stored at first transmit (see ``wire.register``) so
+    #: the network and every retransmit reuse one sizing walk
+    cached_size: int = field(default=0, repr=False, compare=False)
 
 
 @dataclass
@@ -157,13 +153,65 @@ class _Pending:
     transmitted: bool = False
     on_delivered: Optional[Callable[[], None]] = None
     on_giveup: Optional[Callable[[], None]] = None
-    #: the wire frame, built (and encoded) once at first transmit and
+    #: the wire frame, built (and sized) once at first transmit and
     #: reused verbatim by every retransmit
     frame: Optional[_DataFrame] = None
 
 
+class _SeenSeqs:
+    """The sequence numbers received from one sender.
+
+    Every seq below ``floor`` has been seen; ``ahead`` holds the seen
+    seqs at or above it — frames that overtook a gap.  When the gap
+    fills, the floor advances through ``ahead`` and drains it, so the
+    state is bounded by the sender's reorder window instead of growing
+    by one int per frame for the life of the session.
+    """
+
+    __slots__ = ("floor", "ahead")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.ahead: Set[int] = set()
+
+    def add(self, seq: int) -> bool:
+        """Record ``seq``; False if it was already seen (a duplicate)."""
+        floor = self.floor
+        if seq < floor:
+            return False
+        ahead = self.ahead
+        if seq != floor:
+            if seq in ahead:
+                return False
+            ahead.add(seq)
+            return True
+        floor += 1
+        while floor in ahead:
+            ahead.remove(floor)
+            floor += 1
+        self.floor = floor
+        return True
+
+
+def _lazy(kind: str, suffix: str) -> LazyMetric:
+    return LazyMetric(kind, "resilience.{0.name}." + suffix)
+
+
 class ReliableChannel:
     """A named network peer with reliable-delivery semantics."""
+
+    _c_sent = _lazy("counter", "sent")
+    _c_transmits = _lazy("counter", "transmits")
+    _c_retransmits = _lazy("counter", "retransmits")
+    _c_retransmit_bytes = _lazy("counter", "retransmit_bytes")
+    _c_acked = _lazy("counter", "acked")
+    _c_gaveup = _lazy("counter", "gaveup")
+    _c_received = _lazy("counter", "received")
+    _c_frames_received = _lazy("counter", "frames_received")
+    _c_duplicates_dropped = _lazy("counter", "duplicates_dropped")
+    _c_held_for_order = _lazy("counter", "held_for_order")
+    _c_unhandled = _lazy("counter", "unhandled")
+    _h_delivery_time = _lazy("histogram", "delivery_time")
 
     def __init__(
         self,
@@ -189,7 +237,7 @@ class ReliableChannel:
         self._open: Dict[str, _OpenFrame] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         # receiver state, per sender (a durable session: survives crash)
-        self._seen: Dict[str, set] = {}
+        self._seen: Dict[str, _SeenSeqs] = {}
         self._expected: Dict[str, int] = {}
         self._holdback: Dict[str, Dict[int, Any]] = {}
 
@@ -219,10 +267,10 @@ class ReliableChannel:
             return self._send_batched(dst, payload, on_delivered, on_giveup)
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        self.metrics.counter(self._metric("sent")).inc()
+        self._c_sent.inc()
         if not self.config.reliable:
             if self.up:
-                self.metrics.counter(self._metric("transmits")).inc()
+                self._c_transmits.inc()
                 if self.tracer is not None:
                     self.tracer.record(
                         hops.CHANNEL_TRANSMIT, self.name,
@@ -258,7 +306,7 @@ class ReliableChannel:
         on_giveup: Optional[Callable[[], None]],
     ) -> int:
         batch = self.config.batch
-        self.metrics.counter(self._metric("sent")).inc()
+        self._c_sent.inc()
         open_frame = self._open.get(dst)
         if open_frame is None:
             seq = self._next_seq.get(dst, 0)
@@ -288,7 +336,7 @@ class ReliableChannel:
         group = open_frame.group
         if not self.config.reliable:
             if self.up:
-                self.metrics.counter(self._metric("transmits")).inc()
+                self._c_transmits.inc()
                 if self.tracer is not None:
                     self.tracer.record(
                         hops.CHANNEL_TRANSMIT, self.name,
@@ -359,7 +407,7 @@ class ReliableChannel:
         else:
             pending.attempts += 1
             pending.transmitted = True
-            self.metrics.counter(self._metric("transmits")).inc()
+            self._c_transmits.inc()
             if self.tracer is not None:
                 attrs = dict(
                     channel=self.name, dst=pending.dst, seq=pending.seq,
@@ -373,13 +421,11 @@ class ReliableChannel:
             frame = pending.frame
             if frame is None:
                 frame = _DataFrame(pending.seq, pending.payload, needs_ack=True)
-                frame.encoded = _wire_encode(frame)
+                frame.cached_size = wire_size(frame)
                 pending.frame = frame
             if pending.attempts > 1:
-                self.metrics.counter(self._metric("retransmits")).inc()
-                self.metrics.counter(self._metric("retransmit_bytes")).inc(
-                    wire_size(frame)
-                )
+                self._c_retransmits.inc()
+                self._c_retransmit_bytes.inc(frame.cached_size)
             self.net.send(self.name, pending.dst, frame)
             delay = self.config.retry.backoff(pending.attempts, self.sim.rng)
         pending.timer = self.sim.call_after(
@@ -398,7 +444,7 @@ class ReliableChannel:
             pending.attempts + 1, pending.started_at, self.sim.now()
         ):
             del self._pending[(pending.dst, pending.seq)]
-            self.metrics.counter(self._metric("gaveup")).inc()
+            self._c_gaveup.inc()
             if self.tracer is not None:
                 self.tracer.record(
                     hops.CHANNEL_GIVEUP, self.name,
@@ -425,9 +471,9 @@ class ReliableChannel:
             breaker = self._breaker_for(src)
             if breaker is not None:
                 breaker.record_success()
-            self.metrics.counter(self._metric("acked")).inc()
+            self._c_acked.inc()
             rtt = self.sim.now() - pending.started_at
-            self.metrics.histogram(self._metric("delivery_time")).observe(rtt)
+            self._h_delivery_time.observe(rtt)
             if self.tracer is not None:
                 self.tracer.record(
                     hops.CHANNEL_ACKED, self.name,
@@ -441,11 +487,12 @@ class ReliableChannel:
             # always ack, even duplicates: the previous ack may be the
             # thing that was lost
             self.net.send(self.name, src, _AckFrame(frame.seq))
-        seen = self._seen.setdefault(src, set())
-        if frame.seq in seen:
-            self.metrics.counter(self._metric("duplicates_dropped")).inc()
+        seen = self._seen.get(src)
+        if seen is None:
+            seen = self._seen[src] = _SeenSeqs()
+        if not seen.add(frame.seq):
+            self._c_duplicates_dropped.inc()
             return
-        seen.add(frame.seq)
         if self.config.ordered and frame.needs_ack:
             self._deliver_ordered(src, frame.seq, frame.payload)
         else:
@@ -454,7 +501,7 @@ class ReliableChannel:
     def _deliver_ordered(self, src: str, seq: int, payload: Any) -> None:
         expected = self._expected.get(src, 0)
         if seq != expected:
-            self.metrics.counter(self._metric("held_for_order")).inc()
+            self._c_held_for_order.inc()
             self._holdback.setdefault(src, {})[seq] = payload
             return
         self._deliver(src, payload)
@@ -469,18 +516,18 @@ class ReliableChannel:
         if type(payload) is _GroupPayload:
             # unpack a group frame into per-message handler calls; the
             # frame was acked/deduped/ordered as one unit above
-            self.metrics.counter(self._metric("frames_received")).inc()
+            self._c_frames_received.inc()
             for message in payload.payloads:
                 self._deliver_one(src, message)
             return
         self._deliver_one(src, payload)
 
     def _deliver_one(self, src: str, payload: Any) -> None:
-        self.metrics.counter(self._metric("received")).inc()
+        self._c_received.inc()
         if self.handler is not None:
             self.handler(src, payload)
         else:
-            self.metrics.counter(self._metric("unhandled")).inc()
+            self._c_unhandled.inc()
 
     # ------------------------------------------------------------------
     # failure model (Failable protocol)
@@ -524,6 +571,3 @@ class ReliableChannel:
         frame N's entry, never creeping past a lost neighbouring frame.
         """
         return sorted(self._pending)
-
-    def _metric(self, suffix: str) -> str:
-        return f"resilience.{self.name}.{suffix}"

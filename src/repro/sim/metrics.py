@@ -189,6 +189,40 @@ class TimeSeries:
         return len(self._samples)
 
 
+class LazyMetric:
+    """A metric handle bound on first touch and kept on the instance.
+
+    Declared at class level on a component that exposes ``metrics`` (a
+    :class:`MetricsRegistry`) and has an instance ``__dict__``::
+
+        _sent = LazyMetric("counter", "net.sent")
+        _acked = LazyMetric("counter", "resilience.{0.name}.acked")
+
+    The first read of ``self._sent`` registers the metric (the name is
+    ``str.format``-ed with the instance) and stores the handle in the
+    instance ``__dict__``, which shadows this non-data descriptor from
+    then on: a per-message path pays one attribute load, no registry
+    lookup and no name formatting, and a metric that is never touched
+    never appears in ``names()`` / ``snapshot()``.
+    """
+
+    __slots__ = ("_kind", "_template", "_attr")
+
+    def __init__(self, kind: str, template: str) -> None:
+        self._kind = kind
+        self._template = template
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self._attr = attr
+
+    def __get__(self, obj: object, owner: Optional[type] = None) -> object:
+        if obj is None:
+            return self
+        metric = getattr(obj.metrics, self._kind)(self._template.format(obj))
+        obj.__dict__[self._attr] = metric
+        return metric
+
+
 class MetricsRegistry:
     """Namespace of metrics, created on first use.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import Counter, LazyMetric, MetricsRegistry
 from repro.sim.wire import wire_size
 
 
@@ -79,6 +79,13 @@ class Endpoint:
 class Network:
     """Delivers messages between endpoints with latency and faults."""
 
+    _sent = LazyMetric("counter", "net.sent")
+    _frames_sent = LazyMetric("counter", "net.frames.sent")
+    _payload_msgs = LazyMetric("counter", "net.payload.msgs")
+    _bytes_sent = LazyMetric("counter", "net.bytes.sent")
+    _delivered = LazyMetric("counter", "net.delivered")
+    _bytes_delivered = LazyMetric("counter", "net.bytes.delivered")
+
     def __init__(
         self,
         sim: Simulation,
@@ -96,6 +103,9 @@ class Network:
         self.tracer = tracer
         self._endpoints: Dict[str, Endpoint] = {}
         self._partitions: Set[Tuple[str, str]] = set()
+        #: cause -> (net.dropped.<cause>, net.bytes.dropped.<cause>),
+        #: bound at the first drop of that cause
+        self._drop_counters: Dict[str, Tuple[Counter, Counter]] = {}
 
     # ------------------------------------------------------------------
     # topology
@@ -143,42 +153,42 @@ class Network:
         in flight).  Returns False if dropped immediately by loss or
         partition — callers model retries themselves if they need them.
         """
-        self.metrics.counter("net.sent").inc()
-        self.metrics.counter("net.frames.sent").inc()
-        self.metrics.counter("net.payload.msgs").inc(payload_message_count(payload))
+        self._sent.inc()
+        self._frames_sent.inc()
+        self._payload_msgs.inc(payload_message_count(payload))
         # real wire volume: the frame's encoded byte size, measured once
         # here and threaded through to the delivered/dropped counters so
         # every byte sent is accounted exactly once on one outcome
         nbytes = wire_size(payload)
-        self.metrics.counter("net.bytes.sent").inc(nbytes)
-        if self.is_partitioned(src, dst):
+        self._bytes_sent.inc(nbytes)
+        if self._partitions and (src, dst) in self._partitions:
             self._drop(src, dst, payload, "partition", nbytes)
             return False
-        if self.config.loss_rate > 0 and self.sim.rng.random() < self.config.loss_rate:
+        config = self.config
+        if config.loss_rate > 0 and self.sim.rng.random() < config.loss_rate:
             self._drop(src, dst, payload, "loss", nbytes)
             return False
-        delay = self.config.base_latency
-        if self.config.jitter > 0:
-            delay += self.sim.rng.random() * self.config.jitter
-        self.sim.call_after(delay, lambda: self._deliver(src, dst, payload, nbytes))
+        delay = config.base_latency
+        if config.jitter > 0:
+            delay += self.sim.rng.random() * config.jitter
+        # nobody cancels a frame in flight: no EventHandle
+        self.sim.post(delay, lambda: self._deliver(src, dst, payload, nbytes))
         return True
 
-    def _deliver(self, src: str, dst: str, payload: Any, nbytes: int = -1) -> None:
-        if nbytes < 0:
-            nbytes = wire_size(payload)
+    def _deliver(self, src: str, dst: str, payload: Any, nbytes: int) -> None:
         endpoint = self._endpoints.get(dst)
         if endpoint is None or not endpoint.up:
             self._drop(src, dst, payload, "down", nbytes)
             return
-        if self.is_partitioned(src, dst):
+        if self._partitions and (src, dst) in self._partitions:
             self._drop(src, dst, payload, "partition", nbytes)
             return
-        self.metrics.counter("net.delivered").inc()
-        self.metrics.counter("net.bytes.delivered").inc(nbytes)
+        self._delivered.inc()
+        self._bytes_delivered.inc(nbytes)
         endpoint.handler(src, payload)
 
     def _drop(
-        self, src: str, dst: str, payload: Any, cause: str, nbytes: int = -1
+        self, src: str, dst: str, payload: Any, cause: str, nbytes: int
     ) -> None:
         """Account one dropped message — exactly once per drop.
 
@@ -190,10 +200,14 @@ class Network:
         checks.  Byte counters mirror the message funnel: the frame's
         size lands on ``net.bytes.dropped.{cause}`` exactly once.
         """
-        if nbytes < 0:
-            nbytes = wire_size(payload)
-        self.metrics.counter(f"net.dropped.{cause}").inc()
-        self.metrics.counter(f"net.bytes.dropped.{cause}").inc(nbytes)
+        counters = self._drop_counters.get(cause)
+        if counters is None:
+            counters = self._drop_counters[cause] = (
+                self.metrics.counter(f"net.dropped.{cause}"),
+                self.metrics.counter(f"net.bytes.dropped.{cause}"),
+            )
+        counters[0].inc()
+        counters[1].inc(nbytes)
         if self.tracer is None:
             return
         self.tracer.record(

@@ -28,17 +28,19 @@ Three properties matter more than compactness:
   (no memory addresses, no ``repr`` of unhashed objects).  Two runs with
   ``PYTHONHASHSEED=0`` produce byte-identical frames, which is what lets
   the byte counters appear in experiment tables.
-* **Encode once, decode lazily** — hot senders cache the encoded bytes
-  on the payload object (an ``encoded`` attribute, e.g.
+* **Size once, never materialise** — the simulated network only needs a
+  frame's *length*: in-simulation receivers get the original Python
+  object zero-copy, so no production path builds (or reads) the bytes.
+  :func:`wire_size` walks the object summing encoded lengths; it is kept
+  provably in lockstep with :func:`encode` by a property test
+  (``wire_size(x) == len(encode(x))`` for arbitrary payloads).  Hot
+  senders store that length on the frame once it is frozen (a
+  ``cached_size`` attribute, see :func:`register`, e.g.
   :class:`repro.transport.batcher.Frame` and the reliable channel's data
-  frames) so retransmits and fan-out reuse one encoding.  In-simulation
-  receivers get the original Python object zero-copy, so ``decode`` is
-  only exercised by tests and tooling — the "lazily" is "never", unless
-  you ask.
-* **Exact sizing without materializing** — :func:`wire_size` walks the
-  object summing encoded lengths without building the byte string; it is
-  kept provably in lockstep with :func:`encode` by a property test
-  (``wire_size(x) == len(encode(x))`` for arbitrary payloads).
+  frames) so the network, retransmits and byte counters reuse one walk.
+  :func:`encode` / :func:`decode` are pure functions for tests and
+  tooling; ``tests/sim/test_wire_hot_path.py`` keeps ``encode`` out of
+  ``src/repro``.
 
 Classes that cross the wire register with :func:`register` at their
 defining module so round-trips reconstruct real instances; anything
@@ -117,8 +119,9 @@ class CallableRef:
         return f"CallableRef({self.name!r})"
 
 
-# type -> (name bytes pre-encoded with _STR header, field name tuple)
-_ENCODERS: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {}
+# type -> (name bytes pre-encoded with _STR header, field name tuple,
+#          constant size of tag + name + field count, carries cached_size)
+_ENCODERS: Dict[type, Tuple[bytes, Tuple[str, ...], int, bool]] = {}
 # name -> (factory, field name tuple)
 _DECODERS: Dict[str, Tuple[Callable[..., Any], Tuple[str, ...]]] = {}
 # type -> flattened slot-name tuple, for the opaque fallback
@@ -133,11 +136,7 @@ def _write_uvarint(n: int, out: bytearray) -> None:
 
 
 def _uvarint_len(n: int) -> int:
-    size = 1
-    while n >= 0x80:
-        n >>= 7
-        size += 1
-    return size
+    return (n.bit_length() + 6) // 7 or 1
 
 
 def _str_header(s: str) -> bytes:
@@ -157,14 +156,27 @@ def register(
     """Register ``cls`` so instances encode as ``name`` + listed fields.
 
     ``factory`` (default: ``cls``) is called with the decoded field
-    values positionally to reconstruct an instance.  Fields that cache
-    derived state (like ``encoded``) must be left out of ``fields``.
+    values positionally to reconstruct an instance.
+
+    A class that declares a ``cached_size`` attribute (an ``int``, 0
+    until sized; left out of ``fields``) opts into size caching: its
+    owner stores ``wire_size(obj)`` there once the object is frozen, and
+    every later sizing — top level or nested in another frame — returns
+    the stored value.  The owner resets it to 0 before the object's
+    fields change again.  Whether a class carries the cache is decided
+    here, once, not probed per instance.
     """
     # idempotent re-registration (module reloads) is fine; a second
     # class claiming the same wire name is a bug
     if name in _DECODERS and cls not in _ENCODERS:
         raise WireError(f"wire name already registered: {name}")
-    _ENCODERS[cls] = (_str_header(name), fields)
+    header = _str_header(name)
+    _ENCODERS[cls] = (
+        header,
+        fields,
+        1 + len(header) + _uvarint_len(len(fields)),
+        hasattr(cls, "cached_size"),
+    )
     _DECODERS[name] = (factory if factory is not None else cls, fields)
 
 
@@ -237,11 +249,7 @@ def _enc(obj: Any, out: bytearray) -> None:
     else:
         reg = _ENCODERS.get(t)
         if reg is not None:
-            cached = getattr(obj, "encoded", None)
-            if type(cached) is bytes:
-                out += cached
-                return
-            header, fields = reg
+            header, fields, _, _ = reg
             out.append(_REG)
             out += header
             _write_uvarint(len(fields), out)
@@ -261,37 +269,41 @@ def _enc(obj: Any, out: bytearray) -> None:
 
 
 def _size(obj: Any) -> int:
+    # type checks in the order payloads on the wire hit them; a length
+    # or zigzagged int below 128 is a one-byte varint
     t = type(obj)
-    if obj is None or t is bool:
-        return 1
-    if t is int:
-        zz = (obj << 1) if obj >= 0 else ((-obj << 1) - 1)
-        return 1 + _uvarint_len(zz)
-    if t is float:
-        return 9
     if t is str:
-        n = len(obj.encode("utf-8"))
-        return 1 + _uvarint_len(n) + n
-    if t is bytes:
-        n = len(obj)
-        return 1 + _uvarint_len(n) + n
-    if t is list or t is tuple:
-        total = 1 + _uvarint_len(len(obj))
-        for item in obj:
-            total += _size(item)
-        return total
+        n = len(obj) if obj.isascii() else len(obj.encode("utf-8"))
+        return n + 2 if n < 0x80 else 1 + _uvarint_len(n) + n
+    if t is int:
+        if -0x40 <= obj < 0x40:
+            return 2
+        zz = (obj << 1) if obj >= 0 else ((-obj << 1) - 1)
+        return 1 + (zz.bit_length() + 6) // 7
     if t is dict:
-        total = 1 + _uvarint_len(len(obj))
+        n = len(obj)
+        total = 2 if n < 0x80 else 1 + _uvarint_len(n)
         for key, value in obj.items():
             total += _size(key) + _size(value)
         return total
+    if t is tuple or t is list:
+        n = len(obj)
+        total = 2 if n < 0x80 else 1 + _uvarint_len(n)
+        for item in obj:
+            total += _size(item)
+        return total
+    if obj is None or t is bool:
+        return 1
+    if t is float:
+        return 9
+    if t is bytes:
+        n = len(obj)
+        return 1 + _uvarint_len(n) + n
     reg = _ENCODERS.get(t)
     if reg is not None:
-        cached = getattr(obj, "encoded", None)
-        if type(cached) is bytes:
-            return len(cached)
-        header, fields = reg
-        total = 1 + len(header) + _uvarint_len(len(fields))
+        _, fields, total, sized = reg
+        if sized and obj.cached_size:
+            return obj.cached_size
         for field in fields:
             total += _size(getattr(obj, field))
         return total
@@ -306,12 +318,10 @@ def _size(obj: Any) -> int:
 def encode(obj: Any) -> bytes:
     """Encode ``obj`` to its deterministic wire bytes.
 
-    Objects carrying a pre-encoded ``encoded`` bytes attribute (frames on
-    the hot path) return it directly — encode once, reuse everywhere.
+    A pure function of the object's registered fields; nothing in
+    ``src/repro`` calls it — the network sizes frames with
+    :func:`wire_size` and never builds their bytes.
     """
-    cached = getattr(obj, "encoded", None)
-    if type(cached) is bytes:
-        return cached
     out = bytearray()
     _enc(obj, out)
     return bytes(out)
@@ -319,9 +329,6 @@ def encode(obj: Any) -> bytes:
 
 def wire_size(obj: Any) -> int:
     """Exact ``len(encode(obj))`` without materializing the bytes."""
-    cached = getattr(obj, "encoded", None)
-    if type(cached) is bytes:
-        return len(cached)
     return _size(obj)
 
 

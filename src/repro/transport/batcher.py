@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, payload_message_count
-from repro.sim.wire import encode as _wire_encode, register as _wire_register
+from repro.sim.wire import register as _wire_register, wire_size
 from repro.obs.trace import Tracer, hops
 
 
@@ -60,9 +60,9 @@ class Frame:
 
     seq: int
     payloads: List[Any] = field(default_factory=list)
-    #: wire bytes, cached at flush time so the network measures the frame
-    #: without re-encoding (encode once, deliver/drop against the cache)
-    encoded: Optional[bytes] = field(default=None, repr=False, compare=False)
+    #: wire size, stored at flush time (see ``wire.register``) so the
+    #: network measures the frame without walking it again
+    cached_size: int = field(default=0, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -93,7 +93,7 @@ def release_frame(frame: Frame) -> None:
     """
     if len(_FRAME_POOL) < _FRAME_POOL_MAX:
         frame.payloads.clear()
-        frame.encoded = None
+        frame.cached_size = 0
         _FRAME_POOL.append(frame)
 
 
@@ -170,7 +170,7 @@ class BatchingSender:
         if self.metrics is not None:
             self.metrics.counter(f"{self.name}.frames").inc()
             self.metrics.counter(f"{self.name}.framed_msgs").inc(len(frame))
-        frame.encoded = _wire_encode(frame)
+        frame.cached_size = wire_size(frame)
         self.net.send(self.src, dst, frame)
 
     def flush_all(self) -> None:

@@ -1,9 +1,11 @@
 """Tests for reliable delivery over the lossy network."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.resilience.breaker import CircuitBreakerConfig
-from repro.resilience.channel import ChannelConfig, ReliableChannel
+from repro.resilience.channel import ChannelConfig, ReliableChannel, _DataFrame
 from repro.resilience.retry import RetryPolicy
 from repro.sim.network import Network, NetworkConfig
 from tests.conftest import make_sim
@@ -226,3 +228,52 @@ class TestDeterminism:
 
         assert run(5) == run(5)
         assert run(5) != run(6)
+
+
+# -- receiver dedup state: low-watermark + out-of-order set ---------------
+
+_WINDOW = 6
+
+
+@st.composite
+def _arrivals(draw):
+    """Seqs 0..n-1, each displaced by at most ``_WINDOW`` positions'
+    worth of seq distance, with duplicates (retransmits) mixed in at
+    arbitrary later points.  Every seq arrives at least once."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    keys = [seq + draw(st.integers(0, _WINDOW)) for seq in range(n)]
+    order = sorted(range(n), key=lambda seq: (keys[seq], seq))
+    for seq in draw(st.lists(st.integers(0, n - 1), max_size=40)):
+        first = order.index(seq)
+        order.insert(draw(st.integers(first + 1, len(order))), seq)
+    return order
+
+
+@given(_arrivals(), st.booleans())
+def test_seen_window_matches_set_reference_and_stays_bounded(order, needs_ack):
+    sim = make_sim()
+    net = Network(sim)
+    handled = []
+    rx = ReliableChannel(
+        sim, net, "rx", handler=lambda src, payload: handled.append(payload)
+    )
+    reference, expected, duplicates = set(), [], 0
+    for seq in order:
+        rx._on_frame("tx", _DataFrame(seq, seq, needs_ack))
+        if seq in reference:
+            duplicates += 1
+        else:
+            reference.add(seq)
+            expected.append(seq)
+        seen = rx._seen["tx"]
+        # same membership as the grow-forever set it replaces...
+        assert set(range(seen.floor)) | seen.ahead == reference
+        # ...held in at most a reorder window of state
+        assert len(seen.ahead) <= _WINDOW
+    assert handled == expected
+    snapshot = net.metrics.snapshot()
+    assert snapshot["resilience.rx.received"] == len(expected)
+    assert snapshot.get("resilience.rx.duplicates_dropped", 0) == duplicates
+    # the gap-free prefix is all watermark, no per-frame residue
+    assert rx._seen["tx"].floor == len(reference)
+    assert not rx._seen["tx"].ahead

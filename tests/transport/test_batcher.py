@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, NetworkConfig, payload_message_count
+from repro.sim.wire import encode
 from repro.transport import (
     BatchConfig,
     BatchingSender,
@@ -110,6 +111,31 @@ class TestBatchingSender:
         sim.run()
         assert received == []
         assert net.metrics.counter("net.dropped.partition").value == 1
+
+
+    def test_recycled_frame_shell_is_sized_afresh(self, sim):
+        # the stored size describes one flush; a shell that comes back
+        # from the freelist must not carry it into its next life
+        from repro.transport import batcher
+
+        batcher._FRAME_POOL.clear()
+        net = Network(sim)
+        received = make_receiver(net, "dst")
+        sender = BatchingSender(sim, net, "src", BatchConfig(max_batch=8, max_linger=0.01))
+        bytes_sent = net.metrics.counter("net.bytes.sent")
+        small, large = ["a"], ["a much longer payload", {"k": "v" * 40}, 7]
+        shells, expected = [], 0
+        for group in (small, large):
+            for payload in group:
+                sender.send("dst", payload)
+            frame = sender._open["dst"]
+            shells.append(frame)
+            expected += len(encode(Frame(seq=frame.seq, payloads=list(group))))
+            sim.run()  # linger flush, delivery, release to the freelist
+            assert bytes_sent.value == expected
+        assert shells[0] is shells[1]  # the second group rode the recycled shell
+        assert shells[0].cached_size == 0 and shells[0].payloads == []
+        assert received == small + large
 
 
 class TestUnbatcher:

@@ -23,7 +23,7 @@ from repro.resilience.channel import _DataFrame, _GroupPayload
 from repro.sim.kernel import Simulation
 from repro.sim.network import Network, NetworkConfig
 from repro.transport import Frame
-from repro.transport.wire import (
+from repro.sim.wire import (
     CallableRef,
     Opaque,
     WireError,
@@ -98,10 +98,27 @@ def test_channel_frame_wrapping_preserves_sizing(frame, seq):
     data = encode(wrapped)
     assert decode(data) == wrapped
     assert wire_size(wrapped) == len(data)
-    # pre-encoding the inner frame must not change the outer bytes
-    frame.encoded = encode(frame)
-    assert encode(wrapped) == data
+    # pre-sizing the inner frame must not change the outer size or bytes
+    frame.cached_size = wire_size(frame)
     assert wire_size(wrapped) == len(data)
+    assert encode(wrapped) == data
+
+
+def test_sizing_shortcuts_agree_with_encoder_at_every_varint_boundary():
+    # the walk takes closed-form shortcuts (bit_length, isascii, one-byte
+    # lengths) where the encoder loops; pin both sides of each boundary
+    edges = [0, 1, 63, 64, 127, 128, 8191, 8192, 2**20, 2**31, 2**63, 2**70]
+    for n in edges:
+        for value in (n, -n, n - 1, -n - 1, n + 1):
+            assert wire_size(value) == len(encode(value)), value
+    for n in (0, 1, 127, 128, 16383, 16384):
+        for text in ("a" * n, "é" * n, "a" * n + "\u20ac"):
+            assert wire_size(text) == len(encode(text)), (n, text[:4])
+        assert wire_size(b"x" * n) == len(encode(b"x" * n))
+        assert wire_size([None] * n) == len(encode([None] * n))
+        assert wire_size((True,) * n) == len(encode((True,) * n))
+        mapping = dict.fromkeys(range(n), 1.5)
+        assert wire_size(mapping) == len(encode(mapping))
 
 
 def test_max_size_frame_roundtrip():
@@ -169,12 +186,33 @@ def test_register_rejects_name_collisions():
         register(B, "test.wire.collision", ())
 
 
-def test_encoded_cache_is_authoritative():
+def test_size_cache_is_authoritative_for_sizing_only():
     frame = Frame(seq=1, payloads=["x", "y"])
     fresh = encode(frame)
-    frame.encoded = fresh
-    assert encode(frame) is fresh
+    assert frame.cached_size == 0  # sizing alone never fills the cache
     assert wire_size(frame) == len(fresh)
+    assert frame.cached_size == 0
+    # once the owner stores a size, every sizing returns it — top level
+    # and nested — without walking the fields again...
+    frame.cached_size = len(fresh)
+    frame.payloads.append("not walked")
+    assert wire_size(frame) == len(fresh)
+    assert wire_size([frame]) == 2 + len(fresh)
+    # ...while encode stays a pure function of the fields
+    assert len(encode(frame)) > len(fresh)
+    frame.cached_size = 0
+    assert wire_size(frame) == len(encode(frame))
+
+
+def test_size_cache_is_decided_at_registration_not_per_instance():
+    class Unsized:
+        def __init__(self):
+            self.seq = 1
+            # an instance attribute that merely looks like a cache
+            self.cached_size = 999
+
+    register(Unsized, "test.wire.unsized", ("seq",))
+    assert wire_size(Unsized()) == len(encode(Unsized()))
 
 
 def test_malformed_frames_raise():
