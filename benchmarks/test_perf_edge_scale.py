@@ -65,7 +65,7 @@ def test_timer_wheel_mass_backoff(benchmark):
             if i % 2:
                 handle.cancel()
         sim.run()
-        assert sim._wheel.stats()["inserted"] >= 60_000
+        assert sim.timer_stats()["inserted"] >= 60_000
         return fired[0]
 
     assert benchmark(run) == 30_000

@@ -341,7 +341,7 @@ def run(
             round(max(reconnect_times) - storm_at, 2)
             if reconnect_times else 0.0
         )
-        wheel = sim._wheel.stats()
+        wheel = sim.timer_stats()
         sweep_table.add(
             sessions=num_sessions,
             storm_pct=round(storm_fraction * 100),

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
-The kernel drains a heap of timestamped events.  Two programming models
-are supported and freely mixed:
+The kernel fires timestamped events in ``(time, seq)`` order.  Two
+programming models are supported and freely mixed:
 
 ``call_after(delay, fn)``
     Schedule a plain callback.  Most infrastructure (broker delivery,
@@ -16,7 +16,8 @@ The kernel is single-threaded and deterministic: events at equal times
 fire in scheduling order, and all randomness must come from
 :attr:`Simulation.rng`, which is seeded at construction.
 
-Hot-path design (see ``docs/performance.md``):
+Hot-path design (see ``docs/performance.md``) — two dispatch lanes and
+one parking structure:
 
 - Scheduled events are plain lists ``[time, seq, fn, label, cancelled]``
   ordered by ``(time, seq)``; ``seq`` is unique, so heap comparisons
@@ -27,41 +28,38 @@ Hot-path design (see ``docs/performance.md``):
   comes from a process-global counter and is never reused, which makes
   it a generation tag: a stale :class:`EventHandle` over a recycled
   entry detects the seq mismatch and its ``cancel()`` is a no-op.
-- ``call_after(0.0, ...)`` — the dominant pattern (Waiter resumption,
-  ``spawn``, subscription pumps, zero-latency watch drains) — bypasses
-  the heap entirely through a FIFO *fast lane*.  Fast-lane entries carry
-  the same ``(time, seq)`` stamps, and the run loop always fires the
-  globally smallest ``(time, seq)`` across both queues, so the observable
-  order is identical to a single heap.
-- Non-zero delays beyond the timer wheel's near horizon are *staged*:
-  scheduling is one list append, and the run loop bulk-routes staged
-  entries into the wheel/heap at the top of its dispatch cycle — with
-  the wheel's geometry in locals — before any selection.  Nothing can
-  observe the difference: between a schedule and its flush no event
-  fires, so the clock and the wheel are exactly as an immediate insert
-  would have seen them, and routing (and the wheel's stats) is
-  bit-for-bit the same.
-- Cancelled events stay queued as tombstones and are skipped on pop; a
-  live-event counter keeps :attr:`Simulation.pending_events` O(1), and
-  the heap is compacted when tombstones dominate it (resilience timers
-  cancel constantly and would otherwise accumulate until drained).
-- Non-zero delays within the horizon go to a hierarchical
+- **Lane 1, the heap**, orders every delayed event.
+- **Lane 2, the zero-delay deque**: ``call_after(0.0, ...)`` — the
+  dominant pattern (Waiter resumption, ``spawn``, subscription pumps,
+  zero-latency watch drains) — bypasses the heap through a FIFO.  Its
+  entries carry the same ``(time, seq)`` stamps, and the run loop always
+  fires the smaller ``(time, seq)`` head of the two lanes, so the
+  observable order is identical to a single heap.
+- **The wheel parks, it never dispatches.**  A delay of at least one
+  wheel slot is routed at the scheduling call into a hierarchical
   :class:`~repro.sim.timerwheel.TimerWheel`: O(1) insert/cancel, so a
-  million idle-session timers cost nothing until they fire (see
-  ``docs/scale.md``).  When a slot comes due the run loop pulls it as
-  one pre-sorted *ready run* (a plain list consumed by index — no
-  per-event heap traffic) and merges it as a third lane by the same
-  global ``(time, seq)`` order, so firing order — and therefore every
-  trace byte — is unchanged.
+  million idle-session timers cost nothing until they come due (see
+  ``docs/scale.md``).  Before each selection the run loop transfers due
+  slots into the heap, which orders them exactly as if they had been
+  pushed at schedule time — firing order, and therefore every trace
+  byte, is that of a single heap (``tests/sim/test_kernel_oracle.py``
+  checks it against a pure-heap reference kernel).
+- Cancelled events stay queued as tombstones and are skipped on pop; a
+  tombstone counter keeps :attr:`Simulation.pending_events` O(1) and
+  exact, and all three structures are compacted when tombstones dominate
+  them (resilience timers cancel constantly and would otherwise
+  accumulate until drained).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from collections import deque
-from itertools import count as _counter, islice as _islice
+from itertools import count as _counter
 import random
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
+from typing import (
+    Any, Callable, Deque, Dict, Generator, Iterable, List, Optional,
+)
 
 from repro.sim.clock import VirtualClock
 from repro.sim.timerwheel import TimerWheel
@@ -75,11 +73,12 @@ _COMPACT_MIN_TOMBSTONES = 512
 
 _INF = float("inf")
 
-#: Slab of recycled handle-free event entries, shared across Simulation
-#: instances so back-to-back runs (benchmark rounds, experiment sweeps)
-#: start warm.  Only plain-list entries enter the pool — EventHandle
-#: entries may be referenced by their caller indefinitely — so reuse
-#: can never be observed.
+#: Slab of recycled event entries, shared across Simulation instances so
+#: back-to-back runs (benchmark rounds, experiment sweeps) start warm.
+#: Entries return here once fired, or once dropped from a lane as
+#: tombstones — including ones an EventHandle still points at: the
+#: handle snapshots the entry's seq, reuse stamps a fresh one, and a
+#: stale ``cancel()`` sees the mismatch, so reuse can never be observed.
 _POOL: List[List[Any]] = []
 
 #: cap on retained slab entries (~120 B each -> a few MB ceiling); the
@@ -156,8 +155,8 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise SimError(f"negative timeout {delay!r}")
+        if not 0 <= delay < _INF:
+            raise SimError(f"negative or non-finite timeout {delay!r}")
         self.delay = delay
 
 
@@ -253,21 +252,15 @@ class Simulation:
         self.clock = VirtualClock(start)
         self.rng = random.Random(seed)
         self.seed = seed
+        #: delayed events, ordered by (time, seq)
         self._heap: List[List[Any]] = []
-        #: FIFO fast lane for zero-delay events; entries are in
+        #: FIFO lane for zero-delay events; entries are in
         #: nondecreasing (time, seq) order by construction
         self._fast: Deque[List[Any]] = deque()
-        #: O(1)-insert lane for delayed events; the heap remains the
-        #: fallback for out-of-horizon (and behind-the-tick) times
+        #: O(1) parking for timers at least one slot out; run() moves
+        #: due slots into the heap.  The heap takes near, behind-the-
+        #: tick and out-of-horizon times directly.
         self._wheel = TimerWheel(origin=start)
-        #: delayed events awaiting wheel/heap routing (see module notes:
-        #: flushed before anything can observe the difference)
-        self._staged: List[List[Any]] = []
-        #: the in-flight ready run: one due wheel slot, pre-sorted by
-        #: (time, seq), consumed by index in run().  Every entry here
-        #: fires strictly before wheel._due, so refilling only when the
-        #: run is exhausted preserves the global order.
-        self._ready: List[List[Any]] = []
         self._tombstones = 0  # cancelled events still queued
         self._running = False
         self._processes: list[ProcessHandle] = []
@@ -290,7 +283,7 @@ class Simulation:
         # hot body runs on fast locals (stdlib idiom; not part of the API)
         _float=float, _type=type, _next_seq=_next_seq, _pool=_POOL,
         _new_handle=_new_handle, _EventHandle=EventHandle,
-        _heappush=heappush,
+        _heappush=heappush, _INF=_INF,
     ) -> EventHandle:
         """Schedule ``fn`` to run at absolute virtual time ``t``.
 
@@ -299,10 +292,11 @@ class Simulation:
         """
         if _type(t) is not _float:
             t = _float(t)  # the clock must stay float-pure (trace JSON bytes)
-        if t < self.clock._now:
-            raise SimError(
-                f"cannot schedule in the past: {t} < {self.clock._now}"
-            )
+        now = self.clock._now
+        if t < now:
+            raise SimError(f"cannot schedule in the past: {t} < {now}")
+        if not t < _INF:  # inf or nan: would poison the queues
+            raise SimError(f"cannot schedule at non-finite time {t!r}")
         seq = _next_seq()
         if _pool:
             entry = _pool.pop()
@@ -315,10 +309,9 @@ class Simulation:
         # one float compare keeps near timers (the hot path) off the
         # wheel entirely; _near is monotone, so staleness only over-
         # routes to the heap — never mis-parks
-        if t < self._wheel._near:
+        wheel = self._wheel
+        if t < wheel._near or not wheel.insert(entry, now):
             _heappush(self._heap, entry)
-        else:
-            self._staged.append(entry)
         handle = _new_handle(_EventHandle)
         handle._entry = entry
         handle._sim = self
@@ -360,7 +353,7 @@ class Simulation:
     def post(
         self, delay: float, fn: Callable[[], None], label: Optional[str] = None,
         # default-arg bindings, as in call_at
-        _next_seq=_next_seq, _pool=_POOL, _heappush=heappush,
+        _next_seq=_next_seq, _pool=_POOL, _heappush=heappush, _INF=_INF,
     ) -> None:
         """Schedule ``fn`` like :meth:`call_after` but without creating
         an :class:`EventHandle`.
@@ -377,6 +370,8 @@ class Simulation:
             if delay < 0:
                 raise SimError(f"negative delay {delay!r}")
             t = now + delay
+            if not t < _INF:  # inf or nan: would poison the queues
+                raise SimError(f"cannot schedule at non-finite time {t!r}")
         if _pool:
             entry = _pool.pop()
             entry[0] = t
@@ -387,10 +382,10 @@ class Simulation:
             entry = [t, _next_seq(), fn, label, False]
         if delay == 0.0:
             self._fast.append(entry)
-        elif t < self._wheel._near:
-            _heappush(self._heap, entry)
         else:
-            self._staged.append(entry)
+            wheel = self._wheel
+            if t < wheel._near or not wheel.insert(entry, now):
+                _heappush(self._heap, entry)
 
     def _call_soon_1(
         self, fn: Callable[[Any], None], arg: Any,
@@ -416,92 +411,6 @@ class Simulation:
         return Waiter(self)
 
     # ------------------------------------------------------------------
-    # staged routing
-
-    def _flush_staged(self) -> None:
-        """Route staged delayed entries into the wheel/heap.
-
-        Runs with the wheel's geometry in locals; level-0 parks (the
-        common case) batch their bookkeeping.  The routing decisions —
-        and every wheel stat — are identical to having called
-        ``wheel.insert`` at schedule time: between a schedule and its
-        flush no event fires, so the clock, ``_cur`` and ``_near`` are
-        untouched, and the entries are processed in schedule order.
-        """
-        staged = self._staged
-        wheel = self._wheel
-        heap = self._heap
-        insert = wheel.insert
-        now = self.clock._now
-        _int = int
-        i = 0
-        n = len(staged)
-        # prime: while the wheel is empty, insert() may fast-forward
-        # its cursor, so route through it until something parks (almost
-        # always zero or one iteration)
-        while i < n and not wheel._count:
-            entry = staged[i]
-            i += 1
-            if not insert(entry, now):
-                heappush(heap, entry)
-        if i < n:
-            mask = wheel._mask
-            if mask:
-                origin = wheel.origin
-                inv_res = wheel._inv_res
-                res = wheel.resolution
-                b0 = wheel._b0
-                # the wheel stays non-empty from here on, so its cursor
-                # is frozen for the rest of the flush: the level-0 slot
-                # bounds hoist out of the loop
-                cur = wheel._cur
-                hi = cur + mask
-                parked = 0  # batched level-0 bookkeeping
-                bapp = None  # consecutive same-slot parks (timer
-                sstart = 1.0  # bursts) reuse the bound bucket append;
-                send = 0.0  # [sstart, send) is the last slot's window
-                for entry in _islice(staged, i, None):
-                    t = entry[0]
-                    # same-slot fast path on the slot's float window —
-                    # for power-of-two resolutions this is bit-exact
-                    # with the slot index compare it replaces
-                    if sstart <= t < send:
-                        bapp(entry)
-                        parked += 1
-                        continue
-                    s = _int((t - origin) * inv_res)
-                    # same test as insert(): within the level-0 window
-                    # and never into a slot whose start exceeds t (the
-                    # float guard prevents firing a tick late)
-                    if cur < s <= hi and origin + s * res <= t:
-                        bapp = b0[s & mask].append
-                        bapp(entry)
-                        sstart = origin + s * res
-                        send = sstart + res
-                        parked += 1
-                    else:
-                        # far levels and behind-the-tick rejections;
-                        # sync the batched counters so insert() sees
-                        # exact state
-                        if parked:
-                            wheel._counts[0] += parked
-                            wheel._count += parked
-                            wheel.inserted += parked
-                            parked = 0
-                        if not insert(entry, now):
-                            heappush(heap, entry)
-                if parked:
-                    wheel._counts[0] += parked
-                    wheel._count += parked
-                    wheel.inserted += parked
-            else:
-                # non-power-of-two slot count: no inline fast path
-                for entry in _islice(staged, i, None):
-                    if not insert(entry, now):
-                        heappush(heap, entry)
-        del staged[:]
-
-    # ------------------------------------------------------------------
     # cancellation accounting
 
     def _on_cancel(self) -> None:
@@ -509,24 +418,17 @@ class Simulation:
         if (
             self._tombstones >= _COMPACT_MIN_TOMBSTONES
             and self._tombstones * 2
-            > len(self._heap) + len(self._fast) + len(self._ready)
-            + len(self._staged) + self._wheel.size
+            > len(self._heap) + len(self._fast) + self._wheel.size
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled tombstones from all lanes.
+        """Drop cancelled tombstones from both lanes and the wheel.
 
         Mutates the queues in place: the run loop holds direct
-        references to them.  Staged entries are routed first, restoring
-        exactly the state an immediate-insert kernel would compact.
-        Entries already consumed by an in-flight ready run carry
-        ``cancelled=False`` (the run loop resets the flag as it skips),
-        so only the unconsumed suffix is filtered and the run loop's
-        position stays valid.
+        references to them, and a cancel inside a callback can land here
+        mid-loop.
         """
-        if self._staged:
-            self._flush_staged()
         pool = _POOL
         heap = self._heap
         live = [e for e in heap if not e[_CANCELLED]]
@@ -545,15 +447,6 @@ class Simulation:
             else:
                 entry[_CANCELLED] = False  # pool invariant
                 pool.append(entry)
-        ready = self._ready
-        if ready:
-            keep = [e for e in ready if not e[_CANCELLED]]
-            if len(keep) != len(ready):
-                for e in ready:
-                    if e[_CANCELLED]:
-                        e[_CANCELLED] = False  # pool invariant
-                        pool.append(e)
-                ready[:] = keep
         self._wheel.compact()
         self._tombstones = 0
         if len(pool) > _POOL_MAX:
@@ -631,24 +524,14 @@ class Simulation:
         heap = self._heap
         fast = self._fast
         wheel = self._wheel
-        ready = self._ready
-        staged = self._staged
         pool = _POOL
         prof = self.profiler
         limit = _INF if until is None else until
         consumed = 0  # fired events (runaway guard)
-        rp = 0  # consumed prefix of the ready run (trimmed in finally)
         try:
             while True:
-                # route anything scheduled since the last dispatch —
-                # before tombstone skips, refills, and selection, so
-                # every lane is complete when the next event is picked
-                if staged:
-                    self._flush_staged()
-                # drop tombstones from every lane head.  Consumed ready
-                # tombstones get their flag reset so _compact (which may
-                # run mid-loop, from inside a callback) filters only the
-                # unconsumed suffix and rp stays a valid index.
+                # drop tombstones from both lane heads so selection
+                # below only ever compares live entries
                 if self._tombstones:
                     while heap and heap[0][_CANCELLED]:
                         entry = heappop(heap)
@@ -660,73 +543,36 @@ class Simulation:
                         entry[_CANCELLED] = False  # pool invariant
                         pool.append(entry)
                         self._tombstones -= 1
-                    while rp < len(ready) and ready[rp][_CANCELLED]:
-                        # flag reset marks it consumed; recycled with
-                        # the rest of the run at the next refill
-                        ready[rp][_CANCELLED] = False
-                        rp += 1
-                        self._tombstones -= 1
-                rl = len(ready)
-                if rp >= rl:
-                    if rl:
-                        # whole run consumed: recycle it in bulk
-                        pool.extend(ready)
-                        del ready[:]
-                        rp = 0
-                    # parked timers may be due before the queue heads:
-                    # pull the next due wheel slot as a new ready run.
-                    # _due (earliest parked slot start) makes the common
-                    # nothing-due case one float compare.
-                    if wheel._count and wheel._due <= limit:
-                        bound = limit
-                        if heap and heap[0][0] < bound:
-                            bound = heap[0][0]
-                        if fast and fast[0][0] < bound:
-                            bound = fast[0][0]
-                        if wheel._due <= bound:
-                            dropped = wheel.advance_run(
-                                bound, ready, self._tombstones > 0
-                            )
-                            if dropped:
-                                self._tombstones -= dropped
-                            continue
-                    rl = 0
-                # pick the globally smallest (time, seq) live entry
-                # across the ready run, the heap, and the fast lane
-                if rp < rl:
-                    entry = ready[rp]
-                    lane = 2
-                    if heap:
-                        e2 = heap[0]
-                        if e2[0] < entry[0] or (
-                            e2[0] == entry[0] and e2[1] < entry[1]
-                        ):
-                            entry = e2
-                            lane = 1
+                # parked timers may be due before the lane heads: move
+                # every such slot into the heap.  _due (earliest parked
+                # slot start) makes the common nothing-due case one
+                # float compare; advance() pushes live entries only.
+                if wheel._count and wheel._due <= limit:
+                    bound = limit
+                    if heap and heap[0][0] < bound:
+                        bound = heap[0][0]
+                    if fast and fast[0][0] < bound:
+                        bound = fast[0][0]
+                    if wheel._due <= bound:
+                        dropped = wheel.advance(bound, heap)
+                        if dropped:
+                            self._tombstones -= dropped
+                # fire the smaller (time, seq) head of the two lanes
+                # (list comparison stops at seq, which is unique)
+                if fast and not (heap and heap[0] < fast[0]):
+                    entry = fast[0]
+                    t = entry[_TIME]
+                    if t > limit:
+                        break
+                    fast.popleft()
                 elif heap:
                     entry = heap[0]
-                    lane = 1
-                else:
-                    entry = None
-                    lane = 0
-                if fast:
-                    e3 = fast[0]
-                    if entry is None or e3[0] < entry[0] or (
-                        e3[0] == entry[0] and e3[1] < entry[1]
-                    ):
-                        entry = e3
-                        lane = 3
-                if entry is None:
-                    break
-                t = entry[_TIME]
-                if t > limit:
-                    break
-                if lane == 3:
-                    fast.popleft()
-                elif lane == 1:
+                    t = entry[_TIME]
+                    if t > limit:
+                        break
                     heappop(heap)
                 else:
-                    rp += 1
+                    break
                 consumed += 1
                 fn = entry[_FN]
                 entry[_FN] = None  # mark fired (cancel() becomes a no-op)
@@ -734,62 +580,15 @@ class Simulation:
                 if prof is not None:
                     prof.on_event(entry[_LABEL] or _component_of(fn), t)
                 fn()
-                if lane != 2:
-                    pool.append(entry)
+                pool.append(entry)
                 if consumed > max_events:
                     raise SimError(
                         f"exceeded max_events={max_events}; runaway simulation?"
-                    )
-                if lane != 2 or prof is not None:
-                    continue
-                # burst lane: drain the ready run while it provably
-                # stays the global minimum.  This inner loop is the
-                # steady-state dispatch path — no heap traffic, no
-                # per-event lane arbitration beyond emptiness checks.
-                # The IndexError backstop (cheap on 3.11+) covers both
-                # run exhaustion and a mid-burst _compact shrinking the
-                # suffix; fn() runs outside the try.
-                rp0 = rp
-                skipped = 0
-                while True:
-                    try:
-                        entry = ready[rp]
-                    except IndexError:
-                        break
-                    t = entry[0]
-                    if t > limit or fast:
-                        break
-                    if heap:
-                        e2 = heap[0]
-                        if e2[0] < t or (e2[0] == t and e2[1] < entry[1]):
-                            break
-                    rp += 1
-                    fn = entry[2]
-                    if fn is None:
-                        # tombstone: reset the flag (consumed) so a
-                        # mid-loop _compact filters only the suffix
-                        entry[4] = False
-                        self._tombstones -= 1
-                        skipped += 1
-                        continue
-                    entry[2] = None
-                    clock._now = t
-                    fn()
-                consumed += rp - rp0 - skipped
-                if consumed > max_events:
-                    raise SimError(
-                        f"exceeded max_events={max_events}; "
-                        "runaway simulation?"
                     )
             if until is not None and clock._now < until:
                 clock.advance_to(until)
             return clock._now
         finally:
-            if rp:
-                # recycle the consumed prefix; an unfired suffix
-                # (events past `until`) persists for the next run()
-                pool.extend(ready[:rp])
-                del ready[:rp]
             if len(pool) > _POOL_MAX:
                 del pool[_POOL_MAX:]
             self._running = False
@@ -802,20 +601,20 @@ class Simulation:
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) events.
 
-        O(1) — every lane size is O(1) and tombstones are counted —
-        with no counter maintenance on the scheduling paths.  Exact
-        between :meth:`run` calls; read from inside a running callback
-        it may lag by the already-fired prefix of the in-flight ready
-        run (trimmed when ``run`` returns).
+        O(1) — both lane sizes and the wheel's count are O(1) and
+        tombstones are counted — with no counter maintenance on the
+        scheduling paths.  Exact at any time, including from inside a
+        running callback (whose own event is no longer counted).
         """
         return (
-            len(self._heap)
-            + len(self._fast)
-            + len(self._ready)
-            + len(self._staged)
-            + self._wheel._count
+            len(self._heap) + len(self._fast) + self._wheel.size
             - self._tombstones
         )
+
+    def timer_stats(self) -> Dict[str, int]:
+        """The timer wheel's routing counters (``inserted``,
+        ``rejected``, ``cascaded``, ``transferred``); E14 reports them."""
+        return self._wheel.stats()
 
     def processes(self) -> Iterable[ProcessHandle]:
         """All processes ever spawned (including finished ones)."""

@@ -55,7 +55,7 @@ class TimerWheel:
     __slots__ = (
         "origin", "resolution", "slots", "levels",
         "_buckets", "_counts", "_count", "_cur", "_due", "_near",
-        "_spans", "_inv_res", "_b0", "_mask",
+        "_spans", "_inv_res",
         "inserted", "rejected", "cascaded", "transferred",
     )
 
@@ -79,11 +79,6 @@ class TimerWheel:
         self._buckets: List[List[List[Any]]] = [
             [[] for _ in range(slots)] for _ in range(levels)
         ]
-        #: level-0 bucket ring (stable identity) and its index mask for
-        #: the kernel's inlined insert fast path; a zero mask disables
-        #: the inline when ``slots`` is not a power of two
-        self._b0 = self._buckets[0]
-        self._mask = slots - 1 if slots & (slots - 1) == 0 else 0
         #: parked entries (live + tombstones) per level / total
         self._counts = [0] * levels
         self._count = 0
@@ -225,89 +220,6 @@ class TimerWheel:
                     # of the finest occupied level (its cascade may refill
                     # L0; boundaries of coarser occupied levels are
                     # multiples of it, so none are jumped over)
-                    level = 1
-                    while not counts[level]:
-                        level += 1
-                    span = slots ** level
-                    cur = (cur // span + 1) * span
-                    start = origin + cur * res
-        finally:
-            self._cur = cur
-            self._due = start
-            self._near = start + res
-            self.transferred += moved
-        return dropped
-
-    def advance_run(
-        self, bound: float, run: List[List[Any]], has_tombstones: bool = False
-    ) -> int:
-        """Transfer the next due slot into ``run`` as one sorted block.
-
-        The zero-heap-traffic flavor of :meth:`advance` for the kernel's
-        ready-run lane: instead of heap-pushing entries one by one, the
-        whole due bucket is timsorted (entries within a slot share no
-        order with anything still parked, so sorting the bucket alone
-        yields the exact global ``(time, seq)`` order) and appended to
-        ``run``.  Exactly one non-empty slot is transferred per call —
-        the same early stop :meth:`advance` takes when the freshly
-        pushed heap head precedes the next slot's start — so the
-        transfer schedule, the walk (and therefore cascade boundaries),
-        and every stat match :meth:`advance` step for step.
-
-        Cancelled entries in the transferred slot ride along flagged;
-        the kernel's run loop skips and accounts them (``transferred``
-        counts live entries only, as in :meth:`advance`, which is why
-        ``has_tombstones`` asks whether a scan is needed at all).
-        Returns tombstones dropped by cascades — those never reach
-        ``run``, so the caller must deduct them directly.
-        """
-        dropped = 0
-        moved = 0
-        res = self.resolution
-        origin = self.origin
-        slots = self.slots
-        counts = self._counts
-        b0 = self._buckets[0]
-        cur = self._cur
-        start = self._due
-        try:
-            while self._count:
-                if start > bound:
-                    break
-                if cur % slots == 0 and self._count > counts[0]:
-                    dropped += self._cascade(cur)
-                    if not self._count:
-                        break
-                if counts[0]:
-                    idx = cur % slots
-                    bucket = b0[idx]
-                    cur += 1
-                    start = origin + cur * res
-                    if bucket:
-                        n = len(bucket)
-                        counts[0] -= n
-                        self._count -= n
-                        if has_tombstones:
-                            live = n
-                            for e in bucket:
-                                if e[_CANCELLED]:
-                                    live -= 1
-                            moved += live
-                        else:
-                            moved += n
-                        bucket.sort()
-                        run.extend(bucket)
-                        # the emptied bucket list stays parked in its
-                        # slot for the next revolution (no per-slot
-                        # list allocation)
-                        del bucket[:]
-                        # one non-empty slot per call: everything still
-                        # parked starts at >= start, strictly after the
-                        # whole transferred run
-                        break
-                else:
-                    # level 0 is idle: skip straight to the next boundary
-                    # of the finest occupied level (see advance())
                     level = 1
                     while not counts[level]:
                         level += 1

@@ -136,6 +136,18 @@ class TestCancellationWhileQueued:
         sim.run()
         assert sim.pending_events == 0
 
+    def test_pending_events_exact_inside_callbacks(self, sim):
+        """Read from a running callback, the count already excludes the
+        event being fired — for parked timers sharing one wheel slot
+        just as for heap and zero-delay events."""
+        seen = []
+        for i in range(20):
+            sim.call_after(10.0 + i * 0.01, lambda: seen.append(sim.pending_events))
+        sim.call_after(0.1, lambda: seen.append(sim.pending_events))
+        sim.post(0.0, lambda: seen.append(sim.pending_events))
+        sim.run()
+        assert seen == [21, 20] + list(range(19, -1, -1))
+
     def test_mass_cancel_preserves_survivor_order(self, sim):
         """Cancelling most of a same-time batch (tombstone churn) never
         reorders the survivors."""
@@ -284,6 +296,30 @@ class TestRunUntilBoundary:
         sim.call_after(0.0, lambda: fired.append("ok"))
         sim.run()
         assert fired == ["ok"]
+
+
+_SCHEDULERS = {
+    "call_at": lambda sim, t: sim.call_at(t, lambda: None),
+    "call_after": lambda sim, t: sim.call_after(t, lambda: None),
+    "post": lambda sim, t: sim.post(t, lambda: None),
+    "Timeout": lambda sim, t: Timeout(t),
+}
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("how", sorted(_SCHEDULERS))
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_rejected_at_the_scheduling_call(self, sim, how, t):
+        """inf/nan fail where they are passed in, queue nothing, and
+        leave the kernel usable (they used to blow up inside the next —
+        and every later — run())."""
+        with pytest.raises(SimError):
+            _SCHEDULERS[how](sim, t)
+        assert sim.pending_events == 0
+        fired = []
+        sim.call_after(1.0, lambda: fired.append(sim.now()))
+        assert sim.run() == 1.0
+        assert fired == [1.0]
 
 
 class TestDeterministicReplay:

@@ -52,8 +52,8 @@ def test_mixed_near_far_timers_fire_in_heap_order():
     expected.sort()
     assert fired == [i for (_, i) in expected]
     # the sweep must actually exercise the wheel, not bypass it
-    assert sim._wheel.stats()["inserted"] > 0
-    assert sim._wheel.stats()["transferred"] > 0
+    assert sim.timer_stats()["inserted"] > 0
+    assert sim.timer_stats()["transferred"] > 0
 
 
 def test_same_time_ties_break_by_schedule_order():
