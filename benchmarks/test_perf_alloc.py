@@ -1,10 +1,9 @@
 """Allocation-regression guard for the pooled dispatch hot paths.
 
-The zero-allocation claim (slab/freelist event reuse in the kernel,
-pooled frames in the transport) is load-bearing for the raw-speed pass:
-if a refactor quietly reintroduces a per-message allocation, timing
-benchmarks drift slowly but ``sys.getallocatedblocks`` deltas jump
-immediately.  These are correctness tests, not timing loops — they run
+The zero-allocation claim (slab/freelist event reuse in the kernel) is
+load-bearing for the raw-speed pass: if a refactor quietly reintroduces
+a per-message allocation, timing benchmarks drift slowly but
+``sys.getallocatedblocks`` deltas jump immediately.  These are correctness tests, not timing loops — they run
 with GC paused and assert *net retained block counts* around a
 steady-state burst, so transient allocations (slice temporaries, frame
 objects reused from CPython's own freelists) don't count.
@@ -16,9 +15,6 @@ Path-by-path contract:
 - ``Simulation.call_at`` → pooled entry + one :class:`EventHandle` per
   call (the handle is the API) → a small fixed number of blocks per
   event, all dead by the time the burst drains.
-- ``BatchingSender``/``Unbatcher`` round trip → pooled ``Frame`` shells
-  → no frame allocations at steady state (the stored wire size is an
-  int on the shell, reset when the unbatcher releases it).
 
 The last test pins *work counters* instead of blocks: exact per-frame
 call counts on the reliable networked hop, which repeat bit-for-bit and
@@ -34,7 +30,6 @@ from repro.sim import wire
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, NetworkConfig
-from repro.transport import BatchConfig, BatchingSender, Unbatcher
 
 
 def _noop() -> None:
@@ -88,35 +83,6 @@ def test_call_at_dispatch_allocates_only_the_handle():
     # handles are allocated per call (they are the cancel API) but die
     # young and are never retained past the drain
     assert delta <= 16, f"call_at retained {delta} blocks for 5k events"
-
-
-def test_batched_frame_round_trip_reuses_frame_shells():
-    sim = Simulation(seed=1)
-    net = Network(sim, NetworkConfig(base_latency=0.0))
-    seen = [0]
-
-    def handler(src, message):
-        seen[0] += 1
-
-    net.register("dst", Unbatcher(handler))
-    sender = BatchingSender(
-        sim, net, "src", config=BatchConfig(max_batch=8, max_linger=0.0)
-    )
-    payload = {"k": "key-1", "v": 7}
-
-    def drive(n: int) -> None:
-        for _ in range(n):
-            sender.send("dst", payload)
-        sim.run()
-
-    drive(4_000)
-    before = seen[0]
-    delta = _net_blocks(drive, 4_000)
-    assert seen[0] - before == 8_000  # both paused-GC rounds delivered
-    # frames come from the slab and go back to it; the per-flush size
-    # is reset with the shell.  Budget: well under one block
-    # per frame (4k messages / 8 per frame = 500 frames per round).
-    assert delta <= 64, f"frame round trip retained {delta} blocks"
 
 
 def test_tracemalloc_confirms_no_per_message_retention():

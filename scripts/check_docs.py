@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lint: intra-repo markdown links resolve; architecture is complete.
 
-Four checks, run by CI (see ``.github/workflows/ci.yml``):
+Five checks, run by CI (see ``.github/workflows/ci.yml``):
 
 1. Every relative link in every tracked ``*.md`` file points at a file
    or directory that exists (anchors after ``#`` are stripped; external
@@ -17,6 +17,12 @@ Four checks, run by CI (see ``.github/workflows/ci.yml``):
    deleting or renaming a file fails the lint until the prose that
    points at it is repointed.  ``CHANGES.md`` and ``ROADMAP.md`` are
    history and may name what no longer exists.
+5. Every backticked CamelCase identifier (``ReliableChannel``,
+   ``_DataFrame.cached_size``) is a name that occurs in a ``*.py`` file
+   under ``src/``, ``tests/``, ``benchmarks/``, ``scripts/`` or
+   ``examples/`` — check 4 for classes: deleting or renaming one fails
+   the lint until the prose is repointed.  History files are exempt
+   here too, and fenced code blocks are not read.
 
     python scripts/check_docs.py
 
@@ -49,6 +55,16 @@ _FILE_RE = re.compile(
     r"`(?:\.\./)*((?:[\w.-]+/)*[\w.*-]+\.(?:py|json|md|txt|toml|yml))[`\s:]"
 )
 
+#: inline code spans, read after fenced blocks are cut out
+_FENCE_RE = re.compile(r"^```.*?^```", re.S | re.M)
+_CODE_RE = re.compile(r"`([^`\n]+)`")
+
+#: an identifier that starts with a capital (after an optional ``_``)
+#: and has a lowercase letter: classes, not ``CONSTANTS`` or ``E12``
+_CAMEL_RE = re.compile(r"\b_?[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*\b")
+
+_CODE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
+
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
 
 
@@ -61,6 +77,16 @@ def repo_files():
 
 def markdown_files():
     return (path for path in repo_files() if path.endswith(".md"))
+
+
+def current_prose():
+    """``(relative path, text)`` of every markdown file that describes
+    the repo as it is — generated and history files left out."""
+    for path in markdown_files():
+        if os.path.basename(path) in _SKIP_FILES | _HISTORY_FILES:
+            continue
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.relpath(path, REPO_ROOT), fh.read()
 
 
 def check_links():
@@ -90,17 +116,31 @@ def check_paths_exist():
     """Every backticked file path is (a suffix of) a file in the repo."""
     errors = []
     existing = ["/" + os.path.relpath(path, REPO_ROOT) for path in repo_files()]
-    for path in markdown_files():
-        name = os.path.basename(path)
-        if name in _SKIP_FILES or name in _HISTORY_FILES:
-            continue
-        rel = os.path.relpath(path, REPO_ROOT)
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    for rel, text in current_prose():
         for target in sorted(set(_FILE_RE.findall(text))):
             pattern = "*/" + target
             if not any(fnmatch.fnmatchcase(file, pattern) for file in existing):
                 errors.append(f"{rel}: no such file -> {target}")
+    return errors
+
+
+def check_identifiers_exist():
+    """Every backticked CamelCase identifier occurs in the code."""
+    known = set()
+    for path in repo_files():
+        top = os.path.relpath(path, REPO_ROOT).split(os.sep)[0]
+        if top in _CODE_DIRS and path.endswith(".py"):
+            with open(path, encoding="utf-8") as fh:
+                known.update(re.findall(r"\w+", fh.read()))
+    errors = []
+    for rel, text in current_prose():
+        named = {
+            identifier
+            for span in _CODE_RE.findall(_FENCE_RE.sub("", text))
+            for identifier in _CAMEL_RE.findall(span)
+        }
+        for identifier in sorted(named - known):
+            errors.append(f"{rel}: no such identifier -> {identifier}")
     return errors
 
 
@@ -158,7 +198,7 @@ def check_docs_reachable():
 
 def main() -> int:
     errors = (
-        check_links() + check_paths_exist()
+        check_links() + check_paths_exist() + check_identifiers_exist()
         + check_architecture_mentions() + check_docs_reachable()
     )
     for error in errors:

@@ -60,7 +60,7 @@ from repro.resilience.channel import ChannelConfig, ReliableChannel
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
-from repro.transport.batcher import BatchConfig
+from repro.transport import BatchConfig
 
 #: the relay->session pipe: instant, unbounded — backpressure is the
 #: session queue's job, never the relay-side watcher queue's

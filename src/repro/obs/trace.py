@@ -47,7 +47,6 @@ class hops:
     PUBSUB_GAP = "pubsub.gap"          # cursor skipped GC'd/compacted offsets
     # transport (identity-less; joined via channel/dst/seq attrs)
     NET_DROP = "net.drop"
-    FRAME_FLUSH = "transport.flush"    # batched frame shipped; n_events payloads
     CHANNEL_TRANSMIT = "channel.transmit"
     CHANNEL_ACKED = "channel.acked"
     CHANNEL_GIVEUP = "channel.giveup"

@@ -323,38 +323,7 @@ class RemotePublisher:
 
     def publish(self, topic: str, key: Optional[str], payload: Any) -> None:
         """Ship one publish command across the network."""
-        self.published += 1
-        version = payload_version(payload)
-
-        def delivered() -> None:
-            self.delivered += 1
-            if self.tracer is not None:
-                self.tracer.record(
-                    hops.PUBLISH_ACKED, self.channel.name,
-                    key=key, version=version, seq=seq,
-                )
-
-        def gaveup() -> None:
-            self.lost += 1
-            if self.tracer is not None:
-                self.tracer.record(
-                    hops.PUBLISH_GAVEUP, self.channel.name,
-                    key=key, version=version, seq=seq,
-                )
-
-        seq = self.channel.send(
-            self.broker_endpoint,
-            {"topic": topic, "key": key, "payload": payload},
-            on_delivered=delivered,
-            on_giveup=gaveup,
-        )
-        if self.tracer is not None:
-            self.tracer.record(
-                hops.PUBLISH_SEND, self.channel.name,
-                key=key, version=version,
-                channel=self.channel.name, dst=self.broker_endpoint,
-                seq=seq, topic=topic,
-            )
+        self._ship({"topic": topic, "key": key, "payload": payload})
 
     def publish_batch(self, topic: str, records: List[Any]) -> None:
         """Ship a group of ``(key, payload)`` records as ONE publish
@@ -363,41 +332,49 @@ class RemotePublisher:
         Every record's ``publish.send`` hop carries the frame's shared
         seq, so losing the frame attributes the loss to each record.
         """
-        records = list(records)
+        self._ship({"topic": topic, "records": list(records)})
+
+    def _ship(self, command: Dict[str, Any]) -> None:
+        """Send one publish command — single record or group — as one
+        channel frame, counting and tracing every record it carries."""
+        records = command.get("records")
+        grouped = records is not None
+        if not grouped:
+            records = ((command["key"], command["payload"]),)
         self.published += len(records)
 
+        # the callbacks re-read len(records): a captured count would be
+        # one more closure cell per publish than needed, which is enough
+        # to move repl-net-batched's GC phase (docs/performance.md)
         def delivered() -> None:
             self.delivered += len(records)
             if self.tracer is not None:
-                for key, payload in records:
-                    self.tracer.record(
-                        hops.PUBLISH_ACKED, self.channel.name,
-                        key=key, version=payload_version(payload), seq=seq,
-                    )
+                self._trace(hops.PUBLISH_ACKED, records, seq=seq)
 
         def gaveup() -> None:
             self.lost += len(records)
             if self.tracer is not None:
-                for key, payload in records:
-                    self.tracer.record(
-                        hops.PUBLISH_GAVEUP, self.channel.name,
-                        key=key, version=payload_version(payload), seq=seq,
-                    )
+                self._trace(hops.PUBLISH_GAVEUP, records, seq=seq)
 
         seq = self.channel.send(
-            self.broker_endpoint,
-            {"topic": topic, "records": records},
-            on_delivered=delivered,
-            on_giveup=gaveup,
+            self.broker_endpoint, command,
+            on_delivered=delivered, on_giveup=gaveup,
         )
         if self.tracer is not None:
-            for key, payload in records:
-                self.tracer.record(
-                    hops.PUBLISH_SEND, self.channel.name,
-                    key=key, version=payload_version(payload),
-                    channel=self.channel.name, dst=self.broker_endpoint,
-                    seq=seq, topic=topic, n_events=len(records),
-                )
+            attrs = dict(
+                channel=self.channel.name, dst=self.broker_endpoint,
+                seq=seq, topic=command["topic"],
+            )
+            if grouped:
+                attrs["n_events"] = len(records)
+            self._trace(hops.PUBLISH_SEND, records, **attrs)
+
+    def _trace(self, hop: str, records, **attrs: Any) -> None:
+        for key, payload in records:
+            self.tracer.record(
+                hop, self.channel.name,
+                key=key, version=payload_version(payload), **attrs,
+            )
 
     # Failable protocol: a crashed publisher stops transmitting but
     # keeps its unacked frames; recovery re-kicks them.

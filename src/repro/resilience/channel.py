@@ -57,10 +57,10 @@ from repro.obs.trace import hops
 from repro.sim.kernel import EventHandle, Simulation
 from repro.sim.metrics import LazyMetric, MetricsRegistry
 from repro.sim.network import Network
-from repro.sim.wire import register as _wire_register, wire_size
+from repro.sim.wire import WireError, register as _wire_register, wire_size
 from repro.resilience.breaker import CircuitBreaker, CircuitBreakerConfig
 from repro.resilience.retry import RetryPolicy
-from repro.transport.batcher import BatchConfig
+from repro.transport import BatchConfig
 
 #: Receives (src, payload) for each application payload delivered.
 Handler = Callable[[str, Any], None]
@@ -268,32 +268,47 @@ class ReliableChannel:
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
         self._c_sent.inc()
-        if not self.config.reliable:
-            if self.up:
-                self._c_transmits.inc()
-                if self.tracer is not None:
-                    self.tracer.record(
-                        hops.CHANNEL_TRANSMIT, self.name,
-                        channel=self.name, dst=dst, seq=seq, attempt=1,
-                    )
-                self.net.send(self.name, dst, _DataFrame(seq, payload, needs_ack=False))
-            elif self.tracer is not None:
-                # fire-and-forget while crashed: the frame is silently
-                # lost at the sender — record it for loss provenance
-                self.tracer.record(
-                    hops.CHANNEL_SENDER_DOWN, self.name,
-                    channel=self.name, dst=dst, seq=seq,
-                )
-            return seq
-        pending = _Pending(
-            dst, seq, payload, self.sim.now(),
-            on_delivered=on_delivered, on_giveup=on_giveup,
-        )
-        self._pending[(dst, seq)] = pending
-        if self.up:
-            self._transmit(pending)
-        # else: queued; recover() re-kicks every pending frame
+        self._ship(dst, seq, payload, on_delivered, on_giveup)
         return seq
+
+    def _ship(
+        self,
+        dst: str,
+        seq: int,
+        payload: Any,
+        on_delivered: Optional[Callable[[], None]],
+        on_giveup: Optional[Callable[[], None]],
+    ) -> None:
+        """Hand one frame to the wire — ``payload`` is a single message
+        or a closed :class:`_GroupPayload`; both modes, up or crashed."""
+        if self.config.reliable:
+            pending = _Pending(
+                dst, seq, payload, self.sim.now(),
+                on_delivered=on_delivered, on_giveup=on_giveup,
+            )
+            self._pending[(dst, seq)] = pending
+            if self.up:
+                self._transmit(pending)
+            # else: queued; recover() re-kicks every pending frame
+        elif self.up:
+            self._c_transmits.inc()
+            if self.tracer is not None:
+                self._trace(hops.CHANNEL_TRANSMIT, dst, seq, payload, attempt=1)
+            self.net.send(self.name, dst, _DataFrame(seq, payload, needs_ack=False))
+        elif self.tracer is not None:
+            # fire-and-forget while crashed: the frame dies silently at
+            # the sender — one record for loss provenance (a group's
+            # shared seq attributes every coalesced message)
+            self._trace(hops.CHANNEL_SENDER_DOWN, dst, seq, payload)
+
+    def _trace(self, hop: str, dst: str, seq: int, payload: Any, **attrs: Any) -> None:
+        if type(payload) is _GroupPayload:
+            # per-frame span carries the coalesced count so losing this
+            # frame means losing n_events messages
+            attrs["n_events"] = len(payload.payloads)
+        self.tracer.record(
+            hop, self.name, channel=self.name, dst=dst, seq=seq, **attrs
+        )
 
     # ------------------------------------------------------------------
     # batching (config.batch is not None)
@@ -333,45 +348,18 @@ class ReliableChannel:
         open_frame = self._open.pop(dst, None)
         if open_frame is None:
             return
-        group = open_frame.group
-        if not self.config.reliable:
-            if self.up:
-                self._c_transmits.inc()
-                if self.tracer is not None:
-                    self.tracer.record(
-                        hops.CHANNEL_TRANSMIT, self.name,
-                        channel=self.name, dst=dst, seq=open_frame.seq,
-                        attempt=1, n_events=len(group.payloads),
-                    )
-                self.net.send(
-                    self.name, dst,
-                    _DataFrame(open_frame.seq, group, needs_ack=False),
-                )
-            elif self.tracer is not None:
-                # the whole frame dies at the crashed sender: one event
-                # attributes every coalesced message via the shared seq
-                self.tracer.record(
-                    hops.CHANNEL_SENDER_DOWN, self.name,
-                    channel=self.name, dst=dst, seq=open_frame.seq,
-                    n_events=len(group.payloads),
-                )
-            return
-        pending = _Pending(
-            dst, open_frame.seq, group, self.sim.now(),
-            on_delivered=_fire_all(open_frame.delivered),
-            on_giveup=_fire_all(open_frame.giveup),
+        self._ship(
+            dst, open_frame.seq, open_frame.group,
+            _fire_all(open_frame.delivered), _fire_all(open_frame.giveup),
         )
-        self._pending[(dst, open_frame.seq)] = pending
-        if self.up:
-            self._transmit(pending)
-        # else: queued; recover() re-kicks every pending frame
 
     def flush_all(self) -> None:
         """Close every open group frame (e.g. at end of a commit burst)."""
         for dst in list(self._open):
             self.flush(dst)
 
-    def _breaker_for(self, dst: str) -> Optional[CircuitBreaker]:
+    def breaker(self, dst: str) -> Optional[CircuitBreaker]:
+        """The per-destination breaker (None if breaking is disabled)."""
         if self.config.breaker is None:
             return None
         breaker = self._breakers.get(dst)
@@ -385,14 +373,10 @@ class ReliableChannel:
             self._breakers[dst] = breaker
         return breaker
 
-    def breaker(self, dst: str) -> Optional[CircuitBreaker]:
-        """The per-destination breaker (None if breaking is disabled)."""
-        return self._breaker_for(dst) if self.config.breaker is not None else None
-
     def _transmit(self, pending: _Pending) -> None:
         if (pending.dst, pending.seq) not in self._pending:
             return  # acked or abandoned in the meantime
-        breaker = self._breaker_for(pending.dst)
+        breaker = self.breaker(pending.dst)
         suppressed = breaker is not None and not breaker.allow()
         if suppressed or not self.up:
             # a suppressed attempt never hit the wire: it consumes no
@@ -409,15 +393,10 @@ class ReliableChannel:
             pending.transmitted = True
             self._c_transmits.inc()
             if self.tracer is not None:
-                attrs = dict(
-                    channel=self.name, dst=pending.dst, seq=pending.seq,
-                    attempt=pending.attempts,
+                self._trace(
+                    hops.CHANNEL_TRANSMIT, pending.dst, pending.seq,
+                    pending.payload, attempt=pending.attempts,
                 )
-                if type(pending.payload) is _GroupPayload:
-                    # per-frame span carries the coalesced count so
-                    # losing this frame means losing n_events messages
-                    attrs["n_events"] = len(pending.payload.payloads)
-                self.tracer.record(hops.CHANNEL_TRANSMIT, self.name, **attrs)
             frame = pending.frame
             if frame is None:
                 frame = _DataFrame(pending.seq, pending.payload, needs_ack=True)
@@ -437,7 +416,7 @@ class ReliableChannel:
             return
         pending.timer = None
         if pending.transmitted:
-            breaker = self._breaker_for(pending.dst)
+            breaker = self.breaker(pending.dst)
             if breaker is not None:
                 breaker.record_failure()
         if pending.transmitted and not self.config.retry.allows(
@@ -468,7 +447,7 @@ class ReliableChannel:
                 return  # duplicate ack
             if pending.timer is not None:
                 pending.timer.cancel()
-            breaker = self._breaker_for(src)
+            breaker = self.breaker(src)
             if breaker is not None:
                 breaker.record_success()
             self._c_acked.inc()
@@ -482,7 +461,11 @@ class ReliableChannel:
             if pending.on_delivered is not None:
                 pending.on_delivered()
             return
-        assert isinstance(frame, _DataFrame)
+        if type(frame) is not _DataFrame:
+            raise WireError(
+                f"channel {self.name!r}: {type(frame).__name__} payload from "
+                f"{src!r} is not a channel frame"
+            )
         if frame.needs_ack:
             # always ack, even duplicates: the previous ack may be the
             # thing that was lost
@@ -547,7 +530,14 @@ class ReliableChannel:
                 pending.timer = None
 
     def recover(self) -> None:
-        """Rejoin the network and re-kick every pending frame."""
+        """Rejoin the network and re-kick every pending frame.
+
+        A no-op on a channel that is already up: its pending frames
+        still hold live timers, and a second ``_transmit`` each would
+        start a second retransmit chain per frame.
+        """
+        if self.up:
+            return
         self.up = True
         if self.net.endpoint(self.name) is not None:
             self.net.set_up(self.name, True)

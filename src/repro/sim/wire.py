@@ -35,9 +35,9 @@ Three properties matter more than compactness:
   provably in lockstep with :func:`encode` by a property test
   (``wire_size(x) == len(encode(x))`` for arbitrary payloads).  Hot
   senders store that length on the frame once it is frozen (a
-  ``cached_size`` attribute, see :func:`register`, e.g.
-  :class:`repro.transport.batcher.Frame` and the reliable channel's data
-  frames) so the network, retransmits and byte counters reuse one walk.
+  ``cached_size`` attribute, see :func:`register` — the reliable
+  channel's data frames do) so the network, retransmits and byte
+  counters reuse one walk.
   :func:`encode` / :func:`decode` are pure functions for tests and
   tooling; ``tests/sim/test_wire_hot_path.py`` keeps ``encode`` out of
   ``src/repro``.

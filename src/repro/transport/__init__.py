@@ -1,20 +1,16 @@
-"""Batched transport: wire-level message coalescing for every hop.
+"""The batching knob: one flush policy for every hop that coalesces.
 
 Kafka's throughput edge over per-message brokers comes almost entirely
 from producer/consumer batching (Dobbelaere & Sheykh Esmaili), and
 MigratoryData reaches millions of concurrent users by coalescing
-messages into frames at the wire (Rotaru et al.).  This package is that
-lever for the whole reproduction: a :class:`BatchingSender` aggregates
-payloads per ``(src, dst)`` stream into :class:`Frame` objects under a
-:class:`BatchConfig` flush policy (max batch size, max linger time on
-the *sim* clock — a Nagle-style window), and an :class:`Unbatcher`
-restores per-message delivery on the receive side.
-
-The same :class:`BatchConfig` also drives the batching mode of
-:class:`~repro.resilience.channel.ReliableChannel` (group frames, one
-cumulative ack per frame, batch retransmit), the CDC publisher's
-group-commit, the broker's batch delivery push path, and the edge
-tier's bulk session offers — see ``docs/transport.md`` for the map.
+messages into frames at the wire (Rotaru et al.).  :class:`BatchConfig`
+is that lever's one setting (max batch size, max linger on the *sim*
+clock — a Nagle-style window).  It drives the group frames of
+:class:`~repro.resilience.channel.ReliableChannel` — the only sender on
+the simulated wire (one sequence number, one cumulative ack and one
+retransmit per frame) — the CDC publisher's group commit, the broker's
+batch delivery push path, and the edge tier's bulk session offers; see
+``docs/transport.md`` for the map.
 
 Determinism contract: batching is **off by default everywhere**; with
 it off, every code path is byte-identical to the unbatched layer it
@@ -23,18 +19,31 @@ frame boundaries from deterministic counters, so batched runs replay
 exactly as well.
 """
 
-from repro.transport.batcher import (
-    BatchConfig,
-    BatchingSender,
-    Frame,
-    Unbatcher,
-    frame_message_count,
-)
+from __future__ import annotations
 
-__all__ = [
-    "BatchConfig",
-    "BatchingSender",
-    "Frame",
-    "Unbatcher",
-    "frame_message_count",
-]
+from dataclasses import dataclass
+
+__all__ = ["BatchConfig"]
+
+
+@dataclass(frozen=True)
+class BatchConfig:
+    """Flush policy for a batching endpoint.
+
+    ``max_batch`` caps payloads per frame; ``max_linger`` bounds how long
+    the first payload of a frame may wait (sim-seconds) before the frame
+    is flushed regardless of size.  ``max_linger=0.0`` is legal and means
+    "flush on the next zero-delay tick": payloads enqueued at the same
+    sim instant still coalesce, but nothing waits on the clock.
+    """
+
+    max_batch: int = 16
+    max_linger: float = 0.001
+
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if self.max_linger < 0.0:
+            raise ValueError(
+                f"max_linger must be >= 0, got {self.max_linger}"
+            )

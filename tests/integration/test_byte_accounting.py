@@ -8,8 +8,8 @@ bytes.  Three checks keep that honest end to end:
    ``len(encode(frame))`` summed over every frame handed to
    ``Network.send`` — the stored size never drifts from the bytes it
    stands for, retransmits included;
-2. the whole replication pipeline and a raw batching pair run to
-   completion with ``wire.encode`` booby-trapped;
+2. the whole replication pipeline runs to completion with
+   ``wire.encode`` booby-trapped;
 3. binding counters on first touch adds no metric name to a lossless
    run's ``snapshot()`` — no ``net.dropped.*`` / ``retransmits`` /
    ``gaveup`` row appears just because the code path exists.
@@ -30,7 +30,7 @@ from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, NetworkConfig
 from repro.storage.kv import MVCCStore, Mutation
-from repro.transport import BatchConfig, BatchingSender, Unbatcher
+from repro.transport import BatchConfig
 
 FAST_RETRY = RetryPolicy.unbounded(base_delay=0.05, max_delay=0.5)
 
@@ -135,19 +135,6 @@ def test_pipeline_runs_to_completion_without_encode(monkeypatch):
         key: store.get(key) for key in keys
     }
     assert metrics.snapshot()["net.bytes.sent"] > 0
-
-    # raw BatchingSender / Unbatcher pair
-    received = []
-    lossless = Network(sim)
-    lossless.register("raw-dst", Unbatcher(lambda src, p: received.append(p)))
-    sender = BatchingSender(
-        sim, lossless, "raw-src", BatchConfig(max_batch=4, max_linger=0.001)
-    )
-    for i in range(10):
-        sender.send("raw-dst", {"i": i})
-    sim.run(until=11.0)
-    assert received == [{"i": i} for i in range(10)]
-    assert lossless.metrics.counter("net.frames.sent").value == 3
 
 
 def test_lossless_run_registers_only_the_metrics_it_touches():

@@ -8,6 +8,7 @@ from repro.resilience.breaker import CircuitBreakerConfig
 from repro.resilience.channel import ChannelConfig, ReliableChannel, _DataFrame
 from repro.resilience.retry import RetryPolicy
 from repro.sim.network import Network, NetworkConfig
+from repro.sim.wire import WireError
 from tests.conftest import make_sim
 
 
@@ -182,6 +183,31 @@ class TestFailureModel:
         assert fast > 0  # retransmits were actually suppressed while open
         assert tx.breaker("rx").state.value == "closed"
 
+    def test_recover_on_a_live_channel_is_a_no_op(self):
+        # regression: recover() on a channel that was already up re-ran
+        # _transmit for every pending frame without cancelling its live
+        # timer — one more retransmit chain per unacked frame, per call
+        def run(spurious_recovers):
+            sim = make_sim()
+            net = Network(sim)
+            tx, rx, received = make_pair(sim, net, ChannelConfig(retry=FAST_RETRY))
+            rx.crash()
+            for i in range(3):
+                tx.send("rx", i)
+            for _ in range(spurious_recovers):
+                tx.recover()
+            timers = sim.pending_events
+            sim.run_for(1.0)
+            retransmits = net.metrics.counter("resilience.tx.retransmits").value
+            rx.recover()
+            rx.recover()  # the receiving end is a channel too
+            sim.run()
+            assert sorted(received) == [0, 1, 2] and tx.pending_count == 0
+            return timers, retransmits
+
+        timers, retransmits = run(0)
+        assert retransmits > 0
+        assert run(3) == (timers, retransmits)
 
     def test_sender_crash_during_half_open_probe_does_not_wedge(self, sim):
         # regression: the breaker goes half-open, grants its one probe,
@@ -207,6 +233,21 @@ class TestFailureModel:
         assert sorted(received) == [0, 1, 2, 3, 4]
         assert tx.pending_count == 0
         assert tx.breaker("rx").state.value == "closed"
+
+
+class TestHostileInput:
+    def test_foreign_payload_on_a_channel_endpoint_fails_loudly(self, sim):
+        # anything but a channel frame is a protocol violation: it must
+        # name the channel, the sender and the type — not die as a bare
+        # assert (or, under -O, an AttributeError deep in the receiver)
+        net = Network(sim)
+        tx, rx, received = make_pair(sim, net)
+        net.send("stranger", "rx", {"topic": "cdc", "key": "k", "payload": 1})
+        with pytest.raises(WireError, match=r"'rx'.*dict.*'stranger'"):
+            sim.run()
+        assert received == []
+        assert net.metrics.counter("net.sent").value == 1  # nothing acked
+        assert "resilience.rx.received" not in net.metrics.names()
 
 
 class TestDeterminism:

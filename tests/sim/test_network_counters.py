@@ -6,9 +6,9 @@ mid-flight partition path was suspected of double-counting, so the
 invariant ``sent == delivered + sum(dropped.*)`` is pinned here.
 """
 
+from repro.resilience.channel import _DataFrame, _GroupPayload
 from repro.sim.kernel import Simulation
 from repro.sim.network import Network, NetworkConfig, payload_message_count
-from repro.transport import Frame
 
 
 def _dropped_total(net):
@@ -30,17 +30,17 @@ class TestFrameCounters:
     def test_group_frame_counts_all_messages(self, sim):
         net = Network(sim)
         net.register("b", lambda src, p: None)
-        net.send("a", "b", Frame(seq=0, payloads=[1, 2, 3, 4]))
+        net.send("a", "b", _DataFrame(0, _GroupPayload([1, 2, 3, 4]), needs_ack=False))
         assert net.metrics.counter("net.frames.sent").value == 1
         assert net.metrics.counter("net.payload.msgs").value == 4
 
     def test_payload_message_count_nesting(self):
         # channel frame of group-commit publish commands → leaf records
-        assert payload_message_count(Frame(seq=0, payloads=[
+        assert payload_message_count(_DataFrame(0, _GroupPayload([
             {"records": [("k1", 1), ("k2", 2)]},
             {"records": [("k3", 3)]},
             "unrelated",
-        ])) == 4
+        ]), needs_ack=True)) == 4
         assert payload_message_count({"records": [1, 2, 3]}) == 3
         assert payload_message_count("plain") == 1
 

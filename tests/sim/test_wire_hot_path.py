@@ -1,4 +1,5 @@
-"""Lint: nothing under ``src/repro`` materialises wire bytes.
+"""Lints: nothing under ``src/repro`` materialises wire bytes, and
+exactly one module puts frames on the network.
 
 The simulated network needs a frame's length, never its bytes, and
 receivers get the original object — so ``wire.encode`` has no business
@@ -7,6 +8,11 @@ time before it was removed).  This walks every module's AST and fails
 on an import of, or an attribute reference to, ``repro.sim.wire.encode``
 anywhere but the codec itself.  Tests, benchmarks and tooling outside
 ``src/repro`` may encode all they like.
+
+The second lint pins the single sender: ``Network.send`` is called from
+``resilience/channel.py`` and nowhere else under ``src/repro``, so
+there is one implementation of "a frame crosses the lossy network" for
+loss provenance, byte accounting and retransmits to reason about.
 """
 
 import ast
@@ -79,4 +85,48 @@ def test_no_module_under_src_materialises_wire_bytes():
     assert not offenders, (
         f"wire.encode referenced on a production path: {offenders} — "
         "size frames with wire_size (and store it in cached_size) instead"
+    )
+
+
+def network_send_calls(source: str) -> List[int]:
+    """Line numbers where ``source`` calls ``send`` on a network.
+
+    A receiver named like one (``net``/``network``, underscores and
+    ``self.`` aside) or a three-positional-argument ``send(src, dst,
+    payload)`` — the channels' own ``send`` takes ``(dst, payload)``.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "send"
+        ):
+            receiver = ast.unparse(node.func.value).rsplit(".", 1)[-1]
+            if receiver.lstrip("_") in ("net", "network") or len(node.args) == 3:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_send_lint_tells_network_from_channel():
+    assert network_send_calls("self.net.send(self.name, dst, frame)\n") == [1]
+    assert network_send_calls("ok = net.send(src, dst, frame)\n") == [1]
+    assert network_send_calls("self._network.send(*args)\n") == [1]
+    assert network_send_calls("wire.send(a, b, payload=c)\nlink.send(a, b, c)\n") == [2]
+    assert network_send_calls(
+        "seq = self.channel.send(self.remote, frame, on_delivered=done)\n"
+        "yielded = handle._gen.send(value)\n"
+    ) == []
+
+
+def test_network_send_has_exactly_one_calling_module():
+    callers = {
+        str(path.relative_to(SRC)): lines
+        for path in sorted(SRC.rglob("*.py"))
+        if (lines := network_send_calls(path.read_text()))
+    }
+    assert list(callers) == ["resilience/channel.py"], (
+        f"Network.send called outside the reliable channel: {callers} — "
+        "send through a ReliableChannel (ChannelConfig(reliable=False) is "
+        "the fire-and-forget mode)"
     )

@@ -22,7 +22,6 @@ from repro.pubsub.message import Message
 from repro.resilience.channel import _DataFrame, _GroupPayload
 from repro.sim.kernel import Simulation
 from repro.sim.network import Network, NetworkConfig
-from repro.transport import Frame
 from repro.sim.wire import (
     CallableRef,
     Opaque,
@@ -69,7 +68,7 @@ _events = st.builds(
     st.integers(min_value=0, max_value=10_000),
 )
 _frames = st.builds(
-    lambda seq, events: Frame(seq=seq, payloads=list(events)),
+    lambda seq, events: _DataFrame(seq, _GroupPayload(list(events)), needs_ack=True),
     st.integers(min_value=0, max_value=10_000),
     st.lists(_events, max_size=6),
 )
@@ -122,12 +121,13 @@ def test_sizing_shortcuts_agree_with_encoder_at_every_varint_boundary():
 
 
 def test_max_size_frame_roundtrip():
-    frame = Frame(
-        seq=2**40,
-        payloads=[
+    frame = _DataFrame(
+        2**40,
+        _GroupPayload([
             ChangeEvent(f"key-{i}", Mutation.put({"v": i, "blob": b"x" * i}), i)
             for i in range(2_000)
-        ],
+        ]),
+        needs_ack=True,
     )
     data = encode(frame)
     assert wire_size(frame) == len(data)
@@ -187,7 +187,7 @@ def test_register_rejects_name_collisions():
 
 
 def test_size_cache_is_authoritative_for_sizing_only():
-    frame = Frame(seq=1, payloads=["x", "y"])
+    frame = _DataFrame(1, _GroupPayload(["x", "y"]), needs_ack=True)
     fresh = encode(frame)
     assert frame.cached_size == 0  # sizing alone never fills the cache
     assert wire_size(frame) == len(fresh)
@@ -195,7 +195,7 @@ def test_size_cache_is_authoritative_for_sizing_only():
     # once the owner stores a size, every sizing returns it — top level
     # and nested — without walking the fields again...
     frame.cached_size = len(fresh)
-    frame.payloads.append("not walked")
+    frame.payload.payloads.append("not walked")
     assert wire_size(frame) == len(fresh)
     assert wire_size([frame]) == 2 + len(fresh)
     # ...while encode stays a pure function of the fields

@@ -24,7 +24,6 @@ from repro.core.events import ChangeEvent, ProgressEvent
 from repro.pubsub.message import Message
 from repro.resilience.channel import _AckFrame, _DataFrame, _GroupPayload
 from repro.sim import wire
-from repro.transport.batcher import Frame
 
 # scalar payloads the codec supports natively
 _scalars = st.one_of(
@@ -95,11 +94,6 @@ KIND_STRATEGIES = {
     "channel.Group": st.builds(
         _GroupPayload, payloads=st.lists(_payloads, max_size=6)
     ),
-    "transport.Frame": st.builds(
-        Frame,
-        seq=st.integers(0, 2**32),
-        payloads=st.lists(_payloads, max_size=6),
-    ),
 }
 
 _registered = st.one_of(*KIND_STRATEGIES.values())
@@ -134,11 +128,11 @@ def test_registered_kinds_round_trip(obj):
 def test_frames_of_registered_kinds_round_trip(payloads, seq):
     # frames nest arbitrary registered kinds (a batch of stamped events,
     # a group of acks...) — including the empty frame and frames at the
-    # batcher's max fill
-    frame = Frame(seq=seq, payloads=list(payloads))
+    # channel's max fill
+    frame = _DataFrame(seq, _GroupPayload(list(payloads)), needs_ack=True)
     decoded = wire.decode(wire.encode(frame))
     assert decoded.seq == seq
-    assert list(decoded.payloads) == list(payloads)
+    assert list(decoded.payload.payloads) == list(payloads)
 
 
 @given(n_deps=st.integers(0, 64), version=_versions)
