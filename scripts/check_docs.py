@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lint: intra-repo markdown links resolve; architecture is complete.
 
-Five checks, run by CI (see ``.github/workflows/ci.yml``):
+Six checks, run by CI (see ``.github/workflows/ci.yml``):
 
 1. Every relative link in every tracked ``*.md`` file points at a file
    or directory that exists (anchors after ``#`` are stripped; external
@@ -23,12 +23,17 @@ Five checks, run by CI (see ``.github/workflows/ci.yml``):
    ``examples/`` — check 4 for classes: deleting or renaming one fails
    the lint until the prose is repointed.  History files are exempt
    here too, and fenced code blocks are not read.
+6. Every keyword shown in a code span — ``Class(name=...)`` or a bare
+   ``name=`` — is a parameter or class-level field declared somewhere
+   under ``src/``: check 5 for options, so prose cannot keep advertising
+   a knob after the code stopped accepting it.
 
     python scripts/check_docs.py
 
 Exits nonzero with one line per violation.
 """
 
+import ast
 import fnmatch
 import os
 import re
@@ -63,6 +68,10 @@ _CODE_RE = re.compile(r"`([^`\n]+)`")
 #: and has a lowercase letter: classes, not ``CONSTANTS`` or ``E12``
 _CAMEL_RE = re.compile(r"\b_?[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*\b")
 
+#: a lowercase keyword directly followed by ``=`` (not ``==``), not part
+#: of a dotted name, a ``--flag=`` or an ``ENV=`` assignment
+_KEYWORD_RE = re.compile(r"(?<![\w.-])([a-z_]\w*)=(?!=)")
+
 _CODE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"}
@@ -87,6 +96,11 @@ def current_prose():
             continue
         with open(path, encoding="utf-8") as fh:
             yield os.path.relpath(path, REPO_ROOT), fh.read()
+
+
+def inline_code(text):
+    """The inline code spans of a markdown text, fenced blocks cut out."""
+    return _CODE_RE.findall(_FENCE_RE.sub("", text))
 
 
 def check_links():
@@ -136,11 +150,44 @@ def check_identifiers_exist():
     for rel, text in current_prose():
         named = {
             identifier
-            for span in _CODE_RE.findall(_FENCE_RE.sub("", text))
+            for span in inline_code(text)
             for identifier in _CAMEL_RE.findall(span)
         }
         for identifier in sorted(named - known):
             errors.append(f"{rel}: no such identifier -> {identifier}")
+    return errors
+
+
+def check_keywords_exist():
+    """Every ``name=`` in a code span is a declared parameter or field."""
+    declared = set()
+    for path in repo_files():
+        rel = os.path.relpath(path, REPO_ROOT)
+        if rel.split(os.sep)[0] != "src" or not path.endswith(".py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                declared.update(
+                    a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                )
+            elif isinstance(node, ast.ClassDef):
+                declared.update(
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                )
+    errors = []
+    for rel, text in current_prose():
+        named = {
+            keyword
+            for span in inline_code(text)
+            for keyword in _KEYWORD_RE.findall(span)
+        }
+        for keyword in sorted(named - declared):
+            errors.append(f"{rel}: no such parameter or field -> {keyword}=")
     return errors
 
 
@@ -199,6 +246,7 @@ def check_docs_reachable():
 def main() -> int:
     errors = (
         check_links() + check_paths_exist() + check_identifiers_exist()
+        + check_keywords_exist()
         + check_architecture_mentions() + check_docs_reachable()
     )
     for error in errors:

@@ -23,9 +23,9 @@ Modes (experiment E3's rows):
   which reads cannot be served authoritatively (availability cost).
 
 ``FREE`` fanout (every node consumes the whole feed) needs no routing
-and no mode: build it with :meth:`PubsubInvalidationPipeline.free`;
-each node then processes every invalidation in the system (the
-scalability cost §3.2.2 notes).
+and no mode: :class:`FreeInvalidationPipeline`; each node then
+processes every invalidation in the system (the scalability cost
+§3.2.2 notes).
 """
 
 from __future__ import annotations
@@ -45,39 +45,6 @@ from repro.sharding.leases import LeaseManager
 from repro.sim.kernel import Simulation
 from repro.sim.network import Network
 from repro.storage.kv import MVCCStore
-
-
-def _networked_cdc(
-    sim: Simulation,
-    store: MVCCStore,
-    broker: Broker,
-    topic: str,
-    network: Network,
-    resilience: Optional[ChannelConfig],
-    tracer=None,
-    group_commit: bool = False,
-    causal_index=None,
-) -> tuple:
-    """Build the CDC→broker path across the simulated network.
-
-    The broker gets a network endpoint (``<topic>-broker``) and the CDC
-    publisher publishes through a :class:`RemotePublisher` instead of a
-    direct call — the §3.1 cross-DC hop where loss and partitions can
-    silently eat invalidations unless the channel config retries.  With
-    ``group_commit`` each transaction's records ship as one frame.
-    """
-    broker.attach_network(network, endpoint=f"{topic}-broker", config=resilience)
-    remote = RemotePublisher(
-        sim, network, f"{topic}-cdc", broker_endpoint=f"{topic}-broker",
-        config=resilience, metrics=broker.metrics, tracer=tracer,
-    )
-    publisher = CdcPublisher(
-        sim, store.history, broker, topic, publish_fn=remote.publish,
-        tracer=tracer,
-        group_commit=group_commit, publish_batch_fn=remote.publish_batch,
-        causal_index=causal_index,
-    )
-    return publisher, remote
 
 
 class InvalidationMode(enum.Enum):
@@ -156,20 +123,6 @@ class PubsubCacheNode(CacheNode):
         self.invalidations_nacked += 1
         return False
 
-    def handle_invalidation_batch(self, messages: List[Message]) -> bool:
-        """Group-apply a batched delivery in one invocation.
-
-        Only meaningful in ``NAIVE`` mode, where every message is
-        applied-and-acked unconditionally; the owner-gated modes need a
-        per-message ack/nack verdict that a single group ack cannot
-        express (the pipeline enforces this at construction).
-        """
-        for message in messages:
-            self.invalidation_messages_seen += 1
-            self.apply_invalidation(message.key, message.payload["version"])
-            self.invalidations_acked += 1
-        return True
-
 
 class PubsubInvalidationPipeline:
     """Wires store -> CDC -> topic -> consumer group of cache nodes."""
@@ -186,32 +139,13 @@ class PubsubInvalidationPipeline:
         ack_timeout: float = 0.25,
         num_partitions: int = 8,
         subscribe_nodes: bool = True,
-        network: Optional[Network] = None,
-        resilience: Optional[ChannelConfig] = None,
         tracer=None,
-        delivery_batch: int = 1,
-        batch_overhead: float = 0.0,
-        group_commit: bool = False,
-        service_time: float = 0.0005,
-        delivery_mode: str = "fifo",
-        causal_hold: float = 0.25,
-        causal_index=None,
     ) -> None:
         self.sim = sim
         self.store = store
         self.broker = broker
         self.nodes = nodes
         self.topic = topic
-        if delivery_batch > 1 and any(
-            node.mode is not InvalidationMode.NAIVE for node in nodes
-        ):
-            # OWNER_ACK/LEASE decide ack vs nack per message; a group
-            # delivery has one shared verdict, so batching would ack
-            # invalidations a non-owner should have bounced
-            raise ValueError("delivery_batch > 1 requires NAIVE mode nodes")
-        self._delivery_batch = delivery_batch
-        self._batch_overhead = batch_overhead
-        self._service_time = service_time
         if routing is None:
             # OWNER_ACK/LEASE rely on rerouting after a nack, so they
             # need RANDOM; NAIVE uses pubsub's own key affinity.
@@ -221,27 +155,13 @@ class PubsubInvalidationPipeline:
                 else RoutingPolicy.RANDOM
             )
         broker.create_topic(topic, num_partitions=num_partitions)
-        self.remote_publisher: Optional[RemotePublisher] = None
-        if network is not None:
-            self.publisher, self.remote_publisher = _networked_cdc(
-                sim, store, broker, topic, network, resilience, tracer=tracer,
-                group_commit=group_commit, causal_index=causal_index,
-            )
-        else:
-            self.publisher = CdcPublisher(
-                sim, store.history, broker, topic, tracer=tracer,
-                group_commit=group_commit, causal_index=causal_index,
-            )
+        self.publisher = CdcPublisher(
+            sim, store.history, broker, topic, tracer=tracer
+        )
         self.group = broker.consumer_group(
             topic,
             f"{topic}-caches",
-            SubscriptionConfig(
-                routing=routing,
-                ack_timeout=ack_timeout,
-                max_delivery_batch=delivery_batch,
-                delivery_mode=delivery_mode,
-                causal_hold=causal_hold,
-            ),
+            SubscriptionConfig(routing=routing, ack_timeout=ack_timeout),
         )
         self._consumers: Dict[str, Consumer] = {}
         for node in nodes:
@@ -260,9 +180,7 @@ class PubsubInvalidationPipeline:
             self.sim,
             node.name,
             handler=node.handle_invalidation_message,
-            batch_handler=node.handle_invalidation_batch,
-            service_time=self._service_time,
-            batch_overhead=self._batch_overhead,
+            service_time=0.0005,
         )
         self._consumers[node.name] = consumer
         self.group.join(consumer)
@@ -279,35 +197,6 @@ class PubsubInvalidationPipeline:
             del assignment
 
         self.sim.call_after(interval / 2.0, renew)
-
-    @staticmethod
-    def free(
-        sim: Simulation,
-        store: MVCCStore,
-        broker: Broker,
-        sharder: AutoSharder,
-        nodes: List[PubsubCacheNode],
-        topic: str = "invalidations",
-        network: Optional[Network] = None,
-        resilience: Optional[ChannelConfig] = None,
-        tracer=None,
-        delivery_batch: int = 1,
-        batch_overhead: float = 0.0,
-        group_commit: bool = False,
-        service_time: float = 0.0005,
-        delivery_mode: str = "fifo",
-        causal_hold: float = 0.25,
-        causal_index=None,
-    ) -> "FreeInvalidationPipeline":
-        """Build the free-consumer variant instead (§3.2.2 fallback)."""
-        return FreeInvalidationPipeline(
-            sim, store, broker, sharder, nodes, topic,
-            network=network, resilience=resilience, tracer=tracer,
-            delivery_batch=delivery_batch, batch_overhead=batch_overhead,
-            group_commit=group_commit, service_time=service_time,
-            delivery_mode=delivery_mode, causal_hold=causal_hold,
-            causal_index=causal_index,
-        )
 
 
 class FreeInvalidationPipeline:
@@ -333,23 +222,33 @@ class FreeInvalidationPipeline:
         batch_overhead: float = 0.0,
         group_commit: bool = False,
         service_time: float = 0.0005,
-        delivery_mode: str = "fifo",
-        causal_hold: float = 0.25,
-        causal_index=None,
     ) -> None:
         self.sim = sim
         self.nodes = nodes
         broker.create_topic(topic, num_partitions=8)
         self.remote_publisher: Optional[RemotePublisher] = None
         if network is not None:
-            self.publisher, self.remote_publisher = _networked_cdc(
-                sim, store, broker, topic, network, resilience, tracer=tracer,
-                group_commit=group_commit, causal_index=causal_index,
+            # the §3.1 cross-DC hop: the broker gets a network endpoint
+            # and CDC publishes through a RemotePublisher instead of a
+            # direct call, so loss and partitions silently eat
+            # invalidations unless the channel config retries
+            broker.attach_network(
+                network, endpoint=f"{topic}-broker", config=resilience
+            )
+            self.remote_publisher = RemotePublisher(
+                sim, network, f"{topic}-cdc", broker_endpoint=f"{topic}-broker",
+                config=resilience, metrics=broker.metrics, tracer=tracer,
+            )
+            self.publisher = CdcPublisher(
+                sim, store.history, broker, topic,
+                publish_fn=self.remote_publisher.publish, tracer=tracer,
+                group_commit=group_commit,
+                publish_batch_fn=self.remote_publisher.publish_batch,
             )
         else:
             self.publisher = CdcPublisher(
                 sim, store.history, broker, topic, tracer=tracer,
-                group_commit=group_commit, causal_index=causal_index,
+                group_commit=group_commit,
             )
         self._consumers: List[Consumer] = []
         for node in nodes:
@@ -358,22 +257,9 @@ class FreeInvalidationPipeline:
                 node.apply_invalidation(message.key, message.payload["version"])
                 return True
 
-            def batch_handler(
-                messages: List[Message], node: PubsubCacheNode = node
-            ) -> bool:
-                # free fanout applies unconditionally, so the whole
-                # group lands in one invocation (bulk accounting)
-                node.invalidation_messages_seen += len(messages)
-                for message in messages:
-                    node.apply_invalidation(
-                        message.key, message.payload["version"]
-                    )
-                return True
-
             consumer = Consumer(
                 sim, f"free-{node.name}", handler=handler,
-                batch_handler=batch_handler, service_time=service_time,
-                batch_overhead=batch_overhead,
+                service_time=service_time, batch_overhead=batch_overhead,
             )
             self._consumers.append(consumer)
             broker.free_consumer(
@@ -382,8 +268,6 @@ class FreeInvalidationPipeline:
                 SubscriptionConfig(
                     routing=RoutingPolicy.RANDOM,
                     max_delivery_batch=delivery_batch,
-                    delivery_mode=delivery_mode,
-                    causal_hold=causal_hold,
                 ),
             )
             sharder.subscribe(node.on_assignment)

@@ -60,7 +60,6 @@ from repro.resilience.channel import ChannelConfig, ReliableChannel
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
-from repro.transport import BatchConfig
 
 #: the relay->session pipe: instant, unbounded — backpressure is the
 #: session queue's job, never the relay-side watcher queue's
@@ -86,11 +85,6 @@ class EdgeFrontendConfig:
     #: between batches (models a fetch round-trip to the broker log).
     replay_batch: int = 64
     replay_latency: float = 0.002
-    #: When set, each session's relay feed coalesces events under this
-    #: flush policy and offers them via ``ClientSession.offer_batch`` —
-    #: one drain kick per frame instead of per update.  None (default)
-    #: keeps the per-event offer path unchanged.
-    feed_batch: Optional[BatchConfig] = None
     #: Shared-drain tick (seconds).  When set, sessions join the
     #: frontend :class:`~repro.edge.session_table.SessionTable`'s
     #: intrusive ready list and ONE pump event per tick delivers one
@@ -124,11 +118,12 @@ class EdgeFrontendConfig:
     #: byte-identical to the pre-knob schedule.
     reconnect_cursor_age: Optional[int] = None
     #: ``"fifo"`` (default) offers updates to sessions in arrival order.
-    #: ``"causal"`` gates each session's feed through its own
-    #: :class:`~repro.causal.buffer.CausalBuffer` (range-filtered,
-    #: floored at the session's catch-up point), so a client never
-    #: observes an update before an in-range update it causally depends
-    #: on — bounded by ``causal_hold``.  See docs/causal.md.
+    #: ``"causal"`` (watch frontend only) gates each session's feed
+    #: through its own :class:`~repro.causal.buffer.CausalBuffer`
+    #: (range-filtered, floored at the session's catch-up point), so a
+    #: client never observes an update before an in-range update it
+    #: causally depends on — bounded by ``causal_hold``.  See
+    #: docs/causal.md.
     delivery_mode: str = "fifo"
     #: Bounded-hold deadline (seconds) for causal mode.
     causal_hold: float = 0.25
@@ -149,85 +144,19 @@ class EdgeFrontendConfig:
 
 
 class _SessionFeed(WatchCallback):
-    """Adapter: one relay watch feeding one client session.
+    """Adapter: one relay watch feeding one client session, through the
+    session's causal gate when the frontend runs in causal mode."""
 
-    With ``config.feed_batch`` set, events buffer per session and flush
-    as one ``offer_batch`` frame (on size or sim-clock linger).
-    """
-
-    __slots__ = ("frontend", "session", "_buffer", "_gen")
+    __slots__ = ("frontend", "session", "causal")
 
     def __init__(
         self,
         frontend: "WatchEdgeFrontend",
         session: ClientSession,
+        causal: Optional[CausalBuffer],
     ):
         self.frontend = frontend
         self.session = session
-        self._buffer: list = []
-        self._gen = 0
-
-    def on_event(self, event) -> None:
-        mutation = event.mutation
-        update = Update(
-            key=event.key,
-            version=event.version,
-            value=mutation.value,
-            is_delete=mutation.is_delete,
-        )
-        self._offer(update)
-
-    def _offer(self, update: Update) -> None:
-        batch = self.frontend.config.feed_batch
-        if batch is None:
-            self.session.offer(update)
-            return
-        self._buffer.append(update)
-        if len(self._buffer) == 1:
-            gen = self._gen
-            self.frontend.sim.post(
-                batch.max_linger, lambda: self._linger_flush(gen)
-            )
-        if len(self._buffer) >= batch.max_batch:
-            self._flush()
-
-    def _linger_flush(self, gen: int) -> None:
-        if self._buffer and self._gen == gen:
-            self._flush()
-
-    def _flush(self) -> None:
-        updates = self._buffer
-        self._buffer = []
-        self._gen += 1
-        self.session.offer_batch(updates)
-
-    def on_progress(self, event) -> None:
-        pass  # sessions deliver values, not knowledge windows
-
-    def on_resync(self) -> None:
-        # the relay lost history below this session's position (its own
-        # upstream resync raised the fan-out floor); re-serve a snapshot
-        self.frontend._feed_resynced(self.session)
-
-
-class _CausalSessionFeed(_SessionFeed):
-    """Feed with a causal gate ahead of the session queue.
-
-    A subclass rather than an optional slot on ``_SessionFeed`` so the
-    fifo-mode feed keeps its exact object size — the per-session memory
-    accounting (E14, docs/scale.md) measures the feed object, and the
-    causal tier must cost nothing when it is off.
-    """
-
-    __slots__ = ("causal",)
-
-    def __init__(
-        self,
-        frontend: "WatchEdgeFrontend",
-        session: ClientSession,
-        causal: CausalBuffer,
-    ):
-        super().__init__(frontend, session)
         self.causal = causal
 
     def on_event(self, event) -> None:
@@ -238,11 +167,23 @@ class _CausalSessionFeed(_SessionFeed):
             value=mutation.value,
             is_delete=mutation.is_delete,
         )
+        causal = self.causal
+        if causal is None:
+            self.session.offer(update)
+            return
         stamp = self.frontend._stamp_for(event.key, event.version)
-        self.causal.submit(
+        causal.submit(
             event.key, event.version, stamp,
-            lambda: self._offer(update),
+            lambda: self.session.offer(update),
         )
+
+    def on_progress(self, event) -> None:
+        pass  # sessions deliver values, not knowledge windows
+
+    def on_resync(self) -> None:
+        # the relay lost history below this session's position (its own
+        # upstream resync raised the fan-out floor); re-serve a snapshot
+        self.frontend._feed_resynced(self.session)
 
 
 class WatchEdgeFrontend:
@@ -411,10 +352,7 @@ class WatchEdgeFrontend:
             )
             causal.set_floor(from_version)
             self.causal_buffers.append(causal)
-        if causal is not None:
-            feed = _CausalSessionFeed(self, session, causal)
-        else:
-            feed = _SessionFeed(self, session)
+        feed = _SessionFeed(self, session, causal)
         # the feed inherits the session's *sampled* tracer so an
         # unsampled session's relay feed records no per-delivery hops
         handle = self.relay.watch_range(
@@ -533,6 +471,11 @@ class PubsubEdgeFrontend:
                 "coalesce is watch-only by construction: the pubsub "
                 "contract is every-message delivery (§4.4)"
             )
+        if config.delivery_mode == "causal":
+            raise ValueError(
+                "causal delivery is watch-only at the edge: order a pubsub "
+                "feed at its subscription (SubscriptionConfig.delivery_mode)"
+            )
         self.sim = sim
         self.name = name
         self.config = config
@@ -540,11 +483,6 @@ class PubsubEdgeFrontend:
         self.up = True
         self.topic = broker.topic(topic)
         self.sessions: Dict[str, ClientSession] = {}
-        #: per-session causal gates (causal mode only), by client name.
-        #: Stamps arrive in-band on message payloads (CDC stamping), so
-        #: no index plumbing is needed on this pipeline.
-        self._causal: Dict[str, CausalBuffer] = {}
-        self.causal_buffers: list = []
         self.table = SessionTable(
             sim,
             drain_interval=config.drain_interval,
@@ -602,22 +540,7 @@ class PubsubEdgeFrontend:
             if message.offset < expected:
                 continue  # already served by replay (or a dup)
             session.expected_offsets[message.partition] = message.offset + 1
-            self._offer_session(session, message)
-
-    def _offer_session(self, session: ClientSession, message: Message) -> None:
-        """Offer one message to one session, through its causal gate
-        (if causal mode) or directly."""
-        update = self._update_from(message)
-        causal = self._causal.get(session.client.name)
-        if causal is None:
-            session.offer(update)
-            return
-        payload = message.payload
-        stamp = payload.get("causal") if isinstance(payload, dict) else None
-        causal.submit(
-            message.key, update.version, stamp,
-            lambda: session.offer(update),
-        )
+            session.offer(self._update_from(message))
 
     @staticmethod
     def _update_from(message: Message) -> Update:
@@ -672,21 +595,6 @@ class PubsubEdgeFrontend:
         session.staleness_at_connect = staleness
         client.staleness_at_connect.append(staleness)
         self.sessions[client.name] = session
-        if self.config.delivery_mode == "causal":
-            causal = CausalBuffer(
-                self.sim,
-                CausalBufferConfig(hold_deadline=self.config.causal_hold),
-                name=f"{self.name}/{client.name}",
-                in_range=session.key_range.contains,
-                tracer=session.tracer,
-                component=self.name,
-            )
-            # the durable *version* cursor floors the gate: deps the
-            # client observed before disconnecting are already met, so
-            # replay never stalls on history it is not going to re-see
-            causal.set_floor(client.cursor)
-            self._causal[client.name] = causal
-            self.causal_buffers.append(causal)
         if session.tracer is not None:
             session.tracer.record(
                 hops.EDGE_CONNECT, self.name,
@@ -726,7 +634,7 @@ class PubsubEdgeFrontend:
                 expected = message.offset + 1
                 session.expected_offsets[log.partition] = expected
                 self.replayed += 1
-                self._offer_session(session, message)
+                session.offer(self._update_from(message))
                 if not session.active:
                     return  # replay overflowed a disconnect-policy session
             if expected < log.next_offset:
@@ -741,7 +649,6 @@ class PubsubEdgeFrontend:
     def _session_closed(self, session: ClientSession, reason: str) -> None:
         if self.sessions.get(session.client.name) is session:
             del self.sessions[session.client.name]
-            self._causal.pop(session.client.name, None)
 
     # ------------------------------------------------------------------
     # Failable protocol

@@ -232,29 +232,6 @@ class ClientSession:
         """Enqueue one update, applying the slow-consumer policy."""
         if not self._active:
             return
-        if self._offer_inner(update):
-            self._kick()
-
-    def offer_batch(self, updates: List[Update]) -> None:
-        """Enqueue a frame of updates with ONE delivery kick.
-
-        Per-update policy handling and conservation accounting are
-        identical to N :meth:`offer` calls; only the drain scheduling
-        is shared, so a frame costs one kernel event instead of one
-        per update.
-        """
-        kick = False
-        inner = self._offer_inner
-        for update in updates:
-            if not self._active:
-                return
-            if inner(update):
-                kick = True
-        if kick:
-            self._kick()
-
-    def _offer_inner(self, update: Update) -> bool:
-        """Apply policy and queue one update; True if a kick is due."""
         table = self.table
         sid = self.sid
         table.offered[sid] += 1
@@ -272,14 +249,14 @@ class ClientSession:
                         key=superseded.key, version=superseded.version,
                         session=self.name, superseded_by=update.version,
                     )
-                return False
+                return
         if len(queue) - self._qhead >= self._max_queue:
             if self._policy is SlowConsumerPolicy.DISCONNECT:
                 # the triggering update was never queued; the client's
                 # cursor has not passed it, so reconnect re-serves it
                 table.returned[sid] += 1
                 self.close("slow-consumer")
-                return False
+                return
             self._drop_oldest()
         cell = [update]
         queue.append(cell)
@@ -288,7 +265,7 @@ class ClientSession:
         depth = len(queue) - self._qhead
         if depth > table.peak_queue[sid]:
             table.peak_queue[sid] = depth
-        return True
+        self._kick()
 
     def offer_snapshot(self, version: Version, items: Dict[Key, Any]) -> None:
         """Enqueue a full re-serve (not subject to the queue bound)."""

@@ -13,11 +13,9 @@ arbitrary order."
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro._types import Mutation, MutationKind
-from repro.causal.buffer import CausalBuffer, CausalBufferConfig
-from repro.obs.trace import payload_version
+from repro._types import Mutation
 from repro.pubsub.broker import Broker
 from repro.pubsub.consumer import Consumer
 from repro.pubsub.message import Message
@@ -26,6 +24,15 @@ from repro.replication.target import CursorCorruption, ReplicaStore
 from repro.resilience.channel import ChannelConfig, ReliableChannel
 from repro.sim.kernel import Simulation
 from repro.sim.network import Network
+from repro.sim.wire import WireError
+
+#: one apply: a ReplicaStore apply-method name and its arguments
+ApplyOp = Tuple[str, Tuple[Any, ...]]
+
+#: the apply methods a replica endpoint accepts off the wire, with the
+#: argument count each takes; ``apply_many`` is the group form, whose one
+#: argument is a sequence of the other three
+_OP_ARITY = {"apply_naive": 3, "apply_versioned": 3, "apply_txn": 2}
 
 
 def _mutation_of(message: Message) -> Mutation:
@@ -38,6 +45,12 @@ def _mutation_of(message: Message) -> Mutation:
 class _ApplierBase:
     """Shared wiring: a subscription plus worker consumers.
 
+    A subclass is three class attributes — consumer-group name, routing
+    policy and the :class:`ReplicaStore` apply method each record goes
+    through.  PARTITION routing means one worker per partition (the
+    affinity is what preserves per-key order); otherwise ``workers``
+    consumers share the topic.
+
     With ``network`` set, the replica store lives across the simulated
     network (the remote data center of §3.1/§3.2.1): each apply is
     shipped to a replica endpoint through a
@@ -46,8 +59,14 @@ class _ApplierBase:
     apply is retransmitted (reliable) or silently lost (the
     fire-and-forget baseline) — and whether applies can reorder in
     flight (``ordered``), which is exactly the redelivery/reordering
-    regime the version-checked appliers were built to survive.
+    regime the version-checked appliers were built to survive.  With
+    ``delivery_batch > 1`` a delivered group is applied by one handler
+    invocation: one target loop locally, one wire frame remotely.
     """
+
+    group_name: str
+    routing: RoutingPolicy
+    apply_method: str
 
     def __init__(
         self,
@@ -55,63 +74,47 @@ class _ApplierBase:
         broker: Broker,
         topic: str,
         target: ReplicaStore,
-        group_name: str,
-        routing: RoutingPolicy,
-        workers: int,
-        service_time: float,
-        ack_timeout: float = 5.0,
+        *,
+        workers: Optional[int] = None,
+        service_time: float = 0.001,
         network: Optional[Network] = None,
         resilience: Optional[ChannelConfig] = None,
         delivery_batch: int = 1,
-        batch_overhead: float = 0.0,
-        delivery_mode: str = "fifo",
-        causal_hold: float = 0.25,
     ) -> None:
+        if self.routing is RoutingPolicy.PARTITION:
+            partitions = broker.topic(topic).num_partitions
+            if workers not in (None, partitions):
+                raise ValueError(
+                    f"{type(self).__name__} runs one worker per partition"
+                )
+            workers = partitions
+        elif workers is None:
+            workers = 4
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if delivery_mode not in ("fifo", "causal"):
-            raise ValueError("delivery_mode must be 'fifo' or 'causal'")
         self.sim = sim
         self.target = target
         self.records_seen = 0
-        # causal mode gates the *apply* step: workers still consume
-        # concurrently, but an apply whose in-band causal deps have not
-        # been applied here yet waits for them (bounded by causal_hold)
-        self.causal_buffer: Optional[CausalBuffer] = None
-        if delivery_mode == "causal":
-            self.causal_buffer = CausalBuffer(
-                sim,
-                CausalBufferConfig(hold_deadline=causal_hold),
-                name=f"applier:{group_name}",
-                component="applier",
-            )
         #: applies refused by the replica because a cursor was provably
         #: corrupted (typed CursorCorruption); the record is consumed
         #: but never applied — the reconciliation plane's repair signal
         self.cursor_faults = 0
         self._tx: Optional[ReliableChannel] = None
         if network is not None:
-            self._endpoint_name = f"{group_name}-replica"
-
-            def apply_remote(src: str, op: Dict[str, Any]) -> None:
-                try:
-                    getattr(self.target, op["method"])(*op["args"])
-                except CursorCorruption:
-                    self.cursor_faults += 1
-
+            self._endpoint_name = f"{self.group_name}-replica"
             self._rx = ReliableChannel(
                 sim, network, self._endpoint_name,
-                handler=apply_remote, config=resilience,
+                handler=self._apply_remote, config=resilience,
             )
             self._tx = ReliableChannel(
-                sim, network, f"{group_name}-tx", config=resilience
+                sim, network, f"{self.group_name}-tx", config=resilience
             )
         self.group = broker.consumer_group(
             topic,
-            group_name,
+            self.group_name,
             SubscriptionConfig(
-                routing=routing,
-                ack_timeout=ack_timeout,
+                routing=self.routing,
+                ack_timeout=5.0,
                 max_delivery_batch=delivery_batch,
             ),
         )
@@ -119,83 +122,72 @@ class _ApplierBase:
         for idx in range(workers):
             consumer = Consumer(
                 sim,
-                f"{group_name}-w{idx}",
+                f"{self.group_name}-w{idx}",
                 handler=self._handle,
                 batch_handler=self._handle_batch,
                 service_time=service_time,
-                batch_overhead=batch_overhead,
             )
             self.consumers.append(consumer)
             self.group.join(consumer)
 
-    def _handle(self, message: Message) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _op_for(self, message: Message) -> ApplyOp:
+        return (
+            self.apply_method,
+            (message.key, _mutation_of(message), message.payload["version"]),
+        )
 
-    def _op_for(self, message: Message) -> Optional[Tuple[str, Tuple[Any, ...]]]:
-        """The one-shot ``(method, args)`` apply op for a message, or
-        None when the applier is stateful and has no group form."""
-        return None
+    def _handle(self, message: Message) -> bool:
+        self.records_seen += 1
+        self._ship(*self._op_for(message))
+        return True
 
     def _handle_batch(self, messages: List[Message]) -> bool:
-        """Group-apply a batched delivery in ONE handler invocation.
-
-        Stateless appliers collapse the group into a single
-        ``apply_many`` — one target call locally, or one wire frame
-        remotely, instead of N.  Stateful appliers (txn regrouping)
-        fall back to their per-message handler, still paying the
-        dispatch overhead only once.
-        """
+        """Group-apply a batched delivery in ONE handler invocation:
+        one apply loop locally, or one ``apply_many`` wire frame
+        remotely, instead of N."""
         ops = [self._op_for(message) for message in messages]
-        if self.causal_buffer is not None or any(op is None for op in ops):
-            ok = True
-            for message in messages:
-                if self._handle(message) is False:
-                    ok = False
-            return ok
         self.records_seen += len(ops)
         if self._tx is None:
-            try:
-                self.target.apply_many(ops)
-            except CursorCorruption:
-                # isolate the poisoned op(s); the rest of the group
-                # applies (re-running already-applied ops is a no-op
-                # under the versioned disciplines)
-                for method, args in ops:
-                    try:
-                        getattr(self.target, method)(*args)
-                    except CursorCorruption:
-                        self.cursor_faults += 1
+            self._apply_ops(ops)
         else:
             self._tx.send(
                 self._endpoint_name, {"method": "apply_many", "args": (ops,)}
             )
         return True
 
-    def _apply_op(self, method: str, *args: Any) -> None:
+    def _ship(self, method: str, args: Tuple[Any, ...]) -> None:
         """Apply to the target: direct call, or shipped over the network."""
         if self._tx is None:
-            try:
-                getattr(self.target, method)(*args)
-            except CursorCorruption:
-                self.cursor_faults += 1
+            self._apply_ops(((method, args),))
         else:
             self._tx.send(self._endpoint_name, {"method": method, "args": args})
 
-    def _apply_record(self, message: Message, method: str, *args: Any) -> None:
-        """Apply one record, gated by the causal buffer when enabled."""
-        if self.causal_buffer is None:
-            self._apply_op(method, *args)
-            return
-        payload = message.payload
-        version = payload_version(payload)
-        if version is None:
-            self._apply_op(method, *args)
-            return
-        stamp = payload.get("causal") if isinstance(payload, dict) else None
-        self.causal_buffer.submit(
-            message.key, version, stamp,
-            lambda: self._apply_op(method, *args),
-        )
+    def _apply_ops(self, ops: Sequence[ApplyOp]) -> None:
+        """Run apply ops against the target in order, each isolated: a
+        poisoned cursor refuses its own op and nothing else, so the rest
+        of a group still applies, exactly once."""
+        target = self.target
+        for method, args in ops:
+            try:
+                getattr(target, method)(*args)
+            except CursorCorruption:
+                self.cursor_faults += 1
+
+    def _apply_remote(self, src: str, op: Any) -> None:
+        """Replica endpoint: check what the channel delivered against the
+        allow-list before any of it is applied."""
+        try:
+            method, args = op["method"], op["args"]
+            ops = args[0] if method == "apply_many" else ((method, args),)
+            for name, op_args in ops:
+                if _OP_ARITY[name] != len(op_args):
+                    raise ValueError(name)
+        except (TypeError, KeyError, IndexError, ValueError) as exc:
+            raise WireError(
+                f"replica endpoint {self._endpoint_name!r}: malformed apply "
+                f"op from {src!r}: {op!r}"
+            ) from exc
+        self._apply_ops(ops)
 
     def backlog(self) -> int:
         return self.group.backlog()
@@ -211,37 +203,32 @@ class SerialTxnApplier(_ApplierBase):
 
     Requires the CDC topic to have a single partition (global order)."""
 
+    group_name = "serial-applier"
+    routing = RoutingPolicy.PARTITION
+    apply_method = "apply_txn"
+    #: txn regrouping is stateful, so there is no group form: a batched
+    #: delivery runs ``_handle`` over the group in order (Consumer's
+    #: default when no batch handler is given)
+    _handle_batch = None
+
     def __init__(
         self,
         sim: Simulation,
         broker: Broker,
         topic: str,
         target: ReplicaStore,
-        service_time: float = 0.001,
-        network: Optional[Network] = None,
-        resilience: Optional[ChannelConfig] = None,
-        delivery_batch: int = 1,
-        batch_overhead: float = 0.0,
+        **kwargs: Any,
     ) -> None:
         if broker.topic(topic).num_partitions != 1:
             raise ValueError("SerialTxnApplier requires a 1-partition topic")
-        if network is not None:
+        if kwargs.get("network") is not None:
             # serial apply is only point-in-time consistent if the wire
             # preserves order, so the channel must be reliable+ordered
-            resilience = dataclasses.replace(
-                resilience or ChannelConfig(), reliable=True, ordered=True
+            kwargs["resilience"] = dataclasses.replace(
+                kwargs.get("resilience") or ChannelConfig(),
+                reliable=True, ordered=True,
             )
-        super().__init__(
-            sim, broker, topic, target,
-            group_name="serial-applier",
-            routing=RoutingPolicy.PARTITION,
-            workers=1,
-            service_time=service_time,
-            network=network,
-            resilience=resilience,
-            delivery_batch=delivery_batch,
-            batch_overhead=batch_overhead,
-        )
+        super().__init__(sim, broker, topic, target, **kwargs)
         self._pending: List[Tuple[str, Mutation]] = []
         self.txns_applied = 0
 
@@ -250,7 +237,7 @@ class SerialTxnApplier(_ApplierBase):
         self.records_seen += 1
         self._pending.append((message.key, _mutation_of(message)))
         if payload["txn_index"] == payload["txn_size"] - 1:
-            self._apply_op("apply_txn", self._pending, payload["version"])
+            self._ship(self.apply_method, (self._pending, payload["version"]))
             self._pending = []
             self.txns_applied += 1
         return True
@@ -262,49 +249,9 @@ class ConcurrentApplier(_ApplierBase):
     Scales, but reordered updates overwrite with stale state and
     reordered deletes resurrect rows (eventual-consistency violations)."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        broker: Broker,
-        topic: str,
-        target: ReplicaStore,
-        workers: int = 4,
-        service_time: float = 0.001,
-        network: Optional[Network] = None,
-        resilience: Optional[ChannelConfig] = None,
-        delivery_batch: int = 1,
-        batch_overhead: float = 0.0,
-        delivery_mode: str = "fifo",
-        causal_hold: float = 0.25,
-    ) -> None:
-        super().__init__(
-            sim, broker, topic, target,
-            group_name="concurrent-applier",
-            routing=RoutingPolicy.RANDOM,
-            workers=workers,
-            service_time=service_time,
-            network=network,
-            resilience=resilience,
-            delivery_batch=delivery_batch,
-            batch_overhead=batch_overhead,
-            delivery_mode=delivery_mode,
-            causal_hold=causal_hold,
-        )
-
-    def _handle(self, message: Message) -> bool:
-        self.records_seen += 1
-        self._apply_record(
-            message,
-            "apply_naive", message.key, _mutation_of(message),
-            message.payload["version"],
-        )
-        return True
-
-    def _op_for(self, message: Message) -> Tuple[str, Tuple[Any, ...]]:
-        return (
-            "apply_naive",
-            (message.key, _mutation_of(message), message.payload["version"]),
-        )
+    group_name = "concurrent-applier"
+    routing = RoutingPolicy.RANDOM
+    apply_method = "apply_naive"
 
 
 class VersionCheckedApplier(_ApplierBase):
@@ -314,49 +261,9 @@ class VersionCheckedApplier(_ApplierBase):
     are torn across workers, so the target externalizes mixtures of
     transactions that never coexisted at the source."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        broker: Broker,
-        topic: str,
-        target: ReplicaStore,
-        workers: int = 4,
-        service_time: float = 0.001,
-        network: Optional[Network] = None,
-        resilience: Optional[ChannelConfig] = None,
-        delivery_batch: int = 1,
-        batch_overhead: float = 0.0,
-        delivery_mode: str = "fifo",
-        causal_hold: float = 0.25,
-    ) -> None:
-        super().__init__(
-            sim, broker, topic, target,
-            group_name="versioned-applier",
-            routing=RoutingPolicy.RANDOM,
-            workers=workers,
-            service_time=service_time,
-            network=network,
-            resilience=resilience,
-            delivery_batch=delivery_batch,
-            batch_overhead=batch_overhead,
-            delivery_mode=delivery_mode,
-            causal_hold=causal_hold,
-        )
-
-    def _handle(self, message: Message) -> bool:
-        self.records_seen += 1
-        self._apply_record(
-            message,
-            "apply_versioned", message.key, _mutation_of(message),
-            message.payload["version"],
-        )
-        return True
-
-    def _op_for(self, message: Message) -> Tuple[str, Tuple[Any, ...]]:
-        return (
-            "apply_versioned",
-            (message.key, _mutation_of(message), message.payload["version"]),
-        )
+    group_name = "versioned-applier"
+    routing = RoutingPolicy.RANDOM
+    apply_method = "apply_versioned"
 
 
 class PartitionSerialApplier(_ApplierBase):
@@ -365,51 +272,10 @@ class PartitionSerialApplier(_ApplierBase):
     Per-key order is preserved (no version checks needed for EC), but
     "transactions affecting multiple partitions are not atomically
     applied and the global transaction order of the source may be
-    violated" — snapshot anomalies remain."""
+    violated" — snapshot anomalies remain.  Per-key order comes from
+    keyed partitioning + partition affinity, so a versioned apply never
+    skips; the version check stays as belt and braces under redelivery."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        broker: Broker,
-        topic: str,
-        target: ReplicaStore,
-        service_time: float = 0.001,
-        network: Optional[Network] = None,
-        resilience: Optional[ChannelConfig] = None,
-        delivery_batch: int = 1,
-        batch_overhead: float = 0.0,
-        delivery_mode: str = "fifo",
-        causal_hold: float = 0.25,
-    ) -> None:
-        partitions = broker.topic(topic).num_partitions
-        super().__init__(
-            sim, broker, topic, target,
-            group_name="partition-serial-applier",
-            routing=RoutingPolicy.PARTITION,
-            workers=partitions,
-            service_time=service_time,
-            network=network,
-            resilience=resilience,
-            delivery_batch=delivery_batch,
-            batch_overhead=batch_overhead,
-            delivery_mode=delivery_mode,
-            causal_hold=causal_hold,
-        )
-
-    def _handle(self, message: Message) -> bool:
-        self.records_seen += 1
-        # per-key order is guaranteed by keyed partitioning + partition
-        # affinity, so a plain versioned apply never skips (belt and
-        # braces: keep the version check to stay safe under redelivery)
-        self._apply_record(
-            message,
-            "apply_versioned", message.key, _mutation_of(message),
-            message.payload["version"],
-        )
-        return True
-
-    def _op_for(self, message: Message) -> Tuple[str, Tuple[Any, ...]]:
-        return (
-            "apply_versioned",
-            (message.key, _mutation_of(message), message.payload["version"]),
-        )
+    group_name = "partition-serial-applier"
+    routing = RoutingPolicy.PARTITION
+    apply_method = "apply_versioned"

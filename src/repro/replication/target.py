@@ -107,18 +107,6 @@ class ReplicaStore:
         self._advance_cursor(version)
         self._notify()
 
-    def apply_many(self, ops: Sequence[Tuple[str, Tuple[Any, ...]]]) -> None:
-        """Group-apply: one invocation runs a batch of apply ops.
-
-        ``ops`` is a sequence of ``(method, args)`` pairs naming one of
-        the apply disciplines above.  Semantics are identical to calling
-        each in order — per-op version checks and observer notifications
-        are preserved — but the whole group crosses the handler (or
-        wire) boundary as one unit, which is the batching win.
-        """
-        for method, args in ops:
-            getattr(self, method)(*args)
-
     def _guard_cursor(self, key: Key) -> None:
         recorded = self._versions.get(key, 0)
         if recorded > self._cursor:

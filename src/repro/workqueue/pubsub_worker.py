@@ -49,8 +49,6 @@ class PubsubWorkerPool:
         task_deadline: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
-        delivery_batch: int = 1,
-        batch_overhead: float = 0.0,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -72,15 +70,10 @@ class PubsubWorkerPool:
         self.stats = TaskStats()
         if create_topic:
             broker.create_topic(topic, num_partitions=num_partitions)
-        self._batch_overhead = batch_overhead
         self.group = broker.consumer_group(
             topic,
             f"{topic}-workers",
-            SubscriptionConfig(
-                routing=routing,
-                ack_timeout=ack_timeout,
-                max_delivery_batch=delivery_batch,
-            ),
+            SubscriptionConfig(routing=routing, ack_timeout=ack_timeout),
         )
         self.workers: List[Consumer] = []
         self.caches: Dict[str, StateCache] = {}
@@ -120,18 +113,8 @@ class PubsubWorkerPool:
                 )
             return True
 
-        def batch_handler(
-            messages: List[Message], handler=handler
-        ) -> bool:
-            # one invocation completes the whole delivered group; each
-            # task keeps its own dedup/deadline/stats accounting
-            for message in messages:
-                handler(message)
-            return True
-
         worker = Consumer(
-            self.sim, name, handler=handler, service_time_fn=service_time,
-            batch_handler=batch_handler, batch_overhead=self._batch_overhead,
+            self.sim, name, handler=handler, service_time_fn=service_time
         )
         self.workers.append(worker)
         self.group.join(worker)

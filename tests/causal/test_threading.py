@@ -1,11 +1,15 @@
 """Integration: the causal tier threaded through each pipeline stage.
 
 The unit tests (test_stamp/test_buffer) pin the core; these tests pin
-the *wiring* — CDC stamping, the broker subscription gate, the
-replication appliers' apply gate, the relay link's in-band stamp
-shipping, and the pubsub edge frontend's per-session gates — each with
-the off-by-default guarantee alongside the causal behaviour.
+the *wiring* — CDC stamping and the relay link's in-band stamp
+shipping, each with the off-by-default guarantee alongside the causal
+behaviour — and the two places causal order is NOT threaded: the
+replication appliers apply in arrival order and the pubsub edge
+frontend refuses causal mode (order a pubsub feed at its subscription;
+the watch frontend's gates are in tests/edge/test_causal_reconnect.py).
 """
+
+import pytest
 
 from repro._types import Mutation
 from repro.causal import CausalStamp, CausalStamper, StampIndex
@@ -101,39 +105,6 @@ def test_concurrent_applier_fifo_applies_in_arrival_order(sim):
     assert target.order == ["ptr", "data"]
 
 
-def test_concurrent_applier_causal_applies_in_causal_order(sim):
-    broker = Broker(sim)
-    broker.create_topic("cdc", num_partitions=2)
-    target = RecordingReplica()
-    applier = ConcurrentApplier(
-        sim, broker, "cdc", target, workers=1, service_time=0.001,
-        delivery_mode="causal", causal_hold=0.5,
-    )
-    _publish_inverted(sim, broker)
-    sim.run_for(2.0)
-    assert target.order == ["data", "ptr"]
-    assert applier.causal_buffer.held_total == 1
-    assert applier.causal_buffer.released_deadline == 0
-    assert applier.causal_buffer.held_count == 0
-
-
-def test_applier_causal_deadline_bounds_lost_dep(sim):
-    # the dep never arrives: the gate must not wedge the replica
-    broker = Broker(sim)
-    broker.create_topic("cdc", num_partitions=2)
-    target = RecordingReplica()
-    applier = ConcurrentApplier(
-        sim, broker, "cdc", target, workers=1, service_time=0.001,
-        delivery_mode="causal", causal_hold=0.2,
-    )
-    broker.publish(
-        "cdc", "ptr", _payload(2, {"ref": "data"}, CausalStamp(2, (("data", 1),)))
-    )
-    sim.run_for(1.0)
-    assert target.order == ["ptr"]
-    assert applier.causal_buffer.released_deadline == 1
-
-
 # ----------------------------------------------------------------------
 # relay link: stamps ride event frames
 
@@ -193,58 +164,34 @@ class OrderClient(EdgeClient):
         super()._apply(update)
 
 
-def _edge_setup(sim, mode):
+def _edge_config(mode):
+    return EdgeFrontendConfig(
+        session=SessionConfig(
+            policy=SlowConsumerPolicy.DROP, max_queue=1000,
+            initial_credits=64,
+        ),
+        delivery_mode=mode,
+    )
+
+
+def test_pubsub_frontend_fifo_default_shows_inversion(sim):
     broker = Broker(sim)
     broker.create_topic("updates", num_partitions=2)
     frontend = PubsubEdgeFrontend(
-        sim, "fe0", broker, "updates",
-        config=EdgeFrontendConfig(
-            session=SessionConfig(
-                policy=SlowConsumerPolicy.DROP, max_queue=1000,
-                initial_credits=64,
-            ),
-            delivery_mode=mode, causal_hold=0.5,
-        ),
+        sim, "fe0", broker, "updates", config=_edge_config("fifo")
     )
     client = OrderClient(sim, "c0", StaticPlacement(frontend))
     client.connect()
     sim.run_for(0.1)
-    return broker, frontend, client
-
-
-def test_pubsub_frontend_causal_gates_live_sessions(sim):
-    broker, frontend, client = _edge_setup(sim, "causal")
-    _publish_inverted(sim, broker, topic="updates")
-    sim.run_for(2.0)
-    assert client.apply_order == ["data", "ptr"]
-    assert sum(b.held_total for b in frontend.causal_buffers) == 1
-    assert sum(b.released_deadline for b in frontend.causal_buffers) == 0
-
-
-def test_pubsub_frontend_fifo_default_shows_inversion(sim):
-    broker, frontend, client = _edge_setup(sim, "fifo")
     _publish_inverted(sim, broker, topic="updates")
     sim.run_for(2.0)
     assert client.apply_order == ["ptr", "data"]
-    assert frontend.causal_buffers == []
 
 
-def test_pubsub_frontend_replay_floor_skips_pre_cursor_deps(sim):
-    broker, frontend, client = _edge_setup(sim, "causal")
-    broker.publish("updates", "data", _payload(1, 7, CausalStamp(1, ())))
-    sim.run_for(1.0)
-    assert client.apply_order == ["data"]
-    client.disconnect()
-    sim.run_for(0.1)
-    # published while away; dep is below the reconnect version cursor
-    broker.publish(
-        "updates", "ptr",
-        _payload(2, {"ref": "data"}, CausalStamp(2, (("data", 1),))),
-    )
-    client.connect()
-    sim.run_for(3.0)
-    assert client.apply_order == ["data", "ptr"]
-    # replay delivered straight through: the floor counted the dep the
-    # client already holds, so nothing waited out a deadline
-    assert sum(b.released_deadline for b in frontend.causal_buffers) == 0
-    assert sum(b.held_count for b in frontend.causal_buffers) == 0
+def test_pubsub_frontend_rejects_causal_mode(sim):
+    broker = Broker(sim)
+    broker.create_topic("updates", num_partitions=2)
+    with pytest.raises(ValueError, match="causal delivery is watch-only"):
+        PubsubEdgeFrontend(
+            sim, "fe0", broker, "updates", config=_edge_config("causal")
+        )

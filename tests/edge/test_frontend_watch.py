@@ -62,6 +62,25 @@ def test_fresh_client_converges_to_store(sim):
     assert client.session.attributed == client.session.offered
 
 
+def test_coalescing_feed_conserves_under_slow_consumer(sim):
+    store, frontend = build(
+        sim,
+        session=SessionConfig(
+            policy=SlowConsumerPolicy.COALESCE, max_queue=8,
+            delivery_latency=0.01,
+        ),
+    )
+    client = EdgeClient(sim, "c0", StaticPlacement(frontend))
+    client.connect()
+    sim.run(until=1.0)
+    write(store, 300, keys=5)  # heavy same-key churn → coalescing
+    sim.run(until=20.0)
+    assert client.state == latest(store, keys=5)
+    session = client.session
+    assert session.coalesced > 0
+    assert session.attributed == session.offered
+
+
 def test_reconnect_close_behind_uses_delta_catchup(sim):
     store, frontend = build(sim, catchup_threshold=100)
     client = EdgeClient(sim, "c0", StaticPlacement(frontend), reconnect_delay=0.2)
