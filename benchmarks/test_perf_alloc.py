@@ -16,15 +16,20 @@ Path-by-path contract:
   call (the handle is the API) → a small fixed number of blocks per
   event, all dead by the time the burst drains.
 
-The last test pins *work counters* instead of blocks: exact per-frame
-call counts on the reliable networked hop, which repeat bit-for-bit and
-so can be gated at zero tolerance where wall-clock cannot.
+The last two tests pin *work counters* instead of blocks: exact
+per-frame call counts on the reliable networked hop, and the kernel
+calls a broker publish→deliver→ack burst makes, which repeat
+bit-for-bit and so can be gated at zero tolerance where wall-clock
+cannot.
 """
 
 import gc
 import sys
 import tracemalloc
+from collections import Counter
 
+from repro.pubsub.broker import Broker
+from repro.pubsub.consumer import Consumer
 from repro.resilience.channel import ReliableChannel
 from repro.sim import wire
 from repro.sim.kernel import Simulation
@@ -168,3 +173,51 @@ def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
     # needs_ack = 20 visits — then Network.send reads the stored size
     # (1 visit), and the ack is frame + seq (2 visits)
     assert visits[0] == 23 * frames
+
+
+def test_broker_burst_schedules_no_handle_per_delivery():
+    # the broker-fanout shape in miniature: bursts of publishes fanned
+    # out to several groups, each burst drained before the next
+    sim = Simulation(seed=1)
+    broker = Broker(sim)
+    broker.create_topic("t", num_partitions=4)
+    groups = [broker.consumer_group("t", f"g{g}") for g in range(3)]
+    for g, group in enumerate(groups):
+        for c in range(2):
+            group.join(Consumer(sim, f"g{g}c{c}"))
+
+    def bursts(n: int) -> None:
+        for _ in range(n):
+            for i in range(16):
+                broker.publish("t", f"k{i}", i)
+            sim.run(until=sim.now() + 0.01)
+
+    bursts(3)
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("call_at", "call_after", "call_at_seq", "post"):
+        setattr(sim, name, counting(name))
+    rounds = 50
+    bursts(rounds)
+    subscriptions = [group.subscription for group in groups]
+    assert sum(sub.acked for sub in subscriptions) == (rounds + 3) * 16 * len(groups)
+    assert all(sub.inflight_count() == 0 for sub in subscriptions)
+    # every pubsub event is posted: no call_at/call_after, so no handle,
+    # per delivery; the one handle-returning call left is the lease
+    # watchdog, armed once per subscription busy period (each burst is
+    # one: its leases all end before the next publish)
+    assert calls["call_after"] == calls["call_at"] == 0
+    assert calls["call_at_seq"] == rounds * len(groups)
+    # per burst: 16 publish wakes, 48 deliveries, 12 pumps after the
+    # wakes and 12 after the acks (3 groups x 4 partitions), and one
+    # processing-loop start for each of the 6 consumers
+    assert calls["post"] == rounds * (16 + 48 + 12 + 12 + 6)

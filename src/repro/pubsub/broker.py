@@ -123,8 +123,8 @@ class Broker:
         self._subscriptions[name] = []
         if not self._sweeps_started:
             self._sweeps_started = True
-            self.sim.call_after(self.config.gc_interval, self._gc_sweep)
-            self.sim.call_after(self.config.compaction_interval, self._compaction_sweep)
+            self.sim.post(self.config.gc_interval, self._gc_sweep)
+            self.sim.post(self.config.compaction_interval, self._compaction_sweep)
         return topic
 
     def topic(self, name: str) -> Topic:
@@ -158,7 +158,7 @@ class Broker:
                 subscription.pump(message.partition)
 
         if self.config.publish_latency > 0:
-            self.sim.call_after(self.config.publish_latency, wake)
+            self.sim.post(self.config.publish_latency, wake)
         else:
             wake()
         return message
@@ -194,7 +194,7 @@ class Broker:
                     subscription.pump(partition)
 
         if self.config.publish_latency > 0:
-            self.sim.call_after(self.config.publish_latency, wake)
+            self.sim.post(self.config.publish_latency, wake)
         else:
             wake()
         return messages
@@ -264,13 +264,13 @@ class Broker:
         deleted = sum(topic.run_gc() for topic in self._topics.values())
         if deleted:
             self.metrics.counter("pubsub.gc.deleted").inc(deleted)
-        self.sim.call_after(self.config.gc_interval, self._gc_sweep)
+        self.sim.post(self.config.gc_interval, self._gc_sweep)
 
     def _compaction_sweep(self) -> None:
         deleted = sum(topic.run_compaction() for topic in self._topics.values())
         if deleted:
             self.metrics.counter("pubsub.compaction.deleted").inc(deleted)
-        self.sim.call_after(self.config.compaction_interval, self._compaction_sweep)
+        self.sim.post(self.config.compaction_interval, self._compaction_sweep)
 
     # ------------------------------------------------------------------
     # accounting

@@ -5,8 +5,9 @@ A :class:`Consumer` models a consumer application instance:
 - it processes deliveries **serially** with a configurable service time
   (this is what makes head-of-line blocking observable, §3.2.3);
 - it acknowledges a message only after the handler finishes — crashing
-  mid-processing loses the ack, and the subscription's deadline
-  machinery redelivers (at-least-once);
+  mid-processing loses the ack (even if the consumer has recovered by
+  the time the service would have ended), and the subscription's lease
+  expiry redelivers (at-least-once);
 - it can crash and recover (the §3.1 "data center under maintenance for
   multiple days" scenario is ``consumer.crash(); ...; recover()``).
 
@@ -75,6 +76,8 @@ class Consumer:
         self.dropped_while_down = 0
         self._queue: Deque[tuple[Message, Callable[[], None], Callable[[], None]]] = deque()
         self._busy = False
+        #: bumped by crash(): a service begun before it ends into nothing
+        self._epoch = 0
         self._on_recover: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
@@ -84,7 +87,7 @@ class Consumer:
         """Receive one delivery; queues it for serial processing.
 
         While down, deliveries are dropped on the floor — the broker's
-        ack deadline will redeliver them later.
+        lease expiry will redeliver them later.
         """
         if not self.up:
             self.dropped_while_down += 1
@@ -96,7 +99,7 @@ class Consumer:
         self._queue.append((message, ack, nack))
         if not self._busy:
             self._busy = True
-            self.sim.call_after(0.0, self._process_next)
+            self.sim.post(0.0, self._process_next)
 
     def deliver_batch(
         self,
@@ -120,46 +123,60 @@ class Consumer:
         self._queue.append((messages, ack, nack))
         if not self._busy:
             self._busy = True
-            self.sim.call_after(0.0, self._process_next)
+            self.sim.post(0.0, self._process_next)
 
     def _process_next(self) -> None:
-        if not self.up or not self._queue:
-            self._busy = False
-            return
-        message, ack, nack = self._queue.popleft()
-        is_batch = type(message) is list
-
-        def finish() -> None:
-            if not self.up:
-                # crashed mid-processing: no ack; broker will redeliver
+        """Serve the queue in order.  Zero-service-time items complete
+        inline — in a loop, so a long run of them cannot overflow the
+        stack — and the first item that takes time parks the loop until
+        its finish event."""
+        queue = self._queue
+        while self.up and queue:
+            message, ack, nack = queue.popleft()
+            if type(message) is list:
+                if self.service_time_fn is not None:
+                    delay = sum(self.service_time_fn(m) for m in message)
+                else:
+                    delay = self.service_time * len(message)
+                delay += self.batch_overhead
+            elif self.service_time_fn is not None:
+                delay = self.service_time_fn(message)
+            else:
+                delay = self.service_time
+            if delay > 0:
+                epoch = self._epoch
+                self.sim.post(
+                    delay, lambda: self._finish(epoch, message, ack, nack)
+                )
                 return
-            try:
-                ok = self._handle_batch(message) if is_batch else self.handler(message)
-            except Exception:
-                ok = False
-            count = len(message) if is_batch else 1
-            if ok is False:
-                self.failed += count
-                nack()
-            else:
-                self.processed += count
-                ack()
-            self._process_next()
+            self._complete(message, ack, nack)
+        self._busy = False
 
-        if is_batch:
-            if self.service_time_fn is not None:
-                delay = sum(self.service_time_fn(m) for m in message)
-            else:
-                delay = self.service_time * len(message)
-            delay += self.batch_overhead
-        elif self.service_time_fn is not None:
-            delay = self.service_time_fn(message)
+    def _finish(
+        self, epoch: int, message: Any,
+        ack: Callable[[], None], nack: Callable[[], None],
+    ) -> None:
+        if epoch != self._epoch:
+            return  # crashed mid-service: the ack is lost, the lease redelivers
+        self._complete(message, ack, nack)
+        self._process_next()
+
+    def _complete(
+        self, message: Any, ack: Callable[[], None], nack: Callable[[], None]
+    ) -> None:
+        """Run the handler over one work item and ack or nack it."""
+        is_batch = type(message) is list
+        try:
+            ok = self._handle_batch(message) if is_batch else self.handler(message)
+        except Exception:
+            ok = False
+        count = len(message) if is_batch else 1
+        if ok is False:
+            self.failed += count
+            nack()
         else:
-            delay = self.service_time
-        if delay > 0:
-            self.sim.call_after(delay, finish)
-        else:
-            finish()
+            self.processed += count
+            ack()
 
     def _handle_batch(self, messages: List[Message]) -> Optional[bool]:
         if self.batch_handler is not None:
@@ -177,6 +194,7 @@ class Consumer:
         self.up = False
         self._queue.clear()
         self._busy = False
+        self._epoch += 1
 
     def recover(self) -> None:
         """Resume; redeliveries arrive via broker deadlines/pumps."""

@@ -4,8 +4,10 @@ A subscription binds a topic to a set of member consumers and owns the
 delivery state machine:
 
 - a *fetch cursor* per partition (next offset to dispatch);
-- an in-flight map per partition with per-message ack deadlines; an
-  unacked message is redelivered after the deadline (at-least-once);
+- an in-flight map per partition, each delivery holding a *lease* (its
+  ack deadline); an unacked message is redelivered when its lease
+  expires (at-least-once).  One watchdog timer per subscription serves
+  every lease (see :meth:`Subscription._on_watchdog`);
 - a routing policy choosing a member per message (§2): ``RANDOM``,
   ``PARTITION`` (partitions assigned to members, Kafka-style), or
   ``KEY`` (hash of message key over current membership);
@@ -103,7 +105,10 @@ class _Inflight:
     message: Message
     member: str
     attempts: int
-    deadline_handle: Optional[EventHandle] = None
+    #: the lease: when an unacked delivery is redelivered, and the event
+    #: seq reserved for that moment at dispatch
+    deadline: float
+    seq: int
 
 
 @dataclass
@@ -152,6 +157,15 @@ class Subscription:
         self.acked = 0
         self.dead_lettered = 0
         self._pump_scheduled: Dict[int, bool] = {p: False for p in self._state}
+        #: one pre-bound pump callable per partition (posted, never cancelled)
+        self._pumps: Dict[int, Callable[[], None]] = {
+            p: (lambda p=p: self._do_pump(p)) for p in self._state
+        }
+        #: leases held across all partitions; the watchdog is pending
+        #: exactly while this is non-zero (see _on_watchdog)
+        self._leases = 0
+        self._watchdog: Optional[EventHandle] = None
+        self._watched: Optional[_Inflight] = None
         # causal mode: one buffer spanning every partition — exactly the
         # cross-partition ordering per-partition FIFO cannot give
         self.causal_buffer: Optional[CausalBuffer] = None
@@ -239,7 +253,7 @@ class Subscription:
         if self._pump_scheduled.get(partition):
             return
         self._pump_scheduled[partition] = True
-        self.sim.call_after(0.0, lambda: self._do_pump(partition))
+        self.sim.post(0.0, self._pumps[partition])
 
     def _do_pump(self, partition: int) -> None:
         self._pump_scheduled[partition] = False
@@ -289,7 +303,7 @@ class Subscription:
         ``max_delivery_batch``) into one delivery; a member change or a
         full group flushes.  Gap accounting is identical to the single
         path.  A message nobody can take falls back to ``_dispatch``,
-        which parks it for the redelivery wheel.
+        which leases it to nobody until the lease expires.
         """
         group: List[Message] = []
         group_member: Optional[str] = None
@@ -317,7 +331,7 @@ class Subscription:
         """Gate one fetched message through the causal buffer.
 
         Redeliveries never come back through here — they already passed
-        the gate once; the redelivery wheel re-enters ``_dispatch``
+        the gate once; a lease expiry re-enters ``_dispatch``
         directly, so at-least-once semantics are untouched.
         """
         payload = message.payload
@@ -356,14 +370,10 @@ class Subscription:
         state = self._state[partition]
         member = self._route(message)
         if member is None:
-            # nobody up; leave for redelivery wheel
-            inflight = _Inflight(message=message, member="", attempts=attempts)
-            state.inflight[message.offset] = inflight
-            self._arm_deadline(partition, inflight)
+            # nobody up; the lease expires and redelivers
+            self._lease(state, message, "", attempts)
             return
-        inflight = _Inflight(message=message, member=member, attempts=attempts)
-        state.inflight[message.offset] = inflight
-        self._arm_deadline(partition, inflight)
+        self._lease(state, message, member, attempts)
         config = self.config
         delay = config.delivery_latency
         if config.delivery_jitter > 0:
@@ -379,7 +389,7 @@ class Subscription:
                 subscription=self.name, member=member,
                 partition=partition, offset=message.offset, attempts=attempts,
             )
-        self.sim.call_after(
+        self.sim.post(
             delay,
             lambda: consumer.deliver(
                 message,
@@ -394,9 +404,9 @@ class Subscription:
         """Deliver a same-member group as one ``deliver_batch`` call.
 
         Per-message state is unchanged — each message gets its own
-        in-flight entry and ack deadline, so a crashed consumer's
-        unacked batch redelivers message by message — but the group
-        shares one delivery latency draw and one ack round-trip.
+        in-flight entry and lease, so a crashed consumer's unacked batch
+        redelivers message by message — but the group shares one
+        delivery latency draw and one ack round-trip.
         """
         if not messages:
             return
@@ -404,9 +414,7 @@ class Subscription:
         state = self._state[partition]
         consumer = self._members[member]
         for message in messages:
-            inflight = _Inflight(message=message, member=member, attempts=1)
-            state.inflight[message.offset] = inflight
-            self._arm_deadline(partition, inflight)
+            self._lease(state, message, member, 1)
             self.delivered += 1
             if self.tracer is not None:
                 self.tracer.record(
@@ -421,7 +429,7 @@ class Subscription:
             delay += self.sim.rng.random() * self.config.delivery_jitter
         batch = list(messages)
         offsets = [message.offset for message in messages]
-        self.sim.call_after(
+        self.sim.post(
             delay,
             lambda: consumer.deliver_batch(
                 batch,
@@ -430,22 +438,72 @@ class Subscription:
             ),
         )
 
-    def _arm_deadline(self, partition: int, inflight: _Inflight) -> None:
-        offset = inflight.message.offset
-        inflight.deadline_handle = self.sim.call_after(
-            self.config.ack_timeout,
-            lambda: self._on_deadline(partition, offset),
+    # ------------------------------------------------------------------
+    # leases: one watchdog timer for every in-flight delivery
+    #
+    # A lease's seq is drawn at dispatch (Simulation.next_seq), so its
+    # expiry owns the (deadline, seq) slot a timer scheduled right there
+    # would, and every other event's seq is what such a timer leaves.
+    # Leases are taken at ``now`` with a constant ``ack_timeout``, hence
+    # in (deadline, seq) order, and a redelivery or nack deletes before
+    # it re-inserts: each partition's in-flight dict is in lease order,
+    # and the oldest lease is the smallest seq among the partition
+    # heads.  The watchdog is armed at exactly that lease's slot.
+
+    def _lease(
+        self, state: _PartitionState, message: Message, member: str, attempts: int
+    ) -> None:
+        sim = self.sim
+        inflight = _Inflight(
+            message, member, attempts,
+            sim.clock._now + self.config.ack_timeout, sim.next_seq(),
+        )
+        state.inflight[message.offset] = inflight
+        self._leases += 1
+        if self._leases == 1:
+            # the only lease, so the oldest; no watchdog can be pending
+            self._arm(inflight)
+
+    def _release(self, inflight: _Inflight) -> None:
+        """A lease ended (ack, nack, expiry, seek): the caller already
+        removed it from its partition's in-flight dict."""
+        self._leases -= 1
+        if not self._leases and self._watchdog is not None:
+            self._watchdog.cancel()
+            self._watchdog = None
+
+    def _arm(self, inflight: _Inflight) -> None:
+        self._watched = inflight
+        self._watchdog = self.sim.call_at_seq(
+            inflight.deadline, inflight.seq, self._on_watchdog
         )
 
-    def _on_deadline(self, partition: int, offset: int) -> None:
-        state = self._state[partition]
-        inflight = state.inflight.get(offset)
-        if inflight is None:
-            return  # already acked
-        del state.inflight[offset]
-        if self._maybe_dead_letter(partition, inflight):
-            return
-        self._dispatch(partition, inflight.message, attempts=inflight.attempts + 1)
+    def _on_watchdog(self) -> None:
+        """The watched lease's deadline.  Still unacked: expire it, as
+        its own timer would have.  Acked since: a no-op.  Either way
+        re-arm at the oldest lease left — a pending watchdog always has
+        a lease behind it, so ``run()`` ends on the same clock as with
+        one timer per lease."""
+        self._watchdog = None
+        inflight = self._watched
+        message = inflight.message
+        if self._state[message.partition].inflight.get(message.offset) is inflight:
+            self._expire(message.partition, inflight)
+        if self._watchdog is None and self._leases:
+            oldest = None
+            for other in self._state.values():
+                if other.inflight:
+                    head = next(iter(other.inflight.values()))
+                    if oldest is None or head.seq < oldest.seq:
+                        oldest = head
+            self._arm(oldest)
+
+    def _expire(self, partition: int, inflight: _Inflight) -> None:
+        """A lease ran out unacked: dead-letter or redeliver."""
+        del self._state[partition].inflight[inflight.message.offset]
+        self._release(inflight)
+        if not self._maybe_dead_letter(partition, inflight):
+            self._dispatch(partition, inflight.message, attempts=inflight.attempts + 1)
 
     def _maybe_dead_letter(self, partition: int, inflight: _Inflight) -> bool:
         """Route to the DLQ when attempts are exhausted; True if routed."""
@@ -471,8 +529,7 @@ class Subscription:
         inflight = state.inflight.pop(offset, None)
         if inflight is None:
             return False  # late ack after redelivery/dead-letter: ignore
-        if inflight.deadline_handle is not None:
-            inflight.deadline_handle.cancel()
+        self._release(inflight)
         state.acked += 1
         self.acked += 1
         if self.tracer is not None:
@@ -506,8 +563,7 @@ class Subscription:
         inflight = state.inflight.pop(offset, None)
         if inflight is None:
             return
-        if inflight.deadline_handle is not None:
-            inflight.deadline_handle.cancel()
+        self._release(inflight)
         if self.tracer is not None:
             message = inflight.message
             self.tracer.record(
@@ -546,9 +602,9 @@ class Subscription:
         """Move the fetch cursor (replay support, §3.3).  In-flight
         deliveries are dropped; deliveries restart from ``offset``."""
         state = self._state[partition]
-        for inflight in state.inflight.values():
-            if inflight.deadline_handle is not None:
-                inflight.deadline_handle.cancel()
+        dropped = list(state.inflight.values())
         state.inflight.clear()
+        for inflight in dropped:
+            self._release(inflight)
         state.fetch_offset = offset
         self.pump(partition)

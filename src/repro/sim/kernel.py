@@ -49,6 +49,24 @@ one parking structure:
   exact, and all three structures are compacted when tombstones dominate
   them (resilience timers cancel constantly and would otherwise
   accumulate until drained).
+
+Reserved slots, two primitives:
+
+- ``next_seq()`` draws the next event seq exactly as a scheduling call
+  would, and schedules nothing.
+- ``call_at_seq(t, seq, fn)`` schedules ``fn`` at the exact slot
+  ``(t, seq)`` for a seq drawn earlier (at most once per seq).  Same
+  slab and heap/wheel routing as ``call_at`` — which is ``call_at_seq``
+  on a fresh seq — and never the zero-delay lane, whose FIFO order an
+  earlier seq would break; the run loop's head comparison still fires
+  it ahead of same-instant zero-delay entries with larger seqs.  It
+  raises :class:`SimError` for a past or non-finite ``t``.
+
+They let a component that owns many deadlines keep *one* pending timer
+for the earliest of them, yet fire each deadline at the very
+``(time, seq)`` a per-deadline timer would have had, so no other
+event's seq and no firing order changes (the pubsub lease watchdog in
+:mod:`repro.pubsub.subscription`).
 """
 
 from __future__ import annotations
@@ -277,18 +295,36 @@ class Simulation:
         """Current virtual time."""
         return self.clock.now()
 
+    #: Draw the next event seq without scheduling anything (see the
+    #: module docstring); the raw counter, so the call costs no frame.
+    next_seq = staticmethod(_next_seq)
+
     def call_at(
         self, t: float, fn: Callable[[], None], label: Optional[str] = None,
-        # default-arg bindings: globals resolved once at def time so the
-        # hot body runs on fast locals (stdlib idiom; not part of the API)
-        _float=float, _type=type, _next_seq=_next_seq, _pool=_POOL,
-        _new_handle=_new_handle, _EventHandle=EventHandle,
-        _heappush=heappush, _INF=_INF,
+        _next_seq=_next_seq,  # default-arg binding, as in call_at_seq
     ) -> EventHandle:
         """Schedule ``fn`` to run at absolute virtual time ``t``.
 
         ``label`` names the component for profiler attribution; without
         one, the event is attributed to ``fn``'s defining module.
+        """
+        return self.call_at_seq(t, _next_seq(), fn, label)
+
+    def call_at_seq(
+        self, t: float, seq: int, fn: Callable[[], None],
+        label: Optional[str] = None,
+        # default-arg bindings: globals resolved once at def time so the
+        # hot body runs on fast locals (stdlib idiom; not part of the API)
+        _float=float, _type=type, _pool=_POOL,
+        _new_handle=_new_handle, _EventHandle=EventHandle,
+        _heappush=heappush, _INF=_INF,
+    ) -> EventHandle:
+        """Schedule ``fn`` at the exact slot ``(t, seq)``, ``seq`` drawn
+        earlier by :meth:`next_seq` (and never scheduled twice).
+
+        Routed like every delayed event — heap, or wheel when at least a
+        slot out — and never through the zero-delay lane, whose FIFO
+        order an earlier seq would break.
         """
         if _type(t) is not _float:
             t = _float(t)  # the clock must stay float-pure (trace JSON bytes)
@@ -297,7 +333,6 @@ class Simulation:
             raise SimError(f"cannot schedule in the past: {t} < {now}")
         if not t < _INF:  # inf or nan: would poison the queues
             raise SimError(f"cannot schedule at non-finite time {t!r}")
-        seq = _next_seq()
         if _pool:
             entry = _pool.pop()
             entry[0] = t
@@ -320,7 +355,7 @@ class Simulation:
 
     def call_after(
         self, delay: float, fn: Callable[[], None], label: Optional[str] = None,
-        # default-arg bindings, as in call_at
+        # default-arg bindings, as in call_at_seq
         _next_seq=_next_seq, _pool=_POOL,
         _new_handle=_new_handle, _EventHandle=EventHandle,
     ) -> EventHandle:
@@ -348,11 +383,11 @@ class Simulation:
             return handle
         if delay < 0:
             raise SimError(f"negative delay {delay!r}")
-        return self.call_at(self.clock._now + delay, fn, label=label)
+        return self.call_at_seq(self.clock._now + delay, _next_seq(), fn, label)
 
     def post(
         self, delay: float, fn: Callable[[], None], label: Optional[str] = None,
-        # default-arg bindings, as in call_at
+        # default-arg bindings, as in call_at_seq
         _next_seq=_next_seq, _pool=_POOL, _heappush=heappush, _INF=_INF,
     ) -> None:
         """Schedule ``fn`` like :meth:`call_after` but without creating
@@ -389,7 +424,7 @@ class Simulation:
 
     def _call_soon_1(
         self, fn: Callable[[Any], None], arg: Any,
-        # default-arg bindings, as in call_at
+        # default-arg bindings, as in call_at_seq
         _next_seq=_next_seq, _pool=_POOL, _Resume1=_Resume1,
     ) -> None:
         """Zero-delay schedule of a one-argument callable (Waiter path).

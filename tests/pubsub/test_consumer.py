@@ -107,6 +107,52 @@ class TestCrashRecover:
         sim.run()
         assert acked == []
 
+    def test_crash_then_recover_mid_service_loses_that_ack(self, sim):
+        """A service that began before a crash ends into nothing even if
+        the consumer is back by then: no handler run, no ack, and it does
+        not end the service of the delivery that arrived after recovery
+        (the serial loop stays serial)."""
+        broker = Broker(sim)
+        broker.create_topic("t", num_partitions=1)
+        handled = []
+        consumer = Consumer(
+            sim, "c", service_time=1.0,
+            handler=lambda m: handled.append((m.payload, sim.now())),
+        )
+        group = broker.consumer_group("t", "g")
+        group.join(consumer)
+        broker.publish("t", "k", 0)  # in service from 0.0015
+        sim.run(until=0.5)
+        consumer.crash()
+        consumer.recover()
+        broker.publish("t", "k", 1)  # recovery's pump: in service from 0.501
+        sim.run(until=1.2)
+        broker.publish("t", "k", 2)  # must queue behind message 1
+        sim.run(until=5.0)
+        assert [payload for payload, _ in handled] == [1, 2]
+        assert handled[0][1] == pytest.approx(1.501)
+        assert handled[1][1] == pytest.approx(2.501)
+        assert group.subscription.acked == 2
+        sim.run(until=40.0)  # message 0's lease expires: redelivered
+        assert [payload for payload, _ in handled] == [1, 2, 0]
+        assert group.subscription.redelivered == 1
+        assert group.subscription.backlog() == 0
+
+
+def test_zero_service_drain_of_a_deep_queue_does_not_recurse(sim):
+    """5,000 messages published at one instant on 8 partitions land 512
+    at a time in one zero-service-time consumer's queue; draining them
+    inline must not grow the stack per item."""
+    broker = Broker(sim)
+    broker.create_topic("t", num_partitions=8)
+    consumer = Consumer(sim, "c")
+    broker.consumer_group("t", "g").join(consumer)
+    for i in range(5_000):
+        broker.publish("t", f"k{i}", i)
+    sim.run(until=1.0)
+    assert consumer.processed == 5_000
+    assert consumer.failed == 0
+
 
 class TestFreeConsumer:
     def test_free_consumer_gets_everything(self, sim):

@@ -1,9 +1,10 @@
 """Pure-heap reference kernel: the readable spec ``Simulation`` must refine.
 
 One ``heapq`` ordered by ``(time, seq)`` — no zero-delay lane, no wheel, no
-slab, no tombstone counter.  It reuses the real ``EventHandle`` (so entries
-keep the real list layout) and the real process/``Waiter`` glue, which only
-calls ``post``.  Test-only, never imported from ``src/``.
+slab, no tombstone counter; a reserved seq (``next_seq``) is a counter draw
+that ``call_at_seq`` pushes later.  It reuses the real ``EventHandle`` (so
+entries keep the real list layout) and the real process/``Waiter`` glue,
+which only calls ``post``.  Test-only, never imported from ``src/``.
 """
 import heapq
 import itertools
@@ -26,13 +27,19 @@ class ReferenceSimulation:
         self._running = False
         self._processes = []
 
-    def call_at(self, t, fn, label=None):
+    def next_seq(self):
+        return next(self._seq)
+
+    def call_at_seq(self, t, seq, fn, label=None):
         t = float(t)
         if not self.now() <= t < _INF:
             raise SimError(f"cannot schedule at {t!r} (now={self.now()})")
-        entry = [t, next(self._seq), fn, label, False]
+        entry = [t, seq, fn, label, False]
         heapq.heappush(self._heap, entry)
-        return EventHandle(entry, self, entry[1])
+        return EventHandle(entry, self, seq)
+
+    def call_at(self, t, fn, label=None):
+        return self.call_at_seq(t, self.next_seq(), fn, label)
 
     def call_after(self, delay, fn, label=None):
         if delay < 0:

@@ -3,7 +3,8 @@
 The kernel's two lanes, wheel, slab and tombstone compaction are correct
 iff no program can tell them from one heap ordered by ``(time, seq)``.
 Hypothesis writes the programs — scheduling, cancelling and firing
-waiters at top level *and from inside callbacks*, processes yielding
+waiters at top level *and from inside callbacks*, reserving a seq now
+and scheduling it at an exact ``(time, seq)`` later, processes yielding
 Timeouts, bare numbers and Waiters, bounded and unbounded runs, delays
 from every routing regime of the wheel — and both kernels must report
 the same fired ``(time, tag, pending_events)`` sequence, the same clock
@@ -72,6 +73,10 @@ def _actions(depth: int):
     return st.one_of(
         schedule,
         schedule,  # listed twice: half of all actions schedule something
+        # reserve a seq now; a later step schedules one reserved seq at
+        # now + delay — ties with everything queued since the draw
+        st.tuples(st.just("reserve")),
+        st.tuples(st.just("at_seq"), _DELAYS, nested, st.integers(0, 10_000)),
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
         st.tuples(st.just("fire"), st.integers(0, _N_WAITERS - 1)),
         st.tuples(st.just("spawn"), st.lists(_YIELDS, max_size=4)),
@@ -99,6 +104,7 @@ class _Driver:
         self.fired = []  # (now, tag, pending_events) per callback/resume
         self.between = []  # (now, pending_events) after each top-level step
         self.handles = []
+        self.reserved = []  # seqs drawn by "reserve", not yet scheduled
         self.waiters = [sim.waiter() for _ in range(_N_WAITERS)]
         self.tags = itertools.count()
 
@@ -107,8 +113,12 @@ class _Driver:
 
     def do(self, action) -> None:
         sim, kind = self.sim, action[0]
-        if kind in ("at", "after", "post"):
-            _, delay, nested = action
+        if kind == "reserve":
+            self.reserved.append(sim.next_seq())
+        elif kind == "at_seq" and not self.reserved:
+            pass  # nothing reserved yet: both kernels skip it alike
+        elif kind in ("at", "after", "post", "at_seq"):
+            delay, nested = action[1], action[2]
             tag = next(self.tags)
 
             def fn() -> None:
@@ -118,6 +128,9 @@ class _Driver:
 
             if kind == "at":
                 self.handles.append(sim.call_at(sim.now() + delay, fn))
+            elif kind == "at_seq":
+                seq = self.reserved.pop(action[3] % len(self.reserved))
+                self.handles.append(sim.call_at_seq(sim.now() + delay, seq, fn))
             elif kind == "after":
                 self.handles.append(sim.call_after(delay, fn))
             else:
@@ -180,6 +193,20 @@ def _assert_same(program) -> Simulation:
 @example([("after", 0.5, [("post", 0.0, [])]), ("after", 0.5, [])])
 # same instant parked in the wheel and pushed near onto the heap
 @example([("after", 0.5, []), ("after", 0.375, [("after", 0.125, [])])])
+# a seq reserved before two zero-delay entries, scheduled at the same
+# instant after them: it must fire first, from the heap, on both kernels
+@example([
+    ("reserve",), ("post", 0.0, []), ("after", 0.0, []),
+    ("at_seq", 0.0, [], 0),
+])
+# the same tie inside a callback, and a reserved slot parked in the wheel
+# next to a plain timer at the same instant
+@example([
+    ("after", 1.0, [
+        ("reserve",), ("post", 0.0, []), ("at_seq", 0.0, [], 0),
+        ("reserve",), ("after", 64.0, []), ("at_seq", 64.0, [], 0),
+    ]),
+])
 def test_any_program_fires_identically_on_both_kernels(program):
     _assert_same(program)
 

@@ -302,8 +302,32 @@ _SCHEDULERS = {
     "call_at": lambda sim, t: sim.call_at(t, lambda: None),
     "call_after": lambda sim, t: sim.call_after(t, lambda: None),
     "post": lambda sim, t: sim.post(t, lambda: None),
+    "call_at_seq": lambda sim, t: sim.call_at_seq(t, sim.next_seq(), lambda: None),
     "Timeout": lambda sim, t: Timeout(t),
 }
+
+
+class TestReservedSlots:
+    def test_call_at_seq_rejects_the_past(self, sim):
+        seq = sim.next_seq()
+        sim.run(until=2.0)
+        with pytest.raises(SimError):
+            sim.call_at_seq(1.0, seq, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_reserved_slot_keeps_its_place_among_later_draws(self, sim):
+        fired = []
+        early = sim.next_seq()
+        sim.post(0.0, lambda: fired.append("post"))
+        sim.call_after(0.0, lambda: fired.append("after"))
+        sim.call_at(0.0, lambda: fired.append("at"))
+        sim.call_at_seq(0.0, early, lambda: fired.append("reserved"))
+        handle = sim.call_at_seq(1.0, sim.next_seq(), lambda: fired.append("gone"))
+        handle.cancel()
+        assert sim.pending_events == 4
+        sim.run()
+        assert fired == ["reserved", "post", "after", "at"]
+        assert sim.now() == 0.0
 
 
 class TestNonFiniteTimes:
