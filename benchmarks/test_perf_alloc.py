@@ -16,11 +16,11 @@ Path-by-path contract:
   call (the handle is the API) → a small fixed number of blocks per
   event, all dead by the time the burst drains.
 
-The last two tests pin *work counters* instead of blocks: exact
+The last three tests pin *work counters* instead of blocks: exact
 per-frame call counts on the reliable networked hop, and the kernel
-calls a broker publish→deliver→ack burst makes, which repeat
-bit-for-bit and so can be gated at zero tolerance where wall-clock
-cannot.
+calls a reliable burst and a broker publish→deliver→ack burst make,
+which repeat bit-for-bit and so can be gated at zero tolerance where
+wall-clock cannot.
 """
 
 import gc
@@ -145,7 +145,7 @@ def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
     def round_trips(n: int) -> None:
         for _ in range(n):
             tx.send("rx", record)
-            sim.run()  # data frame, delivery, ack, timer cancel
+            sim.run()  # data frame, delivery, ack, alarm cancel
 
     round_trips(3)  # first touch binds every counter on the path
     assert tx.pending_count == 0 and len(delivered) == 3
@@ -175,6 +175,59 @@ def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
     assert visits[0] == 23 * frames
 
 
+def _count_schedule_calls(sim: Simulation) -> Counter:
+    """Count every scheduling call made on ``sim`` from now on."""
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("call_at", "call_after", "call_at_seq", "post"):
+        setattr(sim, name, counting(name))
+    return calls
+
+
+def test_reliable_burst_schedules_no_timer_per_frame():
+    # the repl-net shape in miniature: bursts of frames in flight on one
+    # reliable hop, every burst acked before the next
+    sim = Simulation(seed=1)
+    net = Network(sim, NetworkConfig(base_latency=0.001))
+    ReliableChannel(sim, net, "rx", handler=lambda src, p: None)
+    tx = ReliableChannel(sim, net, "tx")
+    frames = 16
+
+    def bursts(n: int) -> None:
+        for _ in range(n):
+            for i in range(frames):
+                tx.send("rx", i)
+            sim.run()
+
+    bursts(3)
+    undercuts = tx.undercut_alarms
+    calls = _count_schedule_calls(sim)
+    rounds = 50
+    bursts(rounds)
+    undercuts = tx.undercut_alarms - undercuts
+    assert tx.pending_count == 0 and tx.stale_fires == 0
+    # no per-frame timer: no call_at/call_after, so no EventHandle, per
+    # frame; the retransmit clock arms one alarm per busy period (each
+    # burst is one), plus one whenever a frame's jittered deadline
+    # undercuts the earliest alarm — the prefix minima of the jitter
+    # draws, far fewer than the frames
+    assert calls["call_after"] == calls["call_at"] == 0
+    assert calls["call_at_seq"] == rounds + undercuts
+    assert 0 < undercuts < rounds * frames // 4
+    # what is left per frame is posted: the data frame's and its ack's
+    # network delivery
+    assert calls["post"] == rounds * frames * 2
+
+
 def test_broker_burst_schedules_no_handle_per_delivery():
     # the broker-fanout shape in miniature: bursts of publishes fanned
     # out to several groups, each burst drained before the next
@@ -193,19 +246,7 @@ def test_broker_burst_schedules_no_handle_per_delivery():
             sim.run(until=sim.now() + 0.01)
 
     bursts(3)
-    calls = Counter()
-
-    def counting(name):
-        real = getattr(sim, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("call_at", "call_after", "call_at_seq", "post"):
-        setattr(sim, name, counting(name))
+    calls = _count_schedule_calls(sim)
     rounds = 50
     bursts(rounds)
     subscriptions = [group.subscription for group in groups]

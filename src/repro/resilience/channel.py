@@ -20,10 +20,17 @@ peer that layers the classic machinery on top:
   destination trip a per-destination breaker; while open, retransmits
   are suppressed (fast-fail) until the cooldown elapses.
 
+Retransmit deadlines share one clock per channel: a heap of
+``[deadline, seq, pending]`` entries and a few kernel alarms at entry
+slots, so an ack costs no kernel call, yet every deadline fires at the
+exact ``(time, seq)`` a timer of its own would have had (see
+:meth:`ReliableChannel._arm_retransmit`).
+
 A channel is :class:`~repro.sim.failures.Failable`: ``crash()`` takes
-the endpoint off the network and freezes retransmit timers; ``recover``
-re-kicks every pending frame — the "consumer data center down for days"
-scenario recovers programmatically.
+the endpoint off the network and stops the retransmit clock (pending
+frames are kept); ``recover`` re-kicks every pending frame — the
+"consumer data center down for days" scenario recovers
+programmatically.
 
 All counters live in the metrics registry under
 ``resilience.<channel>.*`` (sent, transmits, retransmits,
@@ -51,6 +58,7 @@ the exact hop that lost an update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.trace import hops
@@ -64,6 +72,10 @@ from repro.transport import BatchConfig
 
 #: Receives (src, payload) for each application payload delivered.
 Handler = Callable[[str, Any], None]
+
+#: compact the retransmit heap when at least this many acked entries
+#: are queued *and* they outnumber live ones (the kernel's rule)
+_COMPACT_MIN_DEAD = 512
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,9 @@ class _Pending:
     payload: Any
     started_at: float
     attempts: int = 0
-    timer: Optional[EventHandle] = None
+    #: this frame's entry ``[deadline, seq, self]`` on the retransmit
+    #: clock (see ReliableChannel._arm_retransmit)
+    entry: Optional[List[Any]] = None
     #: whether the last scheduled attempt actually hit the wire (False
     #: while suppressed by an open breaker — a fast-failed attempt must
     #: not count as evidence against the destination, or the breaker
@@ -236,6 +250,16 @@ class ReliableChannel:
         self._pending: Dict[Tuple[str, int], _Pending] = {}
         self._open: Dict[str, _OpenFrame] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
+        # the retransmit clock: entries [deadline, seq, pending] in
+        # kernel order, the armed alarms (entry, handle) with the
+        # earliest last, and how many queued entries are dead
+        self._retx: List[List[Any]] = []
+        self._alarms: List[Tuple[List[Any], EventHandle]] = []
+        self._dead = 0
+        #: alarms armed because a new deadline undercut the earliest one
+        self.undercut_alarms = 0
+        #: alarms that found their frame acked: no-ops that re-arm
+        self.stale_fires = 0
         # receiver state, per sender (a durable session: survives crash)
         self._seen: Dict[str, _SeenSeqs] = {}
         self._expected: Dict[str, int] = {}
@@ -374,20 +398,15 @@ class ReliableChannel:
         return breaker
 
     def _transmit(self, pending: _Pending) -> None:
-        if (pending.dst, pending.seq) not in self._pending:
-            return  # acked or abandoned in the meantime
+        """One attempt at a pending frame (the sender is up), then its
+        next ack deadline on the retransmit clock."""
         breaker = self.breaker(pending.dst)
-        suppressed = breaker is not None and not breaker.allow()
-        if suppressed or not self.up:
+        if breaker is not None and not breaker.allow():
             # a suppressed attempt never hit the wire: it consumes no
             # retry budget, and the timeout must not feed the breaker.
             # Re-check once the cooldown has a chance to have elapsed.
             pending.transmitted = False
-            delay = (
-                max(breaker.cooldown_remaining(), self.config.retry.base_delay)
-                if suppressed
-                else self.config.retry.base_delay
-            )
+            delay = max(breaker.cooldown_remaining(), self.config.retry.base_delay)
         else:
             pending.attempts += 1
             pending.transmitted = True
@@ -407,22 +426,25 @@ class ReliableChannel:
                 self._c_retransmit_bytes.inc(frame.cached_size)
             self.net.send(self.name, pending.dst, frame)
             delay = self.config.retry.backoff(pending.attempts, self.sim.rng)
-        pending.timer = self.sim.call_after(
-            delay, lambda: self._on_ack_timeout(pending)
-        )
+        self._arm_retransmit(pending, delay)
 
     def _on_ack_timeout(self, pending: _Pending) -> None:
-        if (pending.dst, pending.seq) not in self._pending:
-            return
-        pending.timer = None
+        """``pending``'s ack deadline passed: give up or try again."""
+        retry = self.config.retry
+        now = self.sim.now()
         if pending.transmitted:
             breaker = self.breaker(pending.dst)
             if breaker is not None:
                 breaker.record_failure()
-        if pending.transmitted and not self.config.retry.allows(
-            pending.attempts + 1, pending.started_at, self.sim.now()
-        ):
+            spent = not retry.allows(pending.attempts + 1, pending.started_at, now)
+        else:
+            # suppressed by the breaker: no attempt was spent, but the
+            # frame's deadline runs all the same
+            spent = retry.expired(pending.started_at, now)
+        if spent:
             del self._pending[(pending.dst, pending.seq)]
+            if not self._pending:
+                self._stop_clock()
             self._c_gaveup.inc()
             if self.tracer is not None:
                 self.tracer.record(
@@ -438,6 +460,87 @@ class ReliableChannel:
         self._transmit(pending)
 
     # ------------------------------------------------------------------
+    # the retransmit clock: one set of kernel alarms for every deadline
+    #
+    # A transmit reserves its deadline's event seq with sim.next_seq()
+    # exactly where a per-frame call_after timer drew it, so every other
+    # event keeps its seq, and pushes [deadline, seq, pending] onto a
+    # heap ordered like the kernel's own.  Alarms are kernel events at
+    # entry slots, kept so that the earliest sits at or before the
+    # earliest live entry: that entry's deadline then fires at its own
+    # (deadline, seq), as its timer would have.  An ack only clears the
+    # entry's pending slot (a dead entry pins nothing); an alarm that
+    # finds its entry dead is a stale fire.  Every fire re-arms at the
+    # earliest live entry unless an alarm already covers it, and a new
+    # entry that undercuts the earliest alarm gets an alarm of its own —
+    # never a cancel-and-rearm, because a cancelled seq stays queued as
+    # a tombstone and may not be scheduled again.  Alarms are cancelled
+    # only when no frame is pending or on crash(), and every entry goes
+    # with them, so no seq of theirs can come back.
+
+    def _arm_retransmit(self, pending: _Pending, delay: float) -> None:
+        sim = self.sim
+        entry = [sim.clock._now + delay, sim.next_seq(), pending]
+        pending.entry = entry
+        heappush(self._retx, entry)
+        alarms = self._alarms
+        if not alarms:
+            self._arm(entry)
+        elif entry < alarms[-1][0]:  # (deadline, seq): seqs are unique
+            self.undercut_alarms += 1
+            self._arm(entry)
+
+    def _arm(self, entry: List[Any]) -> None:
+        self._alarms.append(
+            (entry, self.sim.call_at_seq(entry[0], entry[1], self._on_alarm))
+        )
+
+    def _on_alarm(self) -> None:
+        entry = self._alarms.pop()[0]
+        pending = entry[2]
+        if pending is None:
+            self.stale_fires += 1
+            self._rearm()
+            return
+        # the earliest live deadline: retire it and re-arm for the rest
+        # before the timeout schedules anything new
+        entry[2] = None
+        self._dead += 1
+        self._rearm()
+        self._on_ack_timeout(pending)
+
+    def _rearm(self) -> None:
+        """Drop dead heads; arm at the earliest live entry unless an
+        alarm already sits at or before it."""
+        heap = self._retx
+        while heap and heap[0][2] is None:
+            heappop(heap)
+            self._dead -= 1
+        if heap and (not self._alarms or heap[0] < self._alarms[-1][0]):
+            self._arm(heap[0])
+
+    def _disarm(self, pending: _Pending) -> None:
+        """``pending`` was acked while other frames are still pending."""
+        pending.entry[2] = None
+        self._dead += 1
+        heap = self._retx
+        if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 > len(heap):
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapify(heap)
+            self._dead = 0
+
+    def _stop_clock(self) -> None:
+        """Cancel every alarm and drop every entry: no frame is pending,
+        or the channel crashed (``recover`` transmits on fresh seqs)."""
+        for _, handle in self._alarms:
+            handle.cancel()
+        self._alarms.clear()
+        for entry in self._retx:
+            entry[2] = None  # crash: unpin the frames still pending
+        self._retx.clear()
+        self._dead = 0
+
+    # ------------------------------------------------------------------
     # receiving
 
     def _on_frame(self, src: str, frame: Any) -> None:
@@ -445,8 +548,10 @@ class ReliableChannel:
             pending = self._pending.pop((src, frame.seq), None)
             if pending is None:
                 return  # duplicate ack
-            if pending.timer is not None:
-                pending.timer.cancel()
+            if self._pending:
+                self._disarm(pending)
+            else:
+                self._stop_clock()
             breaker = self.breaker(src)
             if breaker is not None:
                 breaker.record_success()
@@ -516,25 +621,22 @@ class ReliableChannel:
     # failure model (Failable protocol)
 
     def crash(self) -> None:
-        """Take the endpoint off the network; retransmit timers freeze
-        (pending frames are kept — the session state is durable)."""
+        """Take the endpoint off the network and stop the retransmit
+        clock (pending frames are kept — the session state is durable)."""
         self.up = False
         if self.net.endpoint(self.name) is not None:
             self.net.set_up(self.name, False)
         # close open batch frames: reliable ones park in _pending for
         # recover() to re-kick; fire-and-forget ones die at the sender
         self.flush_all()
-        for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-                pending.timer = None
+        self._stop_clock()
 
     def recover(self) -> None:
         """Rejoin the network and re-kick every pending frame.
 
         A no-op on a channel that is already up: its pending frames
-        still hold live timers, and a second ``_transmit`` each would
-        start a second retransmit chain per frame.
+        still have deadlines on the clock, and a second ``_transmit``
+        each would start a second retransmit chain per frame.
         """
         if self.up:
             return

@@ -100,9 +100,11 @@ class RetryPolicy:
         """May attempt number ``attempt`` (1-based) still be made?"""
         if self.max_attempts is not None and attempt > self.max_attempts:
             return False
-        if self.deadline is not None and now - started_at >= self.deadline:
-            return False
-        return True
+        return not self.expired(started_at, now)
+
+    def expired(self, started_at: float, now: float) -> bool:
+        """Has the time budget since ``started_at`` run out?"""
+        return self.deadline is not None and now - started_at >= self.deadline
 
 
 class Deadline:
@@ -209,4 +211,4 @@ class Retrier:
                 self.on_giveup()
             return
         self.metrics.counter("resilience.retry.retries").inc()
-        self.sim.call_after(delay, self._attempt)
+        self.sim.post(delay, self._attempt)

@@ -65,8 +65,11 @@ Reserved slots, two primitives:
 They let a component that owns many deadlines keep *one* pending timer
 for the earliest of them, yet fire each deadline at the very
 ``(time, seq)`` a per-deadline timer would have had, so no other
-event's seq and no firing order changes (the pubsub lease watchdog in
-:mod:`repro.pubsub.subscription`).
+event's seq and no firing order changes.  Two components do: the pubsub
+lease watchdog in :mod:`repro.pubsub.subscription`, and the reliable
+channel's retransmit clock in :mod:`repro.resilience.channel`, whose
+jittered deadlines are not FIFO and which therefore keeps a heap of
+reserved slots and may hold more than one alarm.
 """
 
 from __future__ import annotations

@@ -347,6 +347,15 @@ def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
         shift += 7
 
 
+def _utf8(data: bytes, pos: int, n: int, what: str) -> str:
+    if pos + n > len(data):
+        raise WireError(f"truncated {what}")
+    try:
+        return data[pos : pos + n].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"{what} is not UTF-8: {exc.reason}") from None
+
+
 def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
     if pos >= len(data):
         raise WireError("truncated frame")
@@ -367,9 +376,7 @@ def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
         return _unpack_double(data, pos)[0], pos + 8
     if tag == _STR:
         n, pos = _read_uvarint(data, pos)
-        if pos + n > len(data):
-            raise WireError("truncated str")
-        return data[pos : pos + n].decode("utf-8"), pos + n
+        return _utf8(data, pos, n, "str"), pos + n
     if tag == _BYTES:
         n, pos = _read_uvarint(data, pos)
         if pos + n > len(data):
@@ -388,10 +395,17 @@ def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
         for _ in range(n):
             key, pos = _dec(data, pos)
             value, pos = _dec(data, pos)
-            result[key] = value
+            try:
+                result[key] = value
+            except TypeError:
+                raise WireError(
+                    f"unhashable dict key of type {type(key).__name__}"
+                ) from None
         return result, pos
     if tag == _REG:
         name, pos = _dec(data, pos)
+        if type(name) is not str:
+            raise WireError(f"registered-class name is a {type(name).__name__}")
         nfields, pos = _read_uvarint(data, pos)
         values = []
         for _ in range(nfields):
@@ -403,26 +417,33 @@ def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
         factory, fields = entry
         if len(values) != len(fields):
             raise WireError(f"field count mismatch for {name}")
-        return factory(*values), pos
+        try:
+            return factory(*values), pos
+        except (TypeError, ValueError) as exc:  # fields the class rejects
+            raise WireError(f"cannot rebuild {name}: {exc!r}") from None
     if tag == _OBJ:
         n, pos = _read_uvarint(data, pos)
-        if pos + n > len(data):
-            raise WireError("truncated object name")
-        name = data[pos : pos + n].decode("utf-8")
-        pos += n
-        state, pos = _dec(data, pos)
+        name = _utf8(data, pos, n, "object name")
+        state, pos = _dec(data, pos + n)
         return Opaque(name, state), pos
     if tag == _CALL:
         n, pos = _read_uvarint(data, pos)
-        if pos + n > len(data):
-            raise WireError("truncated callable name")
-        return CallableRef(data[pos : pos + n].decode("utf-8")), pos + n
+        return CallableRef(_utf8(data, pos, n, "callable name")), pos + n
     raise WireError(f"unknown wire tag: {tag:#x}")
 
 
 def decode(data: bytes) -> Any:
-    """Decode wire bytes back to a payload (inverse of :func:`encode`)."""
-    obj, pos = _dec(data, 0)
+    """Decode wire bytes back to a payload (inverse of :func:`encode`).
+
+    Any malformed input — truncated, trailing bytes, an unknown tag,
+    invalid UTF-8, an unhashable dict key, fields a registered class
+    rejects, nesting past the interpreter's recursion limit — raises
+    :class:`WireError` and nothing else.
+    """
+    try:
+        obj, pos = _dec(data, 0)
+    except RecursionError:
+        raise WireError("frame nests too deeply to decode") from None
     if pos != len(data):
         raise WireError(f"{len(data) - pos} trailing bytes after frame")
     return obj

@@ -1,13 +1,17 @@
-"""Lint: nothing under ``src/repro/pubsub`` throws an event handle away.
+"""Lint: nothing under ``src/repro/pubsub`` or ``src/repro/resilience``
+throws an event handle away.
 
 ``call_after``/``call_at``/``call_at_seq`` exist to return an
 :class:`~repro.sim.kernel.EventHandle` — the cancel API — and allocate
 one per call.  A call whose result is discarded paid for a handle nobody
 can use; ``post`` schedules the same event, with the same seq, without
 one.  The broker path used to discard a handle per delivery, per pump,
-per publish wake and per consumer service; this walks every pubsub
-module's AST (sibling of ``test_network_send_has_exactly_one_calling_module``)
-and fails on any such call left.
+per publish wake and per consumer service, and ``Retrier`` one per
+retry; this walks every pubsub and resilience module's AST (sibling of
+``test_network_send_has_exactly_one_calling_module``) and fails on any
+such call left.  The reliable channel goes further: its retransmit
+clock arms alarms at reserved slots, so it makes no ``call_after`` or
+``call_at`` call at all.
 """
 
 import ast
@@ -16,7 +20,9 @@ from typing import List
 
 import repro
 
-PUBSUB = Path(repro.__file__).resolve().parent / "pubsub"
+SRC = Path(repro.__file__).resolve().parent
+PUBSUB = SRC / "pubsub"
+RESILIENCE = SRC / "resilience"
 _HANDLE_RETURNING = {"call_after", "call_at", "call_at_seq"}
 
 
@@ -47,13 +53,37 @@ def test_lint_tells_discarded_from_kept_handles():
     ) == []
 
 
-def test_no_pubsub_module_discards_an_event_handle():
-    offenders = {
-        str(path.relative_to(PUBSUB)): lines
-        for path in sorted(PUBSUB.rglob("*.py"))
+def _offenders(package: Path):
+    return {
+        str(path.relative_to(package)): lines
+        for path in sorted(package.rglob("*.py"))
         if (lines := discarded_schedule_calls(path.read_text()))
     }
+
+
+def test_no_pubsub_module_discards_an_event_handle():
+    offenders = _offenders(PUBSUB)
     assert not offenders, (
         f"scheduling handles discarded under repro/pubsub: {offenders} — "
         "use sim.post for an event nobody cancels"
     )
+
+
+def test_no_resilience_module_discards_an_event_handle():
+    offenders = _offenders(RESILIENCE)
+    assert not offenders, (
+        f"scheduling handles discarded under repro/resilience: {offenders} — "
+        "use sim.post for an event nobody cancels"
+    )
+
+
+def test_reliable_channel_schedules_no_timer_per_frame():
+    calls = sorted(
+        node.func.attr
+        for node in ast.walk(ast.parse((RESILIENCE / "channel.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _HANDLE_RETURNING
+    )
+    # one call_at_seq: _arm, the retransmit clock's only kernel timer
+    assert calls == ["call_at_seq"]
