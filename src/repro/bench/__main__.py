@@ -115,6 +115,8 @@ def main(argv=None) -> int:
         help="export per-configuration trace JSONL from traced experiments",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if not __debug__:
         # every check() is made of assert statements, which -O strips:
         # the sweep would report "ok" without having checked anything

@@ -17,6 +17,7 @@ from typing import List
 
 from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
+from repro.bench.worlds import store_snapshot
 from repro.core.bridge import DirectIngestBridge
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.relay import WatchRelay
@@ -52,11 +53,7 @@ def run(
         store = MVCCStore(clock=sim.now)
         root = WatchSystem(sim, name="root")
         DirectIngestBridge(sim, store.history, root, progress_interval=0.2)
-
-        def store_snapshot(kr):
-            version = store.last_version
-            return version, dict(store.scan(kr, version))
-
+        snapshot = store_snapshot(store)
         latency = Histogram("latency")
         consumers: List[LinkedCache] = []
 
@@ -68,7 +65,7 @@ def run(
         if topology == "direct":
             for i in range(num_consumers):
                 cache = TimedCache(
-                    sim, root, store_snapshot, KeyRange.all(),
+                    sim, root, snapshot, KeyRange.all(),
                     LinkedCacheConfig(snapshot_latency=0.02),
                     name=f"leaf-{i}",
                 )
@@ -78,7 +75,7 @@ def run(
             relays = []
             for r in range(num_relays):
                 relay = WatchRelay(
-                    sim, root, store_snapshot, KeyRange.all(),
+                    sim, root, snapshot, KeyRange.all(),
                     config=LinkedCacheConfig(snapshot_latency=0.02),
                     name=f"relay-{r}",
                 )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
+from repro.bench.worlds import store_snapshot
 from repro.core.bridge import DirectIngestBridge
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
@@ -51,9 +52,7 @@ def run(
         ws = WatchSystem(sim, WatchSystemConfig(max_buffered_events=budget))
         DirectIngestBridge(sim, store.history, ws, progress_interval=0.25)
 
-        def snapshot_fn(kr):
-            version = store.last_version
-            return version, dict(store.scan(kr, version))
+        snapshot_fn = store_snapshot(store)
 
         writer = WriteStream(
             sim, store, UniformKeys(sim, keys), rate=update_rate

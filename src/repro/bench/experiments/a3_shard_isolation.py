@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
+from repro.bench.worlds import store_snapshot
 from repro.core.bridge import DirectIngestBridge, even_ranges
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.sharded_watch import ShardedWatchSystem
@@ -53,9 +54,7 @@ def run(
             ws = ShardedWatchSystem(sim, even_ranges(shards))
         DirectIngestBridge(sim, store.history, ws, progress_interval=0.25)
 
-        def snapshot_fn(kr):
-            version = store.last_version
-            return version, dict(store.scan(kr, version))
+        snapshot_fn = store_snapshot(store)
 
         caches = []
         for i, key_range in enumerate(watcher_ranges):

@@ -27,31 +27,17 @@ yields an identical fault schedule, retry timing, and output table.
 
 from __future__ import annotations
 
-from typing import Optional
-
+from repro.bench import worlds
 from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.cache.cluster import CacheCluster, Prober
-from repro.cache.invalidation import (
-    FreeInvalidationPipeline,
-    InvalidationMode,
-    PubsubCacheNode,
-)
-from repro.cache.node import CacheNodeConfig
-from repro.cache.watch_cache import WatchCacheNode
-from repro.core.bridge import DirectIngestBridge
-from repro.core.relay import ReliableFanoutEndpoint, ReliableFanoutLink
-from repro.core.linked_cache import LinkedCacheConfig
-from repro.core.watch_system import WatchSystem
 from repro.obs import TraceIndex, Tracer
 from repro.obs.report import trace_summary_row
-from repro.pubsub.broker import Broker
 from repro.resilience.breaker import CircuitBreakerConfig
 from repro.resilience.channel import ChannelConfig
 from repro.resilience.retry import RetryPolicy
-from repro.sharding.autosharder import AutoSharder, AutoSharderConfig
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulation, Timeout
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import NetworkConfig
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
 
@@ -69,15 +55,6 @@ def _channel_config(reliable: bool, ordered: bool) -> ChannelConfig:
     return ChannelConfig(
         retry=_RELIABLE_RETRY, ordered=ordered, breaker=_BREAKER
     )
-
-
-def _metric_sum(registries, suffix: str) -> int:
-    total = 0
-    for registry in registries:
-        for name, value in registry.snapshot().items():
-            if name.startswith("resilience.") and name.endswith(suffix):
-                total += int(value)
-    return total
 
 
 def run(
@@ -129,100 +106,38 @@ def run(
         store = MVCCStore(clock=sim.now)
         for i, key in enumerate(keys):
             store.put(key, {"v": -1, "i": i})
-        # trace only post-prefill commits: attach after the seed writes
+        # trace only post-prefill commits: the fleet attaches the tracer
+        # after the seed writes.  Static assignment: no handoffs — E3
+        # already covers the routing race, so any divergence here is
+        # attributable to the transport
         tracer = Tracer(sim, name=config_name)
         tracers[config_name] = tracer
-        tracer.observe_store(store)
-        # static assignment: no handoffs — E3 already covers the routing
-        # race, so any divergence here is attributable to the transport
-        sharder = AutoSharder(
-            sim, [f"node-{i}" for i in range(num_nodes)],
-            AutoSharderConfig(notify_latency=0.01, notify_jitter=0.01),
-            auto_rebalance=False,
+        fleet = worlds.cache_fleet(
+            sim, store, tracer, system, num_nodes,
+            NetworkConfig(
+                base_latency=base_latency, jitter=net_jitter,
+                loss_rate=loss_rate,
+            ),
+            _channel_config(reliable, ordered=system == "watch"),
         )
-        net = Network(sim, NetworkConfig(
-            base_latency=base_latency, jitter=net_jitter, loss_rate=loss_rate
-        ), tracer=tracer)
         injector = FailureInjector(sim)
-        registries = [net.metrics]
-
-        if system == "pubsub":
-            channel_cfg = _channel_config(reliable, ordered=False)
-            broker = Broker(sim, tracer=tracer)
-            registries.append(broker.metrics)
-            nodes = [
-                PubsubCacheNode(
-                    sim, f"node-{i}", store, InvalidationMode.NAIVE,
-                    config=CacheNodeConfig(fetch_latency=0.01),
-                    tracer=tracer,
-                )
-                for i in range(num_nodes)
-            ]
-            # free consumers: every node sees the whole feed, so routing
-            # cannot miss — only the network hop can
-            pipeline = FreeInvalidationPipeline(
-                sim, store, broker, sharder, nodes,
-                network=net, resilience=channel_cfg, tracer=tracer,
-            )
-            remote = pipeline.remote_publisher
-            assert remote is not None
-            outage_target, outage_name = remote, "cdc-publisher"
-            partition_pair = ("invalidations-cdc", "invalidations-broker")
-
-            def lost_updates() -> int:
-                received = broker.metrics.counter(
-                    "resilience.invalidations-broker.received"
-                ).value
-                return remote.published - received
-        elif system == "watch":
-            channel_cfg = _channel_config(reliable, ordered=True)
-            ws_local = WatchSystem(sim, name="src-ws", tracer=tracer)
-            DirectIngestBridge(
-                sim, store.history, ws_local, progress_interval=0.25
-            )
-            ws_remote = WatchSystem(sim, name="edge-ws", tracer=tracer)
-            endpoint = ReliableFanoutEndpoint(
-                sim, net, "fanout-endpoint", ws_remote, config=channel_cfg,
-                tracer=tracer,
-            )
-            link = ReliableFanoutLink(
-                sim, ws_local, net, "fanout-link", remote="fanout-endpoint",
-                config=channel_cfg, tracer=tracer,
-            )
-            nodes = [
-                WatchCacheNode(
-                    sim, f"node-{i}", store, ws_remote,
-                    cache_config=LinkedCacheConfig(snapshot_latency=0.02),
-                    tracer=tracer,
-                )
-                for i in range(num_nodes)
-            ]
-            for node in nodes:
-                sharder.subscribe(node.on_assignment)
-            outage_target, outage_name = link, "fanout-link"
-            partition_pair = ("fanout-link", "fanout-endpoint")
-
-            def lost_updates() -> int:
-                return link.events_shipped - endpoint.events_ingested
-        else:
-            raise ValueError(f"unknown config {config_name!r}")
 
         # ------------------------------------------------------------------
         # the chaos schedule: endpoint outages + two partition windows,
         # all over before `duration` so the drain can measure convergence
         faults = injector.random_outages(
-            outage_target, outage_name,
+            *fleet.outage,
             horizon=duration * 0.8,
             mean_interval=outage_mean_interval,
             mean_duration=outage_mean_duration,
         )
         for frac in (0.3, 0.6):
             faults.append(injector.partition_window(
-                net, partition_pair[0], partition_pair[1],
+                fleet.net, *fleet.partition,
                 start=duration * frac, duration=partition_duration,
             ))
 
-        cluster = CacheCluster(sim, sharder, nodes, store)
+        cluster = CacheCluster(sim, fleet.sharder, fleet.nodes, store)
         writer = WriteStream(
             sim, store, UniformKeys(sim, keys), rate=update_rate,
             value_fn=lambda n: {"v": n},
@@ -253,10 +168,10 @@ def run(
         table.add(
             config=config_name,
             faults=len(faults),
-            lost_updates=lost_updates(),
-            retransmits=_metric_sum(registries, ".retransmits"),
-            dup_dropped=_metric_sum(registries, ".duplicates_dropped"),
-            breaker_trips=_metric_sum(registries, ".trips"),
+            lost_updates=fleet.lost_updates(),
+            retransmits=worlds.metric_sum(fleet.registries, ".retransmits"),
+            dup_dropped=worlds.metric_sum(fleet.registries, ".duplicates_dropped"),
+            breaker_trips=worlds.metric_sum(fleet.registries, ".trips"),
             stale_reads_frac=round(prober.stats.stale_fraction, 4),
             converged=converged,
             t_converge_s=(

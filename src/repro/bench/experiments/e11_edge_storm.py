@@ -39,9 +39,8 @@ from __future__ import annotations
 from statistics import median
 
 from repro._types import KeyRange
+from repro.bench import worlds
 from repro.bench.runner import ExperimentResult, signature_defaults
-from repro.core.bridge import DirectIngestBridge
-from repro.core.watch_system import WatchSystem
 from repro.edge.client import EdgeClient
 from repro.edge.frontend import (
     EdgeFrontendConfig,
@@ -52,7 +51,6 @@ from repro.edge.placement import SessionPlacement
 from repro.edge.session import SessionConfig, SlowConsumerPolicy
 from repro.obs import TraceIndex, Tracer
 from repro.obs.report import trace_summary_row
-from repro.pubsub.broker import Broker
 from repro.sim.kernel import Simulation
 from repro.sim.network import Network, NetworkConfig
 from repro.storage.kv import MVCCStore
@@ -157,57 +155,35 @@ def run(
             catchup_threshold=catchup_threshold,
         )
 
+        source = worlds.edge_source(sim, store, tracer, system)
         if system == "watch":
-            source = WatchSystem(sim, name="src-ws", tracer=tracer)
-            DirectIngestBridge(
-                sim, store.history, source, latency=0.002,
-                progress_interval=0.25,
-            )
-
-            def store_snapshot(key_range):
-                version = store.last_version
-                return version, dict(store.scan(key_range, version))
-
             frontends = [
                 WatchEdgeFrontend(
-                    sim, f"fe{i}", source, store_snapshot, net=net,
-                    config=frontend_config, tracer=tracer,
-                )
-                for i in range(num_frontends)
-            ]
-        elif system == "pubsub":
-            broker = Broker(sim, tracer=tracer)
-            broker.create_topic("updates", num_partitions=4)
-
-            def publish_commit(commit):
-                for key, mutation in commit.writes:
-                    broker.publish("updates", key, {
-                        "version": commit.version, "value": mutation.value,
-                    })
-
-            store.history.tail(publish_commit)
-            frontends = [
-                PubsubEdgeFrontend(
-                    sim, f"fe{i}", broker, "updates", net=net,
+                    sim, f"fe{i}", source.watch, source.snapshot, net=net,
                     config=frontend_config, tracer=tracer,
                 )
                 for i in range(num_frontends)
             ]
         else:
-            raise ValueError(f"unknown config {config_name!r}")
+            frontends = [
+                PubsubEdgeFrontend(
+                    sim, f"fe{i}", source.broker, "updates", net=net,
+                    config=frontend_config, tracer=tracer,
+                )
+                for i in range(num_frontends)
+            ]
 
         placement = SessionPlacement(sim, frontends)
-        clients = []
-        for i, name in enumerate(names):
-            client = EdgeClient(
+        clients = worlds.stagger_connects(sim, [
+            EdgeClient(
                 sim, name, placement,
                 service_time=(
                     slow_service_time if i in slow else fast_service_time
                 ),
                 reconnect_delay=0.3,
             )
-            clients.append(client)
-            sim.call_after(sim.rng.uniform(0.0, 0.5), client.connect)
+            for i, name in enumerate(names)
+        ], 0.5)
 
         writer = WriteStream(
             sim, store, UniformKeys(sim, keys), rate=update_rate,
@@ -218,30 +194,10 @@ def run(
 
         # the storm: a fraction of clients drop within a short window
         # and stay away for an exponential holdoff before reconnecting
-        storm = {"disconnects": 0}
-        stormers = sim.rng.sample(
-            clients, round(num_clients * storm_fraction)
+        storm = worlds.reconnect_storm(
+            sim, clients, storm_fraction, storm_at, storm_window,
+            downtime_mean,
         )
-        for client in stormers:
-            hit_at = storm_at + sim.rng.uniform(0.0, storm_window)
-            downtime = min(
-                sim.rng.expovariate(1.0 / downtime_mean), 4 * downtime_mean
-            )
-
-            def hit(client=client, downtime=downtime):
-                if client.session is None:
-                    return  # already between sessions (e.g. mid-cycle)
-                storm["disconnects"] += 1
-                client.auto_reconnect = False
-                client.disconnect()
-
-                def back():
-                    client.auto_reconnect = True
-                    client.connect()
-
-                sim.call_after(downtime, back)
-
-            sim.call_at(hit_at, hit)
 
         sim.run(until=duration + drain)
 
@@ -249,18 +205,10 @@ def run(
         # accounting
         latest = dict(store.scan(KeyRange.all(), store.last_version))
         commits = int(store.last_version)
-        totals = {key: 0 for key in
-                  ("offered", "delivered", "coalesced", "dropped",
-                   "returned", "queued")}
+        totals, restale = worlds.fold_client_totals(clients)
         final_stale = 0
-        restale = []
         peak_slow = peak_fast = 0
         for i, client in enumerate(clients):
-            client.stop()
-            client_totals = client.finalize()
-            for key in totals:
-                totals[key] += client_totals[key]
-            restale.extend(client.staleness_at_connect[1:])
             final_stale += sum(
                 1 for key, value in latest.items()
                 if client.state.get(key) != value
@@ -270,10 +218,6 @@ def run(
             else:
                 peak_fast = max(peak_fast, client.peak_queue)
 
-        accounted = sum(v for k, v in totals.items() if k != "offered")
-        attributed_pct = (
-            100.0 * accounted / totals["offered"] if totals["offered"] else 100.0
-        )
         if system == "watch":
             src_load = sum(fe.link.events_shipped for fe in frontends)
             src_load += sum(fe.source_snapshots for fe in frontends)
@@ -290,7 +234,7 @@ def run(
         sessions_table.add(
             config=config_name,
             sessions=sum(c.connects for c in clients),
-            storm_dc=storm["disconnects"],
+            storm_dc=storm.disconnects,
             catchups=sum(fe.catchups_served for fe in frontends),
             snapshots=snapshots,
             replayed=replayed,
@@ -308,7 +252,7 @@ def run(
             dropped_edge=totals["dropped"],
             returned=totals["returned"],
             queued=totals["queued"],
-            attributed_pct=round(attributed_pct, 1),
+            attributed_pct=worlds.attributed_pct(totals),
             final_stale=final_stale,
             src_per_commit=round(src_load / commits, 2) if commits else 0.0,
         )

@@ -36,37 +36,10 @@ output table is byte-deterministic for a given seed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.bench.runner import ExperimentResult, signature_defaults
-from repro.cache.invalidation import (
-    FreeInvalidationPipeline,
-    InvalidationMode,
-    PubsubCacheNode,
-)
-from repro.cache.node import CacheNodeConfig
-from repro.cache.watch_cache import WatchCacheNode
-from repro.core.bridge import DirectIngestBridge
-from repro.core.relay import ReliableFanoutEndpoint, ReliableFanoutLink
-from repro.core.linked_cache import LinkedCacheConfig
-from repro.core.watch_system import WatchSystem
-from repro.obs import TraceIndex, Tracer
-from repro.obs.report import trace_summary_row
-from repro.obs.trace import hops
-from repro.pubsub.broker import Broker
-from repro.resilience.channel import ChannelConfig
-from repro.resilience.retry import RetryPolicy
-from repro.sharding.autosharder import AutoSharder, AutoSharderConfig
-from repro.sim.kernel import Simulation, Timeout
-from repro.sim.network import Network, NetworkConfig
-from repro.storage.kv import MVCCStore, Mutation
-from repro.transport import BatchConfig
+from repro.bench.worlds import batching_cell
+from repro.sim.kernel import Simulation
 from repro.workloads.generators import key_universe
-
-
-#: Unbounded retransmits: the sweep measures batching cost, and a
-#: give-up on the reliable rows would conflate loss with the lever.
-_RETRY = RetryPolicy.unbounded(base_delay=0.05, max_delay=0.5)
 
 
 def _sweep(batch_sizes, lingers_ms, fanouts, base_batch, base_linger_ms,
@@ -84,57 +57,6 @@ def _sweep(batch_sizes, lingers_ms, fanouts, base_batch, base_linger_ms,
     # fire-and-forget at the base point: lost frames must attribute
     combos.append((base_batch, base_linger_ms, base_fanout, False))
     return combos
-
-
-def _txn_writer(sim, store, keys, txn_size, rate, duration, burst):
-    """Commit ``txn_size``-key transactions at ``rate`` (average) until
-    ``duration``, in back-to-back bursts of ``burst`` commits — the
-    arrival pattern that lets frames actually fill, so the batch-size
-    axis has something to bind on.  Rotating key windows, no RNG draw:
-    the record stream is identical across every configuration."""
-    interval = burst / rate
-    state = {"commits": 0}
-
-    def _run():
-        n = 0
-        idx = 0
-        while sim.now() < duration:
-            for _ in range(burst):
-                writes = {
-                    keys[(idx + j) % len(keys)]: Mutation.put({"v": n, "j": j})
-                    for j in range(txn_size)
-                }
-                idx = (idx + txn_size) % len(keys)
-                store.commit(writes)
-                state["commits"] += 1
-                n += 1
-            yield Timeout(interval)
-
-    sim.spawn(_run(), name="txn-writer")
-    return state
-
-
-def _terminal_stats(tracer, hop) -> Tuple[int, Optional[float]]:
-    """(count, active span seconds) of a terminal hop's events."""
-    count, first, last = 0, None, None
-    for event in tracer.log:
-        if event.hop != hop:
-            continue
-        count += 1
-        if first is None:
-            first = event.t
-        last = event.t
-    span = (last - first) if count > 1 else None
-    return count, span
-
-
-def _metric_sum(registries, suffix: str) -> int:
-    total = 0
-    for registry in registries:
-        for name, value in registry.snapshot().items():
-            if name.startswith("resilience.") and name.endswith(suffix):
-                total += int(value)
-    return total
 
 
 def run(
@@ -182,146 +104,29 @@ def run(
          "bytes_per_msg"],
     )
     keys = key_universe(num_keys)
+    sizing = dict(
+        txn_size=txn_size, burst=burst, duration=duration, drain=drain,
+        loss_rate=loss_rate, base_latency=base_latency,
+        net_jitter=net_jitter, dispatch_cost=dispatch_cost,
+        record_service=record_service,
+    )
     combos = _sweep(batch_sizes, lingers_ms, fanouts, base_batch,
                     base_linger_ms, base_fanout)
 
     for system in pipelines:
         for batch, linger_ms, fanout, reliable in combos:
-            batched = batch > 1
-            batch_cfg = (
-                BatchConfig(max_batch=batch, max_linger=linger_ms / 1000.0)
-                if batched else None
+            cell = batching_cell(
+                Simulation(seed=seed), f"{system}-b{batch}", system, keys,
+                fanout, batch, linger_ms, reliable, commit_rate, **sizing,
             )
-            sim = Simulation(seed=seed)
-            store = MVCCStore(clock=sim.now)
-            for i, key in enumerate(keys):
-                store.put(key, {"v": -1, "j": i})
-            tracer = Tracer(sim, name=f"{system}-b{batch}")
-            tracer.observe_store(store)
-            sharder = AutoSharder(
-                sim, [f"node-{i}" for i in range(fanout)],
-                AutoSharderConfig(notify_latency=0.01, notify_jitter=0.01),
-                auto_rebalance=False,
-            )
-            net = Network(sim, NetworkConfig(
-                base_latency=base_latency, jitter=net_jitter,
-                loss_rate=loss_rate,
-            ), tracer=tracer)
-            registries = [net.metrics]
-
-            if system == "pubsub":
-                channel_cfg = ChannelConfig(
-                    reliable=reliable,
-                    retry=_RETRY if reliable else None,
-                    batch=batch_cfg,
-                )
-                broker = Broker(sim, tracer=tracer)
-                registries.append(broker.metrics)
-                nodes = [
-                    PubsubCacheNode(
-                        sim, f"node-{i}", store, InvalidationMode.NAIVE,
-                        config=CacheNodeConfig(fetch_latency=0.01),
-                        tracer=tracer,
-                    )
-                    for i in range(fanout)
-                ]
-                # dispatch cost is per handler invocation: the unbatched
-                # row pays it per record, batched rows once per group
-                FreeInvalidationPipeline(
-                    sim, store, broker, sharder, nodes,
-                    network=net, resilience=channel_cfg, tracer=tracer,
-                    delivery_batch=batch,
-                    batch_overhead=dispatch_cost if batched else 0.0,
-                    group_commit=batched,
-                    service_time=record_service + (
-                        0.0 if batched else dispatch_cost
-                    ),
-                )
-                terminal = hops.CACHE_APPLY
-            else:
-                channel_cfg = ChannelConfig(
-                    reliable=reliable,
-                    retry=_RETRY if reliable else None,
-                    ordered=reliable,
-                    batch=batch_cfg,
-                )
-                ws_local = WatchSystem(sim, name="src-ws", tracer=tracer)
-                DirectIngestBridge(
-                    sim, store.history, ws_local, progress_interval=0.25
-                )
-                ws_remote = WatchSystem(sim, name="edge-ws", tracer=tracer)
-                ReliableFanoutEndpoint(
-                    sim, net, "fanout-endpoint", ws_remote,
-                    config=channel_cfg, tracer=tracer,
-                )
-                ReliableFanoutLink(
-                    sim, ws_local, net, "fanout-link",
-                    remote="fanout-endpoint", config=channel_cfg,
-                    tracer=tracer,
-                )
-                nodes = [
-                    WatchCacheNode(
-                        sim, f"node-{i}", store, ws_remote,
-                        cache_config=LinkedCacheConfig(snapshot_latency=0.02),
-                        tracer=tracer,
-                    )
-                    for i in range(fanout)
-                ]
-                for node in nodes:
-                    sharder.subscribe(node.on_assignment)
-                terminal = hops.WATCH_APPLY
-
-            _txn_writer(
-                sim, store, keys, txn_size, commit_rate, duration, burst
-            )
-            sim.run(until=duration + drain)
-
-            applied, span = _terminal_stats(tracer, terminal)
-            frames = net.metrics.counter("net.frames.sent").value
-            wire_msgs = net.metrics.counter("net.payload.msgs").value
-            summary = trace_summary_row(TraceIndex(tracer.log))
-            transport = "reliable" if reliable else "fireforget"
-            table.add(
-                config=f"{system}-{transport}",
+            key = dict(
+                config=f"{system}-{'reliable' if reliable else 'fireforget'}",
                 batch=batch,
-                linger_ms=linger_ms if batched else 0.0,
+                linger_ms=linger_ms if batch > 1 else 0.0,
                 fanout=fanout,
-                frames=frames,
-                wire_msgs=wire_msgs,
-                msgs_per_frame=(
-                    round(wire_msgs / frames, 2) if frames else None
-                ),
-                retransmits=_metric_sum(registries, ".retransmits"),
-                applied=applied,
-                throughput_rps=(
-                    round(applied / span, 1) if span else None
-                ),
-                e2e_p50_ms=summary["e2e_p50_ms"],
-                e2e_p99_ms=summary["e2e_p99_ms"],
-                wire_lost=summary["wire_lost"],
-                lost_attributed=summary["lost_attributed"],
             )
-            bytes_sent = net.metrics.counter("net.bytes.sent").value
-            bytes_delivered = net.metrics.counter("net.bytes.delivered").value
-            bytes_dropped = sum(
-                value for name, value in net.metrics.snapshot().items()
-                if name.startswith("net.bytes.dropped.")
-            )
-            bytes_table.add(
-                config=f"{system}-{transport}",
-                batch=batch,
-                linger_ms=linger_ms if batched else 0.0,
-                fanout=fanout,
-                bytes_sent=bytes_sent,
-                bytes_delivered=bytes_delivered,
-                bytes_dropped=int(bytes_dropped),
-                bytes_per_frame=(
-                    round(bytes_sent / frames, 1) if frames else None
-                ),
-                bytes_per_msg=(
-                    round(bytes_sent / wire_msgs, 1) if wire_msgs else None
-                ),
-            )
+            for t in (table, bytes_table):
+                t.add(**key, **{c: cell[c] for c in t.columns[len(key):]})
 
     result.notes.append(
         "batch=1 rows are the fully unbatched baseline (no group commit, "

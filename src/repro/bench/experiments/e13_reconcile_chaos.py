@@ -48,10 +48,9 @@ from __future__ import annotations
 import math
 
 from repro._types import KeyRange
+from repro.bench import worlds
 from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.cdc.publisher import CdcPublisher
-from repro.core.bridge import DirectIngestBridge
-from repro.core.watch_system import WatchSystem
 from repro.edge.client import EdgeClient
 from repro.edge.frontend import EdgeFrontendConfig, WatchEdgeFrontend
 from repro.edge.placement import SessionPlacement
@@ -141,15 +140,7 @@ def run(
         )
 
         # edge tier: watch frontends, placement, durable-cursor clients
-        watch = WatchSystem(sim, name="src-ws", tracer=tracer)
-        DirectIngestBridge(
-            sim, store.history, watch, latency=0.002, progress_interval=0.25,
-        )
-
-        def store_snapshot(key_range, store=store):
-            version = store.last_version
-            return version, dict(store.scan(key_range, version))
-
+        source = worlds.edge_source(sim, store, tracer, "watch")
         frontend_config = EdgeFrontendConfig(
             session=SessionConfig(
                 policy=SlowConsumerPolicy.COALESCE, max_queue=256,
@@ -159,19 +150,18 @@ def run(
         )
         frontends = [
             WatchEdgeFrontend(
-                sim, f"fe{i}", watch, store_snapshot,
+                sim, f"fe{i}", source.watch, source.snapshot,
                 config=frontend_config, tracer=tracer,
             )
             for i in range(num_frontends)
         ]
         placement = SessionPlacement(sim, frontends)
-        clients = []
-        for name in client_names:
-            client = EdgeClient(
+        clients = worlds.stagger_connects(sim, [
+            EdgeClient(
                 sim, name, placement, service_time=0.002, reconnect_delay=0.3,
             )
-            clients.append(client)
-            sim.call_after(sim.rng.uniform(0.0, 0.5), client.connect)
+            for name in client_names
+        ], 0.5)
 
         writer = WriteStream(
             sim, store, UniformKeys(sim, keys), rate=update_rate,

@@ -35,55 +35,16 @@ byte-identical (the E14 determinism test asserts it).
 from __future__ import annotations
 
 import sys
-from array import array
 
-from repro._types import KeyRange
+from repro.bench import worlds
 from repro.bench.runner import ExperimentResult, signature_defaults
-from repro.core.bridge import DirectIngestBridge
-from repro.core.watch_system import WatchSystem
-from repro.edge.client import EdgeClient
 from repro.edge.frontend import EdgeFrontendConfig, WatchEdgeFrontend
 from repro.edge.placement import SessionPlacement
-from repro.edge.session import SessionConfig, SlowConsumerPolicy, SnapshotDelivery
+from repro.edge.session import SessionConfig, SlowConsumerPolicy
 from repro.obs import Tracer
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import UniformKeys, WriteStream
-
-
-def _group_range(group: int) -> KeyRange:
-    # '/' sorts just below '0', so [gNNN/, gNNN0) contains exactly the
-    # keys "gNNN/KKK" of group NNN
-    return KeyRange(f"g{group:03d}/", f"g{group:03d}0")
-
-
-def _group_keys(group: int, keys_per_group: int):
-    return [f"g{group:03d}/{k:03d}" for k in range(keys_per_group)]
-
-
-class _ScaleClient(EdgeClient):
-    """EdgeClient that samples its own delivery latency.
-
-    Latency is measured client-side against the writer's recorded
-    commit times (no tracer needed, so the measurement scales to every
-    session while *tracing* stays sampled).  ``lat_sink`` is None for
-    unsampled clients — they skip the measurement entirely.
-    """
-
-    __slots__ = ("commit_times", "lat_sink")
-
-    def __init__(self, *args, commit_times=None, lat_sink=None, **kw):
-        super().__init__(*args, **kw)
-        self.commit_times = commit_times
-        self.lat_sink = lat_sink
-
-    def on_delivery(self, session, item) -> None:
-        sink = self.lat_sink
-        if sink is not None and item.__class__ is not SnapshotDelivery:
-            t0 = self.commit_times.get(item.version)
-            if t0 is not None:
-                sink.append(self.sim.clock._now - t0)
-        super().on_delivery(session, item)
 
 
 def _percentile(values, q: float) -> float:
@@ -185,11 +146,9 @@ def run(
     tracers = {}
     result.artifacts["tracers"] = tracers
 
-    keys = [
-        key
-        for group in range(num_groups)
-        for key in _group_keys(group, keys_per_group)
-    ]
+    keys = worlds.group_keys(
+        [f"g{group:03d}" for group in range(num_groups)], keys_per_group
+    )
     write_start = connect_window + 0.5
     storm_at = write_start + duration / 2.0
 
@@ -199,16 +158,7 @@ def run(
         tracer = Tracer(sim, name=f"s{num_sessions}-c{storm_fraction}")
         tracers[f"{num_sessions}x{storm_fraction}"] = tracer
         tracer.observe_store(store)
-        source = WatchSystem(sim, name="src-ws", tracer=tracer)
-        DirectIngestBridge(
-            sim, store.history, source, latency=0.002,
-            progress_interval=0.25,
-        )
-
-        def store_snapshot(key_range):
-            version = store.last_version
-            return version, dict(store.scan(key_range, version))
-
+        source = worlds.edge_source(sim, store, tracer, "watch")
         frontend_config = EdgeFrontendConfig(
             session=SessionConfig(
                 policy=SlowConsumerPolicy.COALESCE,
@@ -226,47 +176,31 @@ def run(
         )
         frontends = [
             WatchEdgeFrontend(
-                sim, f"fe{i}", source, store_snapshot,
+                sim, f"fe{i}", source.watch, source.snapshot,
                 config=frontend_config, tracer=tracer,
             )
             for i in range(num_frontends)
         ]
         placement = SessionPlacement(sim, frontends)
 
-        commit_times = {}
-        store.history.tail(
-            lambda commit: commit_times.__setitem__(
-                commit.version, sim.clock._now
-            )
-        )
+        times = worlds.commit_times(sim, store)
         lat_calm = []
         lat_storm = []
-
-        class _Sink(list):
-            """Routes a latency sample to the calm or storm bucket."""
-
-            __slots__ = ()
-
-            def append(self, value):  # noqa: A003 - list API
-                if sim.clock._now < storm_at:
-                    list.append(lat_calm, value)
-                else:
-                    list.append(lat_storm, value)
-
-        sink = _Sink()
-        clients = []
-        for i in range(num_sessions):
-            name = f"{chr(ord('a') + (26 * i) // num_sessions)}{i:07d}"
-            client = _ScaleClient(
-                sim, name, placement,
-                key_range=_group_range(i % num_groups),
+        sample = worlds.storm_split(
+            sim, storm_at, lat_calm.append, lat_storm.append
+        )
+        clients = worlds.stagger_connects(sim, [
+            worlds.LatencyClient(
+                sim, f"{chr(ord('a') + (26 * i) // num_sessions)}{i:07d}",
+                placement,
+                key_range=worlds.group_range(f"g{i % num_groups:03d}"),
                 service_time=0.0,
                 reconnect_delay=0.3,
-                commit_times=commit_times,
-                lat_sink=sink if i % lat_client_sample == 0 else None,
+                commit_times=times,
+                sink=sample if i % lat_client_sample == 0 else None,
             )
-            clients.append(client)
-            sim.call_after(sim.rng.uniform(0.0, connect_window), client.connect)
+            for i in range(num_sessions)
+        ], connect_window)
 
         writer = WriteStream(
             sim, store, UniformKeys(sim, keys), rate=update_rate,
@@ -277,54 +211,20 @@ def run(
 
         # the reconnect storm: a deterministic sample of clients drops
         # inside the window and returns after an exponential holdoff
-        stormers = sim.rng.sample(
-            clients, round(num_sessions * storm_fraction)
+        storm = worlds.reconnect_storm(
+            sim, clients, storm_fraction, storm_at, storm_window,
+            downtime_mean,
         )
-        reconnect_times = array("d")
-        for client in stormers:
-            hit_at = storm_at + sim.rng.uniform(0.0, storm_window)
-            downtime = min(
-                sim.rng.expovariate(1.0 / downtime_mean), 4 * downtime_mean
-            )
-            reconnect_times.append(hit_at + downtime)
-
-            def hit(client=client, downtime=downtime):
-                if client.session is None:
-                    return
-                client.auto_reconnect = False
-                client.disconnect()
-
-                def back():
-                    client.auto_reconnect = True
-                    client.connect()
-
-                sim.call_after(downtime, back)
-
-            sim.call_at(hit_at, hit)
 
         sim.run(until=write_start + duration + drain)
 
         # ------------------------------------------------------------------
         # accounting
         commits = int(store.last_version)
-        totals = {key: 0 for key in
-                  ("offered", "delivered", "coalesced", "dropped",
-                   "returned", "queued")}
-        restale_max = 0
-        reconnects = 0
         bytes_per_sess = _chain_bytes(
             frontends, clients, max(1, num_sessions // 1024)
         )
-        for client in clients:
-            client.stop()
-            client_totals = client.finalize()
-            for key in totals:
-                totals[key] += client_totals[key]
-            if len(client.staleness_at_connect) > 1:
-                reconnects += len(client.staleness_at_connect) - 1
-                restale_max = max(
-                    restale_max, max(client.staleness_at_connect[1:])
-                )
+        totals, restale = worlds.fold_client_totals(clients)
         # cross-check the fold against the C-summed table columns for
         # still-attached slots (released slots zero at re-attach)
         column_offered = sum(
@@ -332,14 +232,9 @@ def run(
         )
         assert column_offered <= totals["offered"]
 
-        accounted = sum(v for k, v in totals.items() if k != "offered")
-        attributed_pct = (
-            100.0 * accounted / totals["offered"]
-            if totals["offered"] else 100.0
-        )
         recover_s = (
-            round(max(reconnect_times) - storm_at, 2)
-            if reconnect_times else 0.0
+            round(max(storm.reconnect_times) - storm_at, 2)
+            if storm.reconnect_times else 0.0
         )
         wheel = sim.timer_stats()
         sweep_table.add(
@@ -350,15 +245,15 @@ def run(
             p50_ms=round(_percentile(lat_calm, 0.50) * 1000, 2),
             p99_ms=round(_percentile(lat_calm, 0.99) * 1000, 2),
             storm_p99_ms=round(_percentile(lat_storm, 0.99) * 1000, 2),
-            reconnects=reconnects,
+            reconnects=len(restale),
             recover_s=recover_s,
-            restale_max=restale_max,
+            restale_max=max(restale, default=0),
             bytes_per_sess=bytes_per_sess,
         )
         scale_table.add(
             sessions=num_sessions,
             storm_pct=round(storm_fraction * 100),
-            attributed_pct=round(attributed_pct, 1),
+            attributed_pct=worlds.attributed_pct(totals),
             offered=totals["offered"],
             coalesced=totals["coalesced"],
             returned=totals["returned"],

@@ -22,41 +22,17 @@ Each cell also reports real wire volume (``net.bytes.*`` from the
 :mod:`repro.sim.wire` codec): bytes per frame grows with the batch while
 total bytes fall as the per-message envelope collapses.
 
-The workload, builders, and retry policy are shared with E12 so the two
-experiments stay comparable; everything runs on the sim clock with a
-seeded RNG, so the table is byte-deterministic for a given seed.
+Each cell is E12's (:func:`repro.bench.worlds.batching_cell`: same
+workload, world and retry policy) so the two experiments stay comparable;
+everything runs on the sim clock with a seeded RNG, so the table is
+byte-deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 from repro.bench.runner import ExperimentResult, signature_defaults
-from repro.bench.experiments.e12_batching import (
-    _RETRY,
-    _metric_sum,
-    _terminal_stats,
-    _txn_writer,
-)
-from repro.cache.invalidation import (
-    FreeInvalidationPipeline,
-    InvalidationMode,
-    PubsubCacheNode,
-)
-from repro.cache.node import CacheNodeConfig
-from repro.cache.watch_cache import WatchCacheNode
-from repro.core.bridge import DirectIngestBridge
-from repro.core.relay import ReliableFanoutEndpoint, ReliableFanoutLink
-from repro.core.linked_cache import LinkedCacheConfig
-from repro.core.watch_system import WatchSystem
-from repro.obs import TraceIndex, Tracer
-from repro.obs.report import trace_summary_row
-from repro.obs.trace import hops
-from repro.pubsub.broker import Broker
-from repro.resilience.channel import ChannelConfig
-from repro.sharding.autosharder import AutoSharder, AutoSharderConfig
+from repro.bench.worlds import batching_cell
 from repro.sim.kernel import Simulation
-from repro.sim.network import Network, NetworkConfig
-from repro.storage.kv import MVCCStore
-from repro.transport import BatchConfig
 from repro.workloads.generators import key_universe
 
 
@@ -97,121 +73,26 @@ def run(
     )
     table = result.new_table("batch sweep", COLUMNS)
     keys = key_universe(num_keys)
+    sizing = dict(
+        txn_size=txn_size, burst=burst, duration=duration, drain=drain,
+        loss_rate=loss_rate, base_latency=base_latency,
+        net_jitter=net_jitter, dispatch_cost=dispatch_cost,
+        record_service=record_service,
+    )
 
     for system in pipelines:
         for rate in rates_rps:
             for batch in batch_sizes:
-                batched = batch > 1
-                batch_cfg = (
-                    BatchConfig(max_batch=batch, max_linger=linger_ms / 1000.0)
-                    if batched else None
-                )
-                sim = Simulation(seed=seed)
-                store = MVCCStore(clock=sim.now)
-                for i, key in enumerate(keys):
-                    store.put(key, {"v": -1, "j": i})
-                tracer = Tracer(sim, name=f"{system}-r{rate:g}-b{batch}")
-                tracer.observe_store(store)
-                sharder = AutoSharder(
-                    sim, [f"node-{i}" for i in range(fanout)],
-                    AutoSharderConfig(notify_latency=0.01, notify_jitter=0.01),
-                    auto_rebalance=False,
-                )
-                net = Network(sim, NetworkConfig(
-                    base_latency=base_latency, jitter=net_jitter,
-                    loss_rate=loss_rate,
-                ), tracer=tracer)
-                registries = [net.metrics]
-
-                if system == "pubsub":
-                    channel_cfg = ChannelConfig(retry=_RETRY, batch=batch_cfg)
-                    broker = Broker(sim, tracer=tracer)
-                    registries.append(broker.metrics)
-                    nodes = [
-                        PubsubCacheNode(
-                            sim, f"node-{i}", store, InvalidationMode.NAIVE,
-                            config=CacheNodeConfig(fetch_latency=0.01),
-                            tracer=tracer,
-                        )
-                        for i in range(fanout)
-                    ]
-                    FreeInvalidationPipeline(
-                        sim, store, broker, sharder, nodes,
-                        network=net, resilience=channel_cfg, tracer=tracer,
-                        delivery_batch=batch,
-                        batch_overhead=dispatch_cost if batched else 0.0,
-                        group_commit=batched,
-                        service_time=record_service + (
-                            0.0 if batched else dispatch_cost
-                        ),
-                    )
-                    terminal = hops.CACHE_APPLY
-                else:
-                    channel_cfg = ChannelConfig(
-                        retry=_RETRY, ordered=True, batch=batch_cfg,
-                    )
-                    ws_local = WatchSystem(sim, name="src-ws", tracer=tracer)
-                    DirectIngestBridge(
-                        sim, store.history, ws_local, progress_interval=0.25
-                    )
-                    ws_remote = WatchSystem(sim, name="edge-ws", tracer=tracer)
-                    ReliableFanoutEndpoint(
-                        sim, net, "fanout-endpoint", ws_remote,
-                        config=channel_cfg, tracer=tracer,
-                    )
-                    ReliableFanoutLink(
-                        sim, ws_local, net, "fanout-link",
-                        remote="fanout-endpoint", config=channel_cfg,
-                        tracer=tracer,
-                    )
-                    nodes = [
-                        WatchCacheNode(
-                            sim, f"node-{i}", store, ws_remote,
-                            cache_config=LinkedCacheConfig(
-                                snapshot_latency=0.02
-                            ),
-                            tracer=tracer,
-                        )
-                        for i in range(fanout)
-                    ]
-                    for node in nodes:
-                        sharder.subscribe(node.on_assignment)
-                    terminal = hops.WATCH_APPLY
-
                 # rate is records/s; the writer commits txn_size-record
                 # transactions, so scale the commit rate to match
-                _txn_writer(
-                    sim, store, keys, txn_size, rate / txn_size,
-                    duration, burst,
+                cell = batching_cell(
+                    Simulation(seed=seed), f"{system}-r{rate:g}-b{batch}",
+                    system, keys, fanout, batch, linger_ms, True,
+                    rate / txn_size, **sizing,
                 )
-                sim.run(until=duration + drain)
-
-                applied, span = _terminal_stats(tracer, terminal)
-                frames = net.metrics.counter("net.frames.sent").value
-                wire_msgs = net.metrics.counter("net.payload.msgs").value
-                bytes_sent = net.metrics.counter("net.bytes.sent").value
-                summary = trace_summary_row(TraceIndex(tracer.log))
                 table.add(
-                    config=system,
-                    rate_rps=rate,
-                    batch=batch,
-                    applied=applied,
-                    throughput_rps=(
-                        round(applied / span, 1) if span else None
-                    ),
-                    e2e_p50_ms=summary["e2e_p50_ms"],
-                    e2e_p99_ms=summary["e2e_p99_ms"],
-                    frames=frames,
-                    msgs_per_frame=(
-                        round(wire_msgs / frames, 2) if frames else None
-                    ),
-                    bytes_per_frame=(
-                        round(bytes_sent / frames, 1) if frames else None
-                    ),
-                    bytes_per_msg=(
-                        round(bytes_sent / wire_msgs, 1) if wire_msgs else None
-                    ),
-                    retransmits=_metric_sum(registries, ".retransmits"),
+                    config=system, rate_rps=rate, batch=batch,
+                    **{c: cell[c] for c in COLUMNS[3:]},
                 )
 
     result.notes.append(

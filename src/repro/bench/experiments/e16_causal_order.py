@@ -45,6 +45,7 @@ from typing import Dict, Optional
 
 from repro._types import KEY_MAX, KEY_MIN, KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
+from repro.bench.worlds import store_snapshot, terminal_stats, wire_stats
 from repro.causal import CausalStamper, StampIndex
 from repro.cdc.publisher import CdcPublisher
 from repro.edge.client import EdgeClient
@@ -137,10 +138,6 @@ class _AuditClient(EdgeClient):
     def _apply(self, update) -> None:
         self.auditor.observe(update.key, update.version)
         super()._apply(update)
-
-
-def _terminal_count(tracer, hop) -> int:
-    return sum(1 for event in tracer.log if event.hop == hop)
 
 
 def run(
@@ -255,12 +252,8 @@ def run(
                     progress_interval=0.25,
                 )
 
-                def store_snapshot(key_range):
-                    version = store.last_version
-                    return version, dict(store.scan(key_range, version))
-
                 frontend = WatchEdgeFrontend(
-                    sim, "fe0", source, store_snapshot, net=net,
+                    sim, "fe0", source, store_snapshot(store), net=net,
                     channel_config=ChannelConfig(retry=retry, ordered=True),
                     config=EdgeFrontendConfig(
                         session=SessionConfig(
@@ -286,12 +279,8 @@ def run(
             _pair_writer(sim, store, num_chains, pair_rate, warmup, duration)
             sim.run(until=warmup + duration + drain)
 
-            applied = _terminal_count(tracer, terminal)
+            applied, _ = terminal_stats(tracer, terminal)
             inversions = sum(a.inversions for a in auditors)
-            frames = net.metrics.counter("net.frames.sent").value
-            wire_msgs = net.metrics.counter("net.payload.msgs").value
-            bytes_sent = net.metrics.counter("net.bytes.sent").value
-            del frames
             index = TraceIndex(tracer.log)
             summary = trace_summary_row(index)
             table.add(
@@ -306,9 +295,7 @@ def run(
                 released_deadline=sum(b.released_deadline for b in buffers),
                 e2e_p50_ms=summary["e2e_p50_ms"],
                 e2e_p99_ms=summary["e2e_p99_ms"],
-                bytes_per_msg=(
-                    round(bytes_sent / wire_msgs, 1) if wire_msgs else None
-                ),
+                bytes_per_msg=wire_stats(net)["bytes_per_msg"],
                 meta_bytes_per_msg=(
                     round(stamper.meta_bytes / stamper.stamped, 1)
                     if causal and stamper.stamped else 0.0

@@ -52,21 +52,18 @@ determinism test pins ``jobs=1 == jobs=N`` and run-to-run identity).
 
 from __future__ import annotations
 
-from repro._types import KeyRange
+from repro.bench import worlds
 from repro.bench.runner import ExperimentResult, signature_defaults
-from repro.core.bridge import DirectIngestBridge
-from repro.core.watch_system import WatchSystem
-from repro.edge.client import EdgeClient
 from repro.edge.frontend import (
     EdgeFrontendConfig,
     PubsubEdgeFrontend,
     WatchEdgeFrontend,
 )
 from repro.edge.placement import SessionPlacement
-from repro.edge.session import SessionConfig, SlowConsumerPolicy, SnapshotDelivery
+from repro.edge.session import SessionConfig, SlowConsumerPolicy
 from repro.fleet import FleetRunner, ShardResult, ShardSpec
 from repro.obs import MergeHist, Tracer
-from repro.pubsub.broker import Broker, BrokerConfig
+from repro.pubsub.broker import BrokerConfig
 from repro.pubsub.log import RetentionPolicy
 from repro.sim.kernel import Simulation
 from repro.sim.network import Network, NetworkConfig
@@ -95,54 +92,6 @@ _SESSION_FUNNEL = (
 )
 
 
-def _group_range(shard_id: int, group: int) -> KeyRange:
-    # '/' sorts just below '0': [sNN/gMMM/, sNN/gMMM0) holds exactly
-    # the keys "sNN/gMMM/KKK" — shards namespace their keyspace so
-    # merged traces and reports never collide across shards
-    prefix = f"s{shard_id:02d}/g{group:03d}"
-    return KeyRange(f"{prefix}/", f"{prefix}0")
-
-
-def _shard_keys(shard_id: int, groups: int, keys_per_group: int):
-    return [
-        f"s{shard_id:02d}/g{group:03d}/{k:03d}"
-        for group in range(groups)
-        for k in range(keys_per_group)
-    ]
-
-
-class _FleetClient(EdgeClient):
-    """EdgeClient sampling its own delivery latency into a MergeHist.
-
-    Client-side measurement against recorded commit times (E14's
-    trick): latency covers every sampled client while *tracing* stays
-    independently sampled — and because the sink is a fixed-edge
-    :class:`MergeHist`, the samples merge exactly across the fleet's
-    process boundary.
-    """
-
-    __slots__ = ("commit_times", "calm_hist", "storm_hist", "storm_at")
-
-    def __init__(self, *args, commit_times=None, calm_hist=None,
-                 storm_hist=None, storm_at=0.0, **kw):
-        super().__init__(*args, **kw)
-        self.commit_times = commit_times
-        self.calm_hist = calm_hist
-        self.storm_hist = storm_hist
-        self.storm_at = storm_at
-
-    def on_delivery(self, session, item) -> None:
-        if self.calm_hist is not None and item.__class__ is not SnapshotDelivery:
-            t0 = self.commit_times.get(item.version)
-            if t0 is not None:
-                now = self.sim.clock._now
-                hist = (
-                    self.calm_hist if now < self.storm_at else self.storm_hist
-                )
-                hist.record(now - t0)
-        super().on_delivery(session, item)
-
-
 def run_shard(spec: ShardSpec) -> ShardResult:
     """One fleet shard: an independent deterministic mini-world.
 
@@ -159,6 +108,9 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     storm = p["storm"]
     num_sessions = p["sessions_per_shard"]
     groups = p["groups_per_shard"]
+    # shards namespace their keyspace and names, so merged traces and
+    # reports never collide across shards
+    shard = f"s{spec.shard_id:02d}"
 
     sim = Simulation(seed=spec.seed)
     store = MVCCStore(clock=sim.now)
@@ -196,80 +148,57 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     end_at = write_start + duration + drain
     storm_at = write_start + duration / 2.0
 
-    commit_times: dict = {}
-    store.history.tail(
-        lambda commit: commit_times.__setitem__(
-            commit.version, sim.clock._now
-        )
-    )
+    times = worlds.commit_times(sim, store)
+    # fixed-edge MergeHists: the samples merge exactly across the
+    # fleet's process boundary
     calm_hist = MergeHist.for_latency()
     storm_hist = MergeHist.for_latency()
+    sample = worlds.storm_split(
+        sim, storm_at, calm_hist.record, storm_hist.record
+    )
 
+    # pubsub: gc_interval well inside the run so the retention floor is
+    # real — by storm time the logs have been trimmed, and replays from
+    # aged cursors cross silent holes, counted as replay_gaps
+    source = worlds.edge_source(
+        sim, store, tracer, pipeline,
+        broker_config=BrokerConfig(gc_interval=2.0),
+        retention=RetentionPolicy(max_messages=p["retention_messages"]),
+    )
     if pipeline == "watch":
-        source = WatchSystem(sim, name="src-ws", tracer=tracer)
-        bridge = DirectIngestBridge(
-            sim, store.history, source, latency=0.002,
-            progress_interval=0.25,
-        )
         # quiesce the wire before cutoff: the bridge ticks progress
         # frames forever, and a frame in flight at end_at would
         # (rightly) fail the exact net.bytes funnel.  Everything the
         # writer commits is long since forwarded by mid-drain.
-        sim.call_at(end_at - drain / 2.0, bridge.close)
-
-        def store_snapshot(key_range):
-            version = store.last_version
-            return version, dict(store.scan(key_range, version))
-
+        sim.call_at(end_at - drain / 2.0, source.bridge.close)
         frontend = WatchEdgeFrontend(
-            sim, f"s{spec.shard_id:02d}-fe", source, store_snapshot,
-            net=net, config=config, tracer=tracer,
-        )
-    elif pipeline == "pubsub":
-        # gc_interval well inside the run so the retention floor is
-        # real: by storm time the logs have been trimmed and replays
-        # from aged cursors must cross the holes
-        broker = Broker(sim, BrokerConfig(gc_interval=2.0), tracer=tracer)
-        broker.create_topic(
-            "updates", num_partitions=4,
-            # a real retention floor: snapshot-storm replays that reach
-            # below it cross silent holes, counted as replay_gaps
-            retention=RetentionPolicy(max_messages=p["retention_messages"]),
-        )
-
-        def publish_commit(commit):
-            for key, mutation in commit.writes:
-                broker.publish("updates", key, {
-                    "version": commit.version, "value": mutation.value,
-                })
-
-        store.history.tail(publish_commit)
-        frontend = PubsubEdgeFrontend(
-            sim, f"s{spec.shard_id:02d}-fe", broker, "updates",
+            sim, f"{shard}-fe", source.watch, source.snapshot,
             net=net, config=config, tracer=tracer,
         )
     else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
+        frontend = PubsubEdgeFrontend(
+            sim, f"{shard}-fe", source.broker, "updates",
+            net=net, config=config, tracer=tracer,
+        )
 
     placement = SessionPlacement(sim, [frontend])
     lat_sample = p["lat_client_sample"]
-    clients = []
-    for i in range(num_sessions):
-        sampled = i % lat_sample == 0
-        client = _FleetClient(
-            sim, f"s{spec.shard_id:02d}c{i:07d}", placement,
-            key_range=_group_range(spec.shard_id, i % groups),
+    clients = worlds.stagger_connects(sim, [
+        worlds.LatencyClient(
+            sim, f"{shard}c{i:07d}", placement,
+            key_range=worlds.group_range(f"{shard}/g{i % groups:03d}"),
             service_time=0.0,
             reconnect_delay=0.3,
-            commit_times=commit_times,
-            calm_hist=calm_hist if sampled else None,
-            storm_hist=storm_hist if sampled else None,
-            storm_at=storm_at,
+            commit_times=times,
+            sink=sample if i % lat_sample == 0 else None,
         )
-        clients.append(client)
-        sim.call_after(sim.rng.uniform(0.0, connect_window), client.connect)
+        for i in range(num_sessions)
+    ], connect_window)
 
-    keys = _shard_keys(spec.shard_id, groups, p["keys_per_group"])
+    keys = worlds.group_keys(
+        [f"{shard}/g{group:03d}" for group in range(groups)],
+        p["keys_per_group"],
+    )
     writer = WriteStream(
         sim, store, UniformKeys(sim, keys), rate=p["rate"],
         value_fn=lambda n: n,
@@ -279,50 +208,21 @@ def run_shard(spec: ShardSpec) -> ShardResult:
 
     # the reconnect storm: a deterministic sample drops inside the
     # window and returns after a bounded-exponential holdoff
-    stormers = sim.rng.sample(
-        clients, round(num_sessions * p["storm_fraction"])
+    worlds.reconnect_storm(
+        sim, clients, p["storm_fraction"], storm_at, p["storm_window"],
+        p["downtime_mean"],
     )
-    downtime_mean = p["downtime_mean"]
-    for client in stormers:
-        hit_at = storm_at + sim.rng.uniform(0.0, p["storm_window"])
-        downtime = min(
-            sim.rng.expovariate(1.0 / downtime_mean), 4 * downtime_mean
-        )
-
-        def hit(client=client, downtime=downtime):
-            if client.session is None:
-                return
-            client.auto_reconnect = False
-            client.disconnect()
-
-            def back():
-                client.auto_reconnect = True
-                client.connect()
-
-            sim.call_after(downtime, back)
-
-        sim.call_at(hit_at, hit)
 
     sim.run(until=end_at)
 
     # ------------------------------------------------------------------
     # shard accounting
-    totals = {key: 0 for key in
-              ("offered", "delivered", "coalesced", "dropped",
-               "returned", "queued")}
-    reconnects = 0
-    for client in clients:
-        client.stop()
-        client_totals = client.finalize()
-        for key in totals:
-            totals[key] += client_totals[key]
-        if len(client.staleness_at_connect) > 1:
-            reconnects += len(client.staleness_at_connect) - 1
+    totals, restale = worlds.fold_client_totals(clients)
 
     counters = {f"sess.{key}": value for key, value in totals.items()}
     counters["commits"] = int(store.last_version)
     counters["edge.connects"] = frontend.connects
-    counters["edge.reconnects"] = reconnects
+    counters["edge.reconnects"] = len(restale)
     counters["edge.catchups"] = frontend.catchups_served
     if pipeline == "watch":
         counters["edge.snapshots"] = frontend.snapshots_served
@@ -333,7 +233,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         counters["edge.replayed"] = frontend.replayed
         counters["edge.replay_gaps"] = frontend.replay_gaps
         counters["msgs.published"] = int(
-            broker.metrics.counter("pubsub.published").value
+            source.broker.metrics.counter("pubsub.published").value
         )
     for name, value in sorted(net.metrics.snapshot().items()):
         if name.startswith("net.bytes."):
@@ -488,12 +388,6 @@ def run(
         walls[(config_name, total_sessions, num_shards)] = report.wall
 
         counters = report.counters
-        offered = counters.get("sess.offered", 0)
-        accounted = sum(
-            counters.get(f"sess.{key}", 0)
-            for key in ("delivered", "coalesced", "dropped", "returned",
-                        "queued")
-        )
         calm = report.hists["lat.calm"]
         storm_h = report.hists["lat.storm"]
         sweep.add(
@@ -510,9 +404,10 @@ def run(
             cache_hits=counters.get("edge.snapshot_cache_hits", 0),
             replayed=counters.get("edge.replayed", 0),
             replay_gaps=counters.get("edge.replay_gaps", 0),
-            attributed_pct=(
-                round(100.0 * accounted / offered, 1) if offered else 100.0
-            ),
+            attributed_pct=worlds.attributed_pct({
+                key[5:]: value for key, value in counters.items()
+                if key.startswith("sess.")
+            }),
             net_mb=round(counters.get("net.bytes.sent", 0) / 1e6, 2),
             conserved=True,  # check_conservation raised otherwise
         )

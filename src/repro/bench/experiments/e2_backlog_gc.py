@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
+from repro.bench.worlds import store_snapshot
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.stream import WatcherConfig
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
@@ -139,9 +140,7 @@ def run(
         )
         DirectIngestBridge(sim, store.history, ws, progress_interval=30.0)
 
-        def snapshot_fn(kr):
-            version = store.last_version
-            return version, dict(store.scan(kr, version))
+        snapshot_fn = store_snapshot(store)
 
         cache = LinkedCache(
             sim, ws, snapshot_fn, KeyRange.all(),

@@ -29,6 +29,7 @@ from typing import List
 
 from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
+from repro.bench.worlds import store_snapshot
 from repro.core.bridge import PartitionedIngestBridge, even_ranges
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.snapshotter import SnapshotStitcher
@@ -74,9 +75,7 @@ def run(
             progress_interval=interval,
         )
 
-        def snapshot_fn(kr):
-            version = store.last_version
-            return version, dict(store.scan(kr, version))
+        snapshot_fn = store_snapshot(store)
 
         # overlapping watcher ranges: watcher i covers [b_i, b_{i+2})
         bounds = [kr.low for kr in even_ranges(num_watchers)] + [

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
+from repro.bench.worlds import store_snapshot
 from repro.core.bridge import DirectIngestBridge, PartitionedIngestBridge, even_ranges
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.store_watch import StoreWatch
@@ -62,9 +63,7 @@ def run(
             def expected_items(store=store):
                 return dict(store.scan())
 
-            def snapshot_fn(kr, store=store):
-                version = store.last_version
-                return version, dict(store.scan(kr, version))
+            snapshot_fn = store_snapshot(store)
         else:
             store = IngestionStore(clock=sim.now)
 

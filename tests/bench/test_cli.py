@@ -2,6 +2,8 @@
 
 import types
 
+import pytest
+
 from repro.bench import experiments
 from repro.bench.__main__ import main
 from repro.bench.runner import ExperimentResult
@@ -21,6 +23,14 @@ class TestCli:
         assert main(["E9", "E99", "A7", "--quick"]) == 2
         captured = capsys.readouterr()
         assert "E99, A7" in captured.err
+        assert captured.out == ""
+
+    def test_jobs_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["E9", "--quick", "--jobs", "0"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and "--jobs must be >= 1" in captured.err
         assert captured.out == ""
 
     def test_run_quick(self, capsys):

@@ -12,6 +12,13 @@ import pytest
 from repro.bench import experiments
 
 CASES = {
+    # hand-built worlds (sharder handoffs, partitioned watch): one
+    # pubsub config that goes permanently stale, and watch
+    "E3": dict(
+        configs=("pubsub-naive", "watch"),
+        num_keys=30, update_rate=15.0, duration=8.0, drain=4.0,
+        probe_rate=20.0, seed=43,
+    ),
     "E6b": dict(num_vms=12, num_workloads=4, duration=15.0, settle=5.0, seed=79),
     "E9": dict(num_keys=20, update_rate=20.0, duration=6.0, seed=97),
     "E10": dict(
