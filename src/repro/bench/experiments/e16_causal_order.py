@@ -14,16 +14,16 @@ This experiment measures that violation and what the
 - **pubsub** — CDC records cross a *lossy, unordered* publish wire to
   the broker (a dropped publish frame retransmits and lands late, so
   append order across keys diverges from commit order), then a
-  consumer-group subscription delivers them.  ``delivery_mode="causal"``
-  routes fetched messages through the subscription's cross-partition
-  :class:`~repro.causal.buffer.CausalBuffer`.
+  consumer-group subscription delivers them.  Causal rows stamp the CDC
+  payloads and gate the applier's ``deliver`` through one
+  cross-partition buffer (:mod:`repro.causal.stage`).
 - **watch** — a :class:`~repro.core.bridge.PartitionedIngestBridge`
   with per-range latency stagger feeds the watch system (the ``ptr:``
   range is the *fast* partition, so pointers systematically overtake
   their data), a reliable link ships the stream to an edge frontend,
-  and clients audit their delivery order.  ``delivery_mode="causal"``
-  gates each session feed through a per-session buffer floored at its
-  catch-up point.
+  and clients audit their delivery order.  Causal rows stamp the link's
+  event frames and gate each session feed through a per-session buffer
+  floored at its catch-up point.
 
 Causal rows ship :class:`~repro.causal.stamp.CausalStamp` metadata
 in-band (pubsub payloads / watch event frames), so the overhead is
@@ -46,7 +46,7 @@ from typing import Dict, Optional
 from repro._types import KEY_MAX, KEY_MIN, KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.bench.worlds import store_snapshot, terminal_stats, wire_stats
-from repro.causal import CausalStamper, StampIndex
+from repro.causal import CausalBufferConfig, CausalStamper, StampIndex, stage
 from repro.cdc.publisher import CdcPublisher
 from repro.edge.client import EdgeClient
 from repro.edge.frontend import EdgeFrontendConfig, WatchEdgeFrontend
@@ -183,8 +183,8 @@ def run(
             tracer = Tracer(sim, name=f"{system}-{mode}")
             tracer.observe_store(store)
             # the stamper always runs (the fifo auditor needs the dep
-            # index too); only causal rows hand the index to the
-            # pipeline, so only causal rows ship stamps on the wire
+            # index too); only causal rows build the causal stage, so
+            # only causal rows ship stamps on the wire
             stamps = StampIndex()
             stamper = CausalStamper(
                 window=stamp_window, index=stamps,
@@ -196,6 +196,7 @@ def run(
                 loss_rate=loss_rate,
             ), tracer=tracer)
 
+            gate = CausalBufferConfig(hold_deadline=causal_hold)
             buffers = []
             if system == "pubsub":
                 # race vehicle: lossy UNORDERED publish wire — a dropped
@@ -208,17 +209,16 @@ def run(
                 producer = RemotePublisher(
                     sim, net, "cdc-producer", config=wire, tracer=tracer
                 )
+                publish = producer.publish
+                if causal:
+                    publish = stage.stamped_publish(publish, stamps)
                 CdcPublisher(
                     sim, store.history, None, "cdc",
-                    publish_fn=producer.publish, tracer=tracer,
-                    causal_index=stamps if causal else None,
+                    publish_fn=publish, tracer=tracer,
                 )
                 subscription = broker.subscribe(
                     "cdc", "applier-group",
-                    SubscriptionConfig(
-                        delivery_mode=mode, causal_hold=causal_hold,
-                        delivery_latency=0.001, delivery_jitter=0.0,
-                    ),
+                    SubscriptionConfig(delivery_latency=0.001, delivery_jitter=0.0),
                 )
                 auditor = _DepAuditor(stamps)
 
@@ -231,9 +231,14 @@ def run(
                     )
                     return True
 
-                subscription.add_member(Consumer(sim, "applier-0", handle))
-                if subscription.causal_buffer is not None:
-                    buffers.append(subscription.causal_buffer)
+                if causal:
+                    consumer = stage.GatedConsumer(
+                        sim, "applier-0", handle, gate, tracer=tracer
+                    )
+                    buffers.append(consumer.buffer)
+                else:
+                    consumer = Consumer(sim, "applier-0", handle)
+                subscription.add_member(consumer)
                 auditors = [auditor]
                 terminal = hops.CACHE_APPLY
             else:
@@ -252,19 +257,34 @@ def run(
                     progress_interval=0.25,
                 )
 
-                frontend = WatchEdgeFrontend(
-                    sim, "fe0", source, store_snapshot(store), net=net,
-                    channel_config=ChannelConfig(retry=retry, ordered=True),
-                    config=EdgeFrontendConfig(
-                        session=SessionConfig(
-                            max_queue=100_000, initial_credits=64,
-                            delivery_latency=0.001,
-                        ),
-                        delivery_mode=mode, causal_hold=causal_hold,
-                    ),
-                    tracer=tracer,
-                    causal_index=stamps if causal else None,
-                )
+                # supersession is a reorder (see SessionConfig.coalesce),
+                # so causal sessions queue every update
+                config = EdgeFrontendConfig(session=SessionConfig(
+                    max_queue=100_000, initial_credits=64,
+                    delivery_latency=0.001, coalesce=not causal,
+                ))
+                channel = ChannelConfig(retry=retry, ordered=True)
+                if causal:
+                    # a stamped relay hop in front of the frontend's ingest
+                    ingest = WatchSystem(sim, name="fe0-ingest", tracer=tracer)
+                    endpoint = stage.StampedFanoutEndpoint(
+                        sim, net, "fe0-ep", ingest, config=channel, tracer=tracer
+                    )
+                    stage.StampedFanoutLink(
+                        sim, source, net, "fe0-uplink", "fe0-ep",
+                        config=channel, tracer=tracer, stamps=stamps,
+                    )
+                    frontend = stage.GatedWatchFrontend(
+                        sim, "fe0", ingest, store_snapshot(store),
+                        config=config, tracer=tracer,
+                        stamps=endpoint.stamps, gate=gate,
+                    )
+                    buffers = frontend.buffers
+                else:
+                    frontend = WatchEdgeFrontend(
+                        sim, "fe0", source, store_snapshot(store), net=net,
+                        channel_config=channel, config=config, tracer=tracer,
+                    )
                 placement = SessionPlacement(sim, [frontend])
                 clients = [
                     _AuditClient(sim, f"client-{i}", placement, stamps)
@@ -272,7 +292,6 @@ def run(
                 ]
                 for client in clients:
                     client.connect()
-                buffers = frontend.causal_buffers
                 auditors = [client.auditor for client in clients]
                 terminal = hops.EDGE_DELIVER
 

@@ -29,10 +29,9 @@ Pieces:
   the per-entry hold deadline fires and delivers anyway with a
   ``causal.deadline`` trace attributing what it was waiting for.
 
-Everything is opt-in via ``delivery_mode="causal"`` on the
-subscription, edge-frontend, and applier configs; with the default
-``"fifo"`` mode no stamper is attached, no buffer exists, and every
-existing experiment stays byte-identical.  See docs/causal.md.
+- :mod:`repro.causal.stage` — the stamp carriers and gates a world
+  composes around the pipelines, which know nothing of causal order;
+  only E16 builds it.  See docs/causal.md.
 """
 
 from repro.causal.stamp import CausalStamp, CausalStamper, StampIndex

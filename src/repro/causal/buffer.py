@@ -1,7 +1,7 @@
 """The causal delivery gate: hold until deps delivered, bounded by a deadline.
 
-One :class:`CausalBuffer` sits in front of each causal-mode receiver
-(a subscription dispatch loop, an edge session feed, an applier).  The
+One :class:`CausalBuffer` sits in front of each gated receiver (a
+pubsub consumer, an edge session feed; see :mod:`repro.causal.stage`).  The
 delivery rule for an update stamped with deps ``(k, v)``:
 
 - a dep is **unmet** when ``k`` is in the receiver's key range, ``v``
@@ -153,6 +153,13 @@ class CausalBuffer:
                 self._force_release(entry, cause="flush")
                 released += 1
         return released
+
+    def discard(self) -> None:
+        """Drop every held entry undelivered, cancelling its deadline
+        timer: the receiver crashed, or its feed resynced."""
+        for entry in list(self._held.values()):
+            self._remove(entry)
+        self._waiters.clear()
 
     # ------------------------------------------------------------------
     # internals

@@ -42,7 +42,6 @@ class CdcPublisher:
         tracer=None,
         group_commit: bool = False,
         publish_batch_fn: Optional[PublishBatchFn] = None,
-        causal_index=None,
     ) -> None:
         if publish_latency < 0:
             raise ValueError("publish_latency must be >= 0")
@@ -71,11 +70,6 @@ class CdcPublisher:
             self._publish_batch = broker.publish_batch
         else:
             self._publish_batch = None
-        #: :class:`~repro.causal.stamp.StampIndex` (or None).  When set,
-        #: each payload carries its ``CausalStamp`` under ``"causal"`` —
-        #: the metadata rides the message onto the wire, so its byte
-        #: cost shows up in ``net.bytes.*`` on networked pipelines.
-        self.causal_index = causal_index
         self.published = 0
         self._txn_buffer: List[Tuple[Optional[str], Any, int]] = []
         self._capture = CdcCapture(history, self._on_record, tracer=tracer)
@@ -91,10 +85,6 @@ class CdcPublisher:
             "txn_index": record.txn_index,
             "txn_size": record.txn_size,
         }
-        if self.causal_index is not None:
-            stamp = self.causal_index.lookup(record.key, record.txn_version)
-            if stamp is not None:
-                payload["causal"] = stamp
         self.published += 1
         if self.group_commit:
             # CdcCapture emits a commit's records synchronously in txn

@@ -191,7 +191,6 @@ class ReliableFanoutLink(WatchCallback):
         watcher_config: Optional[WatcherConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
-        causal_index=None,
     ) -> None:
         self.sim = sim
         self.upstream = upstream
@@ -199,12 +198,6 @@ class ReliableFanoutLink(WatchCallback):
         self.key_range = key_range or KeyRange(KEY_MIN, KEY_MAX)
         self.watcher_config = watcher_config
         self.tracer = tracer if tracer is not None else net.tracer
-        #: :class:`~repro.causal.stamp.StampIndex` (or None).  When set,
-        #: each shipped event frame carries the event's causal stamp, so
-        #: the metadata's byte cost lands in ``net.bytes.*`` and the
-        #: remote endpoint can rebuild a local index for its causal
-        #: delivery gates.
-        self.causal_index = causal_index
         if config is None:
             config = ChannelConfig(ordered=True)
         self.channel = ReliableChannel(
@@ -221,18 +214,18 @@ class ReliableFanoutLink(WatchCallback):
 
     def on_event(self, event: ChangeEvent) -> None:
         self.events_shipped += 1
-        frame = {"kind": "event", "event": event}
-        if self.causal_index is not None:
-            stamp = self.causal_index.lookup(event.key, event.version)
-            if stamp is not None:
-                frame["causal"] = stamp
-        seq = self.channel.send(self.remote, frame)
+        seq = self.channel.send(self.remote, self._event_frame(event))
         if self.tracer is not None:
             self.tracer.record(
                 hops.RELAY_SHIP, self.channel.name,
                 key=event.key, version=event.version,
                 channel=self.channel.name, dst=self.remote, seq=seq,
             )
+
+    def _event_frame(self, event: ChangeEvent) -> Dict[str, Any]:
+        """The frame one change event ships in; subclasses may add
+        in-band metadata (its bytes then land in ``net.bytes.*``)."""
+        return {"kind": "event", "event": event}
 
     def on_progress(self, event: ProgressEvent) -> None:
         self.progress_shipped += 1
@@ -271,14 +264,10 @@ class ReliableFanoutEndpoint:
         config: Optional[ChannelConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
-        causal_index=None,
     ) -> None:
         self.ingester = ingester
         self.events_ingested = 0
         self.link_resyncs = 0
-        #: local :class:`~repro.causal.stamp.StampIndex` (or None) that
-        #: accumulates stamps arriving in-band on event frames
-        self.causal_index = causal_index
         self.tracer = tracer if tracer is not None else net.tracer
         if config is None:
             config = ChannelConfig(ordered=True)
@@ -292,10 +281,6 @@ class ReliableFanoutEndpoint:
         if kind == "event":
             self.events_ingested += 1
             event = frame["event"]
-            if self.causal_index is not None:
-                stamp = frame.get("causal")
-                if stamp is not None:
-                    self.causal_index.record(event.key, event.version, stamp)
             if self.tracer is not None:
                 self.tracer.record(
                     hops.RELAY_INGEST, self.channel.name,

@@ -30,12 +30,10 @@ further behind (or below the retained floor) gets a snapshot re-serve
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro._types import KeyRange, Version
-from repro.causal.buffer import CausalBuffer, CausalBufferConfig
-from repro.causal.stamp import StampIndex
 from repro.core.api import WatchCallback
 from repro.core.linked_cache import LinkedCacheConfig, SnapshotUnavailable
 from repro.core.relay import (
@@ -117,16 +115,6 @@ class EdgeFrontendConfig:
     #: holes (``replay_gaps``).  None (default) trusts the real cursor —
     #: byte-identical to the pre-knob schedule.
     reconnect_cursor_age: Optional[int] = None
-    #: ``"fifo"`` (default) offers updates to sessions in arrival order.
-    #: ``"causal"`` (watch frontend only) gates each session's feed
-    #: through its own :class:`~repro.causal.buffer.CausalBuffer`
-    #: (range-filtered, floored at the session's catch-up point), so a
-    #: client never observes an update before an in-range update it
-    #: causally depends on — bounded by ``causal_hold``.  See
-    #: docs/causal.md.
-    delivery_mode: str = "fifo"
-    #: Bounded-hold deadline (seconds) for causal mode.
-    causal_hold: float = 0.25
 
     def __post_init__(self) -> None:
         if self.catchup_threshold < 0:
@@ -137,45 +125,25 @@ class EdgeFrontendConfig:
             raise ValueError("drain_interval must be >= 0")
         if self.reconnect_cursor_age is not None and self.reconnect_cursor_age < 0:
             raise ValueError("reconnect_cursor_age must be >= 0")
-        if self.delivery_mode not in ("fifo", "causal"):
-            raise ValueError("delivery_mode must be 'fifo' or 'causal'")
-        if self.causal_hold <= 0:
-            raise ValueError("causal_hold must be positive")
 
 
 class _SessionFeed(WatchCallback):
-    """Adapter: one relay watch feeding one client session, through the
-    session's causal gate when the frontend runs in causal mode."""
+    """Adapter: one relay watch feeding one client session."""
 
-    __slots__ = ("frontend", "session", "causal")
+    __slots__ = ("frontend", "session")
 
-    def __init__(
-        self,
-        frontend: "WatchEdgeFrontend",
-        session: ClientSession,
-        causal: Optional[CausalBuffer],
-    ):
+    def __init__(self, frontend: "WatchEdgeFrontend", session: ClientSession):
         self.frontend = frontend
         self.session = session
-        self.causal = causal
 
     def on_event(self, event) -> None:
         mutation = event.mutation
-        update = Update(
+        self.session.offer(Update(
             key=event.key,
             version=event.version,
             value=mutation.value,
             is_delete=mutation.is_delete,
-        )
-        causal = self.causal
-        if causal is None:
-            self.session.offer(update)
-            return
-        stamp = self.frontend._stamp_for(event.key, event.version)
-        causal.submit(
-            event.key, event.version, stamp,
-            lambda: self.session.offer(update),
-        )
+        ))
 
     def on_progress(self, event) -> None:
         pass  # sessions deliver values, not knowledge windows
@@ -202,29 +170,12 @@ class WatchEdgeFrontend:
         fanout_config: Optional[WatchSystemConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
-        causal_index: Optional[StampIndex] = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.config = config or EdgeFrontendConfig()
         self.tracer = tracer
         self.up = True
-        #: causal mode disables per-key supersession: coalescing hands
-        #: the superseding update the queue position of the one it
-        #: replaced — a reorder that jumps it ahead of its own causal
-        #: deps (and starves deps out of *their* position) — see
-        #: SessionConfig.coalesce
-        self._session_config = self.config.session
-        if (
-            self.config.delivery_mode == "causal"
-            and self._session_config.coalesce
-        ):
-            self._session_config = replace(
-                self._session_config, coalesce=False
-            )
-        #: per-session causal gates (causal mode only); kept for
-        #: experiment accounting — held depth, deadline releases
-        self.causal_buffers: list = []
         self.sessions: Dict[str, ClientSession] = {}
         self.table = SessionTable(
             sim,
@@ -253,30 +204,22 @@ class WatchEdgeFrontend:
 
         if net is not None:
             # source stream crosses the wire: upstream -> reliable link
-            # -> endpoint -> local ingest watch system -> relay.  With a
-            # causal index, stamps ride the event frames (their bytes
-            # land in net.bytes.*) and the endpoint rebuilds a local
-            # index for the session gates to read.
-            local_index = StampIndex() if causal_index is not None else None
+            # -> endpoint -> local ingest watch system -> relay
             self._ingest = WatchSystem(sim, name=f"{name}-ingest", tracer=tracer)
             self.endpoint = ReliableFanoutEndpoint(
                 sim, net, f"{name}-ep", self._ingest,
                 config=channel_config, metrics=metrics, tracer=tracer,
-                causal_index=local_index,
             )
             self.link = ReliableFanoutLink(
                 sim, upstream, net, f"{name}-uplink", f"{name}-ep",
                 config=channel_config, metrics=metrics, tracer=tracer,
-                causal_index=causal_index,
             )
             relay_upstream = self._ingest
-            self._causal_index = local_index
         else:
             self._ingest = None
             self.endpoint = None
             self.link = None
             relay_upstream = upstream
-            self._causal_index = causal_index
         self.relay = WatchRelay(
             sim, relay_upstream, counted_snapshot_fn, KeyRange.all(),
             config=relay_config, fanout_config=fanout_config,
@@ -299,7 +242,7 @@ class WatchEdgeFrontend:
         tracer = self.tracer if self.table.sampler.keep(self.connects - 1) else None
         session = ClientSession(
             self.sim, f"{self.name}/{client.name}", client,
-            key_range=client.key_range, config=self._session_config,
+            key_range=client.key_range, config=self.config.session,
             on_closed=self._session_closed, tracer=tracer,
             table=self.table,
         )
@@ -332,27 +275,13 @@ class WatchEdgeFrontend:
             self._schedule_snapshot(session)
         return session
 
-    def _stamp_for(self, key, version):
-        if self._causal_index is None:
-            return None
-        return self._causal_index.lookup(key, version)
+    def _new_feed(self, session: ClientSession, from_version: Version):
+        """The relay callback feeding ``session`` from its catch-up
+        version on; a subclass may wrap it in a delivery stage."""
+        return _SessionFeed(self, session)
 
     def _attach_feed(self, session: ClientSession, from_version: Version) -> None:
-        causal = None
-        if self.config.delivery_mode == "causal":
-            # floor at the catch-up point: deps the client already holds
-            # (snapshot version / resume cursor) count as observed
-            causal = CausalBuffer(
-                self.sim,
-                CausalBufferConfig(hold_deadline=self.config.causal_hold),
-                name=f"{self.name}/{session.client.name}",
-                in_range=session.key_range.contains,
-                tracer=session.tracer,
-                component=self.name,
-            )
-            causal.set_floor(from_version)
-            self.causal_buffers.append(causal)
-        feed = _SessionFeed(self, session, causal)
+        feed = self._new_feed(session, from_version)
         # the feed inherits the session's *sampled* tracer so an
         # unsampled session's relay feed records no per-delivery hops
         handle = self.relay.watch_range(
@@ -470,11 +399,6 @@ class PubsubEdgeFrontend:
             raise ValueError(
                 "coalesce is watch-only by construction: the pubsub "
                 "contract is every-message delivery (§4.4)"
-            )
-        if config.delivery_mode == "causal":
-            raise ValueError(
-                "causal delivery is watch-only at the edge: order a pubsub "
-                "feed at its subscription (SubscriptionConfig.delivery_mode)"
             )
         self.sim = sim
         self.name = name

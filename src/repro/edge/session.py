@@ -74,9 +74,9 @@ class SessionConfig:
     #: superseding queued entries per key.  Supersession is a *reorder*:
     #: the newer value takes the queue position of the update it
     #: replaced, jumping ahead of everything offered in between —
-    #: including its own causal dependencies.  Causal-mode frontends
-    #: therefore disable it (order fidelity over the per-key queue
-    #: bound); see docs/causal.md.
+    #: including its own causal dependencies.  A causally gated
+    #: frontend's sessions therefore need it off (order fidelity over
+    #: the per-key queue bound); see docs/causal.md.
     coalesce: bool = True
 
     def __post_init__(self) -> None:
@@ -202,7 +202,7 @@ class ClientSession:
         self._queue: List[object] = []
         self._qhead = 0
         #: COALESCE only: pending cell per key (None otherwise, or when
-        #: the config disables supersession for causal order fidelity)
+        #: the config disables supersession)
         self._cells: Optional[Dict[Key, List[Update]]] = (
             {}
             if self._policy is SlowConsumerPolicy.COALESCE

@@ -32,7 +32,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.causal.buffer import CausalBuffer, CausalBufferConfig
 from repro.obs.trace import hops, payload_version
 from repro.pubsub.dlq import DeadLetterPolicy
 from repro.pubsub.message import Message
@@ -70,15 +69,6 @@ class SubscriptionConfig:
     #: delivery path bit-for-bit unchanged.  Redeliveries always go
     #: per-message: a batch that times out re-enters the single path.
     max_delivery_batch: int = 1
-    #: ``"fifo"`` (default) is the classic per-partition order.
-    #: ``"causal"`` routes fetched messages through a cross-partition
-    #: :class:`~repro.causal.buffer.CausalBuffer`: a message whose
-    #: in-band causal deps (``payload["causal"]``) have not been
-    #: dispatched yet is held up to ``causal_hold`` seconds before the
-    #: normal dispatch path sees it.  See docs/causal.md.
-    delivery_mode: str = "fifo"
-    #: Bounded-hold deadline (seconds) for causal mode.
-    causal_hold: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_inflight_per_partition < 1:
@@ -89,15 +79,6 @@ class SubscriptionConfig:
             raise ValueError("latency/jitter must be >= 0")
         if self.max_delivery_batch < 1:
             raise ValueError("max_delivery_batch must be >= 1")
-        if self.delivery_mode not in ("fifo", "causal"):
-            raise ValueError("delivery_mode must be 'fifo' or 'causal'")
-        if self.delivery_mode == "causal" and self.max_delivery_batch != 1:
-            raise ValueError(
-                "causal delivery gates messages one at a time; "
-                "combine it with max_delivery_batch=1"
-            )
-        if self.causal_hold <= 0:
-            raise ValueError("causal_hold must be positive")
 
 
 @dataclass(slots=True)
@@ -166,17 +147,6 @@ class Subscription:
         self._leases = 0
         self._watchdog: Optional[EventHandle] = None
         self._watched: Optional[_Inflight] = None
-        # causal mode: one buffer spanning every partition — exactly the
-        # cross-partition ordering per-partition FIFO cannot give
-        self.causal_buffer: Optional[CausalBuffer] = None
-        if config.delivery_mode == "causal":
-            self.causal_buffer = CausalBuffer(
-                sim,
-                CausalBufferConfig(hold_deadline=config.causal_hold),
-                name=f"sub:{name}",
-                tracer=tracer,
-                component="broker",
-            )
 
     # ------------------------------------------------------------------
     # membership
@@ -271,10 +241,8 @@ class Subscription:
         if self.config.max_delivery_batch > 1:
             self._pump_batched(partition, state, log, messages)
         else:
-            # hoisted: the gate choice and dispatch target are loop
-            # invariants — resolve them once per pump, not per message
-            causal = self.causal_buffer
-            submit = self._submit_causal if causal is not None else None
+            # hoisted: the dispatch target is a loop invariant —
+            # resolve it once per pump, not per message
             dispatch = self._dispatch
             account_gap = self._account_gap
             for message in messages:
@@ -282,10 +250,7 @@ class Subscription:
                 if offset > state.fetch_offset:
                     account_gap(state, log, offset)
                 state.fetch_offset = offset + 1
-                if submit is not None:
-                    submit(partition, message)
-                else:
-                    dispatch(partition, message, attempts=1)
+                dispatch(partition, message, attempts=1)
         if messages:
             # more may be waiting beyond the budget
             state_after = self._state[partition]
@@ -326,25 +291,6 @@ class Subscription:
             group_member = member
             group.append(message)
         self._dispatch_group(partition, group, group_member)
-
-    def _submit_causal(self, partition: int, message: Message) -> None:
-        """Gate one fetched message through the causal buffer.
-
-        Redeliveries never come back through here — they already passed
-        the gate once; a lease expiry re-enters ``_dispatch``
-        directly, so at-least-once semantics are untouched.
-        """
-        payload = message.payload
-        version = payload_version(payload)
-        if version is None:
-            # no in-band identity: nothing to order on, pass through
-            self._dispatch(partition, message, attempts=1)
-            return
-        stamp = payload.get("causal") if isinstance(payload, dict) else None
-        self.causal_buffer.submit(
-            message.key, version, stamp,
-            lambda: self._dispatch(partition, message, attempts=1),
-        )
 
     def _account_gap(self, state: _PartitionState, log, next_present: int) -> None:
         """Attribute skipped offsets to GC or compaction — silently."""

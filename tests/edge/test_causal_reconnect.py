@@ -13,15 +13,18 @@ reconnect machinery:
   cursor), which the replay will never re-send — every such hold would
   burn a full deadline.
 
-The fix is the floor: ``_attach_feed`` floors each session's buffer at
-its catch-up version, so deps at or below the cursor count as observed
-while deps inside the replay window still gate.  These tests pin both
-halves, plus a FIFO control that proves the scenario really produces
-inversions without the gate.
+The fix is the floor: :class:`~repro.causal.stage.GatedWatchFrontend`
+floors each session's buffer at its feed's catch-up version, so deps at
+or below the cursor count as observed while deps inside the replay
+window still gate.  These tests pin both halves, plus a FIFO control
+that proves the scenario really produces inversions without the gate,
+and the resync rule: a feed that resyncs drops what its gate still
+holds, so a stale update cannot land after the snapshot.
 """
 
 from repro._types import KEY_MAX, KEY_MIN, KeyRange
-from repro.causal import CausalStamper, StampIndex
+from repro.causal import CausalBufferConfig, CausalStamper, StampIndex
+from repro.causal.stage import GatedWatchFrontend
 from repro.core.bridge import PartitionedIngestBridge
 from repro.core.watch_system import WatchSystem
 from repro.edge.client import EdgeClient
@@ -82,15 +85,22 @@ def build(sim, mode, stagger=0.03, causal_hold=0.5):
         version = store.last_version
         return version, dict(store.scan(key_range, version))
 
-    frontend = WatchEdgeFrontend(
-        sim, "fe0", source, store_snapshot,
-        config=EdgeFrontendConfig(
-            session=SessionConfig(initial_credits=64, max_queue=10_000),
-            delivery_mode=mode, causal_hold=causal_hold,
-            catchup_threshold=10_000,
+    causal = mode == "causal"
+    config = EdgeFrontendConfig(
+        session=SessionConfig(
+            initial_credits=64, max_queue=10_000, coalesce=not causal,
         ),
-        causal_index=stamps if mode == "causal" else None,
+        catchup_threshold=10_000,
     )
+    if causal:
+        frontend = GatedWatchFrontend(
+            sim, "fe0", source, store_snapshot, config=config,
+            stamps=stamps, gate=CausalBufferConfig(hold_deadline=causal_hold),
+        )
+    else:
+        frontend = WatchEdgeFrontend(
+            sim, "fe0", source, store_snapshot, config=config
+        )
     return store, stamps, frontend
 
 
@@ -138,11 +148,11 @@ def test_causal_reconnect_never_inverts(sim):
     assert client.inversions == 0
     assert client.updates_applied == 50
     # the gate did real work in the replay window...
-    assert sum(b.held_total for b in frontend.causal_buffers) > 0
+    assert sum(b.held_total for b in frontend.buffers) > 0
     # ...and the cursor floor kept it sound: no hold ever waited out
     # its deadline for a dep the client already held from session one
-    assert sum(b.released_deadline for b in frontend.causal_buffers) == 0
-    assert sum(b.held_count for b in frontend.causal_buffers) == 0
+    assert sum(b.released_deadline for b in frontend.buffers) == 0
+    assert sum(b.held_count for b in frontend.buffers) == 0
 
 
 def test_causal_floor_skips_pre_cursor_deps(sim):
@@ -168,4 +178,30 @@ def test_causal_floor_skips_pre_cursor_deps(sim):
     assert client.connects == 2
     assert client.observed.get("ptr:000") == 2
     assert client.inversions == 0
-    assert sum(b.released_deadline for b in frontend.causal_buffers) == 0
+    assert sum(b.released_deadline for b in frontend.buffers) == 0
+
+
+def test_resync_drops_what_the_old_gate_holds(sim):
+    """A feed's resync hands the session a snapshot and a new feed; an
+    update the old gate still held must not be released into the
+    session afterwards, where it would overwrite the newer snapshot
+    value with a stale one."""
+    store, stamps, frontend = build(sim, "causal", stagger=0.3, causal_hold=0.5)
+    client = AuditClient(sim, "c0", StaticPlacement(frontend), stamps)
+    client.connect()
+    sim.run(until=0.5)
+    store.commit({"data:000": Mutation.put({"n": 0})})
+    store.commit({"ptr:000": Mutation.put({"ref": "old"})})
+    sim.run(until=0.51)
+    (session,) = frontend.sessions.values()
+    old_gate = frontend.buffers[-1]
+    assert old_gate.held_count == 1  # ptr@2 waits for its slow data
+    store.commit({"ptr:000": Mutation.put({"ref": "new"})})
+    handle = session._feed_handle
+    handle.cancel()
+    handle.callback.on_resync()
+    assert old_gate.held_count == 0
+    sim.run(until=3.0)
+    assert old_gate.released_deadline == 0
+    assert store.get("ptr:000") == {"ref": "new"}
+    assert client.state["ptr:000"] == {"ref": "new"}

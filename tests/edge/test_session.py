@@ -210,10 +210,10 @@ def test_config_validation():
 
 
 def test_coalesce_disabled_queues_every_update(sim):
-    # causal-mode frontends run COALESCE-policy sessions with
-    # supersession off (SessionConfig.coalesce=False): in-place
-    # supersession hands the newer value the superseded update's queue
-    # position — a reorder that breaks causal delivery (docs/causal.md)
+    # causally gated sessions run COALESCE-policy with supersession
+    # off (SessionConfig.coalesce=False): in-place supersession hands
+    # the newer value the superseded update's queue position — a
+    # reorder that breaks causal delivery (docs/causal.md)
     client = RecordingClient()
     session = make_session(
         sim, client,
