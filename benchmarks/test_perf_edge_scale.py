@@ -1,5 +1,6 @@
 """E14 scale gate: the edge tier's session ceiling vs E11, and the
-micro-machinery (timer wheel, shared drain) that pays for it.
+micro-machinery (mass backoff timers on the kernel heap, shared drain)
+that pays for it.
 
 The headline assertion is the PR's bar: the same pipeline that E11
 drives at 36 clients sustains >=10x the sessions *at equal delivery
@@ -32,7 +33,7 @@ def test_edge_scale_ceiling_10x_e11(benchmark):
     """>=10x E11's session count at equal (not merely similar) p99."""
     result = run_once(benchmark, e14_session_scale.run, _GATE)
     # conservation, p99 no worse at the large rung, O(active) shared
-    # drain, storm recovery, parked timers: E14's own claim shape
+    # drain, storm recovery: E14's own claim shape
     e14_session_scale.check(result, _GATE)
 
     sweep = result.table("session sweep")
@@ -48,7 +49,9 @@ def test_edge_scale_ceiling_10x_e11(benchmark):
 
 def test_timer_wheel_mass_backoff(benchmark):
     """60k staggered reconnect-style timers, half cancelled before
-    firing — the storm-holdoff pattern the wheel exists for."""
+    firing — the storm-holdoff pattern.  The test keeps the name of the
+    timer wheel it once gated; the timers are now plain heap entries,
+    and the cancelled half is dropped by tombstone compaction."""
 
     def run():
         sim = Simulation(seed=3)
@@ -59,13 +62,13 @@ def test_timer_wheel_mass_backoff(benchmark):
 
         handles = []
         for i in range(60_000):
-            # backoffs spread over [1s, 31s) — all parked, none near
+            # backoffs spread over [1s, 31s) — all far, none zero-delay
             handles.append(sim.call_after(1.0 + (i % 3000) * 0.01, bump))
         for i, handle in enumerate(handles):
             if i % 2:
                 handle.cancel()
         sim.run()
-        assert sim.timer_stats()["inserted"] >= 60_000
+        assert sim.pending_events == 0
         return fired[0]
 
     assert benchmark(run) == 30_000

@@ -9,8 +9,9 @@ its *scaling ceiling* after the PR-7 machinery (docs/scale.md):
 
 - slot-based :class:`~repro.edge.session_table.SessionTable` columns
   instead of per-object counter dicts;
-- the kernel's hierarchical timer wheel parking reconnect backoffs and
-  connect staggering (O(fired), not O(scheduled));
+- reconnect backoffs and connect staggering on the kernel's one event
+  heap, whose tombstone compaction keeps cancelled timers from piling
+  up (docs/scale.md § 2);
 - shared-drain mode: ONE pump event per tick delivering for every
   ready session (O(active)), idle sessions off the hot path;
 - per-session trace sampling (``TraceSampler``) so tracing stays
@@ -20,8 +21,8 @@ The sweep drives the watch pipeline (relay-replicated frontends,
 delta/snapshot reconnects) across session rungs with a mid-run
 reconnect storm, and reports delivery p50/p99, storm-phase p99,
 reconnect-recovery time, conservation (the E11 100%-attribution bar,
-now summed in C over the table columns), a deterministic
-bytes-per-session estimate, and the kernel's timer-routing counters.
+now summed in C over the table columns), and a deterministic
+bytes-per-session estimate.
 The pubsub frontend is deliberately absent: its per-message ingest
 scan is O(sessions) by contract (every message to every session's
 filter), so its wall is already visible at E11/E12 scale — see
@@ -123,13 +124,12 @@ def run(
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E14 edge scale-out: sessions x churn sweep "
-                   "(slot table, timer wheel, shared drain)",
-        claim="the slot-table + timer-wheel + shared-drain edge tier "
-              "sustains 100k+ concurrent sessions in one deterministic "
-              "run — ≥10x the E11 scale — with delivery p99 held at "
-              "single-digit ms until the storm phase, 100% "
-              "conservation attribution summed in C over the table "
-              "columns, and timer cost O(fired) via wheel parking",
+                   "(slot table, shared drain)",
+        claim="the slot-table + shared-drain edge tier sustains 100k+ "
+              "concurrent sessions in one deterministic run — ≥10x the "
+              "E11 scale — with delivery p99 held at single-digit ms "
+              "until the storm phase and 100% conservation attribution "
+              "summed in C over the table columns",
     )
     sweep_table = result.new_table(
         "session sweep",
@@ -140,8 +140,7 @@ def run(
     scale_table = result.new_table(
         "machinery accounting",
         ["sessions", "storm_pct", "attributed_pct", "offered",
-         "coalesced", "returned", "pump_runs", "pump_visits",
-         "timers_parked", "timers_cascaded", "traced"],
+         "coalesced", "returned", "pump_runs", "pump_visits", "traced"],
     )
     tracers = {}
     result.artifacts["tracers"] = tracers
@@ -236,7 +235,6 @@ def run(
             round(max(storm.reconnect_times) - storm_at, 2)
             if storm.reconnect_times else 0.0
         )
-        wheel = sim.timer_stats()
         sweep_table.add(
             sessions=num_sessions,
             storm_pct=round(storm_fraction * 100),
@@ -259,8 +257,6 @@ def run(
             returned=totals["returned"],
             pump_runs=sum(fe.table.pump_runs for fe in frontends),
             pump_visits=sum(fe.table.pump_visits for fe in frontends),
-            timers_parked=wheel["inserted"],
-            timers_cascaded=wheel["cascaded"],
             traced=len(tracer.log),
         )
 
@@ -323,5 +319,3 @@ def check(result: ExperimentResult, params: dict) -> None:
     assert amortized, "no rung large enough to amortize the pump"
     # the storm actually happened and recovered
     assert large["reconnects"] > 0 and large["recover_s"] > 0
-    # the wheel parked the reconnect/stagger timers off the heap
-    assert all(row["timers_parked"] > 0 for row in accounting.rows)

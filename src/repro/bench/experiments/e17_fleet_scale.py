@@ -246,8 +246,8 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         trace_jsonl=tracer.to_jsonl(),
         info={
             "wall": _time.perf_counter() - started,
-            # per-process peak (kB on Linux).  With maxtasksperchild=1
-            # each shard's worker dies after its task, so a fleet's
+            # per-process peak (kB on Linux).  process_map runs each
+            # shard in its own worker, which exits after it, so a fleet's
             # peak-per-process is ~1/N of the monolith's — the memory
             # half of the partition-the-fleet argument.  In-process
             # runs (jobs=1) accumulate across shards; still an honest

@@ -2,11 +2,18 @@
 
 A thin, deterministic wrapper over :mod:`multiprocessing`: results come
 back in *item order* (never completion order), ``jobs=1`` runs inline
-in the calling process with no pool at all, and the worker count is
+in the calling process with no workers at all, and the worker count is
 clamped to the item count so idle processes are never forked.  Both the
 fleet runner and ``python -m repro.bench --jobs N`` sit on
 this one function, so the "parallel run == sequential run" property is
 proven in one place.
+
+Each item runs in its own worker process, which returns its result over
+a pipe and exits, so a shard's memory goes back to the OS as soon as it
+finishes.  A worker that dies without a result (OOM killer, SIGKILL,
+``os._exit``) closes its pipe, and the map raises at once, naming the
+item and the exit code — :class:`multiprocessing.pool.Pool` would wait
+for that result forever.
 
 The ``fork`` start method is preferred when the platform offers it:
 workers inherit the parent's imported modules, so per-shard startup is
@@ -18,6 +25,7 @@ argument (the fleet's contract), not from inherited mutable state.
 from __future__ import annotations
 
 import multiprocessing
+from multiprocessing.connection import Connection, wait
 from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -33,28 +41,33 @@ def _context() -> multiprocessing.context.BaseContext:
     )
 
 
+def _work(fn: Callable[[T], R], item: T, conn: Connection) -> None:
+    """Worker body: send ``(ok, result-or-exception)``, then exit."""
+    try:
+        conn.send((True, fn(item)))
+    except Exception as exc:
+        conn.send((False, exc))
+
+
 def process_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     jobs: int = 1,
-    maxtasksperchild: int | None = 1,
 ) -> List[R]:
     """Apply ``fn`` to every item, ``jobs`` processes wide, in order.
 
     - ``jobs <= 1`` (or a single item): plain in-process loop — no
-      pool, no pickling, same results by the fleet's determinism
+      workers, no pickling, same results by the fleet's determinism
       contract.
-    - ``jobs > 1``: a worker pool of ``min(jobs, len(items))``
-      processes; ``fn`` and each item must be picklable (``fn`` must be
-      a module-level function).  Results are returned in item order.
-      ``maxtasksperchild=1`` (the default) recycles each worker after
-      one task so a shard's memory is returned to the OS as soon as it
-      finishes — the fleet's per-shard footprint never accumulates in
-      long-lived workers.
+    - ``jobs > 1``: up to ``min(jobs, len(items))`` worker processes at
+      a time, one per item; ``fn`` and each item must be picklable
+      (``fn`` must be a module-level function).  Results are returned
+      in item order.
 
-    A worker exception propagates to the caller (re-raised by the
-    pool), cancelling the remaining work — a fleet with a failed shard
-    has no meaningful merged report.
+    A worker exception propagates to the caller, and a worker that
+    dies without a result raises :class:`RuntimeError`; either way the
+    remaining workers are terminated — a fleet with a failed shard has
+    no meaningful merged report.
     """
     items = list(items)
     if jobs < 1:
@@ -62,12 +75,45 @@ def process_map(
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     if multiprocessing.current_process().daemon:
-        # pool workers are daemonic and may not fork children: a fleet
+        # workers are daemonic and may not fork children: a fleet
         # launched *inside* a worker (an E17 run under
         # ``python -m repro.bench --jobs``) degrades to the in-process
         # path — same results by the determinism contract, just serial
         return [fn(item) for item in items]
     ctx = _context()
-    workers = min(jobs, len(items))
-    with ctx.Pool(workers, maxtasksperchild=maxtasksperchild) as pool:
-        return pool.map(fn, items, chunksize=1)
+    results: List[R] = [None] * len(items)  # type: ignore[list-item]
+    running = {}  # result pipe -> (item index, worker)
+    started = 0
+    try:
+        while started < len(items) or running:
+            while started < len(items) and len(running) < jobs:
+                reader, writer = ctx.Pipe(duplex=False)
+                worker = ctx.Process(
+                    target=_work, args=(fn, items[started], writer),
+                    daemon=True,
+                )
+                worker.start()
+                writer.close()  # the worker's exit is now the pipe's EOF
+                running[reader] = (started, worker)
+                started += 1
+            for ready in wait(list(running)):
+                index, worker = running.pop(ready)
+                with ready:
+                    try:
+                        ok, value = ready.recv()
+                    except EOFError:
+                        worker.join()
+                        raise RuntimeError(
+                            f"worker for item {index} exited with code "
+                            f"{worker.exitcode} before returning a result"
+                        ) from None
+                worker.join()
+                if not ok:
+                    raise value
+                results[index] = value
+        return results
+    finally:
+        for reader, (_, worker) in running.items():
+            worker.terminate()
+            worker.join()
+            reader.close()

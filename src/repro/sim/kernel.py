@@ -17,7 +17,7 @@ fire in scheduling order, and all randomness must come from
 :attr:`Simulation.rng`, which is seeded at construction.
 
 Hot-path design (see ``docs/performance.md``) — two dispatch lanes and
-one parking structure:
+a slab:
 
 - Scheduled events are plain lists ``[time, seq, fn, label, cancelled]``
   ordered by ``(time, seq)``; ``seq`` is unique, so heap comparisons
@@ -28,27 +28,21 @@ one parking structure:
   comes from a process-global counter and is never reused, which makes
   it a generation tag: a stale :class:`EventHandle` over a recycled
   entry detects the seq mismatch and its ``cancel()`` is a no-op.
-- **Lane 1, the heap**, orders every delayed event.
+- **Lane 1, the heap**, orders every delayed event, near or far: a
+  plain ``heappush`` at the scheduling call.
 - **Lane 2, the zero-delay deque**: ``call_after(0.0, ...)`` — the
   dominant pattern (Waiter resumption, ``spawn``, subscription pumps,
   zero-latency watch drains) — bypasses the heap through a FIFO.  Its
   entries carry the same ``(time, seq)`` stamps, and the run loop always
   fires the smaller ``(time, seq)`` head of the two lanes, so the
-  observable order is identical to a single heap.
-- **The wheel parks, it never dispatches.**  A delay of at least one
-  wheel slot is routed at the scheduling call into a hierarchical
-  :class:`~repro.sim.timerwheel.TimerWheel`: O(1) insert/cancel, so a
-  million idle-session timers cost nothing until they come due (see
-  ``docs/scale.md``).  Before each selection the run loop transfers due
-  slots into the heap, which orders them exactly as if they had been
-  pushed at schedule time — firing order, and therefore every trace
-  byte, is that of a single heap (``tests/sim/test_kernel_oracle.py``
-  checks it against a pure-heap reference kernel).
+  observable order is identical to a single heap
+  (``tests/sim/test_kernel_oracle.py`` checks it against a pure-heap
+  reference kernel).
 - Cancelled events stay queued as tombstones and are skipped on pop; a
   tombstone counter keeps :attr:`Simulation.pending_events` O(1) and
-  exact, and all three structures are compacted when tombstones dominate
-  them (resilience timers cancel constantly and would otherwise
-  accumulate until drained).
+  exact, and both lanes are compacted when tombstones dominate them
+  (resilience timers and idle-session backoffs cancel constantly and
+  would otherwise accumulate until drained; see ``docs/scale.md``).
 
 Reserved slots, two primitives:
 
@@ -56,8 +50,8 @@ Reserved slots, two primitives:
   would, and schedules nothing.
 - ``call_at_seq(t, seq, fn)`` schedules ``fn`` at the exact slot
   ``(t, seq)`` for a seq drawn earlier (at most once per seq).  Same
-  slab and heap/wheel routing as ``call_at`` — which is ``call_at_seq``
-  on a fresh seq — and never the zero-delay lane, whose FIFO order an
+  slab and heap as ``call_at`` — which is ``call_at_seq`` on a fresh
+  seq — and never the zero-delay lane, whose FIFO order an
   earlier seq would break; the run loop's head comparison still fires
   it ahead of same-instant zero-delay entries with larger seqs.  It
   raises :class:`SimError` for a past or non-finite ``t``.
@@ -79,11 +73,10 @@ from collections import deque
 from itertools import count as _counter
 import random
 from typing import (
-    Any, Callable, Deque, Dict, Generator, Iterable, List, Optional,
+    Any, Callable, Deque, Generator, Iterable, List, Optional,
 )
 
 from repro.sim.clock import VirtualClock
-from repro.sim.timerwheel import TimerWheel
 
 #: indices into an event entry [time, seq, fn, label, cancelled]
 _TIME, _SEQ, _FN, _LABEL, _CANCELLED = range(5)
@@ -278,10 +271,6 @@ class Simulation:
         #: FIFO lane for zero-delay events; entries are in
         #: nondecreasing (time, seq) order by construction
         self._fast: Deque[List[Any]] = deque()
-        #: O(1) parking for timers at least one slot out; run() moves
-        #: due slots into the heap.  The heap takes near, behind-the-
-        #: tick and out-of-horizon times directly.
-        self._wheel = TimerWheel(origin=start)
         self._tombstones = 0  # cancelled events still queued
         self._running = False
         self._processes: list[ProcessHandle] = []
@@ -325,9 +314,8 @@ class Simulation:
         """Schedule ``fn`` at the exact slot ``(t, seq)``, ``seq`` drawn
         earlier by :meth:`next_seq` (and never scheduled twice).
 
-        Routed like every delayed event — heap, or wheel when at least a
-        slot out — and never through the zero-delay lane, whose FIFO
-        order an earlier seq would break.
+        Pushed on the heap like every delayed event, never on the
+        zero-delay lane, whose FIFO order an earlier seq would break.
         """
         if _type(t) is not _float:
             t = _float(t)  # the clock must stay float-pure (trace JSON bytes)
@@ -344,12 +332,7 @@ class Simulation:
             entry[3] = label
         else:
             entry = [t, seq, fn, label, False]
-        # one float compare keeps near timers (the hot path) off the
-        # wheel entirely; _near is monotone, so staleness only over-
-        # routes to the heap — never mis-parks
-        wheel = self._wheel
-        if t < wheel._near or not wheel.insert(entry, now):
-            _heappush(self._heap, entry)
+        _heappush(self._heap, entry)
         handle = _new_handle(_EventHandle)
         handle._entry = entry
         handle._sim = self
@@ -421,9 +404,7 @@ class Simulation:
         if delay == 0.0:
             self._fast.append(entry)
         else:
-            wheel = self._wheel
-            if t < wheel._near or not wheel.insert(entry, now):
-                _heappush(self._heap, entry)
+            _heappush(self._heap, entry)
 
     def _call_soon_1(
         self, fn: Callable[[Any], None], arg: Any,
@@ -455,13 +436,12 @@ class Simulation:
         self._tombstones += 1
         if (
             self._tombstones >= _COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2
-            > len(self._heap) + len(self._fast) + self._wheel.size
+            and self._tombstones * 2 > len(self._heap) + len(self._fast)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled tombstones from both lanes and the wheel.
+        """Drop cancelled tombstones from both lanes.
 
         Mutates the queues in place: the run loop holds direct
         references to them, and a cancel inside a callback can land here
@@ -485,7 +465,6 @@ class Simulation:
             else:
                 entry[_CANCELLED] = False  # pool invariant
                 pool.append(entry)
-        self._wheel.compact()
         self._tombstones = 0
         if len(pool) > _POOL_MAX:
             del pool[_POOL_MAX:]
@@ -561,7 +540,6 @@ class Simulation:
         clock = self.clock
         heap = self._heap
         fast = self._fast
-        wheel = self._wheel
         pool = _POOL
         prof = self.profiler
         limit = _INF if until is None else until
@@ -581,20 +559,6 @@ class Simulation:
                         entry[_CANCELLED] = False  # pool invariant
                         pool.append(entry)
                         self._tombstones -= 1
-                # parked timers may be due before the lane heads: move
-                # every such slot into the heap.  _due (earliest parked
-                # slot start) makes the common nothing-due case one
-                # float compare; advance() pushes live entries only.
-                if wheel._count and wheel._due <= limit:
-                    bound = limit
-                    if heap and heap[0][0] < bound:
-                        bound = heap[0][0]
-                    if fast and fast[0][0] < bound:
-                        bound = fast[0][0]
-                    if wheel._due <= bound:
-                        dropped = wheel.advance(bound, heap)
-                        if dropped:
-                            self._tombstones -= dropped
                 # fire the smaller (time, seq) head of the two lanes
                 # (list comparison stops at seq, which is unique)
                 if fast and not (heap and heap[0] < fast[0]):
@@ -639,20 +603,11 @@ class Simulation:
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) events.
 
-        O(1) — both lane sizes and the wheel's count are O(1) and
-        tombstones are counted — with no counter maintenance on the
-        scheduling paths.  Exact at any time, including from inside a
+        O(1) — both lane sizes are O(1) and tombstones are counted —
+        with no counter maintenance on the scheduling paths.  Exact at any time, including from inside a
         running callback (whose own event is no longer counted).
         """
-        return (
-            len(self._heap) + len(self._fast) + self._wheel.size
-            - self._tombstones
-        )
-
-    def timer_stats(self) -> Dict[str, int]:
-        """The timer wheel's routing counters (``inserted``,
-        ``rejected``, ``cascaded``, ``transferred``); E14 reports them."""
-        return self._wheel.stats()
+        return len(self._heap) + len(self._fast) - self._tombstones
 
     def processes(self) -> Iterable[ProcessHandle]:
         """All processes ever spawned (including finished ones)."""

@@ -1,5 +1,5 @@
 """Every experiment's QUICK tables come out the same on the pure-heap
-reference kernel: the lanes, wheel and slab of ``repro.sim.kernel`` are
+reference kernel: the lanes and slab of ``repro.sim.kernel`` are
 invisible not just to synthetic schedules (``tests/sim/
 test_kernel_oracle.py``) but to every pipeline the paper's claims run on.
 """
@@ -9,19 +9,13 @@ import pytest
 from repro.bench import experiments
 from tests.sim.reference_kernel import ReferenceSimulation
 
-#: E14 reports the wheel's own routing counters; the reference parks nothing
-_WHEEL_COLUMNS = {"timers_parked", "timers_cascaded"}
-
 _SKIP = {
     "E17": "tables are wall-clock and its shards run in forked workers",
 }
 
 
 def _render(module) -> str:
-    result = module.run(**module.QUICK)
-    for table in result.tables:
-        table.columns = [c for c in table.columns if c not in _WHEEL_COLUMNS]
-    return result.render()
+    return module.run(**module.QUICK).render()
 
 
 @pytest.mark.parametrize("experiment_id", [

@@ -1,4 +1,5 @@
-"""process_map: ordered results, inline fast paths, daemon guard.
+"""process_map: ordered results, inline fast paths, daemon guard, and a
+prompt error when a worker dies.
 
 Both the fleet runner and ``python -m repro.bench --jobs`` sit on this
 one function; "parallel == sequential" is proven here once.
@@ -8,9 +9,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.fleet import process_map
 
 
@@ -72,3 +77,32 @@ def test_daemonic_process_degrades_to_inline(monkeypatch):
     results = process_map(_pid_and_square, [1, 2, 3], jobs=4)
     assert [sq for _, sq in results] == [1, 4, 9]
     assert all(pid == os.getpid() for pid, _ in results)
+
+
+#: run in a child interpreter: if process_map hangs, the timeout below
+#: fails the test instead of hanging the suite
+_DYING_WORKER = textwrap.dedent("""
+    import os
+    from repro.fleet import process_map
+
+    def die_on_one(n):
+        if n == 1:
+            os._exit(3)  # no result, no exception: like an OOM kill
+        return n
+
+    try:
+        process_map(die_on_one, [0, 1, 2], jobs=2)
+    except RuntimeError as exc:
+        print(exc)
+""")
+
+
+def test_dying_worker_raises_instead_of_hanging():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert "item 1" in child.stdout and "code 3" in child.stdout

@@ -1,7 +1,7 @@
 """Pure-heap reference kernel: the readable spec ``Simulation`` must refine.
 
-One ``heapq`` ordered by ``(time, seq)`` — no zero-delay lane, no wheel, no
-slab, no tombstone counter; a reserved seq (``next_seq``) is a counter draw
+One ``heapq`` ordered by ``(time, seq)`` — no zero-delay lane, no slab, no
+tombstone counter; a reserved seq (``next_seq``) is a counter draw
 that ``call_at_seq`` pushes later.  It reuses the real ``EventHandle`` (so
 entries keep the real list layout) and the real process/``Waiter`` glue,
 which only calls ``post``.  Test-only, never imported from ``src/``.
@@ -88,6 +88,3 @@ class ReferenceSimulation:
     @property
     def pending_events(self):
         return sum(not entry[4] for entry in self._heap)
-
-    def timer_stats(self):  # nothing ever parks
-        return dict.fromkeys(("inserted", "rejected", "cascaded", "transferred"), 0)

@@ -3,10 +3,13 @@
 These pin the semantics the hot-path optimizations (tuple heap entries,
 zero-delay fast lane, pre-bound process trampolines, tombstone
 compaction) must preserve byte-for-byte: same-timestamp FIFO order,
-cancellation-while-queued, Waiter fire/late-attach ordering, and the
-``run(until=...)`` boundary.  They were written against the
-pre-optimization kernel and must never change.
+cancellation-while-queued, Waiter fire/late-attach ordering, the
+``run(until=...)`` boundary, and far timers (seconds to hours out, the
+idle-session backoff pattern) firing in heap order.  They were written
+against the pre-optimization kernel and must never change.
 """
+
+import random
 
 import pytest
 
@@ -138,8 +141,8 @@ class TestCancellationWhileQueued:
 
     def test_pending_events_exact_inside_callbacks(self, sim):
         """Read from a running callback, the count already excludes the
-        event being fired — for parked timers sharing one wheel slot
-        just as for heap and zero-delay events."""
+        event being fired — for far timers a few ms apart just as for
+        near and zero-delay events."""
         seen = []
         for i in range(20):
             sim.call_after(10.0 + i * 0.01, lambda: seen.append(sim.pending_events))
@@ -344,6 +347,119 @@ class TestNonFiniteTimes:
         sim.call_after(1.0, lambda: fired.append(sim.now()))
         assert sim.run() == 1.0
         assert fired == [1.0]
+
+
+class TestFarTimers:
+    def test_mixed_near_far_timers_fire_in_heap_order(self, sim):
+        """Random near+far timers fire exactly as a reference heap would."""
+        rng = random.Random(7)
+        fired = []
+        expected = []
+        for i in range(2000):
+            # sub-second, tens of seconds and minutes out
+            delay = rng.choice(
+                [rng.uniform(0, 0.2), rng.uniform(0.3, 30.0), rng.uniform(70.0, 900.0)]
+            )
+            t = round(delay, 6)
+            expected.append((t, i))
+            sim.call_after(t, (lambda j: (lambda: fired.append(j)))(i))
+        sim.run()
+        expected.sort()
+        assert fired == [i for (_, i) in expected]
+
+    def test_same_time_ties_break_by_schedule_order(self, sim):
+        """Entries sharing a timestamp fire in schedule (seq) order,
+        whether scheduled far ahead or near it."""
+        fired = []
+        sim.call_after(10.0, lambda: fired.append("far-a"))
+        sim.call_after(10.0, lambda: fired.append("far-b"))
+        sim.call_after(0.5, lambda: sim.call_after(9.5, lambda: fired.append("late")))
+        sim.run()
+        assert fired == ["far-a", "far-b", "late"]
+
+    def test_cancel_far_timer_never_fires(self, sim):
+        fired = []
+        handle = sim.call_after(50.0, lambda: fired.append("far"))
+        sim.call_after(60.0, lambda: fired.append("sentinel"))
+        sim.call_after(1.0, handle.cancel)
+        sim.run()
+        assert fired == ["sentinel"]
+        assert sim.pending_events == 0
+
+    def test_cancel_and_reschedule_far_timer(self, sim):
+        """Cancelling a far timer and rescheduling it earlier fires the
+        replacement at the new time only."""
+        fired = []
+        handle = sim.call_after(100.0, lambda: fired.append(("old", sim.now())))
+
+        def swap():
+            handle.cancel()
+            sim.call_after(2.0, lambda: fired.append(("new", sim.now())))
+
+        sim.call_after(1.0, swap)
+        sim.run()
+        assert fired == [("new", 3.0)]
+
+    def test_mass_cancellation_compacts_far_tombstones(self, sim):
+        """Cancelling most far timers triggers compaction (tombstone
+        accounting stays exact)."""
+        fired = []
+        handles = [
+            sim.call_after(200.0 + i * 0.01, lambda: fired.append("x"))
+            for i in range(4000)
+        ]
+        keep = handles[::100]
+        for i, handle in enumerate(handles):
+            if i % 100:
+                handle.cancel()
+        assert len(sim._heap) < len(handles) // 2  # compacted, not drained
+        sim.run()
+        assert fired == ["x"] * len(keep)
+        assert sim.pending_events == 0
+
+    def test_pending_events_counts_far_timers(self, sim):
+        sim.call_after(100.0, lambda: None)
+        sim.call_after(0.001, lambda: None)
+        assert sim.pending_events == 2
+        sim.run()
+        assert sim.pending_events == 0
+
+    def test_far_timer_after_long_idle(self, sim):
+        """After hours of simulated idle, a fresh far timer still fires
+        at the right instant."""
+        fired = []
+
+        def late_schedule():
+            sim.call_after(30.0, lambda: fired.append(sim.now()))
+
+        sim.call_after(7200.0, late_schedule)
+        sim.run()
+        assert fired == [7230.0]
+
+    def test_interleaved_schedules_match_between_two_kernels(self):
+        """The same near/far schedule replayed on two fresh kernels
+        fires identically (determinism bar: byte-identical experiment
+        output)."""
+
+        def run_once():
+            rng = random.Random(13)
+            sim = Simulation()
+            fired = []
+
+            def spawn(depth):
+                if depth > 300:
+                    return
+                delay = rng.choice([0.0, 0.001, 0.01, 1.5, 40.0, 300.0])
+                sim.call_after(
+                    delay, lambda: (fired.append((sim.now(), depth)), spawn(depth + 1))
+                )
+
+            for _ in range(5):
+                spawn(0)
+            sim.run()
+            return fired
+
+        assert run_once() == run_once()
 
 
 class TestDeterministicReplay:
