@@ -143,8 +143,8 @@ def run(
                 config=WatcherConfig(max_backlog=10 * buffer_events),
             )
 
-        callback._on_event = on_event
-        callback._on_resync = on_resync
+        callback.on_event = on_event
+        callback.on_resync = on_resync
 
         def start_lagged_watch():
             ws.watch_range(

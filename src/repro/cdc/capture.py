@@ -11,7 +11,7 @@ pubsub layer then does with ordering is the experiment's subject.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable
 
 from repro._types import Key, Mutation, Version
 from repro.obs.trace import hops
@@ -80,26 +80,3 @@ class CdcCapture:
                     txn_size=size,
                 )
             )
-
-
-def replay_history(history: ChangeHistory, sink: RecordSink, since: Version = 0) -> int:
-    """Replay retained history through ``sink``; returns records emitted.
-
-    Raises :class:`~repro.storage.errors.HistoryTruncatedError` when the
-    requested start has been truncated (callers snapshot instead).
-    """
-    emitted = 0
-    for commit in history.since(since):
-        size = len(commit.writes)
-        for index, (key, mutation) in enumerate(commit.writes):
-            sink(
-                ChangeRecord(
-                    key=key,
-                    mutation=mutation,
-                    txn_version=commit.version,
-                    txn_index=index,
-                    txn_size=size,
-                )
-            )
-            emitted += 1
-    return emitted

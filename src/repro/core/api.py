@@ -82,7 +82,8 @@ class FnWatchCallback(WatchCallback):
 
     The supplied functions are exposed directly as instance attributes
     (shadowing the class methods), so delivery hot loops invoke them
-    without a wrapper frame per event.
+    without a wrapper frame per event; assigning ``on_event`` etc. on
+    an instance swaps a handler in.
     """
 
     def __init__(
@@ -94,33 +95,6 @@ class FnWatchCallback(WatchCallback):
         self.on_event = on_event or (lambda event: None)
         self.on_progress = on_progress or (lambda event: None)
         self.on_resync = on_resync or (lambda: None)
-
-    # the legacy ``_on_event``-style attributes stay assignable (some
-    # experiments swap handlers in before watching); they alias the
-    # public attributes so both views agree
-    @property
-    def _on_event(self) -> Callable[[ChangeEvent], None]:
-        return self.on_event
-
-    @_on_event.setter
-    def _on_event(self, fn: Callable[[ChangeEvent], None]) -> None:
-        self.on_event = fn
-
-    @property
-    def _on_progress(self) -> Callable[[ProgressEvent], None]:
-        return self.on_progress
-
-    @_on_progress.setter
-    def _on_progress(self, fn: Callable[[ProgressEvent], None]) -> None:
-        self.on_progress = fn
-
-    @property
-    def _on_resync(self) -> Callable[[], None]:
-        return self.on_resync
-
-    @_on_resync.setter
-    def _on_resync(self, fn: Callable[[], None]) -> None:
-        self.on_resync = fn
 
     def on_event(self, event: ChangeEvent) -> None:  # pragma: no cover
         raise NotImplementedError  # shadowed by the instance attribute

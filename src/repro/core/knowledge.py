@@ -99,24 +99,6 @@ class KnowledgeMap:
             )
         self._regions = self._normalize(new_regions)
 
-    def prune_below(self, version: Version) -> None:
-        """Raise every region's low bound to ``version`` (local MVCC GC).
-
-        Regions whose whole window falls below are dropped.
-        """
-        kept: List[KnowledgeRegion] = []
-        for region in self._regions:
-            if region.high_version < version:
-                continue
-            kept.append(
-                KnowledgeRegion(
-                    region.key_range,
-                    max(region.low_version, version),
-                    region.high_version,
-                )
-            )
-        self._regions = self._normalize(kept)
-
     @staticmethod
     def _normalize(regions: Iterable[KnowledgeRegion]) -> List[KnowledgeRegion]:
         """Sort by range and merge adjacent regions with equal windows."""

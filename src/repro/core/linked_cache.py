@@ -36,8 +36,6 @@ from repro.core.knowledge import KnowledgeMap
 from repro.core.stream import WatcherConfig
 from repro.core.versioned_map import VersionedMap
 from repro.obs.trace import hops
-from repro.resilience.breaker import CircuitBreaker, CircuitBreakerConfig
-from repro.resilience.retry import RetryPolicy
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
 
@@ -61,26 +59,10 @@ class LinkedCacheConfig:
     snapshot_latency: float = 0.05
     #: Per-watch delivery parameters (service time models a slow client).
     watcher: WatcherConfig = field(default_factory=WatcherConfig)
-    #: If set, prune local versions more than this many version units
-    #: behind the newest known progress (bounds client memory).
-    prune_window: Optional[int] = None
-    #: Backoff schedule for retrying an unavailable snapshot source
-    #: (:class:`SnapshotUnavailable`).  None keeps the legacy fixed
-    #: retry at ``max(snapshot_latency, 0.01)``.  Exhausting the policy
-    #: does not abandon the sync — a linked cache must eventually serve
-    #: — it clamps further retries to the policy's ``max_delay``.
-    snapshot_retry: Optional[RetryPolicy] = None
-    #: Circuit breaker over the snapshot source: repeated
-    #: SnapshotUnavailable failures trip it, and while it is open the
-    #: cache waits out the cooldown instead of hammering a source that
-    #: is itself recovering (e.g. a mid-resync relay).
-    source_breaker: Optional[CircuitBreakerConfig] = None
 
     def __post_init__(self) -> None:
         if self.snapshot_latency < 0:
             raise ValueError("snapshot_latency must be >= 0")
-        if self.prune_window is not None and self.prune_window < 0:
-            raise ValueError("prune_window must be >= 0 when set")
 
 
 class LinkedCache(WatchCallback):
@@ -105,15 +87,6 @@ class LinkedCache(WatchCallback):
         self.name = name
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer
-        self._snapshot_failures = 0
-        self._source_breaker: Optional[CircuitBreaker] = None
-        if self.config.source_breaker is not None:
-            self._source_breaker = CircuitBreaker(
-                sim,
-                name=f"snapshot.{name}",
-                config=self.config.source_breaker,
-                metrics=self.metrics,
-            )
         self.data = VersionedMap()
         self.knowledge = KnowledgeMap()
         self.state = "idle"  # idle | syncing | watching | stopped
@@ -200,32 +173,17 @@ class LinkedCache(WatchCallback):
     def _finish_sync(self, generation: int) -> None:
         if generation != self._sync_generation or self.state == "stopped":
             return  # superseded by a newer sync or a stop
-        breaker = self._source_breaker
-        if breaker is not None and not breaker.allow():
-            # breaker open: wait out the cooldown instead of hammering a
-            # source that is itself recovering
-            self.sim.call_after(
-                max(breaker.cooldown_remaining(), 0.01),
-                lambda: self._finish_sync(generation),
-            )
-            return
         try:
             version, items = self.snapshot_fn(self.key_range)
         except SnapshotUnavailable:
-            # the snapshot source cannot serve right now; retry on the
-            # configured backoff schedule
-            if breaker is not None:
-                breaker.record_failure()
-            self._snapshot_failures += 1
+            # the snapshot source cannot serve right now; retry after
+            # the snapshot latency
             self.metrics.counter("resilience.snapshot.retries").inc()
             self.sim.call_after(
-                self._snapshot_retry_delay(),
+                max(self.config.snapshot_latency, 0.01),
                 lambda: self._finish_sync(generation),
             )
             return
-        if breaker is not None:
-            breaker.record_success()
-        self._snapshot_failures = 0
         self.snapshots_taken += 1
         self.data.load_snapshot(items, version)
         self.knowledge.reset(self.key_range, version)
@@ -236,18 +194,6 @@ class LinkedCache(WatchCallback):
         if self._resync_started_at is not None:
             self.recovery_times.append(self.sim.now() - self._resync_started_at)
             self._resync_started_at = None
-
-    def _snapshot_retry_delay(self) -> float:
-        """Delay before re-attempting an unavailable snapshot.
-
-        With no policy configured, the legacy fixed interval.  With one,
-        its backoff schedule (deterministic jitter from the sim RNG);
-        past ``max_attempts`` the delay stays clamped at the policy
-        ceiling — a linked cache never abandons its sync."""
-        policy = self.config.snapshot_retry
-        if policy is None:
-            return max(self.config.snapshot_latency, 0.01)
-        return policy.backoff(self._snapshot_failures, self.sim.rng)
 
     # ------------------------------------------------------------------
     # WatchCallback
@@ -270,11 +216,6 @@ class LinkedCache(WatchCallback):
         self._consecutive_resyncs = 0  # forward progress
         self.progress_seen += 1
         self.knowledge.extend(event.key_range, event.version)
-        if self.config.prune_window is not None:
-            floor = self.knowledge.max_known_version() - self.config.prune_window
-            if floor > 0:
-                self.data.prune_below(floor)
-                self.knowledge.prune_below(floor)
 
     def on_resync(self) -> None:
         if self.state == "stopped":

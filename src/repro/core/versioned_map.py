@@ -63,19 +63,6 @@ class VersionedMap:
         for key, value in items.items():
             self.apply(key, Mutation.put(value), version)
 
-    def prune_below(self, version: Version) -> int:
-        """Drop versions strictly below ``version``, keeping the newest
-        at-or-below it per key; returns versions dropped."""
-        dropped = 0
-        for key in list(self._versions):
-            versions = self._versions[key]
-            idx = bisect.bisect_right(versions, version) - 1
-            if idx > 0:
-                del versions[:idx]
-                del self._mutations[key][:idx]
-                dropped += idx
-        return dropped
-
     # ------------------------------------------------------------------
     # reads
 

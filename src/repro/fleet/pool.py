@@ -64,10 +64,11 @@ def process_map(
       (``fn`` must be a module-level function).  Results are returned
       in item order.
 
-    A worker exception propagates to the caller, and a worker that
-    dies without a result raises :class:`RuntimeError`; either way the
-    remaining workers are terminated — a fleet with a failed shard has
-    no meaningful merged report.
+    A worker exception propagates to the caller with a note naming its
+    item index, and a worker that dies without a result raises
+    :class:`RuntimeError`; either way the remaining workers are
+    terminated — a fleet with a failed shard has no meaningful merged
+    report.
     """
     items = list(items)
     if jobs < 1:
@@ -109,6 +110,7 @@ def process_map(
                         ) from None
                 worker.join()
                 if not ok:
+                    value.add_note(f"raised by process_map item {index}")
                     raise value
                 results[index] = value
         return results

@@ -6,17 +6,15 @@ producer commit and a consumer's view.  Aggregate counters
 package says *which hop* lost each one, Dapper/X-Trace style, with the
 MVCC commit version doubling as the trace id:
 
-- :mod:`repro.obs.trace` — :class:`TraceContext` / :class:`Span` /
-  :class:`Tracer`: mint trace events at every pipeline hop, stamped
-  with sim-clock times (never wall clock, so traces are deterministic).
+- :mod:`repro.obs.trace` — :class:`Tracer` and the ``hops`` taxonomy:
+  mint trace events at every pipeline hop, stamped with sim-clock
+  times (never wall clock, so traces are deterministic).
 - :mod:`repro.obs.eventlog` — :class:`EventLog`: bounded ring buffer of
   :class:`TraceEvent` records with deterministic JSONL export/import.
 - :mod:`repro.obs.index` — :class:`TraceIndex`: reconstructs per-update
   causal chains, computes per-hop latency histograms into a
   :class:`~repro.sim.metrics.MetricsRegistry`, and attributes every
   lost update to the hop that dropped it (loss provenance).
-- :mod:`repro.obs.profiler` — :class:`SimProfiler`: the kernel-side
-  hook attributing simulated time and event counts per component.
 - :mod:`repro.obs.report` — table/report rendering used by experiments
   and ``scripts/trace_report.py``.
 
@@ -30,17 +28,13 @@ simulation events — determinism is untouched.
 from repro.obs.eventlog import EventLog, TraceEvent
 from repro.obs.index import LossRecord, TraceIndex
 from repro.obs.mergehist import MergeHist, latency_edges
-from repro.obs.profiler import SimProfiler
-from repro.obs.trace import Span, TraceContext, Tracer, TraceSampler, hops
+from repro.obs.trace import Tracer, TraceSampler, hops
 
 __all__ = [
     "EventLog",
     "LossRecord",
     "MergeHist",
     "latency_edges",
-    "SimProfiler",
-    "Span",
-    "TraceContext",
     "TraceEvent",
     "TraceIndex",
     "TraceSampler",

@@ -44,7 +44,7 @@ def hop_latency_table(
             mean_ms=round(histogram.mean * 1000, 3),
             p50_ms=round(histogram.p50 * 1000, 3),
             p99_ms=round(histogram.p99 * 1000, 3),
-            max_ms=round(histogram.max * 1000, 3),
+            max_ms=round(histogram.quantile(1.0) * 1000, 3),
         )
     return table
 

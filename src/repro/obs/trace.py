@@ -1,4 +1,4 @@
-"""Trace contexts, spans, and the Tracer that mints hop events.
+"""The hop taxonomy and the Tracer that mints hop events.
 
 The trace id is minted at the producer write: the MVCC commit version
 (globally unique, monotone) doubles as the trace anchor, and the row
@@ -7,7 +7,8 @@ already carry ``(key, version)`` in-band end to end — pubsub messages
 keep the row key and a ``version`` payload field; watch
 :class:`~repro.core.events.ChangeEvent` structs carry both — so trace
 propagation needs **no payload changes**: every hop re-derives the
-:class:`TraceContext` from data it already holds.
+``(key, version)`` identity from data it already holds
+(:func:`payload_version` reads it off a pubsub payload).
 
 All timestamps come from the simulation clock, never wall clock, and
 recording never schedules kernel events or reads the sim RNG, so an
@@ -16,8 +17,7 @@ instrumented run is event-for-event identical to an uninstrumented one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
@@ -25,7 +25,7 @@ from repro.obs.eventlog import EventLog, TraceEvent
 
 
 class hops:
-    """Span/hop taxonomy (see docs/observability.md for the map).
+    """Hop taxonomy (see docs/observability.md for the map).
 
     Grouped by pipeline stage; every name is also a JSONL ``hop`` value
     and (for chain hops) a segment of ``obs.hop.*`` histogram names.
@@ -87,25 +87,6 @@ class hops:
     CAUSAL_DEADLINE = "causal.deadline"  # bounded hold expired; delivered anyway
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """Identity of one traced update: row key + commit version."""
-
-    key: str
-    version: int
-
-    @staticmethod
-    def from_payload(key: Optional[str], payload: Any) -> Optional["TraceContext"]:
-        """Recover the context carried in-band by a pubsub message
-        (row key + ``version`` payload field); None if absent."""
-        if key is None or not isinstance(payload, dict):
-            return None
-        version = payload.get("version")
-        if not isinstance(version, int):
-            return None
-        return TraceContext(key=key, version=version)
-
-
 def payload_version(payload: Any) -> Optional[int]:
     """The in-band commit version of a pubsub payload, if present."""
     if isinstance(payload, dict):
@@ -142,58 +123,13 @@ class TraceSampler:
         return index % self.every == 0
 
 
-class Span:
-    """A timed hop: opened now, one event emitted at :meth:`end`.
-
-    The event carries ``start`` and ``duration`` attrs (sim seconds), so
-    a span costs exactly one log entry.  Used for hops with real extent
-    (CDC publish latency, task processing); instantaneous hops use
-    :meth:`Tracer.record` directly.
-    """
-
-    __slots__ = ("_tracer", "hop", "component", "key", "version", "attrs",
-                 "started_at", "ended")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        hop: str,
-        component: str,
-        key: Optional[str] = None,
-        version: Optional[int] = None,
-        **attrs: Any,
-    ) -> None:
-        self._tracer = tracer
-        self.hop = hop
-        self.component = component
-        self.key = key
-        self.version = version
-        self.attrs = attrs
-        self.started_at = tracer.sim.now()
-        self.ended = False
-
-    def end(self, **extra: Any) -> None:
-        """Close the span and emit its event (idempotent)."""
-        if self.ended:
-            return
-        self.ended = True
-        now = self._tracer.sim.now()
-        attrs = dict(self.attrs)
-        attrs.update(extra)
-        attrs["start"] = self.started_at
-        attrs["duration"] = now - self.started_at
-        self._tracer.record(
-            self.hop, self.component, key=self.key, version=self.version, **attrs
-        )
-
-
 class Tracer:
     """Mints trace events on the sim clock into an :class:`EventLog`.
 
     One tracer per experiment configuration.  Thread it into the
     components under test via their ``tracer=`` parameters, attach it to
     the producer store with :meth:`observe_store` (which mints the
-    ``store.commit`` root span for every write), and reconstruct chains
+    ``store.commit`` root event for every write), and reconstruct chains
     afterwards with :class:`~repro.obs.index.TraceIndex`.
     """
 
@@ -237,19 +173,8 @@ class Tracer:
         self.metrics.counter(f"obs.{self.name}.events").inc()
         return event
 
-    def span(
-        self,
-        hop: str,
-        component: str,
-        key: Optional[str] = None,
-        version: Optional[int] = None,
-        **attrs: Any,
-    ) -> Span:
-        """Open a timed :class:`Span` at the current sim time."""
-        return Span(self, hop, component, key=key, version=version, **attrs)
-
     # ------------------------------------------------------------------
-    # producer-side root spans
+    # producer-side root events
 
     def observe_store(self, store, component: str = "store") -> Callable[[], None]:
         """Mint a ``store.commit`` event per key write of every future
@@ -272,9 +197,6 @@ class Tracer:
 
     # ------------------------------------------------------------------
     # convenience
-
-    def events(self):
-        return self.log.events()
 
     def to_jsonl(self) -> str:
         return self.log.to_jsonl()

@@ -1,4 +1,9 @@
-"""Pubsub-layer exceptions."""
+"""Pubsub-layer exceptions.
+
+Each one pickles as its constructor arguments (``__reduce__``), so it
+crosses a fleet worker's result pipe with its type, fields and message
+intact.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +19,9 @@ class UnknownTopicError(PubsubError):
         super().__init__(f"unknown topic {topic!r}")
         self.topic = topic
 
+    def __reduce__(self):
+        return type(self), (self.topic,), self.__dict__
+
 
 class OffsetOutOfRangeError(PubsubError):
     """A reader asked for an offset below the log's GC floor.
@@ -28,3 +36,6 @@ class OffsetOutOfRangeError(PubsubError):
         super().__init__(f"offset {requested} below GC floor {floor}")
         self.requested = requested
         self.floor = floor
+
+    def __reduce__(self):
+        return type(self), (self.requested, self.floor), self.__dict__

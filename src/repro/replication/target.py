@@ -42,12 +42,16 @@ class CursorCorruption(RuntimeError):
     def __init__(self, kind: str, key: Optional[Key] = None, detail: str = "") -> None:
         self.kind = kind
         self.key = key
+        self.detail = detail
         message = f"cursor corruption [{kind}]"
         if key is not None:
             message += f" key={key!r}"
         if detail:
             message += f": {detail}"
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.key, self.detail), self.__dict__
 
 
 StateObserver = Callable[["ReplicaStore"], None]

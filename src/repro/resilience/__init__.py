@@ -1,4 +1,4 @@
-"""Resilience primitives: retries, deadlines, breakers, reliable delivery.
+"""Resilience primitives: retry policies, breakers, reliable delivery.
 
 The simulator's network and components are deliberately fail-fast:
 ``Network.send`` drops on loss/partition and "callers model retries
@@ -7,7 +7,6 @@ self-stabilization in the sense of the supervised-pubsub literature:
 
 - :class:`RetryPolicy` — exponential backoff with deterministic jitter
   drawn from the simulation RNG, capped by attempts and/or deadline;
-- :class:`Deadline` — absolute time budget for scheduled callbacks;
 - :class:`CircuitBreaker` — closed/open/half-open with sim-clock
   cooldowns, so a dead destination is not hammered forever;
 - :class:`ReliableChannel` — ack-tracking, retransmission, duplicate
@@ -21,7 +20,7 @@ deterministic under a fixed simulation seed.
 
 from repro.resilience.breaker import BreakerOpen, BreakerState, CircuitBreaker, CircuitBreakerConfig
 from repro.resilience.channel import ChannelConfig, ReliableChannel
-from repro.resilience.retry import Deadline, Retrier, RetryPolicy
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "BreakerOpen",
@@ -29,8 +28,6 @@ __all__ = [
     "ChannelConfig",
     "CircuitBreaker",
     "CircuitBreakerConfig",
-    "Deadline",
     "ReliableChannel",
-    "Retrier",
     "RetryPolicy",
 ]

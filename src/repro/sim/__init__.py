@@ -8,12 +8,12 @@ deterministically and quickly.  The kernel is a small SimPy-like engine:
   heap.  Callbacks are scheduled with :meth:`Simulation.call_at` /
   :meth:`Simulation.call_after`.
 - Long-running actors are written as generator *processes* that ``yield``
-  :class:`~repro.sim.kernel.Timeout` or :class:`~repro.sim.kernel.Waiter`
-  instances (see :meth:`Simulation.spawn`).
+  a :class:`~repro.sim.kernel.Timeout` or a number of seconds (see
+  :meth:`Simulation.spawn`).
 - :class:`~repro.sim.network.Network` models message latency, loss and
   reordering between simulated nodes.
-- :class:`~repro.sim.metrics.MetricsRegistry` collects counters, gauges,
-  histograms and time series for the experiment harness.
+- :class:`~repro.sim.metrics.MetricsRegistry` collects counters, gauges
+  and histograms for the experiment harness.
 - :class:`~repro.sim.failures.FailureInjector` schedules crashes,
   slowdowns and partitions.
 
@@ -24,16 +24,15 @@ simulation's seeded :class:`random.Random`.
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.kernel import Simulation, Timeout, Waiter, ProcessExit, SimError
+from repro.sim.kernel import Simulation, Timeout, ProcessExit, SimError
 from repro.sim.network import Network, NetworkConfig, Endpoint
-from repro.sim.metrics import MetricsRegistry, Counter, Gauge, Histogram, TimeSeries
+from repro.sim.metrics import MetricsRegistry, Counter, Gauge, Histogram
 from repro.sim.failures import FailureInjector
 
 __all__ = [
     "VirtualClock",
     "Simulation",
     "Timeout",
-    "Waiter",
     "ProcessExit",
     "SimError",
     "Network",
@@ -43,6 +42,5 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "TimeSeries",
     "FailureInjector",
 ]

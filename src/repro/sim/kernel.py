@@ -5,12 +5,12 @@ programming models are supported and freely mixed:
 
 ``call_after(delay, fn)``
     Schedule a plain callback.  Most infrastructure (broker delivery,
-    GC sweeps, sharder rebalances) uses callbacks.
+    GC and compaction sweeps, retransmits, edge pumps) uses callbacks.
 
 ``spawn(generator)``
-    Run a *process*: a generator that yields :class:`Timeout` (sleep) or
-    :class:`Waiter` (block until signalled).  Workload drivers and
-    consumers read naturally as processes.
+    Run a *process*: a generator that yields a :class:`Timeout` or a
+    number of seconds to sleep.  Workload drivers read naturally as
+    processes.
 
 The kernel is single-threaded and deterministic: events at equal times
 fire in scheduling order, and all randomness must come from
@@ -31,7 +31,7 @@ a slab:
 - **Lane 1, the heap**, orders every delayed event, near or far: a
   plain ``heappush`` at the scheduling call.
 - **Lane 2, the zero-delay deque**: ``call_after(0.0, ...)`` — the
-  dominant pattern (Waiter resumption, ``spawn``, subscription pumps,
+  dominant pattern (``spawn``, subscription pumps,
   zero-latency watch drains) — bypasses the heap through a FIFO.  Its
   entries carry the same ``(time, seq)`` stamps, and the run loop always
   fires the smaller ``(time, seq)`` head of the two lanes, so the
@@ -73,7 +73,7 @@ from collections import deque
 from itertools import count as _counter
 import random
 from typing import (
-    Any, Callable, Deque, Generator, Iterable, List, Optional,
+    Any, Callable, Deque, Generator, List, Optional,
 )
 
 from repro.sim.clock import VirtualClock
@@ -174,62 +174,6 @@ class Timeout:
         self.delay = delay
 
 
-class Waiter:
-    """A one-shot signal a process can yield on.
-
-    A producer calls :meth:`fire` (optionally with a value); every
-    process currently waiting resumes with that value.  Processes that
-    yield a Waiter that has already fired resume immediately — this
-    makes the common "wait until condition X has happened at least
-    once" pattern race-free.
-    """
-
-    __slots__ = ("_sim", "_fired", "_value", "_waiting")
-
-    def __init__(self, sim: "Simulation") -> None:
-        self._sim = sim
-        self._fired = False
-        self._value: Any = None
-        self._waiting: list[Callable[[Any], None]] = []
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    def fire(self, value: Any = None) -> None:
-        """Signal the waiter; resumes all waiting processes this instant."""
-        if self._fired:
-            return
-        self._fired = True
-        self._value = value
-        waiting, self._waiting = self._waiting, []
-        for resume in waiting:
-            self._sim._call_soon_1(resume, value)
-
-    def _add_waiter(self, resume: Callable[[Any], None]) -> None:
-        if self._fired:
-            self._sim._call_soon_1(resume, self._value)
-        else:
-            self._waiting.append(resume)
-
-
-class _Resume1:
-    """Pre-bound one-argument trampoline (cheaper than a per-call lambda)."""
-
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: Callable[[Any], None], arg: Any) -> None:
-        self.fn = fn
-        self.arg = arg
-
-    def __call__(self) -> None:
-        self.fn(self.arg)
-
-
 Process = Generator[Any, Any, Any]
 
 
@@ -237,8 +181,7 @@ class ProcessHandle:
     """Handle to a spawned process."""
 
     __slots__ = (
-        "name", "done", "result", "error", "_gen", "_killed",
-        "_resume_none", "_resume_value", "_label",
+        "name", "done", "result", "error", "_gen", "_resume", "_label",
     )
 
     def __init__(self, gen: Process, name: str) -> None:
@@ -247,16 +190,10 @@ class ProcessHandle:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._gen = gen
-        self._killed = False
-        # trampolines bound once by spawn(); reused for every yield so
+        # trampoline bound once by spawn(); reused for every yield so
         # process switching allocates no per-yield closures
-        self._resume_none: Callable[[], None] = None  # type: ignore[assignment]
-        self._resume_value: Callable[[Any], None] = None  # type: ignore[assignment]
+        self._resume: Callable[[], None] = None  # type: ignore[assignment]
         self._label = f"proc:{name}"
-
-    def kill(self) -> None:
-        """Stop the process at its next resumption point."""
-        self._killed = True
 
 
 class Simulation:
@@ -273,11 +210,10 @@ class Simulation:
         self._fast: Deque[List[Any]] = deque()
         self._tombstones = 0  # cancelled events still queued
         self._running = False
-        self._processes: list[ProcessHandle] = []
-        #: optional profiler (duck-typed: ``on_event(component, time)``,
-        #: e.g. :class:`repro.obs.profiler.SimProfiler`).  Attribution
-        #: is purely observational — attaching one never changes the
-        #: event schedule.
+        #: optional profiler hook (duck-typed: ``on_event(component,
+        #: time)`` per fired event; the ledger's wall-clock attribution
+        #: uses it).  Attribution is purely observational — attaching
+        #: one never changes the event schedule.
         self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -406,29 +342,6 @@ class Simulation:
         else:
             _heappush(self._heap, entry)
 
-    def _call_soon_1(
-        self, fn: Callable[[Any], None], arg: Any,
-        # default-arg bindings, as in call_at_seq
-        _next_seq=_next_seq, _pool=_POOL, _Resume1=_Resume1,
-    ) -> None:
-        """Zero-delay schedule of a one-argument callable (Waiter path).
-
-        Skips EventHandle creation — waiter resumes are never cancelled.
-        """
-        if _pool:
-            entry = _pool.pop()
-            entry[0] = self.clock._now
-            entry[1] = _next_seq()
-            entry[2] = _Resume1(fn, arg)
-            entry[3] = None
-        else:
-            entry = [self.clock._now, _next_seq(), _Resume1(fn, arg), None, False]
-        self._fast.append(entry)
-
-    def waiter(self) -> Waiter:
-        """Create a new one-shot :class:`Waiter`."""
-        return Waiter(self)
-
     # ------------------------------------------------------------------
     # cancellation accounting
 
@@ -479,21 +392,15 @@ class Simulation:
         """
         handle = ProcessHandle(gen, name)
         step = self._step_process
-        handle._resume_none = lambda: step(handle, None)
-        handle._resume_value = lambda value: step(handle, value)
-        self._processes.append(handle)
-        self.post(0.0, handle._resume_none, label=handle._label)
+        handle._resume = lambda: step(handle)
+        self.post(0.0, handle._resume, label=handle._label)
         return handle
 
-    def _step_process(self, handle: ProcessHandle, send_value: Any) -> None:
+    def _step_process(self, handle: ProcessHandle) -> None:
         if handle.done:
             return
-        if handle._killed:
-            handle.done = True
-            handle._gen.close()
-            return
         try:
-            yielded = handle._gen.send(send_value)
+            yielded = next(handle._gen)
         except StopIteration as stop:
             handle.done = True
             handle.result = stop.value
@@ -510,16 +417,14 @@ class Simulation:
     def _dispatch_yield(self, handle: ProcessHandle, yielded: Any) -> None:
         if isinstance(yielded, Timeout):
             # Timeout validated delay >= 0 at construction
-            self.post(yielded.delay, handle._resume_none, label=handle._label)
-        elif isinstance(yielded, Waiter):
-            yielded._add_waiter(handle._resume_value)
+            self.post(yielded.delay, handle._resume, label=handle._label)
         elif isinstance(yielded, (int, float)):
-            self.post(float(yielded), handle._resume_none, label=handle._label)
+            self.post(float(yielded), handle._resume, label=handle._label)
         else:
             handle.done = True
             raise SimError(
                 f"process {handle.name!r} yielded unsupported value {yielded!r}; "
-                "yield a Timeout, Waiter, or a number of seconds"
+                "yield a Timeout or a number of seconds"
             )
 
     # ------------------------------------------------------------------
@@ -608,7 +513,3 @@ class Simulation:
         running callback (whose own event is no longer counted).
         """
         return len(self._heap) + len(self._fast) - self._tombstones
-
-    def processes(self) -> Iterable[ProcessHandle]:
-        """All processes ever spawned (including finished ones)."""
-        return tuple(self._processes)

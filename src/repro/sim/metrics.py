@@ -12,15 +12,12 @@ per-hop latency histograms in a registry, under ``obs.hop.*`` (see
 - :class:`Gauge` — last-set value.
 - :class:`Histogram` — streaming distribution with exact quantiles
   (values kept; simulations here are small enough for that).
-- :class:`TimeSeries` — (time, value) samples, e.g. backlog over time;
-  used for the "figure" outputs of the experiment harness.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 
 class Counter:
@@ -95,14 +92,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / len(self._values) if self._values else 0.0
 
-    @property
-    def max(self) -> float:
-        return max(self._values) if self._values else 0.0
-
-    @property
-    def min(self) -> float:
-        return min(self._values) if self._values else 0.0
-
     def _ensure_sorted(self) -> List[float]:
         if not self._sorted:
             self._values.sort()
@@ -131,62 +120,11 @@ class Histogram:
         return self.quantile(0.50)
 
     @property
-    def p90(self) -> float:
-        return self.quantile(0.90)
-
-    @property
     def p99(self) -> float:
         return self.quantile(0.99)
 
-    def count_above(self, threshold: float) -> int:
-        """Number of observations strictly greater than ``threshold``."""
-        values = self._ensure_sorted()
-        return len(values) - bisect.bisect_right(values, threshold)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Histogram({self.name}, n={self.count}, p50={self.p50:.4g}, p99={self.p99:.4g})"
-
-
-class TimeSeries:
-    """(time, value) samples, appended in nondecreasing time order."""
-
-    __slots__ = ("name", "_samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._samples: List[Tuple[float, float]] = []
-
-    def sample(self, t: float, value: float) -> None:
-        if self._samples and t < self._samples[-1][0]:
-            raise ValueError(
-                f"time series {self.name!r} sampled backwards: "
-                f"{self._samples[-1][0]} -> {t}"
-            )
-        self._samples.append((float(t), float(value)))
-
-    @property
-    def samples(self) -> Sequence[Tuple[float, float]]:
-        return tuple(self._samples)
-
-    @property
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self._samples[-1] if self._samples else None
-
-    def values(self) -> List[float]:
-        return [v for _, v in self._samples]
-
-    def max_value(self) -> float:
-        return max((v for _, v in self._samples), default=0.0)
-
-    def value_at(self, t: float) -> float:
-        """Step-function value at time ``t`` (0 before the first sample)."""
-        idx = bisect.bisect_right(self._samples, (t, math.inf)) - 1
-        if idx < 0:
-            return 0.0
-        return self._samples[idx][1]
-
-    def __len__(self) -> int:
-        return len(self._samples)
 
 
 class LazyMetric:
@@ -256,9 +194,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)  # type: ignore[return-value]
 
-    def timeseries(self, name: str) -> TimeSeries:
-        return self._get(name, TimeSeries)  # type: ignore[return-value]
-
     def names(self) -> List[str]:
         return sorted(self._metrics)
 
@@ -279,11 +214,4 @@ class MetricsRegistry:
                 out[f"{name}.mean"] = metric.mean
                 out[f"{name}.p50"] = metric.p50
                 out[f"{name}.p99"] = metric.p99
-            elif isinstance(metric, TimeSeries):
-                out[f"{name}.samples"] = float(len(metric))
-                out[f"{name}.max"] = metric.max_value()
         return out
-
-    def merged(self, prefix: str) -> Dict[str, float]:
-        """Scalar snapshot filtered to names starting with ``prefix``."""
-        return {k: v for k, v in self.snapshot().items() if k.startswith(prefix)}

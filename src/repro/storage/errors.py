@@ -1,4 +1,10 @@
-"""Storage-layer exceptions."""
+"""Storage-layer exceptions.
+
+Each one pickles as its constructor arguments (``__reduce__``), so it
+crosses a fleet worker's result pipe with its type, fields and message
+intact; the default pickling would re-call ``__init__`` with the one
+formatted message.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +25,10 @@ class ConflictError(StorageError):
         self.read_version = read_version
         self.committed_version = committed_version
 
+    def __reduce__(self):
+        args = (self.key, self.read_version, self.committed_version)
+        return type(self), args, self.__dict__
+
 
 class HistoryTruncatedError(StorageError):
     """A reader asked for history older than the retained window.
@@ -36,6 +46,10 @@ class HistoryTruncatedError(StorageError):
         self.requested_version = requested_version
         self.oldest_retained = oldest_retained
 
+    def __reduce__(self):
+        args = (self.requested_version, self.oldest_retained)
+        return type(self), args, self.__dict__
+
 
 class SnapshotUnavailableError(StorageError):
     """A snapshot read at a version older than MVCC GC allows."""
@@ -47,3 +61,7 @@ class SnapshotUnavailableError(StorageError):
         )
         self.requested_version = requested_version
         self.oldest_readable = oldest_readable
+
+    def __reduce__(self):
+        args = (self.requested_version, self.oldest_readable)
+        return type(self), args, self.__dict__

@@ -125,6 +125,10 @@ class UniqueConstraintError(RuntimeError):
         self.existing_key = existing_key
         self.new_key = new_key
 
+    def __reduce__(self):
+        args = (self.value, self.existing_key, self.new_key)
+        return type(self), args, self.__dict__
+
 
 class UniqueIndex(SecondaryIndex):
     """A secondary index enforcing at most one key per value.

@@ -24,7 +24,6 @@ from repro.pubsub.broker import Broker
 from repro.pubsub.consumer import Consumer
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RoutingPolicy, SubscriptionConfig
-from repro.resilience.retry import Deadline
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
 from repro.workqueue.state_cache import StateCache
@@ -46,27 +45,18 @@ class PubsubWorkerPool:
         num_partitions: int = 8,
         ack_timeout: float = 30.0,
         create_topic: bool = True,
-        task_deadline: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if task_deadline is not None and task_deadline <= 0:
-            raise ValueError("task_deadline must be positive when set")
         self.sim = sim
         self.broker = broker
         self.topic = topic
         self.cold_penalty = cold_penalty
-        #: per-task completion deadline measured from enqueue; a task
-        #: that spent its whole budget queued (e.g. behind a poison task
-        #: — the §3.2.4 head-of-line scenario) is shed instead of being
-        #: processed uselessly late
-        self.task_deadline = task_deadline
         self.metrics = metrics or broker.metrics
         #: tasks are traced as (key=entity key, version=task_id) chains
         self.tracer = tracer
-        self.deadline_dropped = 0
         self.stats = TaskStats()
         if create_topic:
             broker.create_topic(topic, num_partitions=num_partitions)
@@ -87,8 +77,6 @@ class PubsubWorkerPool:
 
         def service_time(message: Message, cache: StateCache = cache) -> float:
             task = Task.from_payload(message.payload)
-            if self._past_deadline(task):
-                return 0.0  # shed without paying the work cost
             warm = cache.contains(task.key)
             return task.work if warm else task.work + self.cold_penalty
 
@@ -96,13 +84,6 @@ class PubsubWorkerPool:
             task = Task.from_payload(message.payload)
             if task.task_id in self._completed_ids:
                 return True  # duplicate redelivery; idempotent
-            if self._past_deadline(task):
-                # ack-and-drop: redelivering an already-late task
-                # elsewhere would just spread the lateness
-                self._completed_ids.add(task.task_id)
-                self.deadline_dropped += 1
-                self.metrics.counter("resilience.workqueue.deadline_dropped").inc()
-                return True
             warm = cache.touch(task.key)
             self._completed_ids.add(task.task_id)
             self.stats.record(task, self.sim.now(), warm)
@@ -119,11 +100,6 @@ class PubsubWorkerPool:
         self.workers.append(worker)
         self.group.join(worker)
         return worker
-
-    def _past_deadline(self, task: Task) -> bool:
-        if self.task_deadline is None:
-            return False
-        return Deadline.at(self.sim, task.enqueued_at + self.task_deadline).expired
 
     # ------------------------------------------------------------------
     # driving

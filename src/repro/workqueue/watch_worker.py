@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 from repro._types import Key, KeyRange
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.obs.trace import hops
-from repro.resilience.retry import RetryPolicy
 from repro.sharding.assignment import Assignment
 from repro.sharding.autosharder import AutoSharder
 from repro.sim.kernel import Simulation, Timeout
@@ -105,27 +104,7 @@ class WatchWorker:
             yield Timeout(cost)
             if not self.up:
                 continue  # crashed mid-task: no completion write
-            outcome = self._complete(row_key)
-            # a commit conflict is transient (another writer touched the
-            # row); with a retry policy we back off and re-attempt the
-            # conditional write instead of abandoning work already done
-            policy = self.pool.complete_retry
-            attempt = 1
-            started = self.sim.now()
-            while (
-                outcome == "conflict"
-                and policy is not None
-                and policy.allows(attempt + 1, started, self.sim.now())
-            ):
-                yield Timeout(policy.backoff(attempt, self.sim.rng))
-                if not self.up:
-                    break
-                attempt += 1
-                self.pool.metrics.counter(
-                    "resilience.workqueue.complete_retries"
-                ).inc()
-                outcome = self._complete(row_key)
-            if outcome == "done":
+            if self._complete(row_key) == "done":
                 self.pool.stats.record(task, self.sim.now(), warm)
                 if self.pool.tracer is not None:
                     self.pool.tracer.record(
@@ -157,8 +136,8 @@ class WatchWorker:
         """Conditional completion write.
 
         Returns ``"done"`` (we committed it), ``"taken"`` (someone else
-        already completed it — not retryable), or ``"conflict"`` (the
-        commit raced another writer — retryable)."""
+        already completed it), or ``"conflict"`` (the commit raced
+        another writer; whoever picks the row next redoes the task)."""
         self._skip.add(row_key)
         txn = self.pool.store.transaction()
         row = txn.get(row_key)
@@ -203,7 +182,6 @@ class WatchWorkerPool:
         cache_capacity: int = 256,
         prioritize: bool = True,
         idle_poll: float = 0.02,
-        complete_retry: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
@@ -215,10 +193,6 @@ class WatchWorkerPool:
         self.cache_capacity = cache_capacity
         self.prioritize = prioritize
         self.idle_poll = idle_poll
-        #: backoff schedule for retrying completion-write conflicts;
-        #: None keeps the legacy abandon-on-conflict behaviour (the task
-        #: is redone from scratch by whoever picks it next)
-        self.complete_retry = complete_retry
         self.metrics = metrics or MetricsRegistry()
         #: tasks are traced as (key=entity key, version=task_id) chains
         self.tracer = tracer

@@ -74,7 +74,7 @@ def test_stamper_traces_causal_stamp_hops(sim):
     stamper = CausalStamper(window=4, tracer=tracer)
     stamper.observe_store(store)
     v = store.put("k", {"v": 1})
-    events = [e for e in tracer.events() if e.hop == hops.CAUSAL_STAMP]
+    events = [e for e in tracer.log.events() if e.hop == hops.CAUSAL_STAMP]
     assert len(events) == 1
     assert events[0].key == "k" and events[0].version == v
     assert stamper.stamped == 1 and stamper.meta_bytes > 0

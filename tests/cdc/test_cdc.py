@@ -1,12 +1,9 @@
 """Tests for CDC capture and publishing."""
 
-import pytest
-
 from repro._types import Mutation
-from repro.cdc.capture import CdcCapture, ChangeRecord, replay_history
+from repro.cdc.capture import CdcCapture, ChangeRecord
 from repro.cdc.publisher import CdcPublisher
 from repro.pubsub.broker import Broker
-from repro.storage.errors import HistoryTruncatedError
 from repro.storage.kv import MVCCStore
 
 
@@ -44,24 +41,6 @@ class TestCapture:
         store.commit({"a": Mutation.put(1), "b": Mutation.put(2)})
         assert capture.commits_captured == 1
         assert capture.records_emitted == 2
-
-
-class TestReplay:
-    def test_replay_from_version(self):
-        store = MVCCStore()
-        v1 = store.put("a", 1)
-        store.put("b", 2)
-        records = []
-        emitted = replay_history(store.history, records.append, since=v1)
-        assert emitted == 1
-        assert records[0].key == "b"
-
-    def test_replay_truncated_raises(self):
-        store = MVCCStore(history_retention_commits=1)
-        store.put("a", 1)
-        store.put("b", 2)
-        with pytest.raises(HistoryTruncatedError):
-            replay_history(store.history, lambda r: None, since=0)
 
 
 class TestPublisher:

@@ -66,20 +66,6 @@ class TestKnowledgeMap:
         km.extend(KeyRange("a", "z"), 3)
         assert km.regions[0].high_version == 5
 
-    def test_prune_below(self):
-        km = KnowledgeMap()
-        km.reset(KeyRange("a", "z"), 5)
-        km.extend(KeyRange("a", "z"), 10)
-        km.prune_below(8)
-        assert not km.knows(KeyRange("a", "z"), 7)
-        assert km.knows(KeyRange("a", "z"), 9)
-
-    def test_prune_drops_dead_regions(self):
-        km = KnowledgeMap()
-        km.reset(KeyRange("a", "z"), 5)
-        km.prune_below(6)
-        assert len(km) == 0
-
     def test_best_snapshot_version(self):
         km = KnowledgeMap()
         km.reset(KeyRange("a", "z"), 5)
@@ -206,18 +192,3 @@ class TestKnowledgeProperties:
         for ext_range, version in extensions:
             km.extend(ext_range, version)
         assert km.knows(base, 1)
-
-    @settings(max_examples=80)
-    @given(
-        base=ranges,
-        extensions=st.lists(st.tuples(ranges, st.integers(2, 40)), max_size=8),
-        floor=st.integers(1, 40),
-    )
-    def test_prune_removes_exactly_below(self, base, extensions, floor):
-        km = KnowledgeMap()
-        km.reset(base, 1)
-        for ext_range, version in extensions:
-            km.extend(ext_range, version)
-        km.prune_below(floor)
-        for region in km.regions:
-            assert region.low_version >= floor

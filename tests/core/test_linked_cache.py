@@ -133,19 +133,6 @@ class TestKnowledgeAndReads:
         assert cache.read_at("a", v1) == (True, 1)
         assert cache.read_at("a", v2) == (True, 2)
 
-    def test_prune_window_bounds_memory(self, sim):
-        store, ws, snap = make_pipeline(sim)
-        cache = LinkedCache(
-            sim, ws, snap, KeyRange.all(),
-            LinkedCacheConfig(snapshot_latency=0.01, prune_window=5),
-        )
-        cache.start()
-        sim.run_for(0.5)
-        for i in range(50):
-            store.put("hot", i)
-            sim.run_for(0.3)
-        assert cache.data.version_count() < 15
-
 
 class TestResync:
     def test_wipe_triggers_full_recovery(self, sim):

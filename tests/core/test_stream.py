@@ -64,7 +64,7 @@ class TestDelivery:
     def test_delivery_latency(self, sim):
         callback, events, _, _ = collector()
         seen_at = []
-        callback._on_event = lambda e: seen_at.append(sim.now())
+        callback.on_event = lambda e: seen_at.append(sim.now())
         session = WatcherSession(
             sim, KeyRange.all(), 0, callback,
             WatcherConfig(delivery_latency=0.5),

@@ -65,24 +65,6 @@ class TestSnapshotLoad:
         assert vm.items_at(KeyRange("a", "c"), 7) == {"a": 1, "b": 99}
 
 
-class TestPrune:
-    def test_prune_keeps_visible_value(self):
-        vm = VersionedMap()
-        vm.apply("a", Mutation.put(1), 2)
-        vm.apply("a", Mutation.put(2), 5)
-        vm.apply("a", Mutation.put(3), 9)
-        dropped = vm.prune_below(6)
-        assert dropped == 1  # version 2 dropped; 5 kept (visible at 6)
-        assert vm.get_at("a", 6) == 2
-        assert vm.get_at("a", 9) == 3
-
-    def test_prune_noop_when_single_version(self):
-        vm = VersionedMap()
-        vm.apply("a", Mutation.put(1), 2)
-        assert vm.prune_below(100) == 0
-        assert vm.get_latest("a") == 1
-
-
 class TestProperties:
     @settings(max_examples=60)
     @given(

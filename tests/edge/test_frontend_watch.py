@@ -116,7 +116,7 @@ def test_reconnect_far_behind_gets_edge_snapshot(sim):
     # the snapshot came from the relay's edge state, not the store:
     # the store-side snapshot_fn ran only for the relay's own sync
     assert frontend.source_snapshots == 1
-    connects = [e for e in tracer.events() if e.hop == hops.EDGE_CONNECT]
+    connects = [e for e in tracer.log.events() if e.hop == hops.EDGE_CONNECT]
     assert [e.attrs["mode"] for e in connects] == ["delta", "snapshot"]
     assert connects[1].attrs["staleness"] == 100
 

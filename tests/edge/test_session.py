@@ -137,7 +137,7 @@ def test_drop_policy_sheds_oldest_with_trace(sim):
     session.grant(5)
     sim.run()
     assert [u.version for u in client.delivered] == [16, 17, 18, 19, 20]
-    drops = [e for e in tracer.events() if e.hop == hops.EDGE_DROP]
+    drops = [e for e in tracer.log.events() if e.hop == hops.EDGE_DROP]
     assert len(drops) == 15
     assert [e.version for e in drops] == list(range(1, 16))
     assert {e.attrs["session"] for e in drops} == {"fe/c"}

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.fleet import process_map
+from repro.storage.errors import ConflictError
 
 
 def _pid_and_square(n):
@@ -25,6 +26,12 @@ def _pid_and_square(n):
 
 def _boom(n):
     raise RuntimeError(f"worker {n} failed")
+
+
+def _conflict_on_one(n):
+    if n == 1:
+        raise ConflictError("k", 3, 5)
+    return n
 
 
 def test_jobs_one_runs_inline_in_order():
@@ -61,6 +68,17 @@ def test_worker_exception_propagates():
         process_map(_boom, [2], jobs=1)
     with pytest.raises(RuntimeError):
         process_map(_boom, [1, 2, 3], jobs=2)
+
+
+def test_worker_exception_keeps_its_type_and_names_its_item():
+    """An exception whose ``__init__`` takes several fields crosses the
+    result pipe intact, and a note says which item raised it."""
+    with pytest.raises(ConflictError) as info:
+        process_map(_conflict_on_one, [0, 1, 2], jobs=2)
+    exc = info.value
+    assert (exc.key, exc.read_version, exc.committed_version) == ("k", 3, 5)
+    assert str(exc) == str(ConflictError("k", 3, 5))
+    assert exc.__notes__ == ["raised by process_map item 1"]
 
 
 def test_daemonic_process_degrades_to_inline(monkeypatch):

@@ -1,6 +1,6 @@
-"""Tracer: sim-clock stamping, spans, store observation, contexts."""
+"""Tracer: sim-clock stamping, store observation, payload versions."""
 
-from repro.obs.trace import Span, TraceContext, Tracer, hops, payload_version
+from repro.obs.trace import Tracer, hops, payload_version
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 
@@ -13,7 +13,7 @@ class TestRecord:
         sim.call_after(2.5, lambda: tracer.record(
             hops.CACHE_APPLY, "node-0", key="a", version=1))
         sim.run()
-        events = tracer.events()
+        events = tracer.log.events()
         assert [e.seq for e in events] == [0, 1]
         assert events[0].t == 0.0
         assert events[1].t == 2.5
@@ -45,26 +45,6 @@ class TestRecord:
         assert tracer.metrics.counter("obs.cfg.events").value == 2
 
 
-class TestSpan:
-    def test_span_measures_duration(self):
-        sim = Simulation(seed=1)
-        tracer = Tracer(sim)
-        span = tracer.span(hops.CDC_PUBLISH, "cdc", key="a", version=3)
-        sim.call_after(1.25, span.end)
-        sim.run()
-        (event,) = tracer.events()
-        assert event.attrs["start"] == 0.0
-        assert event.attrs["duration"] == 1.25
-
-    def test_span_end_is_idempotent(self):
-        sim = Simulation(seed=1)
-        tracer = Tracer(sim)
-        span = tracer.span(hops.CDC_PUBLISH, "cdc")
-        span.end()
-        span.end()
-        assert len(tracer.events()) == 1
-
-
 class TestObserveStore:
     def test_mints_commit_roots_per_write(self):
         sim = Simulation(seed=1)
@@ -76,7 +56,7 @@ class TestObserveStore:
         txn.put("b", {"v": 2})
         txn.put("c", {"v": 3})
         txn.commit()
-        events = tracer.events()
+        events = tracer.log.events()
         assert [e.hop for e in events] == [hops.COMMIT] * 3
         assert {e.key for e in events} == {"a", "b", "c"}
         # the multi-key transaction shares one commit version
@@ -90,7 +70,7 @@ class TestObserveStore:
         tracer = Tracer(sim)
         tracer.observe_store(store)
         store.put("live", {"v": 1})
-        assert [e.key for e in tracer.events()] == ["live"]
+        assert [e.key for e in tracer.log.events()] == ["live"]
 
     def test_cancel_stops_observation(self):
         sim = Simulation(seed=1)
@@ -100,19 +80,10 @@ class TestObserveStore:
         store.put("a", {"v": 1})
         cancel()
         store.put("b", {"v": 2})
-        assert [e.key for e in tracer.events()] == ["a"]
+        assert [e.key for e in tracer.log.events()] == ["a"]
 
 
 class TestContext:
-    def test_from_payload_recovers_identity(self):
-        ctx = TraceContext.from_payload("k", {"version": 12, "v": 5})
-        assert ctx == TraceContext(key="k", version=12)
-
-    def test_from_payload_rejects_malformed(self):
-        assert TraceContext.from_payload(None, {"version": 1}) is None
-        assert TraceContext.from_payload("k", "not-a-dict") is None
-        assert TraceContext.from_payload("k", {"version": "str"}) is None
-
     def test_payload_version(self):
         assert payload_version({"version": 7}) == 7
         assert payload_version({"other": 7}) is None

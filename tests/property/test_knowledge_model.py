@@ -54,12 +54,6 @@ class KnowledgeMachine(RuleBasedStateMachine):
                 low = min(known)
                 self.model[probe] = set(range(low, version + 1))
 
-    @rule(floor=st.integers(1, 60))
-    def prune(self, floor):
-        self.km.prune_below(floor)
-        for probe in PROBES:
-            self.model[probe] = {v for v in self.model[probe] if v >= floor}
-
     # ------------------------------------------------------------------
 
     @invariant()

@@ -1,12 +1,10 @@
-"""Tests for retry policies, deadlines, and the Retrier driver."""
+"""Tests for retry policies."""
 
 import random
 
 import pytest
 
-from repro.resilience.retry import Deadline, Retrier, RetryPolicy
-from repro.sim.metrics import MetricsRegistry
-from tests.conftest import make_sim
+from repro.resilience.retry import RetryPolicy
 
 
 class TestRetryPolicy:
@@ -47,11 +45,6 @@ class TestRetryPolicy:
         assert policy.allows(50, started_at=0.0, now=9.9)
         assert not policy.allows(2, started_at=0.0, now=10.0)
 
-    def test_none_is_single_attempt(self):
-        policy = RetryPolicy.none()
-        assert policy.allows(1, 0.0, 0.0)
-        assert not policy.allows(2, 0.0, 0.0)
-
     def test_unbounded_never_exhausts(self):
         policy = RetryPolicy.unbounded()
         assert policy.allows(1_000_000, started_at=0.0, now=1e9)
@@ -71,115 +64,3 @@ class TestRetryPolicy:
             RetryPolicy(deadline=0.0)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0, random.Random(0))
-
-
-class TestDeadline:
-    def test_expiry_and_remaining(self, sim):
-        deadline = Deadline(sim, 5.0)
-        assert not deadline.expired
-        assert deadline.remaining() == 5.0
-        sim.call_at(6.0, lambda: None)
-        sim.run()
-        assert deadline.expired
-        assert deadline.remaining() == 0.0
-
-    def test_at_absolute_time(self, sim):
-        assert Deadline.at(sim, -1.0).expired
-        assert not Deadline.at(sim, 1.0).expired
-
-    def test_wrap_runs_fn_before_expiry(self, sim):
-        calls = []
-        deadline = Deadline(sim, 1.0)
-        sim.call_after(0.5, deadline.wrap(lambda: calls.append("fn")))
-        sim.run()
-        assert calls == ["fn"]
-
-    def test_wrap_runs_on_timeout_after_expiry(self, sim):
-        calls = []
-        deadline = Deadline(sim, 1.0)
-        sim.call_after(
-            2.0,
-            deadline.wrap(
-                lambda: calls.append("fn"),
-                on_timeout=lambda: calls.append("late"),
-            ),
-        )
-        sim.run()
-        assert calls == ["late"]
-
-    def test_negative_timeout_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Deadline(sim, -0.1)
-
-
-class TestRetrier:
-    def test_succeeds_after_transient_failures(self, sim):
-        metrics = MetricsRegistry()
-        outcomes = iter([False, False, True])
-        retrier = Retrier(
-            sim,
-            RetryPolicy(jitter=0.0),
-            lambda: next(outcomes),
-            metrics=metrics,
-        ).start()
-        sim.run()
-        assert retrier.succeeded
-        assert retrier.attempts == 3
-        assert metrics.counter("resilience.retry.attempts").value == 3
-        assert metrics.counter("resilience.retry.retries").value == 2
-        assert metrics.counter("resilience.retry.gaveup").value == 0
-
-    def test_gives_up_when_policy_exhausts(self, sim):
-        metrics = MetricsRegistry()
-        gaveup = []
-        retrier = Retrier(
-            sim,
-            RetryPolicy(max_attempts=3, jitter=0.0),
-            lambda: False,
-            metrics=metrics,
-            on_giveup=lambda: gaveup.append(True),
-        ).start()
-        sim.run()
-        assert retrier.done and not retrier.succeeded
-        assert retrier.attempts == 3
-        assert gaveup == [True]
-        assert metrics.counter("resilience.retry.gaveup").value == 1
-
-    def test_deadline_stops_retrying(self, sim):
-        retrier = Retrier(
-            sim,
-            RetryPolicy(
-                base_delay=1.0, multiplier=1.0, max_delay=1.0,
-                jitter=0.0, max_attempts=None, deadline=3.5,
-            ),
-            lambda: False,
-        ).start()
-        sim.run()
-        # attempts at t=0,1,2,3; the next would land at 4 >= deadline
-        assert retrier.attempts == 4
-
-    def test_cancel_stops_future_attempts(self, sim):
-        attempts = []
-        retrier = Retrier(
-            sim,
-            RetryPolicy(jitter=0.0),
-            lambda: (attempts.append(sim.now()), False)[1],
-        ).start()
-        retrier.cancel()
-        sim.run()
-        assert len(attempts) == 1  # the initial attempt only
-
-    def test_identical_seeds_identical_schedule(self):
-        def schedule(seed):
-            sim = make_sim(seed)
-            times = []
-            Retrier(
-                sim,
-                RetryPolicy(max_attempts=6),
-                lambda: (times.append(sim.now()), False)[1],
-            ).start()
-            sim.run()
-            return times
-
-        assert schedule(42) == schedule(42)
-        assert schedule(42) != schedule(43)  # jitter actually varies

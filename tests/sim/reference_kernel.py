@@ -3,8 +3,8 @@
 One ``heapq`` ordered by ``(time, seq)`` — no zero-delay lane, no slab, no
 tombstone counter; a reserved seq (``next_seq``) is a counter draw
 that ``call_at_seq`` pushes later.  It reuses the real ``EventHandle`` (so
-entries keep the real list layout) and the real process/``Waiter`` glue,
-which only calls ``post``.  Test-only, never imported from ``src/``.
+entries keep the real list layout) and the real process glue, which
+only calls ``post``.  Test-only, never imported from ``src/``.
 """
 import heapq
 import itertools
@@ -25,7 +25,6 @@ class ReferenceSimulation:
         self._heap = []  # [time, seq, fn, label, cancelled]: the real entry layout
         self._seq = itertools.count()
         self._running = False
-        self._processes = []
 
     def next_seq(self):
         return next(self._seq)
@@ -49,16 +48,12 @@ class ReferenceSimulation:
     def post(self, delay, fn, label=None):
         self.call_after(delay, fn, label)
 
-    def _call_soon_1(self, fn, arg):  # Waiter's resume hook
-        self.call_after(0.0, lambda: fn(arg))
-
     def _on_cancel(self):  # EventHandle.cancel's accounting hook: nothing to count
         pass
 
-    # processes and waiters sit on top of post(): not what is under test, so
-    # the real kernel's code for them runs on this scheduler
-    now, waiter, run_for = Simulation.now, Simulation.waiter, Simulation.run_for
-    spawn, processes = Simulation.spawn, Simulation.processes
+    # processes sit on top of post(): not what is under test, so the real
+    # kernel's code for them runs on this scheduler
+    now, run_for, spawn = Simulation.now, Simulation.run_for, Simulation.spawn
     _step_process, _dispatch_yield = Simulation._step_process, Simulation._dispatch_yield
 
     def run(self, until=None, max_events=50_000_000):

@@ -136,19 +136,6 @@ class TestProcesses:
         sim.run()
         assert handle.done
 
-    def test_kill_stops_process(self, sim):
-        steps = []
-
-        def proc():
-            while True:
-                steps.append(sim.now())
-                yield Timeout(1.0)
-
-        handle = sim.spawn(proc())
-        sim.call_after(2.5, handle.kill)
-        sim.run(until=10.0)
-        assert steps == [0.0, 1.0, 2.0]
-
     def test_negative_timeout_rejected(self):
         with pytest.raises(SimError):
             Timeout(-0.1)
@@ -171,63 +158,6 @@ class TestProcesses:
             sim.run()
         assert handle.done
         assert isinstance(handle.error, ValueError)
-
-    def test_processes_listing(self, sim):
-        def proc():
-            yield Timeout(1.0)
-
-        sim.spawn(proc(), name="p1")
-        sim.spawn(proc(), name="p2")
-        assert [p.name for p in sim.processes()] == ["p1", "p2"]
-
-
-class TestWaiters:
-    def test_waiter_resumes_with_value(self, sim):
-        got = []
-
-        def proc():
-            value = yield waiter
-            got.append((sim.now(), value))
-
-        waiter = sim.waiter()
-        sim.spawn(proc())
-        sim.call_after(3.0, lambda: waiter.fire("hello"))
-        sim.run()
-        assert got == [(3.0, "hello")]
-
-    def test_fired_waiter_resumes_immediately(self, sim):
-        waiter = sim.waiter()
-        waiter.fire(7)
-        got = []
-
-        def proc():
-            value = yield waiter
-            got.append(value)
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == [7]
-
-    def test_multiple_waiters_all_resume(self, sim):
-        waiter = sim.waiter()
-        got = []
-
-        def proc(idx):
-            value = yield waiter
-            got.append((idx, value))
-
-        for idx in range(3):
-            sim.spawn(proc(idx))
-        sim.call_after(1.0, lambda: waiter.fire("go"))
-        sim.run()
-        assert sorted(got) == [(0, "go"), (1, "go"), (2, "go")]
-
-    def test_double_fire_is_noop(self, sim):
-        waiter = sim.waiter()
-        waiter.fire(1)
-        waiter.fire(2)
-        assert waiter.value == 1
-
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):

@@ -2,10 +2,10 @@
 
 The kernel's two lanes, slab and tombstone compaction are correct iff no
 program can tell them from one heap ordered by ``(time, seq)``.
-Hypothesis writes the programs — scheduling, cancelling and firing
-waiters at top level *and from inside callbacks*, reserving a seq now
-and scheduling it at an exact ``(time, seq)`` later, processes yielding
-Timeouts, bare numbers and Waiters, bounded and unbounded runs, delays
+Hypothesis writes the programs — scheduling and cancelling at top
+level *and from inside callbacks*, reserving a seq now and scheduling
+it at an exact ``(time, seq)`` later, processes yielding Timeouts and
+bare numbers, bounded and unbounded runs, delays
 from sub-second to beyond a thousand hours — and both kernels must report
 the same fired ``(time, tag, pending_events)`` sequence, the same clock
 after every run and the same ``pending_events`` between runs.
@@ -35,8 +35,6 @@ _PROFILE = settings.get_profile(
     os.environ.get("KERNEL_ORACLE_PROFILE", "kernel-oracle-dev")
 )
 
-_N_WAITERS = 3
-
 # Eighths of a second add exactly, so the grid makes events scheduled at
 # different moments collide on one instant — where only seq decides and
 # the two lanes must agree on it.  The rest span the delays the kernel
@@ -62,7 +60,6 @@ _DELAYS = st.one_of(
 _YIELDS = st.one_of(
     st.tuples(st.just("timeout"), _DELAYS),
     st.tuples(st.just("number"), _DELAYS),
-    st.tuples(st.just("waiter"), st.integers(0, _N_WAITERS - 1)),
 )
 
 
@@ -78,7 +75,6 @@ def _actions(depth: int):
         st.tuples(st.just("reserve")),
         st.tuples(st.just("at_seq"), _DELAYS, nested, st.integers(0, 10_000)),
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
-        st.tuples(st.just("fire"), st.integers(0, _N_WAITERS - 1)),
         st.tuples(st.just("spawn"), st.lists(_YIELDS, max_size=4)),
         # enough cancelled timers in one go for _compact to run, inside
         # the run loop when this sits in a callback
@@ -105,7 +101,6 @@ class _Driver:
         self.between = []  # (now, pending_events) after each top-level step
         self.handles = []
         self.reserved = []  # seqs drawn by "reserve", not yet scheduled
-        self.waiters = [sim.waiter() for _ in range(_N_WAITERS)]
         self.tags = itertools.count()
 
     def record(self, tag) -> None:
@@ -138,8 +133,6 @@ class _Driver:
         elif kind == "cancel":
             if self.handles:
                 self.handles[action[1] % len(self.handles)].cancel()
-        elif kind == "fire":
-            self.waiters[action[1]].fire(next(self.tags))
         elif kind == "spawn":
             tag = next(self.tags)
             sim.spawn(self.process(tag, action[1]), name=f"p{tag}")
@@ -160,13 +153,8 @@ class _Driver:
     def process(self, tag, yields):
         self.record((tag, "start"))
         for kind, arg in yields:
-            if kind == "timeout":
-                got = yield Timeout(arg)
-            elif kind == "number":
-                got = yield arg
-            else:
-                got = yield self.waiters[arg]
-            self.record((tag, kind, got))
+            yield Timeout(arg) if kind == "timeout" else arg
+            self.record((tag, kind))
 
     def play(self, program):
         for action in program:
@@ -241,4 +229,4 @@ def test_kernel_has_two_lanes():
         name for name, value in vars(Simulation()).items()
         if isinstance(value, (list, deque, dict, set, tuple))
     }
-    assert holders == {"_heap", "_fast", "_processes"}
+    assert holders == {"_heap", "_fast"}

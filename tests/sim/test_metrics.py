@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -52,20 +52,12 @@ class TestHistogram:
         for v in [5.0, 1.0, 3.0, 2.0, 4.0]:
             h.observe(v)
         assert h.p50 == 3.0
-        assert h.min == 1.0
-        assert h.max == 5.0
+        assert h.quantile(0.0) == 1.0
+        assert h.quantile(1.0) == 5.0
 
     def test_invalid_quantile(self):
         with pytest.raises(ValueError):
             Histogram("h").quantile(1.5)
-
-    def test_count_above(self):
-        h = Histogram("h")
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            h.observe(v)
-        assert h.count_above(2.0) == 2
-        assert h.count_above(0.0) == 4
-        assert h.count_above(4.0) == 0
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
     def test_quantiles_bounded_by_extremes(self, values):
@@ -91,38 +83,6 @@ class TestHistogram:
         assert h.mean == pytest.approx(math.fsum(values) / len(values))
 
 
-class TestTimeSeries:
-    def test_samples_in_order(self):
-        ts = TimeSeries("t")
-        ts.sample(1.0, 10.0)
-        ts.sample(2.0, 20.0)
-        assert ts.values() == [10.0, 20.0]
-        assert ts.last == (2.0, 20.0)
-
-    def test_backwards_sample_rejected(self):
-        ts = TimeSeries("t")
-        ts.sample(2.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.sample(1.0, 1.0)
-
-    def test_value_at_step_function(self):
-        ts = TimeSeries("t")
-        ts.sample(1.0, 10.0)
-        ts.sample(3.0, 30.0)
-        assert ts.value_at(0.5) == 0.0
-        assert ts.value_at(1.0) == 10.0
-        assert ts.value_at(2.9) == 10.0
-        assert ts.value_at(3.0) == 30.0
-        assert ts.value_at(99.0) == 30.0
-
-    def test_max_value(self):
-        ts = TimeSeries("t")
-        assert ts.max_value() == 0.0
-        ts.sample(1.0, 5.0)
-        ts.sample(2.0, 3.0)
-        assert ts.max_value() == 5.0
-
-
 class TestRegistry:
     def test_same_name_same_object(self):
         reg = MetricsRegistry()
@@ -139,18 +99,10 @@ class TestRegistry:
         reg.counter("c").inc(3)
         reg.gauge("g").set(1.5)
         reg.histogram("h").observe(2.0)
-        reg.timeseries("t").sample(1.0, 7.0)
         snap = reg.snapshot()
         assert snap["c"] == 3.0
         assert snap["g"] == 1.5
         assert snap["h.count"] == 1.0
-        assert snap["t.max"] == 7.0
-
-    def test_merged_prefix_filter(self):
-        reg = MetricsRegistry()
-        reg.counter("a.x").inc()
-        reg.counter("b.y").inc()
-        assert list(reg.merged("a.")) == ["a.x"]
 
     def test_names_sorted(self):
         reg = MetricsRegistry()

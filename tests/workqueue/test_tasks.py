@@ -24,7 +24,7 @@ class TestTaskStats:
         assert stats.latency.count == 2
         # normal-latency excludes poison tasks
         assert stats.normal_latency.count == 1
-        assert stats.normal_latency.max == 2.0
+        assert stats.normal_latency.quantile(1.0) == 2.0
 
     def test_empty_warm_fraction(self):
         assert TaskStats().warm_fraction == 0.0
