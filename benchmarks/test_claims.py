@@ -37,6 +37,11 @@ VARIANTS = [
         strategies=("concurrent-naive", "partition-serial"),
         duration=30.0, drain=10.0,
     ), id="E4-naive-and-partition-serial"),
+    # the replica-lag sweep DEFAULTS runs: more lag, staler snapshots
+    pytest.param(
+        "A4", dict(sources=("primary", "replica-0.5s", "replica-5s")),
+        id="A4-replica-lag-sweep",
+    ),
     # random routing: no affinity, markedly colder state cache
     pytest.param(
         "E6", dict(systems=("pubsub-random", "watch")), id="E6-random-routing",

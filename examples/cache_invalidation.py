@@ -57,7 +57,7 @@ def run_fleet(kind: str) -> dict:
         nodes = [
             PubsubCacheNode(
                 sim, f"node-{i}", store, InvalidationMode.OWNER_ACK,
-                config=CacheNodeConfig(fetch_latency=0.01),
+                config=CacheNodeConfig(),
             )
             for i in range(NUM_NODES)
         ]

@@ -26,7 +26,6 @@ def main() -> None:
         num_keys=120,
         task_rate=60.0,
         work=0.01,
-        cold_penalty=0.05,
         poison_fraction=0.01,
         poison_work=2.0,
         duration=40.0,

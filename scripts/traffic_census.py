@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Traffic census: every library class must be reached by some traffic.
+"""Traffic census: every library class and every constructor option
+must be reached by some traffic.
 
 Runs, in this one process, with a ``sys.setprofile`` hook installed and
 every fleet inline (``jobs=1``):
@@ -13,14 +14,32 @@ every fleet inline (``jobs=1``):
 The hook records every Python function that runs and, for every
 ``__init__`` call, the type being constructed (dataclass ``__init__``
 is generated code with no file of its own, so the type is the only
-trace it leaves).
+trace it leaves) and the values of the constructor's options.  It is
+installed before the library is imported, so module-level constructions
+(default configs) count too.
 
-Gate: exits 1 if a class defined under ``src/repro`` (outside
+Class gate: exits 1 if a class defined under ``src/repro`` (outside
 ``repro.bench``) that defines a method is neither constructed nor has
 any of its methods called — code no traffic reaches.  ABCs, Protocols
 and exception classes are never flagged; any other class may be kept
 only by an entry in :data:`EXEMPT`, with its reason, and an entry that
 no longer names an unreached class fails the gate too.
+
+Option gate: an *option* is a parameter of an ``__init__`` owned by a
+class under ``src/repro`` (outside ``repro.bench`` and
+``repro.workloads``) whose default is ``None``, a bool, an int, a float
+or an Enum.  A call counts for the class whose body defines the
+``__init__`` (its code object's owner, not ``type(self)``), so a
+subclass built by a benchmark still counts for the library class.
+Generated dataclass ``__init__``s count only on ``*Config`` and
+``*Policy`` classes.  Exits 1 if an option takes one value across all
+the traffic and has no entry, with its reason, in
+:data:`OPTION_EXEMPT` (make it a constant at that value), or if an
+entry no longer names such an option; each flagged option is printed
+with its declaration's ``file:line`` and the value it took.  Only
+options that take nothing but scalars count: one that takes a ``str``
+is an identifier (``topic``, ``name``), one that takes an object a
+dependency (``tracer``).
 
 Report (information only, never gates): the count of unreached
 functions per module.
@@ -36,25 +55,23 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import enum
 import importlib
 import importlib.util
 import inspect
 import io
 import pkgutil
+import re
 import runpy
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 BENCHMARKS = ROOT / "benchmarks"
-for path in (str(SRC), str(BENCHMARKS)):
-    if path not in sys.path:
-        sys.path.insert(0, path)
-
-import repro  # noqa: E402
+LIBRARY = str(SRC / "repro") + "/"
 
 #: classes no census traffic reaches, kept on purpose: qualified name ->
 #: why.  ROADMAP.md lists them as surfaces no experiment reaches yet.
@@ -85,18 +102,161 @@ EXEMPT: Dict[str, str] = {
     ),
 }
 
+_DLQ = (
+    "reproduces a paper element: docs/paper_mapping.md row "
+    "'\"dead-letter queues\" (Azure)'"
+)
+_RETENTION = (
+    "store history retention: ROADMAP.md's traffic-census item (no store "
+    "sets it, so StoreWatch's truncation resync never runs) is open"
+)
+_SHARDER_LOAD = (
+    "the auto-sharder's load loop: ROADMAP.md's AutoSharder.record_load "
+    "item; deleting its sampler moves E3/E6's rng stream, its own change"
+)
+_LEDGER = "benchmarks/ledger/worlds.py passes it by keyword"
+_LEASE_DIFF = (
+    "tests/pubsub/test_lease_watchdog.py::test_watchdog_is_indistinguishable_"
+    "from_per_message_timers varies it over the dispatch path traffic takes"
+)
+_RETX_DIFF = (
+    "tests/resilience/test_retransmit_clock.py::test_retransmit_clock_is_"
+    "indistinguishable_from_per_frame_timers varies it to open the breaker "
+    "E10's traffic opens"
+)
+
+#: constructor options that take one value across all census traffic,
+#: kept on purpose: ``module.Class.option`` -> why.
+OPTION_EXEMPT: Dict[str, str] = {
+    # a paper element (docs/paper_mapping.md) or an open ROADMAP item
+    "repro.pubsub.subscription.SubscriptionConfig.dead_letter": _DLQ,
+    "repro.pubsub.subscription.Subscription.dlq_append": _DLQ,
+    "repro.storage.kv.MVCCStore.history_retention_commits": _RETENTION,
+    "repro.storage.timeseries.IngestionStore.history_retention_commits": (
+        _RETENTION
+    ),
+    "repro.storage.history.ChangeHistory.retention_commits": _RETENTION,
+    "repro.sharding.autosharder.AutoSharder.auto_rebalance": _SHARDER_LOAD,
+    "repro.sharding.autosharder.AutoSharderConfig.rebalance_interval": (
+        _SHARDER_LOAD
+    ),
+    "repro.sharding.autosharder.AutoSharderConfig.imbalance_ratio": (
+        _SHARDER_LOAD
+    ),
+    "repro.sharding.autosharder.AutoSharderConfig.load_decay": _SHARDER_LOAD,
+    "repro.sharding.autosharder.AutoSharderConfig.split_fraction": (
+        _SHARDER_LOAD
+    ),
+    "repro.causal.buffer.CausalBufferConfig.hold_deadline": (
+        "the causal row of docs/paper_mapping.md's delivery contracts names "
+        "the hold deadline; tests/property/test_causal_model.py::"
+        "TestCausalModel sets it to reach the deadline releases E16 makes"
+    ),
+    # the ledger passes it, and a change may not edit the ledger
+    "repro.transport.BatchConfig.max_batch": _LEDGER,
+    "repro.core.bridge.DirectIngestBridge.latency": _LEDGER,
+    "repro.edge.session.SessionConfig.delivery_latency": _LEDGER,
+    # a differential test varies it over a path traffic also takes
+    "repro.pubsub.subscription.SubscriptionConfig.delivery_latency": (
+        _LEASE_DIFF
+    ),
+    "repro.pubsub.subscription.SubscriptionConfig."
+    "max_inflight_per_partition": _LEASE_DIFF,
+    "repro.resilience.breaker.CircuitBreakerConfig.failure_threshold": (
+        _RETX_DIFF
+    ),
+    "repro.resilience.breaker.CircuitBreakerConfig.cooldown": _RETX_DIFF,
+    "repro.resilience.breaker.CircuitBreakerConfig.half_open_probes": (
+        _RETX_DIFF
+    ),
+    "repro.replication.appliers._ApplierBase.resilience": (
+        "tests/replication/test_appliers.py::TestGroupApplyDifferential "
+        "hands it a retrying channel to converge over the lossy networked "
+        "applier path the ledger's repl-net worlds take"
+    ),
+    # a per-message record field: the data sets it, not a caller
+    "repro.edge.session.Update.is_delete": (
+        "a per-update record field: the mutation being delivered sets it"
+    ),
+}
+
 LEDGER_WORKLOADS = (
     "broker-fanout", "repl-net-unbatched", "repl-net-batched",
     "watch-edge-storm",
 )
 
 
+def _scalar(value: object) -> bool:
+    return value is None or isinstance(value, (bool, int, float, enum.Enum))
+
+
+def scalar_options(observed: Mapping[str, Iterable[object]]) -> Dict[str, int]:
+    """Each option that took only scalars -> how many distinct values.
+    An option that took a ``str`` (an identifier such as ``topic``) or
+    an object (a dependency such as ``tracer``) is not a knob."""
+    counts = {}
+    for name, values in observed.items():
+        values = list(values)
+        if all(_scalar(value) for value in values):
+            # keyed by type too: True, 1 and 1.0 are one member otherwise
+            counts[name] = len({(type(value), value) for value in values})
+    return counts
+
+
+def classify_options(
+    observed: Mapping[str, Iterable[object]], exempt: Mapping[str, str],
+) -> Tuple[List[str], List[str]]:
+    """The option gate, on what the traffic passed: ``observed`` maps
+    each reached option to the values it took; returns ``(flagged,
+    stale)`` — scalar options with one value and no exemption with a
+    reason, and exemptions that name no scalar option with one value."""
+    single = {
+        name for name, count in scalar_options(observed).items()
+        if count == 1
+    }
+    flagged = sorted(name for name in single if not exempt.get(name))
+    stale = sorted(set(exempt) - single)
+    return flagged, stale
+
+
+def _init_params(code) -> Optional[Tuple[str, ...]]:
+    """Parameters of an ``__init__`` written in a library file or
+    generated (dataclass ``__init__``s have no file); ``None`` otherwise."""
+    filename = code.co_filename
+    if filename != "<string>" and not filename.startswith(LIBRARY):
+        return None
+    count = code.co_argcount + code.co_kwonlyargcount
+    return code.co_varnames[1:count]
+
+
+def _recorded_options(cls: type, init) -> List[str]:
+    """The parameters of ``init`` (owned by ``cls``) whose default is
+    ``None``, a bool, an int, a float or an Enum."""
+    generated = init.__code__.co_filename == "<string>"  # a dataclass's
+    if generated and not cls.__name__.endswith(("Config", "Policy")):
+        return []
+    names = []
+    for param in inspect.signature(init).parameters.values():
+        if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+            continue
+        if param.default is not param.empty and _scalar(param.default):
+            names.append(param.name)
+    return names
+
+
 class Census:
-    """The profile hook: functions run and types constructed."""
+    """The profile hook: functions run, types constructed and the values
+    every ``__init__`` written under ``src/repro`` (or generated, as a
+    dataclass's is) took for each of its parameters."""
 
     def __init__(self) -> None:
         self.called: Set[object] = set()
         self.constructed: Set[type] = set()
+        #: ``__init__`` code object -> its parameters (``None``: not ours)
+        self._params: Dict[object, Optional[Tuple[str, ...]]] = {}
+        #: ``(__init__ code, parameter)`` -> up to three distinct values
+        #: it took, keyed by ``(type, value)``; objects by type name
+        self.values: Dict[Tuple[object, str], Dict[object, object]] = {}
 
     def hook(self, frame, event, arg) -> None:
         if event != "call":
@@ -104,9 +264,29 @@ class Census:
         code = frame.f_code
         self.called.add(code)
         if code.co_name == "__init__" and code.co_argcount:
-            instance = frame.f_locals.get(code.co_varnames[0])
+            f_locals = frame.f_locals
+            instance = f_locals.get(code.co_varnames[0])
             if instance is not None:
                 self.constructed.add(type(instance))
+            try:
+                params = self._params[code]
+            except KeyError:
+                params = self._params[code] = _init_params(code)
+            if params:
+                self._record(code, params, f_locals)
+
+    def _record(self, code, params: Tuple[str, ...], f_locals) -> None:
+        values = self.values
+        for name in params:
+            value = f_locals[name]
+            if not _scalar(value) and not isinstance(value, str):
+                value = f"<{type(value).__name__}>"
+            seen = values.get((code, name))
+            if seen is None:
+                values[(code, name)] = {(type(value), value): value}
+            elif len(seen) < 3:
+                # a third slot keeps an object seen after two scalars
+                seen.setdefault((type(value), value), value)
 
     @contextlib.contextmanager
     def installed(self):
@@ -190,6 +370,8 @@ TRAFFIC = (
 
 
 def _library_modules() -> List[object]:
+    import repro
+
     modules = []
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if info.name == "repro.bench" or info.name.startswith("repro.bench."):
@@ -226,8 +408,50 @@ def _never_flagged(cls: type) -> bool:
     )
 
 
+def _library_inits(modules) -> Dict[object, Tuple[type, List[str]]]:
+    """Every ``__init__`` whose options the census records, by code
+    object, for the classes of ``modules`` outside ``repro.workloads``."""
+    inits = {}
+    for module in modules:
+        if module.__name__.startswith("repro.workloads"):
+            continue
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            init = vars(cls).get("__init__")
+            code = getattr(init, "__code__", None)
+            if code is None:
+                continue
+            names = _recorded_options(cls, init)
+            if names:
+                inits[code] = (cls, names)
+    return inits
+
+
+def _declaration(cls: type, name: str) -> str:
+    """``file:line`` of option ``name``: ``cls``'s parameter or field."""
+    filename = inspect.getsourcefile(cls)
+    lines, first = inspect.getsourcelines(cls)
+    init = vars(cls)["__init__"]
+    if init.__code__.co_filename == filename:
+        lines, first = inspect.getsourcelines(init)
+    pattern = re.compile(rf"^\s*(def __init__\(.*)?\b{re.escape(name)}\b\s*[:=,)]")
+    for offset, line in enumerate(lines):
+        if pattern.search(line):
+            break
+    else:
+        offset = 0
+    return f"{Path(filename).relative_to(ROOT)}:{first + offset}"
+
+
 def main() -> int:
+    for path in (str(SRC), str(BENCHMARKS)):
+        if path not in sys.path:
+            sys.path.insert(0, path)
     census = Census()
+    # importing runs module-level constructions (default configs) too
+    with census.installed():
+        modules = _library_modules()
     _inline_fleets()
     for label, drive in TRAFFIC:
         started = time.perf_counter()
@@ -237,7 +461,7 @@ def main() -> int:
 
     unreached_classes = []
     unreached_functions = {}
-    for module in _library_modules():
+    for module in modules:
         filename = module.__file__
         codes = _own_codes(module, filename)
         for cls in vars(module).values():
@@ -270,7 +494,30 @@ def main() -> int:
         print(f"  UNREACHED {name}: delete it, or exempt it with a reason")
     for name in stale:
         print(f"  STALE EXEMPTION {name}: reached or gone; drop the entry")
-    return 1 if flagged or stale else 0
+
+    observed = {}
+    declared = {}  # option -> (class, parameter)
+    for code, (cls, names) in _library_inits(modules).items():
+        for name in names:
+            values = census.values.get((code, name))
+            if values is not None:
+                option = f"{cls.__module__}.{cls.__qualname__}.{name}"
+                observed[option] = list(values.values())
+                declared[option] = (cls, name)
+    scalar = scalar_options(observed)
+    flagged_options, stale_options = classify_options(observed, OPTION_EXEMPT)
+    single = sum(count == 1 for count in scalar.values())
+    print(f"\nscalar constructor options reached: {len(scalar)}; "
+          f"with one value: {single} ({single - len(flagged_options)} exempt)")
+    for name in flagged_options:
+        value = observed[name][0]
+        print(f"  ONE VALUE {name} = {value!r} ({_declaration(*declared[name])}): "
+              "make it a constant, or exempt it with a reason")
+    for name in stale_options:
+        print(f"  STALE OPTION EXEMPTION {name}: varies or gone; "
+              "drop the entry")
+    failed = flagged or stale or flagged_options or stale_options
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -61,10 +61,10 @@ from repro.reconcile import (
     CORRUPTION_CLASSES,
     AntiEntropyReconciler,
     EdgeReconciler,
-    ReconcilerConfig,
     StateCorruptor,
     shard_scopes,
 )
+from repro.reconcile.framework import TICK
 from repro.replication.appliers import VersionCheckedApplier
 from repro.replication.checker import SnapshotChecker
 from repro.replication.target import CursorCorruption, ReplicaStore
@@ -89,7 +89,6 @@ def run(
     injections_per_class: int = 2,
     inject_window: float = 6.0,
     num_shards: int = 4,
-    tick: float = 0.5,
     seed: int = 97,
 ) -> ExperimentResult:
     result = ExperimentResult(
@@ -187,16 +186,15 @@ def run(
 
         reconcilers = []
         if with_reconciler:
-            config = ReconcilerConfig(tick=tick)
             reconcilers = [
                 AntiEntropyReconciler(
                     sim, store, replica, shards, checker=checker,
-                    config=config, tracer=tracer,
+                    tracer=tracer,
                 ),
                 EdgeReconciler(
                     sim, clients, frontends,
                     head_fn=lambda store=store: store.last_version,
-                    sharder=placement.sharder, config=config, tracer=tracer,
+                    sharder=placement.sharder, tracer=tracer,
                 ),
             ]
             for reconciler in reconcilers:
@@ -249,7 +247,7 @@ def run(
         for cls in sorted(summary["classes"]):
             row = summary["classes"][cls]
             rounds = (
-                math.ceil(row["max_lag_s"] / tick) if row["repaired"] else 0
+                math.ceil(row["max_lag_s"] / TICK) if row["repaired"] else 0
             )
             rounds_max = max(rounds_max, rounds)
             classes_table.add(

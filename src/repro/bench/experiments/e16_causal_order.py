@@ -149,7 +149,6 @@ def run(
     duration: float = 10.0,
     drain: float = 8.0,
     causal_hold: float = 1.0,
-    stamp_window: int = 4,
     loss_rate: float = 0.08,
     base_latency: float = 0.005,
     net_jitter: float = 0.002,
@@ -187,8 +186,7 @@ def run(
             # only causal rows ship stamps on the wire
             stamps = StampIndex()
             stamper = CausalStamper(
-                window=stamp_window, index=stamps,
-                tracer=tracer if causal else None,
+                index=stamps, tracer=tracer if causal else None,
             )
             stamper.observe_store(store)
             net = Network(sim, NetworkConfig(
@@ -218,7 +216,7 @@ def run(
                 )
                 subscription = broker.subscribe(
                     "cdc", "applier-group",
-                    SubscriptionConfig(delivery_latency=0.001, delivery_jitter=0.0),
+                    SubscriptionConfig(delivery_latency=0.001),
                 )
                 auditor = _DepAuditor(stamps)
 

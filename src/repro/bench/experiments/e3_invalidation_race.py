@@ -59,11 +59,11 @@ def _build_pubsub(sim, store, sharder, num_nodes, mode, ttl=None, tracer=None):
     broker = Broker(sim, tracer=tracer)
     leases = None
     if mode is InvalidationMode.LEASE:
-        leases = LeaseManager(sim, lease_duration=1.0)
+        leases = LeaseManager(sim)
     nodes = [
         PubsubCacheNode(
             sim, f"node-{i}", store, mode, leases=leases,
-            config=CacheNodeConfig(fetch_latency=0.01, ttl=ttl),
+            config=CacheNodeConfig(ttl=ttl),
             tracer=tracer,
         )
         for i in range(num_nodes)
@@ -79,7 +79,7 @@ def _build_free(sim, store, sharder, num_nodes, tracer=None):
     nodes = [
         PubsubCacheNode(
             sim, f"node-{i}", store, InvalidationMode.NAIVE,
-            config=CacheNodeConfig(fetch_latency=0.01),
+            config=CacheNodeConfig(),
             tracer=tracer,
         )
         for i in range(num_nodes)

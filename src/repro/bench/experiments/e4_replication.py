@@ -39,7 +39,7 @@ from repro.replication.appliers import (
 )
 from repro.replication.checker import AclInvariantChecker, SnapshotChecker
 from repro.replication.target import ReplicaStore
-from repro.replication.watch_replicator import WatchReplicator
+from repro.replication.watch_replicator import SERVICE_TIME, WatchReplicator
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 from repro.workloads.generators import AclWorkload
@@ -54,7 +54,6 @@ def run(
     filler_rate: float = 400.0,
     duration: float = 60.0,
     drain: float = 40.0,
-    service_time: float = 0.008,
     seed: int = 59,
 ) -> ExperimentResult:
     result = ExperimentResult(
@@ -104,7 +103,6 @@ def run(
             )
             replicator = WatchReplicator(
                 sim, store, ws, target, even_ranges(workers),
-                service_time=service_time, snapshot_latency=0.01,
             )
             replicator.start()
         else:
@@ -116,21 +114,21 @@ def run(
             CdcPublisher(sim, store.history, broker, "cdc")
             if strategy == "serial":
                 applier = SerialTxnApplier(
-                    sim, broker, "cdc", target, service_time=service_time
+                    sim, broker, "cdc", target, service_time=SERVICE_TIME
                 )
             elif strategy == "concurrent-naive":
                 applier = ConcurrentApplier(
                     sim, broker, "cdc", target, workers=workers,
-                    service_time=service_time,
+                    service_time=SERVICE_TIME,
                 )
             elif strategy == "concurrent-version":
                 applier = VersionCheckedApplier(
                     sim, broker, "cdc", target, workers=workers,
-                    service_time=service_time,
+                    service_time=SERVICE_TIME,
                 )
             elif strategy == "partition-serial":
                 applier = PartitionSerialApplier(
-                    sim, broker, "cdc", target, service_time=service_time
+                    sim, broker, "cdc", target, service_time=SERVICE_TIME
                 )
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")

@@ -40,7 +40,6 @@ def run(
     num_keys: int = 120,
     task_rate: float = 60.0,
     work: float = 0.01,
-    cold_penalty: float = 0.05,
     poison_fraction: float = 0.01,
     poison_work: float = 2.0,
     duration: float = 60.0,
@@ -71,7 +70,6 @@ def run(
             )
             pool = PubsubWorkerPool(
                 sim, broker, num_workers=num_workers, routing=routing,
-                cold_penalty=cold_penalty, ack_timeout=30.0,
             )
             submit = pool.submit
             if churn:
@@ -93,7 +91,6 @@ def run(
             )
             pool = WatchWorkerPool(
                 sim, store, ws, sharder, num_workers=num_workers,
-                cold_penalty=cold_penalty, prioritize=True,
             )
             submit = pool.submit
             if churn:

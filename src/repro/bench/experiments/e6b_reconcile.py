@@ -60,15 +60,12 @@ def run(
         coordinator = None
         if kind == "event-driven":
             broker = Broker(sim)
-            coordinator = EventDrivenCoordinator(
-                sim, world, broker, poll_interval=5.0,
-                full_sweep_interval=30.0,
-            )
+            coordinator = EventDrivenCoordinator(sim, world, broker)
         else:
             desired_watch = StoreWatch(sim, world.desired)
             actual_watch = StoreWatch(sim, world.actual)
             coordinator = WatchReconciler(
-                sim, world, desired_watch, actual_watch, tick=0.5
+                sim, world, desired_watch, actual_watch
             )
         # initial workloads arrive after the coordinator exists
         for _ in range(num_workloads):

@@ -116,7 +116,7 @@ def cache_fleet(
         nodes = [
             PubsubCacheNode(
                 sim, f"node-{i}", store, InvalidationMode.NAIVE,
-                config=CacheNodeConfig(fetch_latency=0.01), tracer=tracer,
+                config=CacheNodeConfig(), tracer=tracer,
             )
             for i in range(num_nodes)
         ]

@@ -135,10 +135,6 @@ class PubsubInvalidationPipeline:
         sharder: AutoSharder,
         nodes: List[PubsubCacheNode],
         topic: str = "invalidations",
-        routing: Optional[RoutingPolicy] = None,
-        ack_timeout: float = 0.25,
-        num_partitions: int = 8,
-        subscribe_nodes: bool = True,
         tracer=None,
     ) -> None:
         self.sim = sim
@@ -146,29 +142,27 @@ class PubsubInvalidationPipeline:
         self.broker = broker
         self.nodes = nodes
         self.topic = topic
-        if routing is None:
-            # OWNER_ACK/LEASE rely on rerouting after a nack, so they
-            # need RANDOM; NAIVE uses pubsub's own key affinity.
-            routing = (
-                RoutingPolicy.KEY
-                if nodes and nodes[0].mode is InvalidationMode.NAIVE
-                else RoutingPolicy.RANDOM
-            )
-        broker.create_topic(topic, num_partitions=num_partitions)
+        # OWNER_ACK/LEASE rely on rerouting after a nack, so they need
+        # RANDOM; NAIVE uses pubsub's own key affinity.
+        routing = (
+            RoutingPolicy.KEY
+            if nodes and nodes[0].mode is InvalidationMode.NAIVE
+            else RoutingPolicy.RANDOM
+        )
+        broker.create_topic(topic, num_partitions=8)
         self.publisher = CdcPublisher(
             sim, store.history, broker, topic, tracer=tracer
         )
         self.group = broker.consumer_group(
             topic,
             f"{topic}-caches",
-            SubscriptionConfig(routing=routing, ack_timeout=ack_timeout),
+            SubscriptionConfig(routing=routing, ack_timeout=0.25),
         )
         self._consumers: Dict[str, Consumer] = {}
         for node in nodes:
             self._attach(node)
-        if subscribe_nodes:
-            for node in nodes:
-                sharder.subscribe(node.on_assignment)
+        for node in nodes:
+            sharder.subscribe(node.on_assignment)
         if any(node.mode is InvalidationMode.LEASE for node in nodes):
             leases = nodes[0].leases
             assert leases is not None

@@ -31,19 +31,19 @@ class CacheEntry:
     cached_at: float
 
 
+#: latency of a fill read against the backing store
+FETCH_LATENCY = 0.01
+
+
 @dataclass
 class CacheNodeConfig:
     """Node behaviour."""
 
-    #: Latency of a fill read against the backing store.
-    fetch_latency: float = 0.01
     #: Entry TTL; None disables expiry (the paper's point: without a
     #: fallback, a missed invalidation is stale *forever*).
     ttl: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.fetch_latency < 0:
-            raise ValueError("fetch_latency must be >= 0")
         if self.ttl is not None and self.ttl <= 0:
             raise ValueError("ttl must be positive when set")
 
@@ -137,7 +137,7 @@ class CacheNode:
             self.fills += 1
             self._entries[key] = CacheEntry(value, version, self.sim.now())
 
-        self.sim.call_after(self.config.fetch_latency, fill)
+        self.sim.call_after(FETCH_LATENCY, fill)
 
     # ------------------------------------------------------------------
     # invalidation entry point (pipelines call this)

@@ -34,25 +34,25 @@ from repro.obs.trace import hops
 from repro.sim.kernel import Simulation
 
 
+#: bound on the parked population: past it, the *oldest* held entry is
+#: force-released (same accounting as a deadline release), so a burst
+#: of missing deps degrades to reordering, never to unbounded memory
+MAX_HELD = 10_000
+
+
 @dataclass(frozen=True)
 class CausalBufferConfig:
     """Tuning for one delivery gate.
 
     ``hold_deadline`` bounds how long (sim seconds) an entry may wait
-    for its dependencies; ``max_held`` bounds the parked population —
-    when exceeded, the *oldest* held entry is force-released (same
-    accounting as a deadline release) so a burst of missing deps
-    degrades to reordering, never to unbounded memory.
+    for its dependencies; :data:`MAX_HELD` bounds the parked population.
     """
 
     hold_deadline: float = 0.25
-    max_held: int = 10_000
 
     def __post_init__(self) -> None:
         if self.hold_deadline <= 0:
             raise ValueError("hold_deadline must be positive")
-        if self.max_held < 1:
-            raise ValueError("max_held must be >= 1")
 
 
 class _Held:
@@ -205,7 +205,7 @@ class CausalBuffer:
                 n_unmet=len(unmet),
                 waiting_for=self._waiting_label(unmet),
             )
-        if len(self._held) > self.config.max_held:
+        if len(self._held) > MAX_HELD:
             oldest = self._held[min(self._held)]
             self._force_release(oldest, cause="overflow")
 

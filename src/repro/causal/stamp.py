@@ -93,6 +93,10 @@ class StampIndex:
         return len(self._stamps)
 
 
+#: how many of the most recent ``(key, version)`` commits a stamp lists
+WINDOW = 4
+
+
 class CausalStamper:
     """Mints a :class:`CausalStamp` per key write by tailing commits.
 
@@ -102,19 +106,15 @@ class CausalStamper:
     no RNG — attaching a stamper never perturbs the schedule.
     """
 
-    __slots__ = ("window", "index", "_recent", "_tracer", "_component",
+    __slots__ = ("index", "_recent", "_tracer", "_component",
                  "stamped", "meta_bytes")
 
     def __init__(
         self,
-        window: int = 8,
         index: Optional[StampIndex] = None,
         tracer=None,
         component: str = "store",
     ) -> None:
-        if window < 1:
-            raise ValueError("dependency window must be >= 1")
-        self.window = window
         self.index = index if index is not None else StampIndex()
         self._recent: "OrderedDict[str, int]" = OrderedDict()
         self._tracer = tracer
@@ -149,5 +149,5 @@ class CausalStamper:
             if key in self._recent:
                 del self._recent[key]
             self._recent[key] = commit.version
-        while len(self._recent) > self.window:
+        while len(self._recent) > WINDOW:
             self._recent.popitem(last=False)

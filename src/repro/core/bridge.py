@@ -19,7 +19,7 @@ Two bridges are provided:
   define its own partition boundaries which can evolve independently."
 
 Both forward through FIFO channels so the per-range event order the
-Ingester contract requires is preserved even with jittered latency.
+Ingester contract requires is preserved.
 """
 
 from __future__ import annotations
@@ -36,19 +36,15 @@ from repro.storage.history import ChangeHistory, CommittedTransaction
 class _FifoChannel:
     """Delivers callables after a latency, never reordering."""
 
-    def __init__(self, sim: Simulation, base_latency: float, jitter: float) -> None:
-        if base_latency < 0 or jitter < 0:
-            raise ValueError("latency/jitter must be >= 0")
+    def __init__(self, sim: Simulation, base_latency: float) -> None:
+        if base_latency < 0:
+            raise ValueError("latency must be >= 0")
         self.sim = sim
         self.base_latency = base_latency
-        self.jitter = jitter
         self._last_delivery = 0.0
 
     def send(self, fn: Callable[[], None]) -> None:
-        delay = self.base_latency
-        if self.jitter > 0:
-            delay += self.sim.rng.random() * self.jitter
-        at = max(self.sim.now() + delay, self._last_delivery)
+        at = max(self.sim.now() + self.base_latency, self._last_delivery)
         self._last_delivery = at
         self.sim.call_at(at, fn)
 
@@ -62,14 +58,13 @@ class DirectIngestBridge:
         history: ChangeHistory,
         ingester: Ingester,
         latency: float = 0.002,
-        jitter: float = 0.0,
         progress_interval: float = 1.0,
     ) -> None:
         if progress_interval <= 0:
             raise ValueError("progress_interval must be positive")
         self.sim = sim
         self.ingester = ingester
-        self._channel = _FifoChannel(sim, latency, jitter)
+        self._channel = _FifoChannel(sim, latency)
         self._forwarded: Version = VERSION_ZERO
         self._closed = False
         self.events_forwarded = 0
@@ -108,10 +103,9 @@ class _Partition:
         key_range: KeyRange,
         ingester: Ingester,
         latency: float,
-        jitter: float,
     ) -> None:
         self.key_range = key_range
-        self.channel = _FifoChannel(sim, latency, jitter)
+        self.channel = _FifoChannel(sim, latency)
         self.ingester = ingester
         self.forwarded: Version = VERSION_ZERO
         self.events_forwarded = 0
@@ -138,8 +132,8 @@ class _Partition:
 class PartitionedIngestBridge:
     """N independent range partitions, each with range-scoped progress.
 
-    Per-partition latencies differ (base + per-partition stagger +
-    optional per-message jitter), so events reach the watch system out
+    Per-partition latencies differ (base + per-partition stagger), so
+    events reach the watch system out
     of global version order across ranges — which is exactly the
     condition range-scoped progress exists to make safe.
     """
@@ -152,7 +146,6 @@ class PartitionedIngestBridge:
         ranges: Sequence[KeyRange],
         base_latency: float = 0.002,
         latency_stagger: float = 0.001,
-        jitter: float = 0.0,
         progress_interval: float = 1.0,
     ) -> None:
         if not ranges:
@@ -166,7 +159,6 @@ class PartitionedIngestBridge:
                 key_range,
                 ingester,
                 base_latency + idx * latency_stagger,
-                jitter,
             )
             for idx, key_range in enumerate(ranges)
         ]

@@ -76,7 +76,6 @@ class LinkedCache(WatchCallback):
         key_range: KeyRange,
         config: Optional[LinkedCacheConfig] = None,
         name: str = "cache",
-        metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
         self.sim = sim
@@ -85,7 +84,7 @@ class LinkedCache(WatchCallback):
         self.key_range = key_range
         self.config = config or LinkedCacheConfig()
         self.name = name
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.tracer = tracer
         self.data = VersionedMap()
         self.knowledge = KnowledgeMap()

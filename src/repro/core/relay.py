@@ -38,14 +38,14 @@ from repro.core.linked_cache import (
 from repro.core.stream import WatcherConfig
 from repro.core.watch_system import (
     WatchSystem,
-    WatchSystemConfig,
     _SYSTEM_TRACER,
 )
 from repro.obs.trace import hops
 from repro.resilience.channel import ChannelConfig, ReliableChannel
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
+
+_ALL_KEYS = KeyRange(KEY_MIN, KEY_MAX)
 
 
 class WatchRelay(LinkedCache, Watchable):
@@ -58,16 +58,13 @@ class WatchRelay(LinkedCache, Watchable):
         snapshot_fn,
         key_range: KeyRange,
         config: Optional[LinkedCacheConfig] = None,
-        fanout_config: Optional[WatchSystemConfig] = None,
         name: str = "relay",
         tracer=None,
     ) -> None:
         super().__init__(
             sim, upstream, snapshot_fn, key_range, config, name, tracer=tracer
         )
-        self.fanout = WatchSystem(
-            sim, fanout_config, name=f"{name}-fanout", tracer=tracer
-        )
+        self.fanout = WatchSystem(sim, name=f"{name}-fanout", tracer=tracer)
 
     # ------------------------------------------------------------------
     # upstream side: feed the fan-out as we apply
@@ -185,30 +182,20 @@ class ReliableFanoutLink(WatchCallback):
         net: Network,
         name: str,
         remote: str,
-        key_range: Optional[KeyRange] = None,
-        from_version: Version = VERSION_ZERO,
         config: Optional[ChannelConfig] = None,
-        watcher_config: Optional[WatcherConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
         self.sim = sim
         self.upstream = upstream
         self.remote = remote
-        self.key_range = key_range or KeyRange(KEY_MIN, KEY_MAX)
-        self.watcher_config = watcher_config
         self.tracer = tracer if tracer is not None else net.tracer
         if config is None:
             config = ChannelConfig(ordered=True)
-        self.channel = ReliableChannel(
-            sim, net, name, config=config, metrics=metrics, tracer=tracer
-        )
+        self.channel = ReliableChannel(sim, net, name, config=config, tracer=tracer)
         self.events_shipped = 0
         self.progress_shipped = 0
         self.resyncs = 0
-        self._handle = upstream.watch_range(
-            self.key_range, from_version, self, config=watcher_config
-        )
+        self._handle = upstream.watch_range(_ALL_KEYS, VERSION_ZERO, self)
 
     # WatchCallback --------------------------------------------------
 
@@ -235,9 +222,7 @@ class ReliableFanoutLink(WatchCallback):
         self.resyncs += 1
         floor = getattr(self.upstream, "retained_floor", VERSION_ZERO)
         self.channel.send(self.remote, {"kind": "resync", "version": floor})
-        self._handle = self.upstream.watch_range(
-            self.key_range, floor, self, config=self.watcher_config
-        )
+        self._handle = self.upstream.watch_range(_ALL_KEYS, floor, self)
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -262,7 +247,6 @@ class ReliableFanoutEndpoint:
         name: str,
         ingester: Ingester,
         config: Optional[ChannelConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
         self.ingester = ingester
@@ -273,7 +257,7 @@ class ReliableFanoutEndpoint:
             config = ChannelConfig(ordered=True)
         self.channel = ReliableChannel(
             sim, net, name, handler=self._on_frame, config=config,
-            metrics=metrics, tracer=tracer,
+            tracer=tracer,
         )
 
     def _on_frame(self, src: str, frame: Dict[str, Any]) -> None:

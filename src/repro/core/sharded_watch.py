@@ -27,7 +27,7 @@ from repro._types import Key, KeyRange, Version
 from repro.core.api import Cancellable, Ingester, Watchable, WatchCallback
 from repro.core.events import ChangeEvent, ProgressEvent
 from repro.core.stream import WatcherConfig
-from repro.core.watch_system import WatchSystem, WatchSystemConfig
+from repro.core.watch_system import WatchSystem
 from repro.sim.kernel import Simulation
 
 
@@ -92,7 +92,6 @@ class ShardedWatchSystem(Watchable, Ingester):
         self,
         sim: Simulation,
         ranges: Sequence[KeyRange],
-        config: Optional[WatchSystemConfig] = None,
         name: str = "sharded-watch",
     ) -> None:
         if not ranges:
@@ -106,7 +105,7 @@ class ShardedWatchSystem(Watchable, Ingester):
         self.ranges: List[KeyRange] = list(ordered)
         self._lows = [r.low for r in ordered]
         self.shards: List[WatchSystem] = [
-            WatchSystem(sim, config, name=f"{name}-{idx}")
+            WatchSystem(sim, name=f"{name}-{idx}")
             for idx in range(len(ordered))
         ]
 

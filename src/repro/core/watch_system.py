@@ -115,13 +115,12 @@ class WatchSystem(Watchable, Ingester):
         self,
         sim: Simulation,
         config: Optional[WatchSystemConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         name: str = "watchsys",
         tracer=None,
     ) -> None:
         self.sim = sim
         self.config = config or WatchSystemConfig()
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.name = name
         self.tracer = tracer
         self._session_seq = 0  # deterministic per-session trace labels

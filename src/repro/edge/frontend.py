@@ -35,14 +35,14 @@ from typing import Dict, Optional
 
 from repro._types import KeyRange, Version
 from repro.core.api import WatchCallback
-from repro.core.linked_cache import LinkedCacheConfig, SnapshotUnavailable
+from repro.core.linked_cache import SnapshotUnavailable
 from repro.core.relay import (
     ReliableFanoutEndpoint,
     ReliableFanoutLink,
     WatchRelay,
 )
 from repro.core.stream import WatcherConfig
-from repro.core.watch_system import WatchSystem, WatchSystemConfig
+from repro.core.watch_system import WatchSystem
 from repro.edge.session import (
     ClientSession,
     SessionConfig,
@@ -56,7 +56,6 @@ from repro.pubsub.consumer import Consumer
 from repro.pubsub.message import Message
 from repro.resilience.channel import ChannelConfig, ReliableChannel
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
 
 #: the relay->session pipe: instant, unbounded — backpressure is the
@@ -64,6 +63,15 @@ from repro.sim.network import Network
 _FEED_CONFIG = WatcherConfig(
     delivery_latency=0.0, service_time=0.0, max_backlog=1_000_000_000
 )
+
+#: edge-served snapshot latency (local state, no source round-trip)
+SNAPSHOT_LATENCY = 0.005
+#: retry delay while the relay is mid-resync (SnapshotUnavailable)
+SNAPSHOT_RETRY = 0.05
+#: pubsub catch-up: log messages replayed per batch, and the pause
+#: between batches (models a fetch round-trip to the broker log)
+REPLAY_BATCH = 64
+REPLAY_LATENCY = 0.002
 
 
 @dataclass
@@ -75,14 +83,6 @@ class EdgeFrontendConfig:
     #: is within this many versions (watch) or messages (pubsub) of the
     #: frontend head; otherwise snapshot re-serve / full log replay.
     catchup_threshold: int = 500
-    #: Edge-served snapshot latency (local state, no source round-trip).
-    snapshot_latency: float = 0.005
-    #: Retry delay while the relay is mid-resync (SnapshotUnavailable).
-    snapshot_retry: float = 0.05
-    #: Pubsub catch-up: log messages replayed per batch, and the pause
-    #: between batches (models a fetch round-trip to the broker log).
-    replay_batch: int = 64
-    replay_latency: float = 0.002
     #: Shared-drain tick (seconds).  When set, sessions join the
     #: frontend :class:`~repro.edge.session_table.SessionTable`'s
     #: intrusive ready list and ONE pump event per tick delivers one
@@ -119,8 +119,6 @@ class EdgeFrontendConfig:
     def __post_init__(self) -> None:
         if self.catchup_threshold < 0:
             raise ValueError("catchup_threshold must be >= 0")
-        if self.replay_batch < 1:
-            raise ValueError("replay_batch must be >= 1")
         if self.drain_interval is not None and self.drain_interval < 0:
             raise ValueError("drain_interval must be >= 0")
         if self.reconnect_cursor_age is not None and self.reconnect_cursor_age < 0:
@@ -166,9 +164,6 @@ class WatchEdgeFrontend:
         net: Optional[Network] = None,
         channel_config: Optional[ChannelConfig] = None,
         config: Optional[EdgeFrontendConfig] = None,
-        relay_config: Optional[LinkedCacheConfig] = None,
-        fanout_config: Optional[WatchSystemConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
         self.sim = sim
@@ -208,11 +203,11 @@ class WatchEdgeFrontend:
             self._ingest = WatchSystem(sim, name=f"{name}-ingest", tracer=tracer)
             self.endpoint = ReliableFanoutEndpoint(
                 sim, net, f"{name}-ep", self._ingest,
-                config=channel_config, metrics=metrics, tracer=tracer,
+                config=channel_config, tracer=tracer,
             )
             self.link = ReliableFanoutLink(
                 sim, upstream, net, f"{name}-uplink", f"{name}-ep",
-                config=channel_config, metrics=metrics, tracer=tracer,
+                config=channel_config, tracer=tracer,
             )
             relay_upstream = self._ingest
         else:
@@ -222,7 +217,6 @@ class WatchEdgeFrontend:
             relay_upstream = upstream
         self.relay = WatchRelay(
             sim, relay_upstream, counted_snapshot_fn, KeyRange.all(),
-            config=relay_config, fanout_config=fanout_config,
             name=f"{name}-relay", tracer=tracer,
         )
         self.relay.start()
@@ -303,7 +297,7 @@ class WatchEdgeFrontend:
 
     def _schedule_snapshot(self, session: ClientSession) -> None:
         self.sim.call_after(
-            self.config.snapshot_latency, lambda: self._serve_snapshot(session)
+            SNAPSHOT_LATENCY, lambda: self._serve_snapshot(session)
         )
 
     def _serve_snapshot(self, session: ClientSession) -> None:
@@ -315,7 +309,7 @@ class WatchEdgeFrontend:
             # relay mid-(re)sync; back off and retry from edge state
             self.snapshot_retries += 1
             self.sim.call_after(
-                self.config.snapshot_retry, lambda: self._serve_snapshot(session)
+                SNAPSHOT_RETRY, lambda: self._serve_snapshot(session)
             )
             return
         cache_key = (session.key_range.low, session.key_range.high)
@@ -387,8 +381,6 @@ class PubsubEdgeFrontend:
         topic: str,
         config: Optional[EdgeFrontendConfig] = None,
         net: Optional[Network] = None,
-        channel_config: Optional[ChannelConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
         if config is None:
@@ -426,16 +418,15 @@ class PubsubEdgeFrontend:
             # broker-side relay of the free-consumer stream to the
             # frontend across the wire; ordered so per-partition offset
             # dedupe sees monotone arrivals
-            if channel_config is None:
-                channel_config = ChannelConfig(ordered=True)
+            channel_config = ChannelConfig(ordered=True)
             self._uplink = ReliableChannel(
                 sim, net, f"{name}-uplink", config=channel_config,
-                metrics=metrics, tracer=tracer,
+                tracer=tracer,
             )
             self._edge_channel = ReliableChannel(
                 sim, net, f"{name}-ep",
                 handler=lambda src, message: self._ingest(message),
-                config=channel_config, metrics=metrics, tracer=tracer,
+                config=channel_config, tracer=tracer,
             )
         else:
             self._uplink = None
@@ -533,7 +524,7 @@ class PubsubEdgeFrontend:
             self.catchups_served += 1
             session.live = False
             self.sim.call_after(
-                self.config.replay_latency, lambda: self._replay_step(session)
+                REPLAY_LATENCY, lambda: self._replay_step(session)
             )
         return session
 
@@ -545,7 +536,7 @@ class PubsubEdgeFrontend:
             expected = session.expected_offsets.get(log.partition, 0)
             if expected >= log.next_offset:
                 continue
-            messages = log.read_from(expected, limit=self.config.replay_batch)
+            messages = log.read_from(expected, limit=REPLAY_BATCH)
             if not messages:
                 # everything from the cursor to the head is gone (GC)
                 self.replay_gaps += log.next_offset - expected
@@ -565,7 +556,7 @@ class PubsubEdgeFrontend:
                 behind = True
         if behind:
             self.sim.call_after(
-                self.config.replay_latency, lambda: self._replay_step(session)
+                REPLAY_LATENCY, lambda: self._replay_step(session)
             )
         else:
             session.live = True

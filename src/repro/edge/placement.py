@@ -14,13 +14,12 @@ to the old owner.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro._types import Key
 from repro.sharding.assignment import Assignment
 from repro.sharding.autosharder import AutoSharder, AutoSharderConfig
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import MetricsRegistry
 
 
 class SessionPlacement:
@@ -30,8 +29,6 @@ class SessionPlacement:
         self,
         sim: Simulation,
         frontends: Iterable,  # frontends with .name/.up/.sessions
-        config: Optional[AutoSharderConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self._frontends = {frontend.name: frontend for frontend in frontends}
@@ -40,8 +37,7 @@ class SessionPlacement:
         self.sharder = AutoSharder(
             sim,
             sorted(self._frontends),
-            config or AutoSharderConfig(notify_latency=0.01, notify_jitter=0.0),
-            metrics=metrics,
+            AutoSharderConfig(notify_latency=0.01, notify_jitter=0.0),
             auto_rebalance=False,
         )
         self.evictions = 0

@@ -20,7 +20,7 @@ MVCC commit version doubling as the trace id:
 
 Instrumentation is strictly observational: a ``tracer=None`` parameter
 threads through the broker, subscriptions, CDC, watch system, relays,
-resilience channels, cache nodes, and work queues, and every recording
+resilience channels and cache nodes, and every recording
 site is guarded so the traced and untraced runs schedule *identical*
 simulation events — determinism is untouched.
 """

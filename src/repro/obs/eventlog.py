@@ -66,14 +66,15 @@ class TraceEvent:
         )
 
 
+#: the ring bound: events past it evict the oldest
+MAX_EVENTS = 1_000_000
+
+
 class EventLog:
     """Bounded, append-only ring buffer of trace events."""
 
-    def __init__(self, max_events: int = 1_000_000) -> None:
-        if max_events < 1:
-            raise ValueError("max_events must be >= 1")
-        self.max_events = max_events
-        self._events: Deque[TraceEvent] = deque(maxlen=max_events)
+    def __init__(self) -> None:
+        self._events: Deque[TraceEvent] = deque(maxlen=MAX_EVENTS)
         self.appended = 0
 
     def append(self, event: TraceEvent) -> None:
@@ -102,8 +103,8 @@ class EventLog:
         return "\n".join(event.to_json() for event in self._events)
 
     @staticmethod
-    def from_jsonl(text: str, max_events: int = 1_000_000) -> "EventLog":
-        log = EventLog(max_events=max_events)
+    def from_jsonl(text: str) -> "EventLog":
+        log = EventLog()
         for line in text.splitlines():
             line = line.strip()
             if line:

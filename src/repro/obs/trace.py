@@ -67,9 +67,6 @@ class hops:
     CACHE_APPLY = "cache.apply"        # pubsub invalidation applied
     WATCH_APPLY = "watch.apply"        # linked-cache apply
     EDGE_DELIVER = "edge.deliver"      # update handed to an edge client
-    # work-queue task lifecycle
-    TASK_ENQUEUE = "task.enqueue"
-    TASK_COMPLETE = "task.complete"
     # reconciliation control plane (repro.reconcile; key=None — these
     # are control events joined to corruption injections by their
     # ``scope`` attr, not to update chains)
@@ -136,14 +133,12 @@ class Tracer:
     def __init__(
         self,
         sim: Simulation,
-        metrics: Optional[MetricsRegistry] = None,
-        max_events: int = 1_000_000,
         name: str = "trace",
     ) -> None:
         self.sim = sim
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.name = name
-        self.log = EventLog(max_events=max_events)
+        self.log = EventLog()
         self._seq = 0
 
     def record(

@@ -28,19 +28,20 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
 
 
+#: simulated time from a publish to the subscriptions' wake
+PUBLISH_LATENCY = 0.0005
+
+
 @dataclass
 class BrokerConfig:
     """Broker-wide parameters."""
 
     gc_interval: float = 60.0
     compaction_interval: float = 300.0
-    publish_latency: float = 0.0005
 
     def __post_init__(self) -> None:
         if self.gc_interval <= 0 or self.compaction_interval <= 0:
             raise ValueError("sweep intervals must be positive")
-        if self.publish_latency < 0:
-            raise ValueError("publish_latency must be >= 0")
 
 
 class Broker:
@@ -157,10 +158,7 @@ class Broker:
             for subscription in self._subscriptions[topic_name]:
                 subscription.pump(message.partition)
 
-        if self.config.publish_latency > 0:
-            self.sim.post(self.config.publish_latency, wake)
-        else:
-            wake()
+        self.sim.post(PUBLISH_LATENCY, wake)
         return message
 
     def publish_batch(
@@ -193,10 +191,7 @@ class Broker:
                 for partition in partitions:
                     subscription.pump(partition)
 
-        if self.config.publish_latency > 0:
-            self.sim.post(self.config.publish_latency, wake)
-        else:
-            wake()
+        self.sim.post(PUBLISH_LATENCY, wake)
         return messages
 
     # ------------------------------------------------------------------

@@ -46,7 +46,6 @@ class Consumer:
         handler: Optional[Handler] = None,
         service_time: float = 0.0,
         service_time_fn: Optional[Callable[[Message], float]] = None,
-        queue_capacity: Optional[int] = None,
         batch_handler: Optional[BatchHandler] = None,
         batch_overhead: float = 0.0,
     ) -> None:
@@ -69,7 +68,6 @@ class Consumer:
         #: time — the knob that makes per-message dispatch overhead
         #: (and therefore batching's throughput win) modelable
         self.batch_overhead = batch_overhead
-        self.queue_capacity = queue_capacity
         self.up = True
         self.processed = 0
         self.failed = 0
@@ -92,10 +90,6 @@ class Consumer:
         if not self.up:
             self.dropped_while_down += 1
             return
-        if self.queue_capacity is not None and len(self._queue) >= self.queue_capacity:
-            # local overload: refuse so the broker redelivers later
-            nack()
-            return
         self._queue.append((message, ack, nack))
         if not self._busy:
             self._busy = True
@@ -116,9 +110,6 @@ class Consumer:
         """
         if not self.up:
             self.dropped_while_down += len(messages)
-            return
-        if self.queue_capacity is not None and len(self._queue) >= self.queue_capacity:
-            nack()
             return
         self._queue.append((messages, ack, nack))
         if not self._busy:

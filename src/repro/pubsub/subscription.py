@@ -59,10 +59,7 @@ class SubscriptionConfig:
     max_inflight_per_partition: int = 64
     ack_timeout: float = 30.0
     delivery_latency: float = 0.001
-    delivery_jitter: float = 0.0
     dead_letter: Optional[DeadLetterPolicy] = None
-    #: Start consuming from the current end of the topic instead of 0.
-    start_at_end: bool = False
     #: Deliver up to this many consecutive same-member messages as one
     #: ``Consumer.deliver_batch`` call (one delivery latency, one ack
     #: round-trip for the group).  1 (default) keeps the per-message
@@ -75,8 +72,8 @@ class SubscriptionConfig:
             raise ValueError("max_inflight_per_partition must be >= 1")
         if self.ack_timeout <= 0:
             raise ValueError("ack_timeout must be positive")
-        if self.delivery_latency < 0 or self.delivery_jitter < 0:
-            raise ValueError("latency/jitter must be >= 0")
+        if self.delivery_latency < 0:
+            raise ValueError("delivery_latency must be >= 0")
         if self.max_delivery_batch < 1:
             raise ValueError("max_delivery_batch must be >= 1")
 
@@ -128,8 +125,7 @@ class Subscription:
         self._partition_assignment: Dict[int, str] = {}
         self._state: Dict[int, _PartitionState] = {}
         for log in topic.partitions:
-            start = log.next_offset if config.start_at_end else 0
-            self._state[log.partition] = _PartitionState(fetch_offset=start)
+            self._state[log.partition] = _PartitionState()
         # silent-loss tallies (observable by experiments, not by members)
         self.lost_to_gc = 0
         self.lost_to_compaction = 0
@@ -320,10 +316,6 @@ class Subscription:
             self._lease(state, message, "", attempts)
             return
         self._lease(state, message, member, attempts)
-        config = self.config
-        delay = config.delivery_latency
-        if config.delivery_jitter > 0:
-            delay += self.sim.rng.random() * config.delivery_jitter
         consumer = self._members[member]
         self.delivered += 1
         if attempts > 1:
@@ -336,7 +328,7 @@ class Subscription:
                 partition=partition, offset=message.offset, attempts=attempts,
             )
         self.sim.post(
-            delay,
+            self.config.delivery_latency,
             lambda: consumer.deliver(
                 message,
                 ack=lambda: self.ack(partition, message.offset),
@@ -370,13 +362,10 @@ class Subscription:
                     partition=partition, offset=message.offset, attempts=1,
                     n_events=len(messages),
                 )
-        delay = self.config.delivery_latency
-        if self.config.delivery_jitter > 0:
-            delay += self.sim.rng.random() * self.config.delivery_jitter
         batch = list(messages)
         offsets = [message.offset for message in messages]
         self.sim.post(
-            delay,
+            self.config.delivery_latency,
             lambda: consumer.deliver_batch(
                 batch,
                 ack=lambda: self.ack_batch(partition, offsets),

@@ -19,7 +19,6 @@ from repro.reconcile.edge import EdgeReconciler
 from repro.reconcile.framework import (
     PlanResult,
     Reconciler,
-    ReconcilerConfig,
     ScopeRecord,
     ScopeTable,
     SingleWriterViolation,
@@ -31,7 +30,6 @@ __all__ = [
     "EdgeReconciler",
     "PlanResult",
     "Reconciler",
-    "ReconcilerConfig",
     "ScopeRecord",
     "ScopeTable",
     "SingleWriterViolation",

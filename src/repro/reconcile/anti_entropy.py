@@ -32,10 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro._types import KeyRange, Mutation, Version
 from repro.reconcile.framework import (
     PlanResult,
+    OP_LATENCY,
     Reconciler,
-    ReconcilerConfig,
     ScopeRecord,
-    ScopeTable,
 )
 from repro.replication.checker import SnapshotChecker
 from repro.replication.target import CursorCorruption, ReplicaStore
@@ -54,11 +53,9 @@ class AntiEntropyReconciler(Reconciler):
         shards: Sequence[Tuple[str, KeyRange]],
         checker: Optional[SnapshotChecker] = None,
         name: str = "anti-entropy",
-        table: Optional[ScopeTable] = None,
-        config: Optional[ReconcilerConfig] = None,
         tracer=None,
     ) -> None:
-        super().__init__(sim, name, table=table, config=config, tracer=tracer)
+        super().__init__(sim, name, tracer=tracer)
         self.source = source
         self.replica = replica
         self._shards = list(shards)
@@ -151,4 +148,4 @@ class AntiEntropyReconciler(Reconciler):
             self._suspects.pop(scope, None)
             self.finish(scope, op_id, True, keys=len(keys))
 
-        self.sim.call_after(self.config.op_latency, repair)
+        self.sim.call_after(OP_LATENCY, repair)

@@ -87,6 +87,10 @@ def scope_for_key(shards: Sequence[Tuple[str, KeyRange]], key: str) -> str:
     raise KeyError(key)  # shards partition the whole keyspace
 
 
+#: keys one replica-divergence injection corrupts
+KEYS_PER_INJECTION = 3
+
+
 class StateCorruptor:
     """Mutates live state; each class returns how many faults landed."""
 
@@ -100,7 +104,6 @@ class StateCorruptor:
         clients: Optional[Sequence] = None,   # EdgeClient
         frontends: Optional[Sequence] = None,  # edge frontends
         sharder=None,                          # AutoSharder
-        keys_per_injection: int = 3,
     ) -> None:
         self.sim = sim
         self.tracer = tracer
@@ -110,7 +113,6 @@ class StateCorruptor:
         self.clients = list(clients or [])
         self.frontends = list(frontends or [])
         self.sharder = sharder
-        self.keys_per_injection = keys_per_injection
         self.injections = 0
         self.by_class: Dict[str, int] = {}
         self._next_id = 0
@@ -148,7 +150,7 @@ class StateCorruptor:
         live = sorted(self.replica.items())
         if not live:
             return []
-        count = min(self.keys_per_injection, len(live))
+        count = min(KEYS_PER_INJECTION, len(live))
         return sorted(self.sim.rng.sample(live, count))
 
     def _tear_map(self, cls: str) -> int:

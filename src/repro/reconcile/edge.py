@@ -28,14 +28,13 @@ corruption no failure notification would ever report.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.reconcile.framework import (
     PlanResult,
+    OP_LATENCY,
     Reconciler,
-    ReconcilerConfig,
     ScopeRecord,
-    ScopeTable,
 )
 from repro.sim.kernel import Simulation
 
@@ -51,11 +50,9 @@ class EdgeReconciler(Reconciler):
         head_fn: Callable[[], int],             # authoritative head version
         sharder=None,                           # AutoSharder (optional)
         name: str = "edge-reconciler",
-        table: Optional[ScopeTable] = None,
-        config: Optional[ReconcilerConfig] = None,
         tracer=None,
     ) -> None:
-        super().__init__(sim, name, table=table, config=config, tracer=tracer)
+        super().__init__(sim, name, tracer=tracer)
         self.clients = list(clients)
         self.frontends = list(frontends)
         self.head_fn = head_fn
@@ -132,4 +129,4 @@ class EdgeReconciler(Reconciler):
             else:  # pragma: no cover - plan() only emits the ops above
                 self.finish(scope, op_id, False, error=f"unknown op {operation}")
 
-        self.sim.call_after(self.config.op_latency, repair)
+        self.sim.call_after(OP_LATENCY, repair)

@@ -50,30 +50,19 @@ class SingleWriterViolation(RuntimeError):
     """A reconciler touched an operation it does not own."""
 
 
-@dataclass
-class ReconcilerConfig:
-    """Loop cadence and per-operation failure policy."""
-
-    #: seconds between Plan rounds
-    tick: float = 0.5
-    #: per-*attempt* execution deadline; an attempt still running this
-    #: long after launch is failed (and retried or parked in ERROR)
-    op_timeout: float = 5.0
-    #: simulated latency of one execute attempt (subclasses use it to
-    #: schedule their completion)
-    op_latency: float = 0.02
-    #: bounded retries at a fixed interval (no jitter: reconcile
-    #: schedules replay deterministically)
-    retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(
-        base_delay=0.5, multiplier=1.0, max_delay=0.5,
-        jitter=0.0, max_attempts=3,
-    ))
-
-    def __post_init__(self) -> None:
-        if self.tick <= 0:
-            raise ValueError("tick must be positive")
-        if self.op_timeout <= 0:
-            raise ValueError("op_timeout must be positive")
+#: seconds between Plan rounds
+TICK = 0.5
+#: per-*attempt* execution deadline; an attempt still running this long
+#: after launch is failed (and retried or parked in ERROR)
+OP_TIMEOUT = 5.0
+#: simulated latency of one execute attempt (subclasses use it to
+#: schedule their completion)
+OP_LATENCY = 0.02
+#: bounded retries at a fixed interval (no jitter: reconcile schedules
+#: replay deterministically)
+RETRY = RetryPolicy(
+    base_delay=0.5, multiplier=1.0, max_delay=0.5, jitter=0.0, max_attempts=3,
+)
 
 
 @dataclass
@@ -218,14 +207,11 @@ class Reconciler:
         self,
         sim: Simulation,
         name: str,
-        table: Optional[ScopeTable] = None,
-        config: Optional[ReconcilerConfig] = None,
         tracer=None,
     ) -> None:
         self.sim = sim
         self.name = name
-        self.table = table if table is not None else ScopeTable()
-        self.config = config or ReconcilerConfig()
+        self.table = ScopeTable()
         self.tracer = tracer
         self.rounds = 0
         self.planned = 0
@@ -259,7 +245,7 @@ class Reconciler:
         if self._running:
             return
         self._running = True
-        self.sim.call_after(self.config.tick, self._tick)
+        self.sim.call_after(TICK, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -268,7 +254,7 @@ class Reconciler:
         if not self._running:
             return
         self.run_round()
-        self.sim.call_after(self.config.tick, self._tick)
+        self.sim.call_after(TICK, self._tick)
 
     @property
     def converged(self) -> bool:
@@ -290,7 +276,7 @@ class Reconciler:
                 if record.owner != self.name:
                     continue  # non-preemptive: another reconciler holds it
                 if record.running:
-                    if now - record.op_started_at >= self.config.op_timeout:
+                    if now - record.op_started_at >= OP_TIMEOUT:
                         self.timeouts += 1
                         self._trace(hops.RECONCILE_TIMEOUT, record)
                         self._fail(scope, record, error="timeout")
@@ -346,7 +332,7 @@ class Reconciler:
     def _fail(self, scope: str, record: ScopeRecord, error: str) -> None:
         terminal = self.table.fail(
             scope, record.op_id, self.name, self.sim.now(),
-            self.config.retry, self.sim.rng, error=error,
+            RETRY, self.sim.rng, error=error,
         )
         if terminal:
             self.giveups += 1

@@ -56,6 +56,13 @@ class _RangeWatcher(WatchCallback):
         self.replicator._resync(self)
 
 
+#: per-event apply time at the target
+SERVICE_TIME = 0.008
+#: time to snapshot the source (initial sync and every resync)
+SNAPSHOT_LATENCY = 0.01
+_WATCHER_CONFIG = WatcherConfig(service_time=SERVICE_TIME)
+
+
 class WatchReplicator:
     """Replicates a source store to a target via watch + progress."""
 
@@ -66,8 +73,6 @@ class WatchReplicator:
         watchable,
         target: ReplicaStore,
         ranges: Sequence[KeyRange],
-        service_time: float = 0.001,
-        snapshot_latency: float = 0.05,
     ) -> None:
         if not ranges:
             raise ValueError("need at least one range")
@@ -76,8 +81,6 @@ class WatchReplicator:
         self.watchable = watchable
         self.target = target
         self.ranges = list(ranges)
-        self.service_time = service_time
-        self.snapshot_latency = snapshot_latency
         self._watchers: List[_RangeWatcher] = []
         self._handles: List = []
         #: staged writes per source version (not yet externalized)
@@ -97,7 +100,7 @@ class WatchReplicator:
         if self._started:
             raise RuntimeError("already started")
         self._started = True
-        self.sim.call_after(self.snapshot_latency, self._initial_sync)
+        self.sim.call_after(SNAPSHOT_LATENCY, self._initial_sync)
 
     def _initial_sync(self) -> None:
         version = self.source.last_version
@@ -115,7 +118,7 @@ class WatchReplicator:
                 key_range,
                 version,
                 watcher,
-                config=WatcherConfig(service_time=self.service_time),
+                config=_WATCHER_CONFIG,
             ))
 
     # ------------------------------------------------------------------
@@ -185,10 +188,10 @@ class WatchReplicator:
                     range_watcher.key_range,
                     version,
                     range_watcher,
-                    config=WatcherConfig(service_time=self.service_time),
+                    config=_WATCHER_CONFIG,
                 ))
 
-        self.sim.call_after(self.snapshot_latency, do_snapshot)
+        self.sim.call_after(SNAPSHOT_LATENCY, do_snapshot)
 
     # ------------------------------------------------------------------
     # introspection

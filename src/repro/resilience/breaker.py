@@ -8,7 +8,7 @@ machine:
 - **open** — after ``failure_threshold`` consecutive failures, calls
   fail fast for ``cooldown`` virtual seconds;
 - **half-open** — after the cooldown, up to ``half_open_probes`` trial
-  calls are let through; ``success_threshold`` successes close the
+  calls are let through; one success closes the
   breaker, any failure re-opens it (with a fresh cooldown).  A probe
   whose outcome is never reported (the caller itself died mid-call) is
   reclaimed after a further cooldown, so a lost probe cannot wedge the
@@ -63,7 +63,6 @@ class CircuitBreakerConfig:
     failure_threshold: int = 5
     cooldown: float = 1.0
     half_open_probes: int = 1
-    success_threshold: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -72,8 +71,6 @@ class CircuitBreakerConfig:
             raise ValueError("cooldown must be positive")
         if self.half_open_probes < 1:
             raise ValueError("half_open_probes must be >= 1")
-        if self.success_threshold < 1:
-            raise ValueError("success_threshold must be >= 1")
 
 
 class CircuitBreaker:
@@ -100,7 +97,6 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probes_in_flight = 0
-        self._half_open_successes = 0
         self._last_probe_at = 0.0
 
     # ------------------------------------------------------------------
@@ -147,10 +143,8 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         if self.state is BreakerState.HALF_OPEN:
-            self._probes_in_flight = max(0, self._probes_in_flight - 1)
-            self._half_open_successes += 1
-            if self._half_open_successes >= self.config.success_threshold:
-                self._transition(BreakerState.CLOSED)
+            # one successful probe closes the breaker
+            self._transition(BreakerState.CLOSED)
             return
         self._consecutive_failures = 0
 
@@ -179,7 +173,6 @@ class CircuitBreaker:
         if to is BreakerState.CLOSED:
             self._consecutive_failures = 0
         self._probes_in_flight = 0
-        self._half_open_successes = 0
         self.state = to
         # 0 = closed, 1 = half-open, 2 = open (gauge for dashboards)
         level = {BreakerState.CLOSED: 0, BreakerState.HALF_OPEN: 1, BreakerState.OPEN: 2}

@@ -430,17 +430,13 @@ class ReliableChannel:
 
     def _on_ack_timeout(self, pending: _Pending) -> None:
         """``pending``'s ack deadline passed: give up or try again."""
-        retry = self.config.retry
-        now = self.sim.now()
+        # an attempt the breaker suppressed spent no retry budget
+        spent = False
         if pending.transmitted:
             breaker = self.breaker(pending.dst)
             if breaker is not None:
                 breaker.record_failure()
-            spent = not retry.allows(pending.attempts + 1, pending.started_at, now)
-        else:
-            # suppressed by the breaker: no attempt was spent, but the
-            # frame's deadline runs all the same
-            spent = retry.expired(pending.started_at, now)
+            spent = not self.config.retry.allows(pending.attempts + 1)
         if spent:
             del self._pending[(pending.dst, pending.seq)]
             if not self._pending:

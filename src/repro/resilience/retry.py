@@ -33,8 +33,7 @@ class RetryPolicy:
     clamped to ``max_delay``, plus up to ``jitter`` (a *fraction* of the
     clamped delay) drawn from ``rng`` — the sim RNG, so schedules are
     reproducible.  ``max_attempts`` bounds total tries (None =
-    unbounded); ``deadline`` bounds total elapsed time since the first
-    attempt (None = unbounded).
+    unbounded).
     """
 
     base_delay: float = 0.05
@@ -42,7 +41,6 @@ class RetryPolicy:
     max_delay: float = 5.0
     jitter: float = 0.1
     max_attempts: Optional[int] = 8
-    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.base_delay <= 0:
@@ -55,8 +53,6 @@ class RetryPolicy:
             raise ValueError("jitter must be >= 0")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1 when set")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive when set")
 
     @staticmethod
     def unbounded(base_delay: float = 0.05, max_delay: float = 5.0) -> "RetryPolicy":
@@ -76,12 +72,6 @@ class RetryPolicy:
             delay += rng.random() * self.jitter * delay
         return delay
 
-    def allows(self, attempt: int, started_at: float, now: float) -> bool:
+    def allows(self, attempt: int) -> bool:
         """May attempt number ``attempt`` (1-based) still be made?"""
-        if self.max_attempts is not None and attempt > self.max_attempts:
-            return False
-        return not self.expired(started_at, now)
-
-    def expired(self, started_at: float, now: float) -> bool:
-        """Has the time budget since ``started_at`` run out?"""
-        return self.deadline is not None and now - started_at >= self.deadline
+        return self.max_attempts is None or attempt <= self.max_attempts

@@ -62,14 +62,13 @@ class AutoSharder:
         sim: Simulation,
         nodes: List[str],
         config: Optional[AutoSharderConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         auto_rebalance: bool = True,
     ) -> None:
         if not nodes:
             raise ValueError("need at least one node")
         self.sim = sim
         self.config = config or AutoSharderConfig()
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._nodes: List[str] = list(dict.fromkeys(nodes))
         self._generation = 0
         self._assignment = self._initial_assignment()
@@ -154,9 +153,9 @@ class AutoSharder:
         """Remove a node (failure or drain); its ranges move now."""
         if node not in self._nodes:
             return
-        self._nodes.remove(node)
-        if not self._nodes:
+        if len(self._nodes) == 1:
             raise ValueError("cannot remove the last node")
+        self._nodes.remove(node)
         slices = []
         rr = 0
         for s in self._assignment.slices:

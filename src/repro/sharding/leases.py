@@ -35,11 +35,11 @@ class Lease:
 class LeaseManager:
     """Per-range leases with handoff-by-expiry."""
 
-    def __init__(self, sim: Simulation, lease_duration: float = 2.0) -> None:
-        if lease_duration <= 0:
-            raise ValueError("lease_duration must be positive")
+    #: how long an acquisition or renewal holds the range
+    lease_duration = 1.0
+
+    def __init__(self, sim: Simulation) -> None:
         self.sim = sim
-        self.lease_duration = lease_duration
         self._leases: List[Lease] = []
         #: who the sharder currently wants to own each range
         self._desired: Optional[Assignment] = None

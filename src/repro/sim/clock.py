@@ -24,10 +24,8 @@ class VirtualClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ClockError(f"clock cannot start at negative time {start!r}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         """Return the current virtual time."""

@@ -199,8 +199,8 @@ class ProcessHandle:
 class Simulation:
     """The simulation: virtual clock + event queues + seeded RNG."""
 
-    def __init__(self, seed: int = 0, start: float = 0.0) -> None:
-        self.clock = VirtualClock(start)
+    def __init__(self, seed: int = 0) -> None:
+        self.clock = VirtualClock()
         self.rng = random.Random(seed)
         self.seed = seed
         #: delayed events, ordered by (time, seq)

@@ -4,8 +4,8 @@ A snapshot is just (store, version): MVCC makes reads at a fixed version
 immutable under later writes.  Snapshots are the recovery vehicle of the
 paper's model — on resync, a watcher reads a snapshot and resumes
 watching from the snapshot's version (§4.2.1).  The paper notes a stale
-snapshot is acceptable and can come from a replica; `from_replica` marks
-that case so experiments can count replica-served recoveries.
+snapshot is acceptable and can come from a replica
+(:class:`~repro.storage.replica.ReadReplica`).
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class SnapshotView:
     """Read-only view of a store at a fixed version."""
 
-    __slots__ = ("_store", "version", "from_replica")
+    __slots__ = ("_store", "version")
 
-    def __init__(self, store: "MVCCStore", version: Version, from_replica: bool = False) -> None:
+    def __init__(self, store: "MVCCStore", version: Version) -> None:
         self._store = store
         self.version = version
-        self.from_replica = from_replica
 
     def get(self, key: Key) -> Optional[Any]:
         """Value of ``key`` as of the snapshot version."""

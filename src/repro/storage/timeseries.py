@@ -7,14 +7,11 @@ ranges and may query the store for state (§4.3).  This module provides
 that store:
 
 - events are appended under a series key (e.g. ``sensor/42``) and get a
-  monotonic version from the shared oracle, so the store is watchable
+  monotonic version from the store's oracle, so the store is watchable
   with exactly the same machinery as the MVCC store;
 - queries: by series-key range, by version window, and "recent events
   for series" — the access patterns fraud-detection/alerting consumers
-  need;
-- bounded retention per store (old events age out *with an explicit,
-  queryable floor* — consumers can detect and handle truncation, unlike
-  pubsub GC).
+  need.
 
 Each appended event is also a commit in ``history`` (key = series key,
 value = event), which is what the watch layers tail.
@@ -46,21 +43,17 @@ class IngestionStore:
 
     def __init__(
         self,
-        tso: Optional[TimestampOracle] = None,
         name: str = "ingest",
-        retention_events: Optional[int] = None,
         history_retention_commits: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.name = name
-        self.tso = tso or TimestampOracle()
+        self.tso = TimestampOracle()
         self.history = ChangeHistory(retention_commits=history_retention_commits)
         self._clock = clock or (lambda: 0.0)
-        self._retention_events = retention_events
         self._events: List[Event] = []  # version order == append order
         self._by_series: Dict[Key, List[Event]] = {}
         self._series_sorted: List[Key] = []
-        self._evicted_below: Version = 0
         self.bytes_written = 0
 
     # ------------------------------------------------------------------
@@ -90,19 +83,7 @@ class IngestionStore:
                 commit_time=event.time,
             )
         )
-        if self._retention_events is not None and len(self._events) > self._retention_events:
-            self._evict(len(self._events) - self._retention_events)
         return event
-
-    def _evict(self, n: int) -> None:
-        evicted = self._events[:n]
-        del self._events[:n]
-        if evicted:
-            self._evicted_below = evicted[-1].version + 1
-        for event in evicted:
-            per_series = self._by_series.get(event.series)
-            if per_series and per_series[0].version == event.version:
-                per_series.pop(0)
 
     # ------------------------------------------------------------------
     # queries
@@ -110,12 +91,6 @@ class IngestionStore:
     @property
     def last_version(self) -> Version:
         return self.tso.last
-
-    @property
-    def retained_floor(self) -> Version:
-        """Versions >= this are fully retained (explicit, queryable —
-        contrast with pubsub GC, which is silent to consumers)."""
-        return self._evicted_below
 
     def __len__(self) -> int:
         return len(self._events)

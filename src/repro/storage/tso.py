@@ -18,10 +18,8 @@ class TimestampOracle:
 
     __slots__ = ("_last",)
 
-    def __init__(self, start: Version = VERSION_ZERO) -> None:
-        if start < VERSION_ZERO:
-            raise ValueError(f"start version must be >= {VERSION_ZERO}")
-        self._last = start
+    def __init__(self) -> None:
+        self._last = VERSION_ZERO
 
     def next(self) -> Version:
         """Allocate and return the next version (strictly > all previous)."""

@@ -48,13 +48,21 @@ from repro.storage.tso import TimestampOracle
 WORKLOAD_PREFIX = "workload/"
 VM_PREFIX = "vm/"
 
+#: the event-driven coordinator: how often it re-reads its free-VM
+#: view, how often its full resync runs, and its per-event action time
+POLL_INTERVAL = 5.0
+FULL_SWEEP_INTERVAL = 30.0
+ACTION_TIME = 0.01
+#: seconds between the watch reconciler's passes
+RECONCILE_TICK = 0.5
+
 
 class ProvisioningWorld:
     """Desired + actual stores, churn helpers, and the ground truth."""
 
-    def __init__(self, sim: Simulation, tso: Optional[TimestampOracle] = None) -> None:
+    def __init__(self, sim: Simulation) -> None:
         self.sim = sim
-        tso = tso or TimestampOracle()
+        tso = TimestampOracle()
         self.desired = MVCCStore(tso=tso, name="desired", clock=sim.now)
         self.actual = MVCCStore(tso=tso, name="actual", clock=sim.now)
         self._next_vm = 0
@@ -165,15 +173,9 @@ class EventDrivenCoordinator:
         sim: Simulation,
         world: ProvisioningWorld,
         broker: Broker,
-        poll_interval: float = 5.0,
-        full_sweep_interval: float = 60.0,
-        action_time: float = 0.01,
     ) -> None:
         self.sim = sim
         self.world = world
-        self.action_time = action_time
-        self.poll_interval = poll_interval
-        self.full_sweep_interval = full_sweep_interval
         self._cached_free: List[Key] = []
         self.actions = 0
         self.misdirected_actions = 0  # acted on state that was stale
@@ -189,11 +191,11 @@ class EventDrivenCoordinator:
             SubscriptionConfig(routing=RoutingPolicy.RANDOM, ack_timeout=10.0),
         )
         self._consumer = Consumer(
-            sim, "coordinator", handler=self._on_event, service_time=action_time
+            sim, "coordinator", handler=self._on_event, service_time=ACTION_TIME
         )
         group.join(self._consumer)
-        sim.call_after(poll_interval, self._poll)
-        sim.call_after(full_sweep_interval, self._full_sweep)
+        sim.call_after(POLL_INTERVAL, self._poll)
+        sim.call_after(FULL_SWEEP_INTERVAL, self._full_sweep)
 
     # ------------------------------------------------------------------
     # event handling (acts on the event payload: the world as it *was*)
@@ -232,7 +234,7 @@ class EventDrivenCoordinator:
 
     def _poll(self) -> None:
         self._cached_free = self.world.free_live_vms()
-        self.sim.call_after(self.poll_interval, self._poll)
+        self.sim.call_after(POLL_INTERVAL, self._poll)
 
     # ------------------------------------------------------------------
     # the operational fallback: slow full resync
@@ -247,7 +249,7 @@ class EventDrivenCoordinator:
                 self.actions += 1
                 if not self.world.try_assign(vm_id, workload_id):
                     self.misdirected_actions += 1
-        self.sim.call_after(self.full_sweep_interval, self._full_sweep)
+        self.sim.call_after(FULL_SWEEP_INTERVAL, self._full_sweep)
 
 
 class WatchReconciler:
@@ -259,13 +261,9 @@ class WatchReconciler:
         world: ProvisioningWorld,
         desired_watchable,
         actual_watchable,
-        tick: float = 0.5,
-        action_time: float = 0.01,
     ) -> None:
         self.sim = sim
         self.world = world
-        self.tick = tick
-        self.action_time = action_time
         self.actions = 0
         self.misdirected_actions = 0
         self._desired_view = LinkedCache(
@@ -289,7 +287,7 @@ class WatchReconciler:
     def _loop(self):
         while True:
             self.reconcile_once()
-            yield Timeout(self.tick)
+            yield Timeout(RECONCILE_TICK)
 
     def reconcile_once(self) -> int:
         """One pass: free dead-VM assignments, fill deficits from the

@@ -17,17 +17,15 @@ consequences):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.obs.trace import hops
 from repro.pubsub.broker import Broker
 from repro.pubsub.consumer import Consumer
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RoutingPolicy, SubscriptionConfig
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import MetricsRegistry
 from repro.workqueue.state_cache import StateCache
-from repro.workqueue.tasks import Task, TaskStats
+from repro.workqueue.tasks import COLD_PENALTY, Task, TaskStats
 
 
 class PubsubWorkerPool:
@@ -40,45 +38,34 @@ class PubsubWorkerPool:
         topic: str = "tasks",
         num_workers: int = 4,
         routing: RoutingPolicy = RoutingPolicy.KEY,
-        cold_penalty: float = 0.02,
-        cache_capacity: int = 256,
-        num_partitions: int = 8,
-        ack_timeout: float = 30.0,
-        create_topic: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.sim = sim
         self.broker = broker
         self.topic = topic
-        self.cold_penalty = cold_penalty
-        self.metrics = metrics or broker.metrics
-        #: tasks are traced as (key=entity key, version=task_id) chains
-        self.tracer = tracer
         self.stats = TaskStats()
-        if create_topic:
-            broker.create_topic(topic, num_partitions=num_partitions)
+        broker.create_topic(topic, num_partitions=8)
         self.group = broker.consumer_group(
             topic,
             f"{topic}-workers",
-            SubscriptionConfig(routing=routing, ack_timeout=ack_timeout),
+            SubscriptionConfig(routing=routing, ack_timeout=30.0),
         )
         self.workers: List[Consumer] = []
         self.caches: Dict[str, StateCache] = {}
         self._completed_ids: set[int] = set()
         for idx in range(num_workers):
-            self._add_worker(f"worker-{idx}", cache_capacity)
+            self.add_worker(f"worker-{idx}")
 
-    def _add_worker(self, name: str, cache_capacity: int) -> Consumer:
-        cache = StateCache(cache_capacity)
+    def add_worker(self, name: str) -> Consumer:
+        """Join one more worker (scale out: KEY routing reshuffles keys)."""
+        cache = StateCache()
         self.caches[name] = cache
 
         def service_time(message: Message, cache: StateCache = cache) -> float:
             task = Task.from_payload(message.payload)
             warm = cache.contains(task.key)
-            return task.work if warm else task.work + self.cold_penalty
+            return task.work if warm else task.work + COLD_PENALTY
 
         def handler(message: Message, name: str = name, cache: StateCache = cache) -> bool:
             task = Task.from_payload(message.payload)
@@ -87,11 +74,6 @@ class PubsubWorkerPool:
             warm = cache.touch(task.key)
             self._completed_ids.add(task.task_id)
             self.stats.record(task, self.sim.now(), warm)
-            if self.tracer is not None:
-                self.tracer.record(
-                    hops.TASK_COMPLETE, name,
-                    key=task.key, version=task.task_id, worker=name,
-                )
             return True
 
         worker = Consumer(
@@ -106,16 +88,7 @@ class PubsubWorkerPool:
 
     def submit(self, task: Task) -> None:
         """Publish a task message."""
-        if self.tracer is not None:
-            self.tracer.record(
-                hops.TASK_ENQUEUE, "workqueue",
-                key=task.key, version=task.task_id, queue=self.topic,
-            )
         self.broker.publish(self.topic, task.key, task.payload())
-
-    def add_worker(self, name: str, cache_capacity: int = 256) -> Consumer:
-        """Scale out (triggers key-hash reshuffle for KEY routing)."""
-        return self._add_worker(name, cache_capacity)
 
     def crash_worker(self, name: str) -> None:
         """Worker failure; its unacked tasks redeliver after timeout."""

@@ -16,10 +16,10 @@ from collections import OrderedDict
 class StateCache:
     """Bounded LRU set of keys whose state is loaded."""
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    #: keys whose state one worker keeps loaded
+    capacity = 256
+
+    def __init__(self) -> None:
         self._entries: "OrderedDict[str, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -7,6 +7,10 @@ from typing import Dict, List, Optional
 
 from repro.sim.metrics import Histogram
 
+#: extra service time a worker pays for a task whose key's state is not
+#: in its cache (both pools)
+COLD_PENALTY = 0.05
+
 
 @dataclass(frozen=True)
 class Task:

@@ -21,15 +21,16 @@ from typing import Dict, List, Optional, Tuple
 
 from repro._types import Key, KeyRange
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
-from repro.obs.trace import hops
 from repro.sharding.assignment import Assignment
 from repro.sharding.autosharder import AutoSharder
 from repro.sim.kernel import Simulation, Timeout
-from repro.sim.metrics import MetricsRegistry
 from repro.storage.errors import ConflictError
 from repro.storage.kv import MVCCStore
 from repro.workqueue.state_cache import StateCache
-from repro.workqueue.tasks import Task, TaskStats
+from repro.workqueue.tasks import COLD_PENALTY, Task, TaskStats
+
+#: how long an idle worker waits before looking for a pending task again
+IDLE_POLL = 0.02
 
 
 def task_row_key(task: Task) -> Key:
@@ -49,7 +50,7 @@ class WatchWorker:
         self.sim = sim
         self.name = name
         self.pool = pool
-        self.state_cache = StateCache(pool.cache_capacity)
+        self.state_cache = StateCache()
         self._caches: Dict[KeyRange, LinkedCache] = {}
         self._owned_generation = -1
         self._skip: set[Key] = set()  # completed locally, event in flight
@@ -93,11 +94,11 @@ class WatchWorker:
                 continue
             picked = self._pick()
             if picked is None:
-                yield Timeout(self.pool.idle_poll)
+                yield Timeout(IDLE_POLL)
                 continue
             row_key, task = picked
             warm = self.state_cache.touch(task.key)
-            cost = task.work if warm else task.work + self.pool.cold_penalty
+            cost = task.work if warm else task.work + COLD_PENALTY
             # report load so the auto-sharder can split/move hot ranges
             # (the Slicer feedback loop, §4.3)
             self.pool.sharder.record_load(row_key, weight=cost)
@@ -106,11 +107,6 @@ class WatchWorker:
                 continue  # crashed mid-task: no completion write
             if self._complete(row_key) == "done":
                 self.pool.stats.record(task, self.sim.now(), warm)
-                if self.pool.tracer is not None:
-                    self.pool.tracer.record(
-                        hops.TASK_COMPLETE, self.name,
-                        key=task.key, version=task.task_id, worker=self.name,
-                    )
 
     def _pick(self) -> Optional[Tuple[Key, Task]]:
         """Choose the next pending task in our ranges, by policy."""
@@ -122,10 +118,8 @@ class WatchWorker:
                 if payload.get("state") != "pending" or row_key in self._skip:
                     continue
                 task = Task.from_payload(payload)
-                if self.pool.prioritize:
-                    rank = (1 if task.poison else 0, task.enqueued_at)
-                else:
-                    rank = (task.enqueued_at,)
+                # poison tasks go last, so they cannot starve the rest
+                rank = (1 if task.poison else 0, task.enqueued_at)
                 if best is None or rank < best[0]:
                     best = (rank, row_key, task)
         if best is None:
@@ -178,24 +172,11 @@ class WatchWorkerPool:
         watchable,
         sharder: AutoSharder,
         num_workers: int = 4,
-        cold_penalty: float = 0.02,
-        cache_capacity: int = 256,
-        prioritize: bool = True,
-        idle_poll: float = 0.02,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
     ) -> None:
         self.sim = sim
         self.store = store
         self.watchable = watchable
         self.sharder = sharder
-        self.cold_penalty = cold_penalty
-        self.cache_capacity = cache_capacity
-        self.prioritize = prioritize
-        self.idle_poll = idle_poll
-        self.metrics = metrics or MetricsRegistry()
-        #: tasks are traced as (key=entity key, version=task_id) chains
-        self.tracer = tracer
         self.stats = TaskStats()
         self.conflicts = 0
         self.workers: Dict[str, WatchWorker] = {}
@@ -214,11 +195,6 @@ class WatchWorkerPool:
 
     def submit(self, task: Task) -> None:
         """Write the task row; watchers pick it up."""
-        if self.tracer is not None:
-            self.tracer.record(
-                hops.TASK_ENQUEUE, "workqueue",
-                key=task.key, version=task.task_id, row=task_row_key(task),
-            )
         self.store.put(task_row_key(task), task.payload())
 
     def crash_worker(self, name: str) -> None:

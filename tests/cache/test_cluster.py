@@ -20,7 +20,7 @@ def cluster_setup(sim):
     nodes = [
         PubsubCacheNode(
             sim, f"n{i}", store, InvalidationMode.NAIVE,
-            config=CacheNodeConfig(fetch_latency=0.01),
+            config=CacheNodeConfig(),
         )
         for i in range(2)
     ]

@@ -17,7 +17,9 @@ from repro.sharding.leases import LeaseManager
 from repro.storage.kv import MVCCStore
 
 
-def build(sim, mode, num_nodes=2, leases=None, subscribe_nodes=True):
+def build(sim, mode, num_nodes=2, leases=None, learn_after=None):
+    """``learn_after``: per-node delays with which each node learns a
+    new assignment after the sharder's notification."""
     store = MVCCStore(clock=sim.now)
     broker = Broker(sim)
     sharder = AutoSharder(
@@ -28,13 +30,15 @@ def build(sim, mode, num_nodes=2, leases=None, subscribe_nodes=True):
     nodes = [
         PubsubCacheNode(
             sim, f"n{i}", store, mode, leases=leases,
-            config=CacheNodeConfig(fetch_latency=0.01),
+            config=CacheNodeConfig(),
         )
         for i in range(num_nodes)
     ]
-    pipeline = PubsubInvalidationPipeline(
-        sim, store, broker, sharder, nodes, subscribe_nodes=subscribe_nodes
-    )
+    for node, delay in zip(nodes, learn_after or ()):
+        node.on_assignment = lambda a, node=node, delay=delay: sim.call_after(
+            delay, lambda: PubsubCacheNode.on_assignment(node, a)
+        )
+    pipeline = PubsubInvalidationPipeline(sim, store, broker, sharder, nodes)
     return store, broker, sharder, nodes, pipeline
 
 
@@ -83,18 +87,11 @@ class TestFigure2Race:
         4. A later learns the reassignment and drops its (already
            invalidated) state.  B is never told.  B serves v1 forever.
         """
+        # controlled skew: B learns of an assignment after 0.02s, A after 0.5s
         store, broker, sharder, nodes, pipeline = build(
-            sim, InvalidationMode.OWNER_ACK, subscribe_nodes=False
+            sim, InvalidationMode.OWNER_ACK, learn_after=(0.5, 0.02)
         )
         node_a, node_b = nodes
-        # manual assignment subscriptions with controlled skew:
-        # B learns after 0.02s, A after 0.5s
-        sharder.subscribe(
-            lambda a: sim.call_after(0.5, lambda: node_a.on_assignment(a))
-        )
-        sharder.subscribe(
-            lambda a: sim.call_after(0.02, lambda: node_b.on_assignment(a))
-        )
         sim.run_for(1.0)
 
         store.put("x", "v1")
@@ -131,17 +128,11 @@ class TestFigure2Race:
         """The §3.2.2 mitigation: with leases, A cannot ack after the
         handoff (its lease is gone), so the invalidation keeps bouncing
         until B takes it."""
-        leases = LeaseManager(sim, lease_duration=0.2)
+        leases = LeaseManager(sim)
         store, broker, sharder, nodes, pipeline = build(
-            sim, InvalidationMode.LEASE, leases=leases, subscribe_nodes=False
+            sim, InvalidationMode.LEASE, leases=leases, learn_after=(0.5, 0.02)
         )
         node_a, node_b = nodes
-        sharder.subscribe(
-            lambda a: sim.call_after(0.5, lambda: node_a.on_assignment(a))
-        )
-        sharder.subscribe(
-            lambda a: sim.call_after(0.02, lambda: node_b.on_assignment(a))
-        )
         sharder.subscribe(leases.on_assignment)
         sim.run_for(1.0)
         store.put("x", "v1")
@@ -163,7 +154,7 @@ class TestFigure2Race:
 
 class TestLeaseAvailability:
     def test_no_holder_means_unavailable(self, sim):
-        leases = LeaseManager(sim, lease_duration=1.0)
+        leases = LeaseManager(sim)
         store, broker, sharder, nodes, _ = build(
             sim, InvalidationMode.LEASE, leases=leases
         )
@@ -192,7 +183,7 @@ class TestFreePipeline:
         nodes = [
             PubsubCacheNode(
                 sim, f"n{i}", store, InvalidationMode.NAIVE,
-                config=CacheNodeConfig(fetch_latency=0.01),
+                config=CacheNodeConfig(),
             )
             for i in range(3)
         ]

@@ -16,7 +16,7 @@ class TestServe:
     def test_miss_then_fill_then_hit(self, sim):
         store = MVCCStore()
         store.put("k", "v")
-        node = CacheNode(sim, "n", store, CacheNodeConfig(fetch_latency=0.1))
+        node = CacheNode(sim, "n", store, CacheNodeConfig())
         owned_all(node)
         status, value = node.serve("k")
         assert (status, value) == ("miss", None)
@@ -35,7 +35,7 @@ class TestServe:
     def test_concurrent_fills_deduped(self, sim):
         store = MVCCStore()
         store.put("k", "v")
-        node = CacheNode(sim, "n", store, CacheNodeConfig(fetch_latency=0.1))
+        node = CacheNode(sim, "n", store, CacheNodeConfig())
         owned_all(node)
         node.serve("k")
         node.serve("k")
@@ -53,7 +53,7 @@ class TestServe:
     def test_fill_aborts_if_range_lost(self, sim):
         store = MVCCStore()
         store.put("k", "v")
-        node = CacheNode(sim, "n", store, CacheNodeConfig(fetch_latency=1.0))
+        node = CacheNode(sim, "n", store, CacheNodeConfig())
         owned_all(node)
         node.serve("k")
         node.on_assignment(Assignment.single("other", generation=1))
@@ -91,7 +91,7 @@ class TestTTL:
         store = MVCCStore()
         store.put("k", "v1")
         node = CacheNode(
-            sim, "n", store, CacheNodeConfig(fetch_latency=0.01, ttl=1.0)
+            sim, "n", store, CacheNodeConfig(ttl=1.0)
         )
         owned_all(node)
         node.serve("k")
@@ -108,7 +108,7 @@ class TestTTL:
         store = MVCCStore()
         store.put("k", "v")
         node = CacheNode(
-            sim, "n", store, CacheNodeConfig(fetch_latency=0.01, ttl=1.0)
+            sim, "n", store, CacheNodeConfig(ttl=1.0)
         )
         owned_all(node)
         node.serve("k")
@@ -123,7 +123,7 @@ class TestOwnershipView:
         store = MVCCStore()
         store.put("b", 1)
         store.put("q", 2)
-        node = CacheNode(sim, "n", store, CacheNodeConfig(fetch_latency=0.01))
+        node = CacheNode(sim, "n", store, CacheNodeConfig())
         owned_all(node)
         node.serve("b")
         node.serve("q")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.causal import CausalBuffer, CausalBufferConfig, CausalStamp
+from repro.causal import buffer as buffer_module
 from repro.obs import Tracer
 from repro.obs.trace import hops
 
@@ -102,13 +103,14 @@ def test_unstamped_updates_advance_watermark(sim):
     assert seen == [("a", 1), ("b", 2)]
 
 
-def test_overflow_force_releases_oldest(sim):
+def test_overflow_force_releases_oldest(sim, monkeypatch):
+    monkeypatch.setattr(buffer_module, "MAX_HELD", 2)
     seen, deliver = _collector()
-    buf = CausalBuffer(sim, CausalBufferConfig(hold_deadline=10.0, max_held=2))
+    buf = CausalBuffer(sim, CausalBufferConfig(hold_deadline=10.0))
     buf.submit("b", 2, CausalStamp(2, (("a", 1),)), deliver("b", 2))
     buf.submit("c", 3, CausalStamp(3, (("a", 1),)), deliver("c", 3))
     buf.submit("d", 4, CausalStamp(4, (("x", 1),)), deliver("d", 4))
-    # third hold overflows max_held=2: the oldest (b) is force-released
+    # third hold overflows MAX_HELD=2: the oldest (b) is force-released
     assert buf.released_overflow == 1
     assert seen == [("b", 2)]
     assert buf.held_count == 2
@@ -138,5 +140,3 @@ def test_held_and_released_hops_traced(sim):
 def test_config_validation():
     with pytest.raises(ValueError):
         CausalBufferConfig(hold_deadline=0.0)
-    with pytest.raises(ValueError):
-        CausalBufferConfig(max_held=0)

@@ -9,7 +9,7 @@ from repro.storage.kv import MVCCStore
 
 def test_stamps_record_recent_commits_as_deps(sim):
     store = MVCCStore(clock=sim.now)
-    stamper = CausalStamper(window=4)
+    stamper = CausalStamper()
     stamper.observe_store(store)
 
     v1 = store.put("a", {"v": 1})
@@ -23,31 +23,32 @@ def test_stamps_record_recent_commits_as_deps(sim):
 
 def test_window_bounds_dep_list(sim):
     store = MVCCStore(clock=sim.now)
-    stamper = CausalStamper(window=2)
+    stamper = CausalStamper()
     stamper.observe_store(store)
 
-    versions = {k: store.put(k, {}) for k in ("a", "b", "c", "d")}
-    stamp = stamper.index.lookup("d", versions["d"])
-    # window=2: only the two most recent prior commits survive
-    assert stamp.deps == (("b", versions["b"]), ("c", versions["c"]))
+    versions = {k: store.put(k, {}) for k in "abcdef"}
+    stamp = stamper.index.lookup("f", versions["f"])
+    # a window of 4: only the four most recent prior commits survive
+    assert stamp.deps == tuple((k, versions[k]) for k in "bcde")
 
 
 def test_rewrite_moves_key_to_window_front(sim):
     store = MVCCStore(clock=sim.now)
-    stamper = CausalStamper(window=2)
+    stamper = CausalStamper()
     stamper.observe_store(store)
 
-    store.put("a", {})
-    store.put("b", {})
+    for key in "abcd":
+        store.put(key, {})
     va = store.put("a", {})  # re-write: "a" re-enters at the front
-    vc = store.put("c", {})
-    stamp = stamper.index.lookup("c", vc)
+    store.put("e", {})  # evicts "b", the oldest, not "a"
+    vf = store.put("f", {})
+    stamp = stamper.index.lookup("f", vf)
     assert ("a", va) in stamp.deps
 
 
 def test_txn_writes_share_deps_and_exclude_each_other(sim):
     store = MVCCStore(clock=sim.now)
-    stamper = CausalStamper(window=4)
+    stamper = CausalStamper()
     stamper.observe_store(store)
 
     v0 = store.put("x", {})
@@ -71,7 +72,7 @@ def test_stamp_round_trips_on_the_wire():
 def test_stamper_traces_causal_stamp_hops(sim):
     store = MVCCStore(clock=sim.now)
     tracer = Tracer(sim)
-    stamper = CausalStamper(window=4, tracer=tracer)
+    stamper = CausalStamper(tracer=tracer)
     stamper.observe_store(store)
     v = store.put("k", {"v": 1})
     events = [e for e in tracer.log.events() if e.hop == hops.CAUSAL_STAMP]

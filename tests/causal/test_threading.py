@@ -57,7 +57,7 @@ def _payload(version, value, stamp=None):
 def test_cdc_publisher_stamps_payloads_from_index(sim):
     store = MVCCStore(clock=sim.now)
     stamps = StampIndex()
-    CausalStamper(window=2, index=stamps).observe_store(store)
+    CausalStamper(index=stamps).observe_store(store)
     broker = Broker(sim)
     broker.create_topic("cdc", num_partitions=1)
     CdcPublisher(

@@ -55,15 +55,6 @@ class TestDirectBridge:
         versions = [e.version for e in ingester.events]
         assert versions == sorted(versions)
 
-    def test_jitter_does_not_reorder(self, sim):
-        store = MVCCStore()
-        ingester = RecordingIngester()
-        DirectIngestBridge(sim, store.history, ingester, latency=0.01, jitter=0.2)
-        for i in range(30):
-            store.put("k", i)
-        sim.run_for(5.0)
-        assert [e.mutation.value for e in ingester.events] == list(range(30))
-
     def test_periodic_whole_keyspace_progress(self, sim):
         store = MVCCStore()
         ingester = RecordingIngester()
@@ -91,7 +82,6 @@ class TestPartitionedBridge:
         ingester = RecordingIngester()
         PartitionedIngestBridge(
             sim, store.history, ingester, even_ranges(4),
-            jitter=0.01,
         )
         for i in range(40):
             store.put(f"{'az'[i % 2]}key", i)
@@ -149,7 +139,7 @@ class TestPartitionedBridge:
 
         PartitionedIngestBridge(
             sim, store.history, OrderIngester(), even_ranges(3),
-            progress_interval=0.3, jitter=0.02,
+            progress_interval=0.3,
         )
         for i in range(60):
             store.put(f"{'amz'[i % 3]}k", i)

@@ -72,7 +72,7 @@ def build(sim, mode, stagger=0.03, causal_hold=0.5):
     so pointers systematically overtake the data they reference."""
     store = MVCCStore(clock=sim.now)
     stamps = StampIndex()
-    CausalStamper(window=2, index=stamps).observe_store(store)
+    CausalStamper(index=stamps).observe_store(store)
     source = WatchSystem(sim, name="source")
     PartitionedIngestBridge(
         sim, store.history, source,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro._types import KeyRange
+from repro.edge import frontend as frontend_module
 from repro.edge.client import EdgeClient
 from repro.edge.frontend import EdgeFrontendConfig, PubsubEdgeFrontend
 from repro.edge.session import SessionConfig, SlowConsumerPolicy
@@ -93,8 +94,12 @@ def test_reconnect_replays_log_from_offset_cursor(sim):
     assert client.state == latest(100)
 
 
-def test_replay_and_live_paths_never_duplicate(sim):
-    broker, frontend = build(sim, replay_batch=8, replay_latency=0.01)
+def test_replay_and_live_paths_never_duplicate(sim, monkeypatch):
+    # small, slow replay batches so the replay is still running when the
+    # live traffic below arrives
+    monkeypatch.setattr(frontend_module, "REPLAY_BATCH", 8)
+    monkeypatch.setattr(frontend_module, "REPLAY_LATENCY", 0.01)
+    broker, frontend = build(sim)
     client = EdgeClient(sim, "c0", StaticPlacement(frontend), reconnect_delay=0.2)
     client.connect()
     sim.run(until=0.5)

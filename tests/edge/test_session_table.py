@@ -9,7 +9,17 @@ must hold per session *and* across 100k sessions summed in C.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro._types import KeyRange
 from repro.edge.session import ClientSession, SessionConfig, SlowConsumerPolicy, Update
@@ -398,3 +408,166 @@ def test_sampler_keeps_every_nth():
     kept = [i for i in range(12) if sampler.keep(i)]
     assert kept == [0, 4, 8]
     assert all(TraceSampler().keep(i) for i in range(5))  # default: all
+
+
+# ----------------------------------------------------------------------
+# stateful model: the table against a dict-of-deques reference
+
+_TICK = 1.0
+
+
+class _QueueSession:
+    """Stand-in for ``ClientSession`` as the shared drain sees it: a
+    queue the pump drains one item per visit, re-kicking itself while
+    items remain."""
+
+    def __init__(self, machine, name):
+        self.machine = machine
+        self.name = name
+        self.queue = deque()
+        self.released = False
+        self.sid = machine.table.attach(self)
+
+    def _deliver_next(self):
+        assert not self.released, f"released session {self.name} delivered"
+        self.queue.popleft()
+        table = self.machine.table
+        table.delivered[self.sid] += 1
+        self.machine.visited.append(self.name)
+        if self.queue:
+            table.enqueue_ready(self.sid)
+
+
+class SessionTableMachine(RuleBasedStateMachine):
+    """Slot reuse with generations, the tri-state ready link and the
+    shared-drain pump, checked against plain dicts and deques.
+
+    The reference ready list is the link order: a session's first
+    enqueue appends its sid; enqueueing a sid still on the list — armed,
+    or stale because its slot was released — re-arms it in place; a
+    release marks a listed sid stale; the pump walks the list and serves
+    one item to every armed sid's session, whose re-kick goes onto the
+    next tick's list."""
+
+    def __init__(self):
+        super().__init__()
+        self.sim = Simulation()
+        self.table = SessionTable(sim=self.sim, drain_interval=_TICK)
+        self.live = {}  # name -> _QueueSession
+        self.names = 0
+        self.visited = []
+        # the reference
+        self.queues = {}  # name -> deque of queued items
+        self.occupant = {}  # sid -> name of the live session there
+        self.free = []
+        self.capacity = 0
+        self.generation = {}
+        self.offered = {}
+        self.delivered = {}
+        self.ready = []  # [sid, armed] in link order
+
+    def _ref_enqueue(self, sid):
+        for link in self.ready:
+            if link[0] == sid:
+                link[1] = True
+                return
+        self.ready.append([sid, True])
+
+    @rule()
+    def attach(self):
+        name = f"s{self.names}"
+        self.names += 1
+        if self.free:
+            sid = self.free.pop()
+        else:
+            sid = self.capacity
+            self.capacity += 1
+            self.generation[sid] = 0
+        session = _QueueSession(self, name)
+        assert session.sid == sid
+        self.live[name] = session
+        self.queues[name] = deque()
+        self.occupant[sid] = name
+        self.offered[sid] = 0
+        self.delivered[sid] = 0
+
+    @precondition(lambda self: self.live)
+    @rule(pick=st.integers(0, 63), items=st.integers(1, 3))
+    def offer(self, pick, items):
+        name = sorted(self.live)[pick % len(self.live)]
+        session = self.live[name]
+        for _ in range(items):
+            session.queue.append(name)
+            self.table.offered[session.sid] += 1
+            self.table.enqueue_ready(session.sid)
+            self.queues[name].append(name)
+            self.offered[session.sid] += 1
+            self._ref_enqueue(session.sid)
+
+    @precondition(lambda self: self.live)
+    @rule(pick=st.integers(0, 63))
+    def release(self, pick):
+        name = sorted(self.live)[pick % len(self.live)]
+        session = self.live.pop(name)
+        self.table.release(session.sid)
+        session.released = True
+        del self.queues[name]
+        del self.occupant[session.sid]
+        self.free.append(session.sid)
+        self.generation[session.sid] += 1
+        for link in self.ready:
+            if link[0] == session.sid:
+                link[1] = False
+
+    @rule()
+    def pump(self):
+        expected = []
+        next_ready = []
+        for sid, armed in self.ready:
+            if not armed:
+                continue
+            name = self.occupant[sid]
+            queue = self.queues[name]
+            queue.popleft()
+            self.delivered[sid] += 1
+            expected.append(name)
+            if queue:
+                next_ready.append([sid, True])
+        self.ready = next_ready
+        visits = self.table.pump_visits
+        self.visited = []
+        self.sim.run(until=self.sim.now() + _TICK)
+        assert self.visited == expected
+        assert self.table.pump_visits - visits == len(expected)
+
+    @invariant()
+    def each_ready_session_visited_once_per_pump(self):
+        assert len(self.visited) == len(set(self.visited))
+
+    @invariant()
+    def slots_match(self):
+        assert self.table.capacity == self.capacity
+        assert self.table.active == len(self.live)
+        for sid in range(self.capacity):
+            assert self.table.generation[sid] == self.generation[sid]
+            name = self.occupant.get(sid)
+            session = self.table.session(sid)
+            assert (session and session.name) == name
+
+    @invariant()
+    def queues_match(self):
+        for name, session in self.live.items():
+            assert list(session.queue) == list(self.queues[name])
+
+    @invariant()
+    def totals_match(self):
+        totals = self.table.totals()
+        assert totals["offered"] == sum(self.offered.values())
+        assert totals["delivered"] == sum(self.delivered.values())
+        assert totals["coalesced"] == totals["dropped"] == 0
+
+
+TestSessionTableModel = SessionTableMachine.TestCase
+TestSessionTableModel.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)

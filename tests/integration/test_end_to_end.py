@@ -104,7 +104,6 @@ class TestHeterogeneousReplication:
         checker.attach_target(target)
         replicator = WatchReplicator(
             sim, store, ws, target, even_ranges(3),
-            service_time=0.0005, snapshot_latency=0.01,
         )
         replicator.start()
         writer = WriteStream(
@@ -129,7 +128,7 @@ class TestDeterminism:
             ws = WatchSystem(sim)
             PartitionedIngestBridge(
                 sim, store.history, ws, even_ranges(3),
-                progress_interval=0.2, jitter=0.01,
+                progress_interval=0.2,
             )
             cache = LinkedCache(
                 sim, ws,

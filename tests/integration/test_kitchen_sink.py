@@ -89,7 +89,6 @@ def test_everything_converges(seed):
     checker.attach_target(target)
     replicator = WatchReplicator(
         sim, store, ws, target, even_ranges(4),
-        service_time=0.0005, snapshot_latency=0.02,
     )
     replicator.start()
 

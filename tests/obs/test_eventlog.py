@@ -1,5 +1,6 @@
 """EventLog: ring bound, drop accounting, and the JSONL round trip."""
 
+from repro.obs import eventlog
 from repro.obs.eventlog import EventLog, TraceEvent
 
 
@@ -12,26 +13,22 @@ def _event(seq: int, hop: str = "store.commit", **attrs) -> TraceEvent:
 
 class TestRing:
     def test_appends_and_lengths(self):
-        log = EventLog(max_events=10)
+        log = EventLog()
         for i in range(7):
             log.append(_event(i))
         assert len(log) == 7
         assert log.appended == 7
         assert log.dropped == 0
 
-    def test_ring_evicts_oldest(self):
-        log = EventLog(max_events=3)
+    def test_ring_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(eventlog, "MAX_EVENTS", 3)
+        log = EventLog()
         for i in range(10):
             log.append(_event(i))
         assert len(log) == 3
         assert log.appended == 10
         assert log.dropped == 7
         assert [e.seq for e in log] == [7, 8, 9]
-
-    def test_rejects_nonpositive_bound(self):
-        import pytest
-        with pytest.raises(ValueError):
-            EventLog(max_events=0)
 
 
 class TestJsonl:

@@ -12,7 +12,7 @@ bounded-hold deadline — and checks the tier's formal contract:
    order extends causal order.
 2. **conservation** — every submitted update is delivered or currently
    held; nothing is dropped or duplicated by the gate itself.
-3. **bounded hold** — the held set never exceeds ``max_held``, and
+3. **bounded hold** — the held set never exceeds ``MAX_HELD``, and
    after quiescence (everything submitted, two deadlines of idle time)
    the buffer is empty: the gate never wedges, even when deps are lost
    upstream forever.
@@ -30,6 +30,7 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
+from repro.causal import buffer as buffer_module
 from repro.causal.buffer import CausalBuffer, CausalBufferConfig
 from repro.causal.stamp import CausalStamp
 from repro.sim.kernel import Simulation
@@ -44,9 +45,12 @@ class CausalMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.sim = Simulation(seed=1234)
+        # a small bound, so overflow releases happen
+        self._max_held = buffer_module.MAX_HELD
+        buffer_module.MAX_HELD = MAX_HELD
         self.buffer = CausalBuffer(
             self.sim,
-            CausalBufferConfig(hold_deadline=HOLD, max_held=MAX_HELD),
+            CausalBufferConfig(hold_deadline=HOLD),
             name="model",
         )
         # the commit side (what a CausalStamper sees): a monotone
@@ -141,13 +145,16 @@ class CausalMachine(RuleBasedStateMachine):
         # quiescence: submit the stragglers (in commit order), then give
         # the deadline wheel two full periods to force out anything
         # whose deps were dropped upstream
-        for update in self.pending:
-            self._submit(update)
-        self.pending = []
-        self.sim.run_for(2 * HOLD + 0.1)
-        assert self.buffer.held_count == 0
-        assert self.delivered == self.submitted
-        assert self.violations == self._forced()
+        try:
+            for update in self.pending:
+                self._submit(update)
+            self.pending = []
+            self.sim.run_for(2 * HOLD + 0.1)
+            assert self.buffer.held_count == 0
+            assert self.delivered == self.submitted
+            assert self.violations == self._forced()
+        finally:
+            buffer_module.MAX_HELD = self._max_held
 
 
 TestCausalModel = CausalMachine.TestCase

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.reconcile.framework import (
+    OP_LATENCY,
     Reconciler,
-    ReconcilerConfig,
     SingleWriterViolation,
 )
 from repro.sim.kernel import Simulation
@@ -38,7 +38,7 @@ SCOPES = ("s0", "s1", "s2", "s3")
 class _SharedStateReconciler(Reconciler):
     """Reconciler over a shared 'actual state': the corrupted-scope set.
 
-    Repair completes after ``op_latency`` on the sim clock, like the
+    Repair completes after ``OP_LATENCY`` on the sim clock, like the
     real reconcilers — so a claim stays held across interleaved rounds
     until the clock advances past the completion."""
 
@@ -59,7 +59,7 @@ class _SharedStateReconciler(Reconciler):
             self.corrupted.discard(scope)
             self.finish(scope, op_id, True)
 
-        self.sim.call_after(self.config.op_latency, done)
+        self.sim.call_after(OP_LATENCY, done)
 
 
 class ReconcilerMachine(RuleBasedStateMachine):
@@ -68,15 +68,10 @@ class ReconcilerMachine(RuleBasedStateMachine):
         self.sim = Simulation(seed=3)
         self.corrupted = set()
         self.corruptions = 0
-        config = ReconcilerConfig(tick=0.5)
-        self.r1 = _SharedStateReconciler(
-            self.sim, self.corrupted, name="r1", config=config,
-        )
-        self.r2 = _SharedStateReconciler(
-            self.sim, self.corrupted, name="r2",
-            table=self.r1.table, config=config,
-        )
-        self.table = self.r1.table
+        self.r1 = _SharedStateReconciler(self.sim, self.corrupted, name="r1")
+        self.r2 = _SharedStateReconciler(self.sim, self.corrupted, name="r2")
+        # one scope table, as reconcilers sharing a status store have
+        self.table = self.r2.table = self.r1.table
 
     # ------------------------------------------------------------------
     # rules: arbitrary interleavings of corruption, rounds, and time

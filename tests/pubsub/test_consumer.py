@@ -57,20 +57,6 @@ class TestProcessing:
         # FIFO: fast waits behind slow — head-of-line blocking
         assert done == [("slow", 5.0), ("fast", 5.5)]
 
-    def test_queue_capacity_nacks_overflow(self, sim):
-        # capacity counts queued items; the first stays queued until the
-        # processing loop starts, so both later deliveries are refused
-        consumer = Consumer(sim, "c", service_time=10.0, queue_capacity=1)
-        outcomes = []
-        for i in range(3):
-            consumer.deliver(msg(i, offset=i), ack=lambda: outcomes.append("ack"),
-                             nack=lambda: outcomes.append("nack"))
-        sim.run(until=5.0)
-        assert outcomes.count("nack") == 2
-        assert outcomes.count("ack") == 0
-        sim.run(until=15.0)
-        assert outcomes.count("ack") == 1  # the accepted one completes
-
 
 class TestCrashRecover:
     def test_crash_loses_queue_no_acks(self, sim):

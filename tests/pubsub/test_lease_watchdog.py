@@ -5,8 +5,8 @@ oldest lease; ``tests/pubsub/reference_subscription.py`` restores one
 ``call_after(ack_timeout, ...)`` timer per delivery.  Hypothesis writes
 the programs — several partitions, several subscriptions dispatching at
 one instant, crashes and recoveries (also mid-service), nacks,
-``seek``, ``remove_member``, dead-lettering after ``max_attempts``,
-``queue_capacity`` refusals, delivery jitter and grouped deliveries —
+``seek``, ``remove_member``, dead-lettering after ``max_attempts``
+and grouped deliveries —
 and both must produce the same delivery log ``(time, subscription,
 member, offset, attempts)`` with its ack/nack/gap records, the same
 handler calls, counters and DLQ contents, and the same clock after an
@@ -58,18 +58,13 @@ def _subscription(draw):
         max_inflight_per_partition=draw(st.sampled_from([1, 2, 4, 64])),
         ack_timeout=ack_timeout,
         delivery_latency=latency,
-        delivery_jitter=draw(st.sampled_from([0.0, 0.0, 0.05])),
         dead_letter=draw(st.none() | st.builds(
             DeadLetterPolicy, dlq_topic=st.just("dlq"),
             max_attempts=st.integers(1, 4),
         )),
         max_delivery_batch=draw(st.sampled_from([1, 1, 3])),
     )
-    # a refusal redelivers after the delivery latency: with none, a full
-    # queue would refuse the same message forever at one instant
-    capacities = st.sampled_from([None, None, 1, 3]) if latency else st.just(None)
-    consumers = draw(st.lists(capacities, min_size=1, max_size=3))
-    return config, service_time, consumers
+    return config, service_time, draw(st.integers(1, 3))
 
 
 _SPECS = st.tuples(
@@ -116,7 +111,7 @@ class _World:
         self.subs = []
         self.consumers = []  # (subscription, consumer)
         self.published = 0
-        for i, (config, service_time, capacities) in enumerate(subscriptions):
+        for i, (config, service_time, members) in enumerate(subscriptions):
             name = f"s{i}"
             sub = subscription_cls(
                 sim, name, self.topic, config=config, tracer=self,
@@ -124,10 +119,10 @@ class _World:
                     (sim.now(), name, m.partition, m.offset, m.payload)
                 ),
             )
-            for j, capacity in enumerate(capacities):
+            for j in range(members):
                 consumer = Consumer(
                     sim, f"{name}c{j}", handler=self._handler(f"{name}c{j}", name),
-                    service_time=service_time, queue_capacity=capacity,
+                    service_time=service_time,
                 )
                 sub.add_member(consumer)
                 consumer.on_recover(sub.pump_all)
@@ -210,7 +205,7 @@ def _assert_same(spec, program) -> None:
 
 _CRASHY = (
     1,
-    [(SubscriptionConfig(ack_timeout=70.0), 0.3, [None, None])],
+    [(SubscriptionConfig(ack_timeout=70.0), 0.3, 2)],
     0,
 )
 
@@ -229,8 +224,8 @@ _CRASHY = (
 # redeliver to nobody, then to the recovered members, in lease order
 @example(
     (3, [
-        (SubscriptionConfig(ack_timeout=0.5, routing=RoutingPolicy.KEY), 0.0, [None]),
-        (SubscriptionConfig(ack_timeout=0.5), 0.0, [None, None]),
+        (SubscriptionConfig(ack_timeout=0.5, routing=RoutingPolicy.KEY), 0.0, 1),
+        (SubscriptionConfig(ack_timeout=0.5), 0.0, 2),
     ], 0),
     [
         ("publish", 6, 3), ("run", 0.0), ("crash", 0), ("crash", 1),
@@ -242,21 +237,21 @@ def test_watchdog_is_indistinguishable_from_per_message_timers(spec, program):
     _assert_same(spec, program)
 
 
-def test_dead_letters_and_refusals_match_reference():
+def test_dead_letters_match_reference():
     """Fixed program: max_attempts exhausted while every member is down
-    (deliveries in flight are dropped, then leases expire to nobody), and
-    one-slot queues refusing single and grouped deliveries."""
+    (deliveries in flight are dropped, then leases expire to nobody),
+    beside a subscription making grouped deliveries."""
     spec = (
         2,
         [
             (
                 SubscriptionConfig(
-                    ack_timeout=0.125, delivery_jitter=0.05,
+                    ack_timeout=0.125,
                     dead_letter=DeadLetterPolicy("dlq", max_attempts=2),
                 ),
-                0.002, [1, None],
+                0.002, 2,
             ),
-            (SubscriptionConfig(ack_timeout=0.5, max_delivery_batch=3), 0.0, [1]),
+            (SubscriptionConfig(ack_timeout=0.5, max_delivery_batch=3), 0.0, 1),
         ],
         3,
     )
@@ -271,4 +266,4 @@ def test_dead_letters_and_refusals_match_reference():
     assert world.dlq and world.subs[0].dead_lettered == len(world.dlq)
     nacks = sum(1 for entry in world.log if entry[1] == "pubsub.nack")
     failed = sum(c.failed for _, c in world.consumers)
-    assert 0 < failed < nacks  # handler failures, and refusals on top
+    assert 0 < failed == nacks  # every nack is a handler failure

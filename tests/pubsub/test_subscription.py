@@ -55,20 +55,6 @@ class TestDelivery:
         sim.run_for(5.0)
         assert counts == {"g1": 30, "g2": 30}
 
-    def test_start_at_end_skips_history(self, sim):
-        broker = make_broker(sim, num_partitions=1)
-        for i in range(10):
-            broker.publish("t", None, i)
-        sim.run_for(1.0)
-        group = broker.consumer_group(
-            "t", "late", SubscriptionConfig(start_at_end=True)
-        )
-        got = []
-        group.join(Consumer(sim, "c", handler=lambda m: got.append(m.payload)))
-        broker.publish("t", None, "new")
-        sim.run_for(1.0)
-        assert got == ["new"]
-
 
 class TestRouting:
     def test_key_routing_affine(self, sim):

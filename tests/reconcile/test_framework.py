@@ -4,9 +4,11 @@ import pytest
 
 from repro.obs import TraceIndex, Tracer
 from repro.obs.trace import hops
+from repro.reconcile import framework
 from repro.reconcile.framework import (
+    OP_LATENCY,
+    RETRY,
     Reconciler,
-    ReconcilerConfig,
     ScopeTable,
     SingleWriterViolation,
 )
@@ -47,7 +49,7 @@ class FakeReconciler(Reconciler):
                 self.diverged.discard(scope)
                 self.finish(scope, op_id, True)
 
-        self.sim.call_after(self.config.op_latency, done)
+        self.sim.call_after(OP_LATENCY, done)
 
 
 class TestScopeTable:
@@ -101,8 +103,7 @@ class TestScopeTable:
 class TestReconcilerLoop:
     def test_repairs_diverged_scopes_and_converges(self):
         sim = Simulation(seed=1)
-        r = FakeReconciler(sim, diverged={"a", "b"},
-                           config=ReconcilerConfig(tick=0.5))
+        r = FakeReconciler(sim, diverged={"a", "b"})
         r.start()
         sim.run(until=5.0)
         assert r.repairs == 2 and not r.diverged
@@ -125,7 +126,7 @@ class TestReconcilerLoop:
         r = FakeReconciler(sim, diverged=set(), fail_scopes={"bad"})
         r.start()
         sim.run(until=10.0)
-        assert len(r.executed) == r.config.retry.max_attempts
+        assert len(r.executed) == RETRY.max_attempts
         assert r.giveups == 1
         assert r.table.record("bad").terminal_error == "boom"
         # terminal scopes are skipped forever after
@@ -133,11 +134,10 @@ class TestReconcilerLoop:
         sim.run(until=20.0)
         assert len(r.executed) == executed
 
-    def test_hung_op_times_out(self):
+    def test_hung_op_times_out(self, monkeypatch):
+        monkeypatch.setattr(framework, "OP_TIMEOUT", 1.0)
         sim = Simulation(seed=1)
-        config = ReconcilerConfig(tick=0.5, op_timeout=1.0)
-        r = FakeReconciler(sim, diverged=set(), hang_scopes={"hung"},
-                           config=config)
+        r = FakeReconciler(sim, diverged=set(), hang_scopes={"hung"})
         r.start()
         sim.run(until=15.0)
         assert r.timeouts >= 1
@@ -154,10 +154,10 @@ class TestReconcilerLoop:
 
     def test_two_reconcilers_never_double_claim(self):
         sim = Simulation(seed=1)
-        table = ScopeTable()
         shared = {"s"}
-        first = FakeReconciler(sim, diverged=shared, table=table, name="r1")
-        second = FakeReconciler(sim, diverged=shared, table=table, name="r2")
+        first = FakeReconciler(sim, diverged=shared, name="r1")
+        second = FakeReconciler(sim, diverged=shared, name="r2")
+        table = second.table = first.table
         # same tick: both plan the same diverged scope in one round
         first.start()
         second.start()

@@ -17,7 +17,6 @@ from repro.edge.placement import SessionPlacement
 from repro.reconcile import (
     AntiEntropyReconciler,
     EdgeReconciler,
-    ReconcilerConfig,
     StateCorruptor,
     shard_scopes,
 )
@@ -44,7 +43,6 @@ class TestAntiEntropy:
         shards = shard_scopes(2)
         reconciler = AntiEntropyReconciler(
             sim, store, replica, shards, checker=checker,
-            config=ReconcilerConfig(tick=0.5),
         )
         corruptor = StateCorruptor(
             sim, source=store, replica=replica, shards=shards,
@@ -127,7 +125,6 @@ class TestEdgeReconciler:
             sim, clients, frontends,
             head_fn=lambda: store.last_version,
             sharder=placement.sharder,
-            config=ReconcilerConfig(tick=0.5),
         )
         corruptor = StateCorruptor(
             sim, source=store, clients=clients, frontends=frontends,

@@ -29,7 +29,6 @@ def build(sim):
     checker.attach_target(target)
     replicator = WatchReplicator(
         sim, store, ws, target, even_ranges(4),
-        service_time=0.0005, snapshot_latency=0.05,
     )
     replicator.start()
     return store, ws, target, checker, replicator

@@ -11,7 +11,7 @@ from repro.replication.watch_replicator import WatchReplicator
 from repro.storage.kv import MVCCStore
 
 
-def build(sim, ranges_n=4, **kwargs):
+def build(sim, ranges_n=4):
     store = MVCCStore(clock=sim.now)
     ws = WatchSystem(sim)
     PartitionedIngestBridge(
@@ -22,8 +22,6 @@ def build(sim, ranges_n=4, **kwargs):
     checker.attach_target(target)
     replicator = WatchReplicator(
         sim, store, ws, target, even_ranges(ranges_n),
-        service_time=kwargs.pop("service_time", 0.0005),
-        snapshot_latency=0.01,
     )
     return store, ws, target, checker, replicator
 
@@ -104,7 +102,7 @@ class TestPointInTimeConsistency:
 
 class TestLagAndBacklog:
     def test_lag_reports_distance(self, sim):
-        store, ws, target, checker, replicator = build(sim, service_time=0.5)
+        store, ws, target, checker, replicator = build(sim)
         replicator.start()
         sim.run_for(0.5)
         for i in range(20):

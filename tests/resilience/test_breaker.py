@@ -108,20 +108,6 @@ class TestHalfOpen:
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
 
-    def test_success_threshold_requires_multiple_probes(self, sim):
-        breaker, _ = make_breaker(
-            sim,
-            failure_threshold=1, cooldown=1.0,
-            half_open_probes=2, success_threshold=2,
-        )
-        breaker.record_failure()
-        advance(sim, 1.0)
-        assert breaker.allow() and breaker.allow()
-        breaker.record_success()
-        assert breaker.state is BreakerState.HALF_OPEN
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-
 
 class TestBookkeeping:
     def test_transitions_are_recorded_with_times(self, sim):
@@ -145,5 +131,3 @@ class TestBookkeeping:
             CircuitBreakerConfig(cooldown=0.0)
         with pytest.raises(ValueError):
             CircuitBreakerConfig(half_open_probes=0)
-        with pytest.raises(ValueError):
-            CircuitBreakerConfig(success_threshold=0)

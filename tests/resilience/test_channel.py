@@ -203,31 +203,12 @@ class TestFailureModel:
         transmits = net.metrics.counter("resilience.tx.transmits").value
         return gaveup, sorted(received), transmits
 
-    def test_breaker_suppression_does_not_outlive_the_retry_deadline(self):
-        # regression: only a transmitted attempt's timeout checked the
-        # policy, so frames the open breaker kept suppressing never met
-        # their deadline — they gave up one per cooldown, the last at
-        # t=14.67 for a 2 s deadline
-        retry = RetryPolicy(
-            base_delay=0.05, max_delay=0.4, max_attempts=None, deadline=2.0
-        )
-        plain, _, _ = self._to_partitioned_link(retry, None)
-        broken, _, transmits = self._to_partitioned_link(
-            retry, CircuitBreakerConfig(failure_threshold=2, cooldown=1.0)
-        )
-        assert len(plain) == len(broken) == 12
-        assert max(t for _, t in plain) < 2.5
-        # a suppressed frame gives up at its first timeout past the
-        # deadline, which waits out at most one cooldown
-        assert all(2.0 <= t <= 3.0 for _, t in broken)
-        assert transmits < 2 * 12  # suppressed attempts stayed off the wire
-
     def test_breaker_suppression_spends_no_attempt_budget(self):
         # two attempts each, the breaker open for ~1 s: only the frames
         # that went out as half-open probes spend their second attempt
         # and give up; every other frame is delivered after the heal
         gaveup, received, _ = self._to_partitioned_link(
-            RetryPolicy(base_delay=0.05, max_delay=0.4, max_attempts=2, deadline=5.0),
+            RetryPolicy(base_delay=0.05, max_delay=0.4, max_attempts=2),
             CircuitBreakerConfig(failure_threshold=1, cooldown=0.3),
             heal_at=1.0,
         )

@@ -37,17 +37,12 @@ class TestRetryPolicy:
 
     def test_allows_attempt_bound(self):
         policy = RetryPolicy(max_attempts=3)
-        assert policy.allows(3, started_at=0.0, now=0.0)
-        assert not policy.allows(4, started_at=0.0, now=0.0)
-
-    def test_allows_deadline_bound(self):
-        policy = RetryPolicy(max_attempts=None, deadline=10.0)
-        assert policy.allows(50, started_at=0.0, now=9.9)
-        assert not policy.allows(2, started_at=0.0, now=10.0)
+        assert policy.allows(3)
+        assert not policy.allows(4)
 
     def test_unbounded_never_exhausts(self):
         policy = RetryPolicy.unbounded()
-        assert policy.allows(1_000_000, started_at=0.0, now=1e9)
+        assert policy.allows(1_000_000)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,7 +55,5 @@ class TestRetryPolicy:
             RetryPolicy(jitter=-0.1)
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline=0.0)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0, random.Random(0))

@@ -60,8 +60,16 @@ class TestMembership:
 
     def test_cannot_remove_last(self, sim):
         sharder = make_sharder(sim, nodes=("only",))
+        slices = sharder.assignment.slices
+        generation = sharder.assignment.generation
         with pytest.raises(ValueError):
             sharder.remove_node("only")
+        # the refusal leaves the sharder as it was
+        assert sharder._nodes == ["only"]
+        assert sharder.assignment.slices == slices
+        assert sharder.assignment.generation == generation
+        sharder.add_node("x")
+        assert sharder._nodes == ["only", "x"]
 
     def test_duplicate_add_ignored(self, sim):
         sharder = make_sharder(sim)

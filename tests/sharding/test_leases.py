@@ -15,14 +15,14 @@ def desired(sim, manager, nodes, boundaries, generation=0):
 
 class TestAcquisition:
     def test_desired_owner_acquires(self, sim):
-        lm = LeaseManager(sim, lease_duration=2.0)
+        lm = LeaseManager(sim)
         desired(sim, lm, ["a", "b"], ["m"])
         lease = lm.try_acquire("a", "c")
         assert lease is not None
         assert lm.holder("c") == "a"
 
     def test_wrong_node_cannot_acquire(self, sim):
-        lm = LeaseManager(sim, lease_duration=2.0)
+        lm = LeaseManager(sim)
         desired(sim, lm, ["a", "b"], ["m"])
         assert lm.try_acquire("b", "c") is None  # "c" belongs to a
 
@@ -31,32 +31,32 @@ class TestAcquisition:
         assert lm.try_acquire("a", "k") is None
 
     def test_renewal_extends(self, sim):
-        lm = LeaseManager(sim, lease_duration=2.0)
+        lm = LeaseManager(sim)
         desired(sim, lm, ["a"], [])
         lm.try_acquire("a", "k")
-        sim.run_for(1.5)
+        sim.run_for(0.75)
         lm.try_acquire("a", "k")  # renew
-        sim.run_for(1.0)  # t=2.5 > original expiry 2.0
+        sim.run_for(0.5)  # t=1.25 > original expiry 1.0
         assert lm.holder("k") == "a"
 
     def test_expiry_without_renewal(self, sim):
-        lm = LeaseManager(sim, lease_duration=2.0)
+        lm = LeaseManager(sim)
         desired(sim, lm, ["a"], [])
         lm.try_acquire("a", "k")
-        sim.run_for(3.0)
+        sim.run_for(1.5)
         assert lm.holder("k") is None
 
 
 class TestHandoff:
     def test_new_owner_blocked_until_expiry(self, sim):
-        lm = LeaseManager(sim, lease_duration=2.0)
+        lm = LeaseManager(sim)
         desired(sim, lm, ["a", "b"], ["m"])
         lm.try_acquire("a", "c")
         # sharder reassigns everything to b
         lm.on_assignment(Assignment.even(["b"], ["m"], generation=1))
         assert lm.try_acquire("b", "c") is None  # a's lease unexpired
         assert lm.holder("c") == "a"
-        sim.run_for(2.5)
+        sim.run_for(1.25)
         # a's lease expired: there is now a gap...
         assert lm.holder("c") is None
         # ...until b acquires
@@ -64,7 +64,7 @@ class TestHandoff:
         assert lm.holder("c") == "b"
 
     def test_graceful_release_shortens_gap(self, sim):
-        lm = LeaseManager(sim, lease_duration=10.0)
+        lm = LeaseManager(sim)
         desired(sim, lm, ["a", "b"], ["m"])
         lm.try_acquire("a", "c")
         lm.on_assignment(Assignment.even(["b"], ["m"], generation=1))
@@ -82,7 +82,7 @@ class TestSafetyInvariant:
     def test_at_most_one_holder_ever(self, sim):
         """Randomized churn: for any probed key at any instant, at most
         one unexpired lease covers it."""
-        lm = LeaseManager(sim, lease_duration=1.0)
+        lm = LeaseManager(sim)
         sharder = AutoSharder(
             sim, ["a", "b", "c"],
             AutoSharderConfig(notify_latency=0.0, notify_jitter=0.0),

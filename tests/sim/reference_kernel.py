@@ -17,8 +17,8 @@ _INF = float("inf")
 
 
 class ReferenceSimulation:
-    def __init__(self, seed=0, start=0.0):
-        self.clock = VirtualClock(start)
+    def __init__(self, seed=0):
+        self.clock = VirtualClock()
         self.rng = random.Random(seed)
         self.seed = seed
         self.profiler = None

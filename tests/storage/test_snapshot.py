@@ -4,7 +4,6 @@ import pytest
 
 from repro._types import KeyRange
 from repro.storage.kv import MVCCStore
-from repro.storage.snapshot import SnapshotView
 
 
 class TestSnapshotView:
@@ -17,18 +16,6 @@ class TestSnapshotView:
         assert list(snap.scan()) == [("a", 1), ("b", 2)]
         assert snap.items(KeyRange("a", "b")) == {"a": 1}
         assert snap.count() == 2
-
-    def test_from_replica_flag(self):
-        store = MVCCStore()
-        v = store.put("a", 1)
-        snap = SnapshotView(store, v, from_replica=True)
-        assert snap.from_replica
-        assert snap.get("a") == 1
-
-    def test_default_not_replica(self):
-        store = MVCCStore()
-        store.put("a", 1)
-        assert not store.snapshot().from_replica
 
     def test_version_attribute(self):
         store = MVCCStore()

@@ -75,28 +75,6 @@ class TestQueries:
 
 
 class TestRetention:
-    def test_eviction_raises_floor(self):
-        s = IngestionStore(retention_events=3)
-        events = [s.append("a", i) for i in range(5)]
-        assert len(s) == 3
-        # floor is explicit and queryable — unlike pubsub GC
-        assert s.retained_floor == events[1].version + 1
-        assert [e.payload for e in s.events_since(0)] == [2, 3, 4]
-
-    def test_eviction_updates_series_index(self):
-        s = IngestionStore(retention_events=2)
-        s.append("a", 1)
-        s.append("b", 2)
-        s.append("c", 3)
-        assert s.series_events("a") == []
-        assert s.scan_series() == ["b", "c"]
-
-    def test_latest_after_eviction(self):
-        s = IngestionStore(retention_events=1)
-        s.append("a", 1)
-        s.append("a", 2)
-        assert s.latest("a").payload == 2
-
     def test_bytes_written_accounting(self):
         s = IngestionStore()
         s.append("a", "payload")

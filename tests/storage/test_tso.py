@@ -1,7 +1,5 @@
 """Tests for the timestamp oracle."""
 
-import pytest
-
 from repro.storage.tso import TimestampOracle
 
 
@@ -16,14 +14,6 @@ class TestTimestampOracle:
         tso = TimestampOracle()
         assert tso.last == 0
         assert tso.next() == 1
-
-    def test_custom_start(self):
-        tso = TimestampOracle(start=10)
-        assert tso.next() == 11
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            TimestampOracle(start=-1)
 
     def test_observe_advances(self):
         tso = TimestampOracle()

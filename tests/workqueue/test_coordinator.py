@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.store_watch import StoreWatch
 from repro.pubsub.broker import Broker
+from repro.workqueue import coordinator as coordinator_module
 from repro.workqueue.coordinator import (
     EventDrivenCoordinator,
     ProvisioningWorld,
@@ -69,7 +70,6 @@ class TestWatchReconciler:
             sim, world,
             StoreWatch(sim, world.desired),
             StoreWatch(sim, world.actual),
-            tick=0.2,
         )
 
     def test_fills_deficits(self, sim):
@@ -121,22 +121,19 @@ class TestEventDrivenCoordinator:
         for _ in range(4):
             world.add_vm()
         broker = Broker(sim)
-        coordinator = EventDrivenCoordinator(
-            sim, world, broker, poll_interval=1.0, full_sweep_interval=30.0
-        )
-        sim.run_for(2.0)  # let the free-VM poll populate
+        coordinator = EventDrivenCoordinator(sim, world, broker)
+        sim.run_for(6.0)  # let the free-VM poll populate
         world.add_workload(replicas=2)
         sim.run_for(5.0)
         assert world.satisfied_fraction() == 1.0
 
-    def test_stale_free_list_misdirects(self, sim):
+    def test_stale_free_list_misdirects(self, sim, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "POLL_INTERVAL", 60.0)  # very stale
+        monkeypatch.setattr(coordinator_module, "FULL_SWEEP_INTERVAL", 1000.0)
         world = ProvisioningWorld(sim)
         vms = [world.add_vm() for _ in range(3)]
         broker = Broker(sim)
-        coordinator = EventDrivenCoordinator(
-            sim, world, broker, poll_interval=60.0,  # very stale view
-            full_sweep_interval=1000.0,
-        )
+        coordinator = EventDrivenCoordinator(sim, world, broker)
         sim.run_for(61.0)  # poll happened: 3 free VMs cached
         # now all the cached VMs die; replacements appear
         for vm in vms:

