@@ -25,7 +25,6 @@ both central to the paper's argument:
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -222,8 +221,8 @@ class WatchSystem(Watchable, Ingester):
                 ):
                     queue = session._queue
                     if queue is None:
-                        queue = session._queue = deque()
-                    if len(queue) < session._max_backlog:
+                        queue = session._queue = []
+                    if len(queue) - session._qhead < session._max_backlog:
                         queue.append(event)
                         if not session._draining:
                             session._draining = True

@@ -31,7 +31,9 @@ are ``__slots__``-only, conservation counters live in the shared
 :class:`~repro.edge.session_table.SessionTable` columns indexed by the
 session's slot id (read back here through properties), the queue is a
 plain list with a head offset (an empty ``deque`` alone costs ~0.6KB),
-and the coalesce cell map is allocated only under the COALESCE policy.
+the coalesce cell map is allocated only under the COALESCE policy, and
+delivering the last queued item clears both, so a drained session holds
+no item array and no grown hash table.
 A closed session snapshots its counters into ``_final`` before
 returning its slot, so post-close reads (EdgeClient folds counters at
 close) still see them after the slot is recycled.
@@ -155,7 +157,8 @@ _F_OFFERED, _F_DELIVERED, _F_COALESCED, _F_DROPPED = range(4)
 _F_RETURNED, _F_SNAPSHOTS, _F_PEAK = 4, 5, 6
 
 #: compact the queue's consumed head once it is this long and at least
-#: half the list (amortized O(1), bounds idle memory after bursts)
+#: half the list (amortized O(1); bounds a queue that never drains, as
+#: draining it clears the list)
 _QHEAD_COMPACT = 512
 
 
@@ -198,7 +201,8 @@ class ClientSession:
         self._delivery_latency = self.config.delivery_latency
         #: queue entries are single-slot cells ``[Update]`` (so coalesce
         #: can swap in a newer value in place) or SnapshotDelivery;
-        #: consumed entries are None'd behind ``_qhead``
+        #: consumed entries are None'd behind ``_qhead``, and delivering
+        #: the last entry clears the list (and ``_cells``)
         self._queue: List[object] = []
         self._qhead = 0
         #: COALESCE only: pending cell per key (None otherwise, or when
@@ -332,11 +336,20 @@ class ClientSession:
         if not self._active or self.credits <= 0 or len(queue) <= head:
             return
         item = queue[head]
-        queue[head] = None
         head += 1
-        if head >= _QHEAD_COMPACT and head * 2 >= len(queue):
-            del queue[:head]
+        cells = self._cells
+        if head == len(queue):
+            # drained: give back the item array and the coalesce table
+            # (it only ever indexes queued cells)
+            queue.clear()
             head = 0
+            if cells is not None:
+                cells.clear()
+        else:
+            queue[head - 1] = None
+            if head >= _QHEAD_COMPACT and head * 2 >= len(queue):
+                del queue[:head]
+                head = 0
         self._qhead = head
         self.credits -= 1
         table = self.table
@@ -346,7 +359,6 @@ class ClientSession:
             self.client.on_delivery(self, item)
         else:
             update = item[0]
-            cells = self._cells
             if cells is not None and cells.get(update.key) is item:
                 del cells[update.key]
             table.delivered[sid] += 1

@@ -1,5 +1,7 @@
 """Tests for watcher sessions: filtering, ordering, backlog resync."""
 
+import sys
+
 import pytest
 
 from repro._types import KeyRange, Mutation
@@ -164,3 +166,45 @@ class TestCancellation:
         sim.run()
         assert events == []
         assert session.backlog == 0
+
+
+class TestQueueStorage:
+    @pytest.mark.parametrize("service_time", [0.0, 0.001])
+    def test_drained_queue_gives_its_storage_back(self, sim, service_time):
+        callback, events, _, _ = collector()
+        session = WatcherSession(
+            sim, KeyRange.all(), 0, callback,
+            WatcherConfig(service_time=service_time, max_backlog=1_000),
+        )
+        for v in range(1, 201):
+            session.offer_event(event("a", v))
+        sim.run()
+        assert len(events) == 200 and session.backlog == 0
+        assert sys.getsizeof(session._queue) == sys.getsizeof([])
+
+    def test_slow_watcher_that_never_drains_stays_compact(self, sim):
+        # two items up front, then one offer per service step: one item
+        # stays queued for the whole run, so the list never empties
+        # before the end and only compaction bounds its length
+        callback, events, _, _ = collector()
+        session = WatcherSession(
+            sim, KeyRange.all(), 0, callback,
+            WatcherConfig(delivery_latency=0.0, service_time=1.0),
+        )
+        session.offer_event(event("a", 1))
+        session.offer_event(event("a", 2))
+        for v in range(3, 3002):
+            sim.call_after(v - 2.5, lambda v=v: session.offer_event(event("a", v)))
+        longest = 0
+
+        def watch():
+            nonlocal longest
+            longest = max(longest, len(session._queue))
+            if sim.now() < 3000:
+                sim.call_after(1.0, watch)
+
+        sim.call_after(0.75, watch)
+        sim.run()
+        assert len(events) == 3001
+        assert 500 < longest <= 1024
+        assert sys.getsizeof(session._queue) == sys.getsizeof([])

@@ -1,5 +1,7 @@
 """ClientSession: credits, slow-consumer policies, conservation."""
 
+import sys
+
 import pytest
 
 from repro._types import KeyRange
@@ -248,3 +250,16 @@ def test_coalesce_supersession_is_a_reorder(sim):
     sim.run()
     delivered = [(u.key, u.version) for u in client.delivered]
     assert delivered == [("k0", 1), ("k1", 4), ("k2", 3)]
+
+
+def test_drained_session_gives_queue_and_coalesce_table_back(sim):
+    client = RecordingClient()
+    session = make_session(sim, client, delivery_latency=0.001)
+    assert session._policy is SlowConsumerPolicy.COALESCE
+    for i in range(1, 201):
+        session.offer(upd(i, key=f"k{i % 150:04d}"))
+    sim.run()
+    assert session.coalesced > 0 and session.backlog == 0
+    assert session.delivered + session.coalesced == 200
+    assert sys.getsizeof(session._queue) == sys.getsizeof([])
+    assert sys.getsizeof(session._cells) == sys.getsizeof({})
