@@ -406,6 +406,10 @@ class ClientSession:
         self._qhead = 0
         if self._cells is not None:
             self._cells.clear()
+        # the prebind is a bound method of this session: cleared, a
+        # closed session is freed by reference counting, not by a full
+        # GC (``_kick`` checks ``_active`` before posting it)
+        self._deliver_cb = None
         if self.tracer is not None:
             self.tracer.record(
                 hops.EDGE_DISCONNECT, self.name,

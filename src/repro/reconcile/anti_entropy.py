@@ -2,10 +2,12 @@
 
 The Plan phase is a two-level check per key-range scope:
 
-1. **O(1) fast path** — if the replica's XOR fingerprint equals the
-   :class:`~repro.replication.checker.SnapshotChecker`'s incrementally
-   maintained source fingerprint *and* the replica's cursors verify,
-   the whole store is legal and every scope plans 'nothing to do'.
+1. **O(1) fast path** — if the replica's XOR fingerprint (folded over
+   its state once, on the first plan's read; incremental after) equals
+   the :class:`~repro.replication.checker.SnapshotChecker`'s
+   incrementally maintained source fingerprint *and* the replica's
+   cursors verify, the whole store is legal and every scope plans
+   'nothing to do'.
 2. **Scoped diff** — otherwise, walk the scope's key range comparing
    replica values and per-key cursors against the source head.  A key
    counts as diverged when its per-key cursor is forged beyond the

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._types import KeyRange, Version
 from repro.obs.trace import hops
-from repro.replication.target import ReplicaStore, _item_hash
+from repro.replication.target import ReplicaStore
 from repro.sim.kernel import Simulation
 from repro.storage.kv import MVCCStore
 
@@ -159,8 +159,7 @@ class StateCorruptor:
         keys = self._pick_replica_keys()
         state = self.replica._state
         for key in keys:
-            old = state.pop(key)
-            self.replica._fingerprint ^= _item_hash(key, old)
+            self.replica.fold_edit(key, state.pop(key))
             self._record(cls, scope_for_key(self.shards, key), key=key)
         return len(keys)
 
@@ -173,8 +172,7 @@ class StateCorruptor:
         for key in keys:
             old = state[key]
             stale = {"stale": versions.get(key, 0)}
-            self.replica._fingerprint ^= _item_hash(key, old)
-            self.replica._fingerprint ^= _item_hash(key, stale)
+            self.replica.fold_edit(key, old, stale)
             state[key] = stale
             versions[key] = max(0, versions.get(key, 0) - 7)
             self._record(cls, scope_for_key(self.shards, key), key=key)

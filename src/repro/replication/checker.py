@@ -30,18 +30,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._types import Key, Version
-from repro.replication.target import ReplicaStore, _item_hash
+from repro.replication.target import ReplicaStore, _item_hash, state_fingerprint
 from repro.storage.history import CommittedTransaction
 from repro.storage.kv import MVCCStore
 
-
-def state_fingerprint(items: Dict[Key, Any]) -> int:
-    """XOR fingerprint of a full state (test helper; the stores maintain
-    theirs incrementally)."""
-    fp = 0
-    for key, value in items.items():
-        fp ^= _item_hash(key, value)
-    return fp
+__all__ = ["AclInvariantChecker", "SnapshotChecker", "state_fingerprint"]
 
 
 class SnapshotChecker:

@@ -1,13 +1,16 @@
 """WatchEdgeFrontend: reconnect decision rule, edge-served catch-up."""
 
+import gc
+
 import pytest
 
 from repro._types import KeyRange
 from repro.core.bridge import DirectIngestBridge
+from repro.core.stream import WatcherSession
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
 from repro.edge.client import EdgeClient
-from repro.edge.frontend import EdgeFrontendConfig, WatchEdgeFrontend
-from repro.edge.session import SessionConfig, SlowConsumerPolicy
+from repro.edge.frontend import EdgeFrontendConfig, WatchEdgeFrontend, _SessionFeed
+from repro.edge.session import ClientSession, SessionConfig, SlowConsumerPolicy
 from repro.obs.trace import Tracer, hops
 from repro.sim.kernel import Simulation
 from repro.sim.network import Network, NetworkConfig
@@ -195,3 +198,48 @@ def test_crash_drops_sessions_and_rejects_connects(sim):
     sim.run(until=10.0)
     assert client.session is not None
     assert client.state == latest(store)
+
+
+_CHAIN_TYPES = (ClientSession, WatcherSession, _SessionFeed)
+
+
+def _chain_objects_in_cycles():
+    """Session-chain objects only a cycle-detecting collection frees."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return [
+            obj for obj in gc.garbage
+            if isinstance(obj, _CHAIN_TYPES)
+            or isinstance(getattr(obj, "__self__", None), _CHAIN_TYPES)
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("ending", ["disconnect", "feed-resync"])
+def test_closed_session_chain_leaves_no_reference_cycle(sim, ending):
+    """A closed client session, and a relay watch ended by cancel or by
+    a resync, are freed by reference counting alone: their prebound
+    callbacks are cleared, so no full collection is needed."""
+    store, frontend = build(sim, catchup_threshold=1_000_000)
+    client = EdgeClient(sim, "c0", StaticPlacement(frontend))
+    client.connect()
+    sim.run(until=1.0)
+    write(store, 40)
+    sim.run(until=3.0)
+    gc.collect()
+    if ending == "disconnect":
+        client.stop()
+        client.disconnect()
+    else:
+        frontend.relay.fanout.wipe()
+    write(store, 20, start=40)
+    sim.run(until=8.0)
+    assert _chain_objects_in_cycles() == []
+    if ending == "feed-resync":
+        assert frontend.feed_resyncs == 1
+        assert client.state == latest(store)
+    else:
+        assert client.session is None and frontend.active_sessions == 0
