@@ -148,7 +148,7 @@ def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
             sim.run()  # data frame, delivery, ack, alarm cancel
 
     round_trips(3)  # first touch binds every counter on the path
-    assert tx.pending_count == 0 and len(delivered) == 3
+    assert len(tx.pending_unacked()) == 0 and len(delivered) == 3
 
     visits = [0]
     size = wire._size
@@ -165,7 +165,7 @@ def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
     metrics.lookups = 0
     frames = 50
     round_trips(frames)
-    assert tx.pending_count == 0 and len(delivered) == 3 + frames
+    assert len(tx.pending_unacked()) == 0 and len(delivered) == 3 + frames
     # steady state: every counter handle is already bound
     assert metrics.lookups == 0
     # the record frame is walked once at first transmit — frame, seq,
@@ -214,7 +214,7 @@ def test_reliable_burst_schedules_no_timer_per_frame():
     rounds = 50
     bursts(rounds)
     undercuts = tx.undercut_alarms - undercuts
-    assert tx.pending_count == 0 and tx.stale_fires == 0
+    assert len(tx.pending_unacked()) == 0 and tx.stale_fires == 0
     # no per-frame timer: no call_at/call_after, so no EventHandle, per
     # frame; the retransmit clock arms one alarm per busy period (each
     # burst is one), plus one whenever a frame's jittered deadline

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lint: intra-repo markdown links resolve; architecture is complete.
 
-Six checks, run by CI (see ``.github/workflows/ci.yml``):
+Seven checks, run by CI (see ``.github/workflows/ci.yml``):
 
 1. Every relative link in every tracked ``*.md`` file points at a file
    or directory that exists (anchors after ``#`` are stripped; external
@@ -27,6 +27,15 @@ Six checks, run by CI (see ``.github/workflows/ci.yml``):
    ``name=`` — is a parameter or class-level field declared somewhere
    under ``src/``: check 5 for options, so prose cannot keep advertising
    a knob after the code stopped accepting it.
+7. Every backticked ``CamelCase.method`` reference (``Broker.publish``,
+   ``WatchReplicator._resync``) names a ``def`` in the body of a class
+   of that name, or of one of its base classes, under the same five
+   directories as check 5 — check 5 for methods: deleting one fails the
+   lint until the prose is repointed.  A field (a class-level name, a
+   ``__slots__`` entry or a ``self.<name>`` its methods assign) or an
+   ``__init__`` parameter counts as declared too.  Dunders, and a name
+   that is no class in the code (``Path.exists``), are not read;
+   history files are exempt.
 
     python scripts/check_docs.py
 
@@ -71,6 +80,13 @@ _CAMEL_RE = re.compile(r"\b_?[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*\b")
 #: a lowercase keyword directly followed by ``=`` (not ``==``), not part
 #: of a dotted name, a ``--flag=`` or an ``ENV=`` assignment
 _KEYWORD_RE = re.compile(r"(?<![\w.-])([a-z_]\w*)=(?!=)")
+
+#: ``Class.method`` inside a code span: a CamelCase class (check 5's
+#: pattern) then a lowercase or ``_``-led attribute, not a dotted
+#: continuation of a longer name (``Class.method.attr`` still counts)
+_METHOD_RE = re.compile(
+    r"(?<![\w.])(_?[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)\.(_*[a-z]\w*)"
+)
 
 _CODE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 
@@ -155,6 +171,88 @@ def check_identifiers_exist():
         }
         for identifier in sorted(named - known):
             errors.append(f"{rel}: no such identifier -> {identifier}")
+    return errors
+
+
+def _members(node):
+    """What a class body declares: its defs, its class-level names and
+    ``__slots__`` entries, the ``self.<name>`` its methods assign, and
+    its ``__init__``'s parameters (options, named ``Class.option``)."""
+    members = set()
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members.add(stmt.name)
+            if stmt.name == "__init__":
+                args = stmt.args
+                members.update(
+                    a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                )
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            members.add(stmt.target.id)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    members.add(target.id)
+                    if target.id == "__slots__":
+                        members.update(
+                            const.value for const in ast.walk(stmt.value)
+                            if isinstance(const, ast.Constant)
+                        )
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+        ):
+            members.add(sub.attr)
+    return members
+
+
+def _code_classes():
+    """Each class name defined under the code directories -> what every
+    class of that name declares, and the names of their bases."""
+    members, bases = {}, {}
+    for path in repo_files():
+        top = os.path.relpath(path, REPO_ROOT).split(os.sep)[0]
+        if top not in _CODE_DIRS or not path.endswith(".py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members.setdefault(node.name, set()).update(_members(node))
+            bases.setdefault(node.name, set()).update(
+                base.id if isinstance(base, ast.Name) else base.attr
+                for base in node.bases
+                if isinstance(base, (ast.Name, ast.Attribute))
+            )
+    return members, bases
+
+
+def check_methods_exist():
+    """Every backticked ``Class.member`` is declared by that class or a base."""
+    methods, bases = _code_classes()
+
+    def defines(cls, name, seen):
+        if cls in seen or cls not in methods:
+            return False
+        seen.add(cls)
+        return name in methods[cls] or any(
+            defines(base, name, seen) for base in bases[cls]
+        )
+
+    errors = []
+    for rel, text in current_prose():
+        named = {
+            pair
+            for span in inline_code(text)
+            for pair in _METHOD_RE.findall(span)
+        }
+        for cls, name in sorted(named):
+            if name.startswith("__") and name.endswith("__"):
+                continue  # every class has its dunders (object, dataclass)
+            if cls in methods and not defines(cls, name, set()):
+                errors.append(f"{rel}: no such member -> {cls}.{name}")
     return errors
 
 
@@ -246,7 +344,7 @@ def check_docs_reachable():
 def main() -> int:
     errors = (
         check_links() + check_paths_exist() + check_identifiers_exist()
-        + check_keywords_exist()
+        + check_keywords_exist() + check_methods_exist()
         + check_architecture_mentions() + check_docs_reachable()
     )
     for error in errors:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Traffic census: every library class and every constructor option
-must be reached by some traffic.
+"""Traffic census: every library class, every library function and
+every constructor option must be reached by some traffic.
 
 Runs, in this one process, with a ``sys.setprofile`` hook installed and
 every fleet inline (``jobs=1``):
@@ -9,7 +9,10 @@ every fleet inline (``jobs=1``):
 - the variant rows of ``benchmarks/test_claims.py`` (its ``VARIANTS``);
 - the four ledger workloads
   (``benchmarks/ledger/run.py --workload W --scale 0.1 --reps 1``);
-- every script under ``examples/``.
+- every script under ``examples/``;
+- ``scripts/trace_report.py`` three ways: bare, ``--repairs`` and
+  ``--trace-dir`` (a temporary directory), so its E10 attribution and
+  E13 repair-attribution exit codes gate too.
 
 The hook records every Python function that runs and, for every
 ``__init__`` call, the type being constructed (dataclass ``__init__``
@@ -41,8 +44,14 @@ options that take nothing but scalars count: one that takes a ``str``
 is an identifier (``topic``, ``name``), one that takes an object a
 dependency (``tracer``).
 
-Report (information only, never gates): the count of unreached
-functions per module.
+Function gate: every function written in the body of a module or of a
+class under ``src/repro`` (outside ``repro.bench``) must run under some
+traffic.  Never flagged: ``__repr__``/``__str__``, methods of the
+classes the class gate skips, methods that implement an abstract method
+of a base, and methods of a class :data:`EXEMPT` keeps.  Exits 1 naming
+each other unreached function, with its ``file:line``, that has no entry
+with its reason in :data:`FUNCTION_EXEMPT` (delete it), and each entry
+that no longer names an unreached function.
 
     PYTHONPATH=src python scripts/traffic_census.py
 
@@ -64,9 +73,11 @@ import pkgutil
 import re
 import runpy
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -124,6 +135,254 @@ _RETX_DIFF = (
     "indistinguishable_from_per_frame_timers varies it to open the breaker "
     "E10's traffic opens"
 )
+
+# Why a function no census traffic calls is kept.  An entry needs one of:
+# (a) a recovery path or audited funnel ROADMAP.md's recovery item names;
+# (b) a docs/paper_mapping.md row names it; (c) benchmarks/ledger/ imports
+# or calls it; (d) it runs only in a forked fleet child; (e) an error or
+# nack branch, or value semantics tests compare on; (f) the auto-sharder's
+# load loop; (g) a tier-1 test of its own behaviour pins it, until a
+# change retires that test with it (a change may retire only a few).
+_RECOVERY = (
+    "(a) a failure or recovery path ROADMAP.md's 'Every recovery path "
+    "reached' item names for its fault campaign to reach"
+)
+_FUNNEL = (
+    "(a) a term of a funnel the auditor of ROADMAP.md's 'Every recovery "
+    "path reached' item checks"
+)
+_RETENTION_PATH = (
+    "(a) store history retention: ROADMAP.md's recovery item names "
+    "ChangeHistory.truncate_before (no store sets a retention yet)"
+)
+_PAPER_ROW = "(b) a docs/paper_mapping.md row names it: "
+_REPLAY_ROW = _PAPER_ROW + "'repro.pubsub.replay' (seek/replay)"
+_STORE_API = _PAPER_ROW + "'\"reads, scans, writes, indices\" of real stores'"
+_KNOWLEDGE = (
+    _PAPER_ROW + "'Figure 5 knowledge regions, stitching' "
+    "(the knowledge-checked read)"
+)
+_WIRE_CODEC = (
+    "(c) the wire codec benchmarks/ledger/drills.py imports "
+    "(drill.sim.wire.encode_decode_ns)"
+)
+_FORKED = "(d) runs only in a forked fleet child; the census runs fleets inline"
+_VALUE = "(e) value semantics the tests compare on"
+
+
+def _tested(test: str) -> str:
+    return (
+        f"(g) pinned by the tier-1 test {test}: deleting it deletes that "
+        "test, and a change may retire only a few tier-1 tests"
+    )
+
+
+#: library functions no census traffic calls, kept on purpose:
+#: ``module.func`` or ``module.Class.method`` -> why.
+FUNCTION_EXEMPT: Dict[str, str] = {
+    # (a) recovery paths and audited funnels
+    "repro.causal.buffer.CausalBuffer._force_release": _RECOVERY,
+    "repro.causal.buffer.CausalBuffer._on_deadline": _RECOVERY,
+    "repro.causal.buffer.CausalBuffer.discard": _RECOVERY,
+    "repro.causal.stage.GatedConsumer.crash": _RECOVERY,
+    "repro.core.relay.ReliableFanoutEndpoint.crash": _RECOVERY,
+    "repro.core.relay.ReliableFanoutEndpoint.recover": _RECOVERY,
+    "repro.core.watch_system.WatchSystem.retained_floor": (
+        "(a) read by ReliableFanoutLink.on_resync, a recovery path "
+        "ROADMAP.md's recovery item names"
+    ),
+    "repro.edge.frontend.PubsubEdgeFrontend.crash": _RECOVERY,
+    "repro.edge.frontend.PubsubEdgeFrontend.recover": _RECOVERY,
+    "repro.edge.frontend.WatchEdgeFrontend.crash": _RECOVERY,
+    "repro.edge.frontend.WatchEdgeFrontend.recover": _RECOVERY,
+    "repro.reconcile.framework.Reconciler._fail": _RECOVERY,
+    "repro.reconcile.framework.ScopeTable.clear_error": _RECOVERY,
+    "repro.reconcile.framework.ScopeTable.fail": _RECOVERY,
+    "repro.replication.watch_replicator.WatchReplicator._resync": _RECOVERY,
+    "repro.sim.failures.FailureInjector.crash_at": _RECOVERY,
+    "repro.workqueue.pubsub_worker.PubsubWorkerPool.recover_worker": (
+        _RECOVERY
+    ),
+    "repro.workqueue.watch_worker.WatchWorker.recover": _RECOVERY,
+    "repro.storage.history.ChangeHistory.truncate_before": _RETENTION_PATH,
+    "repro.storage.history.ChangeHistory._truncate_prefix": _RETENTION_PATH,
+    "repro.storage.history.ChangeHistory.oldest_retained": _RETENTION_PATH,
+    "repro.causal.buffer.CausalBuffer.held_count": _FUNNEL,
+    "repro.edge.session.ClientSession.attributed": _FUNNEL,
+    "repro.pubsub.subscription.Subscription.inflight_count": _FUNNEL,
+    "repro.resilience.channel.ReliableChannel.pending_unacked": _FUNNEL,
+    # (b) paper elements docs/paper_mapping.md maps
+    "repro.pubsub.replay.create_snapshot": _REPLAY_ROW,
+    "repro.pubsub.replay.seek_to_offset": _REPLAY_ROW,
+    "repro.pubsub.replay.seek_to_snapshot": _REPLAY_ROW,
+    "repro.pubsub.replay.seek_to_timestamp": _REPLAY_ROW,
+    "repro.pubsub.log.PartitionLog.offset_for_time": _REPLAY_ROW,
+    "repro.pubsub.subscription.Subscription.seek": _REPLAY_ROW,
+    "repro.storage.index._encode": (
+        _PAPER_ROW + "'\"reads, scans, writes, indices\" of real stores' "
+        "(repro.storage.index)"
+    ),
+    "repro.storage.view._identity_projection": (
+        _PAPER_ROW + "'§4.1 filtered views' (repro.storage.view)"
+    ),
+    "repro.storage.kv.MVCCStore.apply_at": _STORE_API,
+    "repro.storage.kv.MVCCStore.count": _STORE_API,
+    "repro.storage.kv.MVCCStore.gc_versions_below": _STORE_API,
+    "repro.storage.kv.MVCCStore.keys": _STORE_API,
+    "repro.storage.kv.MVCCStore.oldest_readable_version": _STORE_API,
+    "repro.storage.kv.Transaction.delete": _STORE_API,
+    "repro.storage.kv.Transaction.read_version": _STORE_API,
+    "repro.storage.kv._VersionChain.gc_below": _STORE_API,
+    "repro.storage.keyindex.SortedKeyIndex.slice": _STORE_API,
+    "repro.storage.snapshot.SnapshotView.count": _STORE_API,
+    "repro.storage.snapshot.SnapshotView.get": _STORE_API,
+    "repro.storage.tso.TimestampOracle.observe": _STORE_API,
+    "repro.core.knowledge.KnowledgeMap.knows_key": _KNOWLEDGE,
+    "repro.core.knowledge.KnowledgeRegion.knows": _KNOWLEDGE,
+    "repro.core.linked_cache.LinkedCache.read_at": _KNOWLEDGE,
+    "repro.core.versioned_map.VersionedMap.get_at": _KNOWLEDGE,
+    "repro._types.KeyRange.single": _KNOWLEDGE,
+    "repro.sharding.leases.LeaseManager.release": (
+        _PAPER_ROW + "'leasing mitigation + availability tradeoff' "
+        "(a graceful release shortens the handoff gap)"
+    ),
+    "repro.sharding.leases.LeaseManager.active_leases": (
+        _PAPER_ROW + "'leasing mitigation + availability tradeoff'"
+    ),
+    "repro.storage.timeseries.IngestionStore.events_since": (
+        _PAPER_ROW + "'event ingestion & fanout / ingestion storage'"
+    ),
+    "repro.storage.timeseries.IngestionStore.series_events": (
+        _PAPER_ROW + "'event ingestion & fanout / ingestion storage'"
+    ),
+    "repro.storage.replica.ReadReplica.get": (
+        _PAPER_ROW + "'resync semantics incl. \"read a stale snapshot … "
+        "from a replica\"'"
+    ),
+    # (c) the ledger imports or calls it
+    "repro.sim.wire.encode": _WIRE_CODEC,
+    "repro.sim.wire.decode": _WIRE_CODEC,
+    "repro.sim.wire._enc": _WIRE_CODEC,
+    "repro.sim.wire._dec": _WIRE_CODEC,
+    "repro.sim.wire._read_uvarint": _WIRE_CODEC,
+    "repro.sim.wire._utf8": _WIRE_CODEC,
+    "repro.sim.wire._callable_name": _WIRE_CODEC,
+    "repro.sim.wire._object_state": _WIRE_CODEC,
+    "repro.sim.kernel._component_of": (
+        "(c) names the component of an unlabelled event for the ledger's "
+        "KernelHook (Simulation.profiler) on --trace 1 runs"
+    ),
+    # (d) forked fleet children
+    "repro.fleet.pool._context": _FORKED,
+    "repro.fleet.pool._work": _FORKED,
+    # (e) error and nack branches, value semantics
+    "repro.causal.stage.GatedConsumer.deliver_batch": (
+        "(e) an error branch: raises TypeError for a batched subscription"
+    ),
+    "repro.pubsub.subscription.Subscription.nack_batch": (
+        "(e) the nack branch of a batched delivery"
+    ),
+    "repro.causal.stamp.CausalStamp.__eq__": _VALUE,
+    "repro.causal.stamp.CausalStamp.__hash__": _VALUE,
+    "repro.edge.session.Update.__eq__": _VALUE,
+    "repro.edge.session.Update.__hash__": _VALUE,
+    "repro.edge.session.Update._astuple": _VALUE,
+    # (f) the auto-sharder's load loop
+    "repro.sharding.autosharder.AutoSharder._rebalance_tick": _SHARDER_LOAD,
+    "repro.sharding.autosharder.AutoSharder.rebalance_once": _SHARDER_LOAD,
+    "repro.sharding.autosharder.AutoSharder._split_point": _SHARDER_LOAD,
+    # (g) pinned by a tier-1 test of their own behaviour
+    "repro.sim.kernel.Simulation.pending_events": _tested(
+        "tests/sim/test_kernel_oracle.py (compared with the reference "
+        "kernel's) and test_kernel_semantics.py::TestCancellationWhileQueued"
+    ),
+    "repro.obs.eventlog.EventLog.from_jsonl": _tested(
+        "tests/obs/test_eventlog.py::TestJsonl"
+    ),
+    "repro.obs.eventlog.TraceEvent.from_json": _tested(
+        "tests/obs/test_eventlog.py::TestJsonl"
+    ),
+    "repro.fleet.runner.FleetReport.to_json": _tested(
+        "tests/fleet/test_runner.py::"
+        "test_to_json_is_deterministic_and_excludes_info"
+    ),
+    "repro._types.ranges_cover": _tested(
+        "tests/test_types.py::TestKeyRange::test_ranges_cover"
+    ),
+    "repro.sim.metrics.Gauge.add": _tested(
+        "tests/sim/test_metrics.py::TestGauge::test_set_and_add"
+    ),
+    "repro.resilience.breaker.CircuitBreaker.check": _tested(
+        "tests/resilience/test_breaker.py::TestTripping::"
+        "test_check_raises_when_open"
+    ),
+    "repro.causal.buffer.CausalBuffer.flush": _tested(
+        "tests/causal/test_buffer.py::"
+        "test_flush_releases_everything_in_hold_order"
+    ),
+    "repro.replication.target.ReplicaStore.reset_cursor": _tested(
+        "tests/replication/test_target.py::TestCursorCorruption::"
+        "test_reset_cursor_recomputes_watermark"
+    ),
+    "repro.sharding.assignment.Assignment.nodes": _tested(
+        "tests/sharding/test_assignment.py::TestQueries::test_nodes"
+    ),
+    "repro.sharding.assignment.Assignment.single": _tested(
+        "tests/sharding/test_assignment.py::TestValidation::"
+        "test_single_covers_all"
+    ),
+    "repro.cdc.capture.CdcCapture.close": _tested(
+        "tests/cdc/test_cdc.py::TestCapture::test_close_stops_capture"
+    ),
+    "repro.cdc.publisher.CdcPublisher.close": _tested(
+        "tests/cdc/test_cdc.py::TestPublisher::test_close_stops_publishing"
+    ),
+    "repro.storage.replica.ReadReplica.close": _tested(
+        "tests/storage/test_replica.py::TestReplication::"
+        "test_close_stops_following"
+    ),
+    "repro.core.store_watch.StoreWatch.close": _tested(
+        "tests/core/test_store_watch.py::TestLifecycle::"
+        "test_close_cancels_everything"
+    ),
+    "repro.core.linked_cache.LinkedCache.set_key_range": _tested(
+        "tests/core/test_linked_cache.py::TestResync::"
+        "test_set_key_range_resyncs_over_new_range"
+    ),
+    "repro.storage.history.CommittedTransaction.touches": _tested(
+        "tests/storage/test_history.py::TestAppend::test_commit_touches"
+    ),
+    "repro.pubsub.consumer.ConsumerGroup.leave": _tested(
+        "tests/pubsub/test_subscription.py::TestRouting::"
+        "test_membership_changes_rebalance"
+    ),
+    "repro.pubsub.subscription.Subscription.remove_member": _tested(
+        "tests/pubsub/test_subscription.py::TestRouting::"
+        "test_membership_changes_rebalance"
+    ),
+    "repro.edge.placement.SessionPlacement.add_frontend": _tested(
+        "tests/edge/test_placement.py::test_add_frontend_takes_over_a_slice"
+    ),
+    "repro.edge.placement.SessionPlacement.remove_frontend": _tested(
+        "tests/edge/test_placement.py::"
+        "test_removed_frontend_clients_reconnect_to_survivors"
+    ),
+    "repro.obs.index.TraceIndex.chain_is_complete": _tested(
+        "tests/obs/test_index.py::TestChains::test_delivered_and_completeness"
+    ),
+    "repro.workqueue.state_cache.StateCache.hit_rate": _tested(
+        "tests/workqueue/test_state_cache.py::TestStateCache::"
+        "test_empty_hit_rate"
+    ),
+    "repro.core.stream.WatcherSession.backlog": _tested(
+        "tests/core/test_watcher_queue.py (compared with the deque "
+        "reference's)"
+    ),
+    "repro.edge.session.ClientSession.snapshots_delivered": _tested(
+        "tests/edge/test_session_table.py::"
+        "test_snapshot_column_zeroed_when_storm_reuses_slot"
+    ),
+}
 
 #: constructor options that take one value across all census traffic,
 #: kept on purpose: ``module.Class.option`` -> why.
@@ -216,6 +475,41 @@ def classify_options(
     }
     flagged = sorted(name for name in single if not exempt.get(name))
     stale = sorted(set(exempt) - single)
+    return flagged, stale
+
+
+def _skipped(name: str, owner: Optional[type]) -> bool:
+    """Functions the function gate never flags: ``__repr__``/``__str__``,
+    methods of a class :func:`_never_flagged` skips, and methods that
+    implement an abstract method of a base (deleting one alone would
+    leave the class abstract: the ABC's contract is what to delete)."""
+    method = name.rsplit(".", 1)[-1]
+    if method in ("__repr__", "__str__"):
+        return True
+    if owner is None:
+        return False
+    return _never_flagged(owner) or any(
+        getattr(vars(base).get(method), "__isabstractmethod__", False)
+        for base in owner.__mro__[1:]
+    )
+
+
+def classify_functions(
+    defined: Mapping[str, Optional[type]], called: Set[str],
+    exempt: Mapping[str, str],
+) -> Tuple[List[str], List[str]]:
+    """The function gate: ``defined`` maps each library function
+    (``module.func`` or ``module.Class.method``) to the class whose
+    body defines it (``None`` for a module function), ``called`` holds
+    those the traffic ran; returns ``(flagged, stale)`` — unreached
+    functions with no exemption with a reason, and exemptions that name
+    no unreached function."""
+    unreached = {
+        name for name, owner in defined.items()
+        if name not in called and not _skipped(name, owner)
+    }
+    flagged = sorted(name for name in unreached if not exempt.get(name))
+    stale = sorted(set(exempt) - unreached)
     return flagged, stale
 
 
@@ -357,11 +651,21 @@ def _examples() -> None:
         runpy.run_path(str(path), run_name="__main__")
 
 
+def _trace_report() -> None:
+    report = _load(ROOT / "scripts" / "trace_report.py", "_census_trace_report")
+    with tempfile.TemporaryDirectory() as trace_dir:
+        for args in ([], ["--repairs"], ["--trace-dir", trace_dir]):
+            with mock.patch.object(sys, "argv", ["trace_report.py", *args]):
+                if report.main() != 0:
+                    raise SystemExit(f"census: trace_report.py {args} failed")
+
+
 TRAFFIC = (
     ("QUICK sweep", _sweep),
     ("test_claims VARIANTS", _variants),
     ("ledger workloads", _ledger),
     ("examples", _examples),
+    ("trace report", _trace_report),
 )
 
 
@@ -460,31 +764,35 @@ def main() -> int:
         print(f"ran {label} ({time.perf_counter() - started:.0f} s)")
 
     unreached_classes = []
-    unreached_functions = {}
+    defined = {}  # function -> the class that defines it, or None
+    codes = {}  # function -> its code object
+    in_exempt_classes = set()  # kept whole, with the class gate's reason
     for module in modules:
         filename = module.__file__
-        codes = _own_codes(module, filename)
+        owners = [(None, _own_codes(module, filename))]
         for cls in vars(module).values():
             if not inspect.isclass(cls) or cls.__module__ != module.__name__:
                 continue
             methods = _own_codes(cls, filename)
-            codes += methods
+            owners.append((cls, methods))
+            qualified = f"{module.__name__}.{cls.__qualname__}"
+            if qualified in EXEMPT:
+                in_exempt_classes.update(
+                    f"{module.__name__}.{code.co_qualname}" for code in methods
+                )
             if not methods or _never_flagged(cls):
                 continue
             if cls in census.constructed or any(
                 code in census.called for code in methods
             ):
                 continue
-            unreached_classes.append(f"{module.__name__}.{cls.__qualname__}")
-        missed = sum(code not in census.called for code in codes)
-        if missed:
-            unreached_functions[module.__name__] = (missed, len(codes))
-
-    print("\nunreached functions per module (information only):")
-    for name, (missed, total) in sorted(unreached_functions.items()):
-        print(f"  {name:<40} {missed:>4} / {total}")
-    missed_total = sum(missed for missed, _ in unreached_functions.values())
-    print(f"  {'total':<40} {missed_total:>4}")
+            unreached_classes.append(qualified)
+        for owner, owned in owners:
+            for code in owned:
+                name = f"{module.__name__}.{code.co_qualname}"
+                defined[name] = owner
+                codes[name] = code
+    called = {name for name, code in codes.items() if code in census.called}
 
     flagged = [name for name in unreached_classes if name not in EXEMPT]
     stale = sorted(set(EXEMPT) - set(unreached_classes))
@@ -494,6 +802,31 @@ def main() -> int:
         print(f"  UNREACHED {name}: delete it, or exempt it with a reason")
     for name in stale:
         print(f"  STALE EXEMPTION {name}: reached or gone; drop the entry")
+
+    gated = {
+        name: owner for name, owner in defined.items()
+        if name not in in_exempt_classes
+    }
+    flagged_functions, stale_functions = classify_functions(
+        gated, called, FUNCTION_EXEMPT,
+    )
+    unreached = [name for name in defined if name not in called]
+    in_exempt = sum(name not in gated for name in unreached)
+    skipped = sum(
+        _skipped(name, gated[name]) for name in unreached if name in gated
+    )
+    exempt = len(FUNCTION_EXEMPT) - len(stale_functions)
+    print(f"\nlibrary functions: {len(defined)}; no traffic reaches: "
+          f"{len(unreached)} ({skipped} never flagged, {in_exempt} in exempt "
+          f"classes, {exempt} exempt, {len(flagged_functions)} flagged)")
+    for name in flagged_functions:
+        code = codes[name]
+        where = Path(code.co_filename).relative_to(ROOT)
+        print(f"  UNREACHED FUNCTION {name} ({where}:{code.co_firstlineno}): "
+              "delete it, or exempt it with a reason")
+    for name in stale_functions:
+        print(f"  STALE FUNCTION EXEMPTION {name}: reached or gone; "
+              "drop the entry")
 
     observed = {}
     declared = {}  # option -> (class, parameter)
@@ -516,7 +849,10 @@ def main() -> int:
     for name in stale_options:
         print(f"  STALE OPTION EXEMPTION {name}: varies or gone; "
               "drop the entry")
-    failed = flagged or stale or flagged_options or stale_options
+    failed = (
+        flagged or stale or flagged_functions or stale_functions
+        or flagged_options or stale_options
+    )
     return 1 if failed else 0
 
 

@@ -153,6 +153,7 @@ def ranges_cover(ranges: list[KeyRange], target: KeyRange) -> bool:
     return not remaining
 
 
+
 # wire registration: mutations and ranges ride inside ChangeEvents and
 # publish commands, so the codec must reconstruct real instances.  The
 # import sits here (bottom of module) because repro.sim.wire is pulled

@@ -73,7 +73,6 @@ class PubsubCacheNode(CacheNode):
         self.leases = leases
         self.invalidation_messages_seen = 0
         self.invalidations_acked = 0
-        self.invalidations_nacked = 0
 
     def serve(self, key):
         """In LEASE mode a node may serve only while it holds the lease
@@ -105,7 +104,6 @@ class PubsubCacheNode(CacheNode):
                 self.apply_invalidation(key, version)
                 self.invalidations_acked += 1
                 return True
-            self.invalidations_nacked += 1
             return False
         # LEASE: only the current holder may ack
         assert self.leases is not None
@@ -120,7 +118,6 @@ class PubsubCacheNode(CacheNode):
                 self.apply_invalidation(key, version)
                 self.invalidations_acked += 1
                 return True
-        self.invalidations_nacked += 1
         return False
 
 
@@ -150,9 +147,8 @@ class PubsubInvalidationPipeline:
             else RoutingPolicy.RANDOM
         )
         broker.create_topic(topic, num_partitions=8)
-        self.publisher = CdcPublisher(
-            sim, store.history, broker, topic, tracer=tracer
-        )
+        # the store history's subscription holds the publisher
+        CdcPublisher(sim, store.history, broker, topic, tracer=tracer)
         self.group = broker.consumer_group(
             topic,
             f"{topic}-caches",
@@ -233,14 +229,15 @@ class FreeInvalidationPipeline:
                 sim, network, f"{topic}-cdc", broker_endpoint=f"{topic}-broker",
                 config=resilience, metrics=broker.metrics, tracer=tracer,
             )
-            self.publisher = CdcPublisher(
+            # the store history's subscription holds the publisher
+            CdcPublisher(
                 sim, store.history, broker, topic,
                 publish_fn=self.remote_publisher.publish, tracer=tracer,
                 group_commit=group_commit,
                 publish_batch_fn=self.remote_publisher.publish_batch,
             )
         else:
-            self.publisher = CdcPublisher(
+            CdcPublisher(
                 sim, store.history, broker, topic, tracer=tracer,
                 group_commit=group_commit,
             )

@@ -69,7 +69,6 @@ class CacheNode:
         self._owned_generation = -1
         self._fills_pending: Dict[Key, bool] = {}
         self.hits = 0
-        self.misses = 0
         self.not_owner = 0
         self.fills = 0
         self.invalidations_applied = 0
@@ -109,7 +108,6 @@ class CacheNode:
         if entry is not None and not self._expired(entry):
             self.hits += 1
             return ("hit", entry.value)
-        self.misses += 1
         self._start_fill(key)
         return ("miss", None)
 
@@ -168,7 +166,3 @@ class CacheNode:
         if entry is None or self._expired(entry):
             return None
         return entry
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)

@@ -9,14 +9,15 @@ snapshot-then-watch protocol *cannot* miss an update, no matter how the
 handoff raced with writes.  (The brief sync window is visible as
 unavailability, the honest cost; experiment E3 reports it.)
 
-The node can serve eventually-consistent reads (``serve``) and, thanks
-to progress events, snapshot-consistent reads (``read_at`` /
-``snapshot_read``) — the capability pubsub caches cannot offer at all.
+The node serves eventually-consistent reads (``serve``); thanks to
+progress events its linked caches also answer snapshot-consistent reads
+(:meth:`~repro.core.linked_cache.LinkedCache.read_at`) — the capability
+pubsub caches cannot offer at all.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro._types import Key, KeyRange, Version
 from repro.cache.node import CacheEntry
@@ -82,13 +83,6 @@ class WatchCacheNode:
     # ------------------------------------------------------------------
     # serving
 
-    def owns(self, key: Key) -> bool:
-        return any(r.contains(key) for r in self._caches)
-
-    @property
-    def owned_ranges(self) -> List[KeyRange]:
-        return list(self._caches)
-
     def _cache_for(self, key: Key) -> Optional[LinkedCache]:
         for key_range, cache in self._caches.items():
             if key_range.contains(key):
@@ -108,13 +102,6 @@ class WatchCacheNode:
         self.hits += 1
         return ("hit", cache.get_latest(key))
 
-    def read_at(self, key: Key, version: Version) -> Tuple[bool, Optional[Any]]:
-        """Snapshot read at ``version`` (knowledge-checked)."""
-        cache = self._cache_for(key)
-        if cache is None or not cache.available:
-            return (False, None)
-        return cache.read_at(key, version)
-
     def peek(self, key: Key) -> Optional[CacheEntry]:
         """Entry-style view for the shared staleness audit.
 
@@ -128,10 +115,6 @@ class WatchCacheNode:
         if version is None or value is None:
             return None
         return CacheEntry(value=value, version=version, cached_at=0.0)
-
-    @property
-    def linked_caches(self) -> List[LinkedCache]:
-        return list(self._caches.values())
 
     @property
     def resync_count(self) -> int:

@@ -76,7 +76,7 @@ class CausalBuffer:
         "sim", "name", "config", "_in_range", "_tracer", "_component",
         "floor", "applied", "_held", "_waiters", "_next_hold_id",
         "delivered", "held_total", "released_deps", "released_deadline",
-        "released_overflow", "held_max_depth", "hold_time_total",
+        "released_overflow", "held_max_depth",
     )
 
     def __init__(
@@ -106,7 +106,6 @@ class CausalBuffer:
         self.released_deadline = 0
         self.released_overflow = 0
         self.held_max_depth = 0
-        self.hold_time_total = 0.0
 
     # ------------------------------------------------------------------
     # public surface
@@ -244,9 +243,8 @@ class CausalBuffer:
     def _release(self, entry: _Held) -> None:
         self._remove(entry)
         self.released_deps += 1
-        held_for = self.sim.now() - entry.held_at
-        self.hold_time_total += held_for
         if self._tracer is not None:
+            held_for = self.sim.now() - entry.held_at
             self._tracer.record(
                 hops.CAUSAL_RELEASED, self._component,
                 key=entry.key, version=entry.version,
@@ -269,9 +267,8 @@ class CausalBuffer:
             self.released_overflow += 1
         elif cause == "deadline":
             self.released_deadline += 1
-        held_for = self.sim.now() - entry.held_at
-        self.hold_time_total += held_for
         if self._tracer is not None and cause != "flush":
+            held_for = self.sim.now() - entry.held_at
             self._tracer.record(
                 hops.CAUSAL_DEADLINE, self._component,
                 key=entry.key, version=entry.version,

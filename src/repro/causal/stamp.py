@@ -89,9 +89,6 @@ class StampIndex:
             return None
         return self._stamps.get((key, version))
 
-    def __len__(self) -> int:
-        return len(self._stamps)
-
 
 #: how many of the most recent ``(key, version)`` commits a stamp lists
 WINDOW = 4

@@ -77,13 +77,16 @@ class WatchCallback(abc.ABC):
         re-watch from the snapshot version."""
 
 
-class FnWatchCallback(WatchCallback):
+@WatchCallback.register
+class FnWatchCallback:
     """Adapter building a callback from plain functions (tests, examples).
 
-    The supplied functions are exposed directly as instance attributes
-    (shadowing the class methods), so delivery hot loops invoke them
-    without a wrapper frame per event; assigning ``on_event`` etc. on
-    an instance swaps a handler in.
+    The supplied functions are the instance's ``on_event``/``on_progress``/
+    ``on_resync`` attributes, so delivery hot loops invoke them without a
+    wrapper frame per event; assigning ``on_event`` etc. on an instance
+    swaps a handler in.  It is registered as a virtual
+    :class:`WatchCallback` rather than subclassing it, which would need
+    class methods the instance attributes only shadow.
     """
 
     def __init__(
@@ -95,15 +98,6 @@ class FnWatchCallback(WatchCallback):
         self.on_event = on_event or (lambda event: None)
         self.on_progress = on_progress or (lambda event: None)
         self.on_resync = on_resync or (lambda: None)
-
-    def on_event(self, event: ChangeEvent) -> None:  # pragma: no cover
-        raise NotImplementedError  # shadowed by the instance attribute
-
-    def on_progress(self, event: ProgressEvent) -> None:  # pragma: no cover
-        raise NotImplementedError  # shadowed by the instance attribute
-
-    def on_resync(self) -> None:  # pragma: no cover
-        raise NotImplementedError  # shadowed by the instance attribute
 
 
 class Watchable(abc.ABC):

@@ -67,7 +67,6 @@ class DirectIngestBridge:
         self._channel = _FifoChannel(sim, latency)
         self._forwarded: Version = VERSION_ZERO
         self._closed = False
-        self.events_forwarded = 0
         self._cancel_tail = history.tail(self._on_commit)
         sim.call_after(progress_interval, self._tick)
         self._progress_interval = progress_interval
@@ -79,7 +78,6 @@ class DirectIngestBridge:
     def _on_commit(self, commit: CommittedTransaction) -> None:
         for key, mutation in commit.writes:
             event = ChangeEvent(key, mutation, commit.version)
-            self.events_forwarded += 1
             self._channel.send(lambda event=event: self.ingester.append(event))
         self._forwarded = commit.version
 
@@ -108,20 +106,15 @@ class _Partition:
         self.channel = _FifoChannel(sim, latency)
         self.ingester = ingester
         self.forwarded: Version = VERSION_ZERO
-        self.events_forwarded = 0
 
     def forward(self, commit: CommittedTransaction) -> None:
-        touched = False
         for key, mutation in commit.writes:
             if self.key_range.contains(key):
                 event = ChangeEvent(key, mutation, commit.version)
-                self.events_forwarded += 1
                 self.channel.send(lambda event=event: self.ingester.append(event))
-                touched = True
         # whether or not the commit touched this range, the partition's
         # knowledge of the store now extends to this version
         self.forwarded = commit.version
-        del touched
 
     def emit_progress(self) -> None:
         if self.forwarded > VERSION_ZERO:
@@ -162,29 +155,18 @@ class PartitionedIngestBridge:
             )
             for idx, key_range in enumerate(ranges)
         ]
-        self._closed = False
         self._progress_interval = progress_interval
-        self._cancel_tail = history.tail(self._on_commit)
+        history.tail(self._on_commit)
         sim.call_after(progress_interval, self._tick)
-
-    def close(self) -> None:
-        self._closed = True
-        self._cancel_tail()
 
     def _on_commit(self, commit: CommittedTransaction) -> None:
         for partition in self.partitions:
             partition.forward(commit)
 
     def _tick(self) -> None:
-        if self._closed:
-            return
         for partition in self.partitions:
             partition.emit_progress()
         self.sim.call_after(self._progress_interval, self._tick)
-
-    @property
-    def events_forwarded(self) -> int:
-        return sum(p.events_forwarded for p in self.partitions)
 
 
 def even_ranges(n: int, alphabet_low: str = "a", alphabet_high: str = "z") -> List[KeyRange]:

@@ -46,9 +46,6 @@ class ProgressEvent:
     def key_range(self) -> KeyRange:
         return KeyRange(self.low, self.high)
 
-    def covers(self, key: Key) -> bool:
-        return self.low <= key < self.high
-
 
 from repro.sim.wire import register as _wire_register  # noqa: E402
 

@@ -73,9 +73,6 @@ class KnowledgeMap:
         """
         self._regions = [KnowledgeRegion(key_range, version, version)]
 
-    def clear(self) -> None:
-        self._regions = []
-
     def extend(self, key_range: KeyRange, version: Version) -> None:
         """Apply a progress event: the intersection of existing regions
         with ``key_range`` now extends to ``version``.
@@ -170,9 +167,6 @@ class KnowledgeMap:
     def max_known_version(self) -> Version:
         """Highest version appearing in any window (0 if empty)."""
         return max((r.high_version for r in self._regions), default=0)
-
-    def __len__(self) -> int:
-        return len(self._regions)
 
 
 def best_joint_snapshot_version(

@@ -95,7 +95,6 @@ class LinkedCache(WatchCallback):
         self.resync_count = 0
         self.snapshots_taken = 0
         self.events_applied = 0
-        self.progress_seen = 0
         self.recovery_times: List[float] = []
         self._resync_started_at: Optional[float] = None
         #: consecutive resyncs without forward progress — drives
@@ -213,7 +212,6 @@ class LinkedCache(WatchCallback):
         if self.state != "watching":
             return
         self._consecutive_resyncs = 0  # forward progress
-        self.progress_seen += 1
         self.knowledge.extend(event.key_range, event.version)
 
     def on_resync(self) -> None:

@@ -151,10 +151,6 @@ class WatchRelay(LinkedCache, Watchable):
             )
         return version
 
-    @property
-    def downstream_watchers(self) -> int:
-        return self.fanout.active_watchers
-
 
 class ReliableFanoutLink(WatchCallback):
     """Ships a watch stream across the network to a remote ingest tier.
@@ -193,7 +189,6 @@ class ReliableFanoutLink(WatchCallback):
             config = ChannelConfig(ordered=True)
         self.channel = ReliableChannel(sim, net, name, config=config, tracer=tracer)
         self.events_shipped = 0
-        self.progress_shipped = 0
         self.resyncs = 0
         self._handle = upstream.watch_range(_ALL_KEYS, VERSION_ZERO, self)
 
@@ -215,7 +210,6 @@ class ReliableFanoutLink(WatchCallback):
         return {"kind": "event", "event": event}
 
     def on_progress(self, event: ProgressEvent) -> None:
-        self.progress_shipped += 1
         self.channel.send(self.remote, {"kind": "progress", "event": event})
 
     def on_resync(self) -> None:
@@ -223,11 +217,6 @@ class ReliableFanoutLink(WatchCallback):
         floor = getattr(self.upstream, "retained_floor", VERSION_ZERO)
         self.channel.send(self.remote, {"kind": "resync", "version": floor})
         self._handle = self.upstream.watch_range(_ALL_KEYS, floor, self)
-
-    def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
 
     # Failable protocol (the link is the thing chaos experiments cut)
     def crash(self) -> None:
@@ -251,7 +240,6 @@ class ReliableFanoutEndpoint:
     ) -> None:
         self.ingester = ingester
         self.events_ingested = 0
-        self.link_resyncs = 0
         self.tracer = tracer if tracer is not None else net.tracer
         if config is None:
             config = ChannelConfig(ordered=True)
@@ -275,7 +263,6 @@ class ReliableFanoutEndpoint:
         elif kind == "progress":
             self.ingester.progress(frame["event"])
         else:  # resync: push the gap down to our own watchers
-            self.link_resyncs += 1
             raise_floor = getattr(self.ingester, "raise_floor", None)
             if raise_floor is not None:
                 raise_floor(frame["version"])

@@ -160,14 +160,6 @@ class ShardedWatchSystem(Watchable, Ingester):
     # ------------------------------------------------------------------
     # introspection
 
-    @property
-    def active_watchers(self) -> int:
-        return sum(s.active_watchers for s in self.shards)
-
-    @property
-    def buffered_events(self) -> int:
-        return sum(s.buffered_events for s in self.shards)
-
     def shard_loads(self) -> List[int]:
         """Events ingested per shard (balance diagnostics)."""
         return [s.events_ingested for s in self.shards]

@@ -116,7 +116,3 @@ class StoreWatch(Watchable):
     def _session_closed(self, session: WatcherSession) -> None:
         if session in self._sessions:
             self._sessions.remove(session)
-
-    @property
-    def active_watchers(self) -> int:
-        return len(self._sessions)

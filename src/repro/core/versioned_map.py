@@ -15,7 +15,7 @@ tolerate equal versions, unlike the store's strict commit order.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro._types import Key, KeyRange, Mutation, Version
 from repro.storage.keyindex import SortedKeyIndex
@@ -130,16 +130,3 @@ class VersionedMap:
 
     def _keys_in(self, key_range: KeyRange) -> Iterator[Key]:
         return self._key_index.irange(key_range.low, key_range.high)
-
-    def keys(self) -> Tuple[Key, ...]:
-        return self._key_index.as_tuple()
-
-    def version_count(self) -> int:
-        """Total retained versions across keys (memory accounting)."""
-        return sum(len(v) for v in self._versions.values())
-
-    def __len__(self) -> int:
-        return len(self._key_index)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._versions

@@ -165,7 +165,6 @@ class WatchSystem(Watchable, Ingester):
         self.soft_state_peak_events = 0
         self.events_ingested = 0
         self.events_evicted = 0
-        self.wipes = 0
 
     # ------------------------------------------------------------------
     # Ingester (the store feeds us)
@@ -376,7 +375,6 @@ class WatchSystem(Watchable, Ingester):
         jumps to the highest version ever seen so any watcher position
         is stale; every active watcher is resynced.
         """
-        self.wipes += 1
         highest = max(
             (e.version for e in self._iter_buffer()), default=self._floor
         )
@@ -426,10 +424,6 @@ class WatchSystem(Watchable, Ingester):
     def retained_floor(self) -> Version:
         """Watch positions must be >= this to avoid a resync."""
         return self._floor
-
-    @property
-    def buffered_events(self) -> int:
-        return len(self._buffer) - self._buf_head
 
     @property
     def active_watchers(self) -> int:

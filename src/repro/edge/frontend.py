@@ -180,7 +180,6 @@ class WatchEdgeFrontend:
         self.connects = 0
         self.catchups_served = 0
         self.snapshots_served = 0
-        self.snapshot_retries = 0
         self.feed_resyncs = 0
         #: snapshot re-serves answered from the per-range cache without
         #: re-running the range scan (mass-snapshot storms are O(distinct
@@ -307,7 +306,6 @@ class WatchEdgeFrontend:
             version = self.relay.snapshot_version(session.key_range)
         except SnapshotUnavailable:
             # relay mid-(re)sync; back off and retry from edge state
-            self.snapshot_retries += 1
             self.sim.call_after(
                 SNAPSHOT_RETRY, lambda: self._serve_snapshot(session)
             )
@@ -365,10 +363,6 @@ class WatchEdgeFrontend:
             self.endpoint.recover()
         self.relay.resume()
 
-    @property
-    def active_sessions(self) -> int:
-        return len(self.sessions)
-
 
 class PubsubEdgeFrontend:
     """Pubsub-pipeline frontend: free consumer + log-replay catch-up."""
@@ -413,7 +407,7 @@ class PubsubEdgeFrontend:
         #: offsets silently missing during replay (GC'd / compacted)
         self.replay_gaps = 0
         self._consumer = Consumer(sim, f"{name}-consumer", handler=self._on_message)
-        self.feed = broker.free_consumer(topic, self._consumer)
+        broker.free_consumer(topic, self._consumer)
         if net is not None:
             # broker-side relay of the free-consumer stream to the
             # frontend across the wire; ordered so per-partition offset
@@ -472,9 +466,6 @@ class PubsubEdgeFrontend:
 
     # ------------------------------------------------------------------
     # session lifecycle
-
-    def head_offsets(self) -> Dict[int, int]:
-        return {log.partition: log.next_offset for log in self.topic.partitions}
 
     def connect(self, client) -> ClientSession:
         """Terminate a session; replay the log from the client's cursor."""
@@ -587,7 +578,3 @@ class PubsubEdgeFrontend:
         if self._uplink is not None:
             self._uplink.recover()
             self._edge_channel.recover()
-
-    @property
-    def active_sessions(self) -> int:
-        return len(self.sessions)

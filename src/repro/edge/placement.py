@@ -14,7 +14,7 @@ to the old owner.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
 from repro._types import Key
 from repro.sharding.assignment import Assignment
@@ -54,16 +54,6 @@ class SessionPlacement:
         latency (and evict stale sessions when they do).
         """
         return self._frontends[self.sharder.assignment.owner_of(client_name)]
-
-    def frontends(self) -> Dict[str, object]:
-        return dict(self._frontends)
-
-    def census(self) -> Dict[str, int]:
-        """Live session count per frontend (E14's balance check)."""
-        return {
-            name: frontend.active_sessions
-            for name, frontend in sorted(self._frontends.items())
-        }
 
     # ------------------------------------------------------------------
     # membership

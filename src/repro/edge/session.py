@@ -467,10 +467,6 @@ class ClientSession:
         )
 
     @property
-    def backlog(self) -> int:
-        return len(self._queue) - self._qhead
-
-    @property
     def attributed(self) -> int:
         """Updates accounted for by some outcome bucket.
 

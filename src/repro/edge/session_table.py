@@ -65,7 +65,7 @@ class SessionTable:
         "offered", "delivered", "coalesced", "dropped", "returned",
         "snapshots", "peak_queue",
         "_ready_next", "_in_ready", "_ready_head", "_ready_tail",
-        "_pump_scheduled", "active", "attaches", "pump_runs",
+        "_pump_scheduled", "active", "pump_runs",
         "pump_visits",
     )
 
@@ -105,7 +105,6 @@ class SessionTable:
         self._ready_tail = _NO_SID
         self._pump_scheduled = False
         self.active = 0
-        self.attaches = 0
         self.pump_runs = 0
         self.pump_visits = 0
 
@@ -114,7 +113,6 @@ class SessionTable:
 
     def attach(self, session) -> int:
         """Claim a slot for ``session``; returns its sid."""
-        self.attaches += 1
         self.active += 1
         free = self._free
         if free:
@@ -159,18 +157,10 @@ class SessionTable:
         self._free.append(sid)
         self.active -= 1
 
-    def session(self, sid: int):
-        """The session currently occupying ``sid`` (None if free)."""
-        return self._sessions[sid]
-
     @property
     def capacity(self) -> int:
         """Slots ever allocated (peak concurrency under reuse)."""
         return len(self._sessions)
-
-    def sampled(self, sid: int) -> bool:
-        """Whether this slot's session should carry a tracer."""
-        return self.sampler.keep(sid)
 
     # ------------------------------------------------------------------
     # shared drain: intrusive ready list + single pump event

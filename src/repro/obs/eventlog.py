@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,6 @@ class EventLog:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    def events(self) -> List[TraceEvent]:
-        return list(self._events)
 
     # ------------------------------------------------------------------
     # JSONL round trip

@@ -107,10 +107,6 @@ class TraceIndex:
         """All traced update identities, in first-seen order."""
         return list(self._chains)
 
-    def chain(self, key: str, version: int) -> List[TraceEvent]:
-        """The causal chain of one update (log order == causal order)."""
-        return list(self._chains.get((key, version), ()))
-
     def hop_sequence(self, key: str, version: int) -> List[Tuple[str, float]]:
         """(hop, time) at the *first* occurrence of each hop, ordered.
 
@@ -123,9 +119,6 @@ class TraceIndex:
                 seen[event.hop] = event.t
         # log order is sim-time order, so insertion order is chronological
         return list(seen.items())
-
-    def has_hop(self, key: str, version: int, hop: str) -> bool:
-        return any(e.hop == hop for e in self._chains.get((key, version), ()))
 
     def delivered(self) -> List[Tuple[str, int]]:
         """Updates whose chain reached a terminal apply hop."""

@@ -16,9 +16,9 @@ edge of the covering bucket (a deterministic upper bound with relative
 error bounded by the edge spacing), never interpolated from floats
 whose summation order could differ between runs.
 
-State round-trips through plain tuples (:meth:`to_state` /
-:meth:`from_state`) so shard results pickle small and reports can be
-serialized to JSON.
+The state is four ``__slots__`` (edges, counts, overflow, count), so a
+shard's histogram pickles small across the fleet's process boundary
+and a report serializes it to JSON field by field.
 """
 
 from __future__ import annotations
@@ -127,21 +127,6 @@ class MergeHist:
 
     # ------------------------------------------------------------------
     # state (pickling across the fleet's process boundary / JSON)
-
-    def to_state(self) -> tuple:
-        return (self.edges, tuple(self.counts), self.overflow, self.count)
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "MergeHist":
-        edges, counts, overflow, count = state
-        hist = cls(edges)
-        hist.counts = list(counts)
-        hist.overflow = overflow
-        hist.count = count
-        return hist
-
-    def __len__(self) -> int:
-        return self.count
 
     def __repr__(self) -> str:
         return (

@@ -134,9 +134,6 @@ class Broker:
             raise UnknownTopicError(name)
         return topic
 
-    def topics(self) -> List[str]:
-        return sorted(self._topics)
-
     # ------------------------------------------------------------------
     # publishing
 
@@ -275,14 +272,6 @@ class Broker:
         """Durable bytes appended across all topics (§4.4 efficiency)."""
         return sum(topic.bytes_written for topic in self._topics.values())
 
-    def total_backlog(self) -> int:
-        """Sum of backlogs across all subscriptions of all topics."""
-        return sum(
-            subscription.backlog()
-            for subs in self._subscriptions.values()
-            for subscription in subs
-        )
-
 
 class RemotePublisher:
     """Producer-side handle that publishes to a broker over the network.
@@ -293,7 +282,7 @@ class RemotePublisher:
     channel config a publish survives loss, partition windows, and
     broker downtime (retransmitted until acked); with
     ``ChannelConfig(reliable=False)`` it is the paper's fire-and-forget
-    baseline, and ``lost`` counts publishes the policy abandoned.
+    baseline.
     """
 
     def __init__(
@@ -314,7 +303,6 @@ class RemotePublisher:
         )
         self.published = 0
         self.delivered = 0
-        self.lost = 0
 
     def publish(self, topic: str, key: Optional[str], payload: Any) -> None:
         """Ship one publish command across the network."""
@@ -347,7 +335,6 @@ class RemotePublisher:
                 self._trace(hops.PUBLISH_ACKED, records, seq=seq)
 
         def gaveup() -> None:
-            self.lost += len(records)
             if self.tracer is not None:
                 self._trace(hops.PUBLISH_GAVEUP, records, seq=seq)
 

@@ -200,10 +200,6 @@ class Consumer:
         pump promptly instead of waiting for the next publish)."""
         self._on_recover.append(callback)
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
 
 class ConsumerGroup:
     """Convenience wrapper: a subscription plus its member consumers."""
@@ -237,13 +233,5 @@ class FreeConsumer:
 
     def __init__(self, subscription: "Subscription", consumer: Consumer) -> None:
         self.subscription = subscription
-        self.consumer = consumer
         subscription.add_member(consumer)
         consumer.on_recover(subscription.pump_all)
-
-    @property
-    def processed(self) -> int:
-        return self.consumer.processed
-
-    def backlog(self) -> int:
-        return self.subscription.backlog()

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.pubsub.errors import OffsetOutOfRangeError
 from repro.pubsub.message import Message
 
 
@@ -84,7 +83,6 @@ class PartitionLog:
         self._gc_floor = 0  # offsets below this may be gone
         self.bytes_written = 0
         self.messages_gced = 0  # retention GC deletions
-        self.messages_compacted = 0  # compaction deletions
 
     # ------------------------------------------------------------------
     # appending
@@ -118,17 +116,14 @@ class PartitionLog:
         retention GC.  (Compacted holes can exist above the floor.)"""
         return self._gc_floor
 
-    def __len__(self) -> int:
-        return len(self._messages)
-
     def read_from(self, offset: int, limit: Optional[int] = None) -> List[Message]:
         """Retained messages with offset >= ``offset``, in order.
 
         Deliberately does **not** raise when ``offset`` is below the GC
         floor: the normal consumption path silently skips deleted
-        messages, which is the undetectable loss of §3.1.  Use
-        :meth:`read_from_strict` for APIs that do surface the error
-        (replay/seek).
+        messages, which is the undetectable loss of §3.1.  The replay
+        seeks (:mod:`repro.pubsub.replay`) check :attr:`gc_floor` and
+        raise instead.
         """
         result: List[Message] = []
         for message in self._iter_from(offset):
@@ -136,13 +131,6 @@ class PartitionLog:
             if limit is not None and len(result) >= limit:
                 break
         return result
-
-    def read_from_strict(self, offset: int, limit: Optional[int] = None) -> List[Message]:
-        """Like :meth:`read_from` but raises
-        :class:`OffsetOutOfRangeError` below the GC floor."""
-        if offset < self._gc_floor:
-            raise OffsetOutOfRangeError(offset, self._gc_floor)
-        return self.read_from(offset, limit)
 
     def _iter_from(self, offset: int):
         # binary search over retained messages (offset order, may have holes)
@@ -154,12 +142,6 @@ class PartitionLog:
             else:
                 hi = mid
         return iter(self._messages[lo:])
-
-    def get(self, offset: int) -> Optional[Message]:
-        """The retained message at ``offset`` exactly, or None."""
-        for message in self._iter_from(offset):
-            return message if message.offset == offset else None
-        return None
 
     def offset_for_time(self, t: float) -> int:
         """Smallest retained offset with publish_time >= ``t`` (or the
@@ -235,9 +217,4 @@ class PartitionLog:
                 deleted += 1
         if deleted:
             self._messages[:old_end] = survivors
-            self.messages_compacted += deleted
         return deleted
-
-    def retained_messages(self) -> List[Message]:
-        """All retained messages (oldest first) — test/inspection aid."""
-        return list(self._messages)

@@ -165,9 +165,6 @@ class Subscription:
         self._rebalance()
         self.pump_all()
 
-    def members(self) -> List[str]:
-        return list(self._member_order)
-
     def _rebalance(self) -> None:
         """Round-robin partitions over members (PARTITION routing)."""
         self._partition_assignment.clear()

@@ -91,18 +91,6 @@ class Topic:
         return sum(log.next_offset for log in self.partitions)
 
     @property
-    def total_messages_retained(self) -> int:
-        return sum(len(log) for log in self.partitions)
-
-    @property
-    def total_messages_gced(self) -> int:
-        return sum(log.messages_gced for log in self.partitions)
-
-    @property
-    def total_messages_compacted(self) -> int:
-        return sum(log.messages_compacted for log in self.partitions)
-
-    @property
     def bytes_written(self) -> int:
         """Durable bytes appended across partitions (E8 accounting)."""
         return sum(log.bytes_written for log in self.partitions)

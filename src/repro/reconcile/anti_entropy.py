@@ -65,7 +65,6 @@ class AntiEntropyReconciler(Reconciler):
         self.checker = checker
         #: per-scope {key: source version} awaiting confirmation
         self._suspects: Dict[str, Dict[str, Version]] = {}
-        self.repaired_keys = 0
 
     def scopes(self) -> List[str]:
         return [name for name, _ in self._shards]
@@ -146,7 +145,6 @@ class AntiEntropyReconciler(Reconciler):
                 else:
                     version, value = versioned
                     self.replica.repair(key, Mutation.put(value), version)
-            self.repaired_keys += len(keys)
             self._suspects.pop(scope, None)
             self.finish(scope, op_id, True, keys=len(keys))
 

@@ -36,7 +36,7 @@ can attribute every repair to the corruption it fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.obs.trace import hops
 from repro.resilience.retry import RetryPolicy
@@ -100,7 +100,6 @@ class ScopeTable:
         self.claims = 0
         self.cas_rejects = 0
         self.completions = 0
-        self.failures = 0
         self.terminal_errors = 0
 
     def record(self, scope: str) -> ScopeRecord:
@@ -108,9 +107,6 @@ class ScopeTable:
         if record is None:
             record = self._records[scope] = ScopeRecord(scope)
         return record
-
-    def records(self) -> Dict[str, ScopeRecord]:
-        return dict(self._records)
 
     def mint_op_id(self, scope: str) -> str:
         """A fresh per-attempt operation id (stale async completions
@@ -179,7 +175,6 @@ class ScopeTable:
                 f"{record.owner!r} as {record.op_id!r}"
             )
         record.running = False
-        self.failures += 1
         max_attempts = retry.max_attempts
         if max_attempts is not None and record.attempts >= max_attempts:
             record.terminal_error = error
@@ -226,18 +221,6 @@ class Reconciler:
         self._running = False
 
     # ------------------------------------------------------------------
-    # subclass API
-
-    def scopes(self) -> Iterable[str]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def plan(self, scope: str) -> PlanResult:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def execute(self, scope: str, record: ScopeRecord) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
     # loop
 
     def start(self) -> None:
@@ -247,19 +230,11 @@ class Reconciler:
         self._running = True
         self.sim.call_after(TICK, self._tick)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _tick(self) -> None:
         if not self._running:
             return
         self.run_round()
         self.sim.call_after(TICK, self._tick)
-
-    @property
-    def converged(self) -> bool:
-        """True once a whole round found nothing to plan or execute."""
-        return self.idle_rounds >= 1
 
     def run_round(self) -> bool:
         """One Plan pass over every scope; returns True if any scope was

@@ -102,7 +102,8 @@ class _ApplierBase:
         self._tx: Optional[ReliableChannel] = None
         if network is not None:
             self._endpoint_name = f"{self.group_name}-replica"
-            self._rx = ReliableChannel(
+            # the network's endpoint table holds the receiving channel
+            ReliableChannel(
                 sim, network, self._endpoint_name,
                 handler=self._apply_remote, config=resilience,
             )
@@ -191,10 +192,6 @@ class _ApplierBase:
 
     def backlog(self) -> int:
         return self.group.backlog()
-
-    def unapplied_in_flight(self) -> int:
-        """Applies shipped to the replica but not yet acknowledged."""
-        return self._tx.pending_count if self._tx is not None else 0
 
 
 class SerialTxnApplier(_ApplierBase):

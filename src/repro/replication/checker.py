@@ -48,7 +48,7 @@ class SnapshotChecker:
         #: recur, e.g. write-then-delete; matching must pick the
         #: occurrence consistent with monotone replay)
         self._fp_versions: Dict[int, List[Version]] = {0: [0]}
-        self._cancel = source.history.tail(self._on_source_commit)
+        source.history.tail(self._on_source_commit)
         # replay anything committed before we attached
         for commit in source.history.commits():
             self._on_source_commit(commit, replay=True)
@@ -58,9 +58,6 @@ class SnapshotChecker:
         self.regressions = 0
         self._last_matched_version: Version = 0
         self._violating_fps: List[int] = []
-
-    def close(self) -> None:
-        self._cancel()
 
     # ------------------------------------------------------------------
     # source side
@@ -84,11 +81,6 @@ class SnapshotChecker:
         collisions) byte-identical to the source head — the O(1) fast
         path the anti-entropy reconciler checks before diffing."""
         return self._source_fp
-
-    @property
-    def source_head(self) -> Version:
-        """The newest source version the checker has folded in."""
-        return self.source.last_version
 
     # ------------------------------------------------------------------
     # target side
@@ -133,10 +125,6 @@ class SnapshotChecker:
                 diverged.append(key)
         return sorted(diverged)
 
-    @property
-    def violation_fraction(self) -> float:
-        return self.violations / self.states_checked if self.states_checked else 0.0
-
 
 class AclInvariantChecker:
     """Counts externalized states violating member/access exclusion."""
@@ -165,7 +153,3 @@ class AclInvariantChecker:
                 self.violating_pairs.add(idx)
         if violated:
             self.violating_states += 1
-
-    @property
-    def violation_fraction(self) -> float:
-        return self.violating_states / self.states_checked if self.states_checked else 0.0

@@ -266,7 +266,3 @@ class ReplicaStore:
         repairs removed forged entries); returns the new watermark."""
         self._cursor = max(self._versions.values(), default=0)
         return self._cursor
-
-    def __len__(self) -> int:
-        return len(self._state)
-

@@ -196,14 +196,6 @@ class WatchReplicator:
     # ------------------------------------------------------------------
     # introspection
 
-    @property
-    def externalized_version(self) -> Version:
-        return self._externalized
-
     def lag(self) -> int:
         """Source versions not yet externalized."""
         return max(0, self.source.last_version - self._externalized)
-
-    @property
-    def staged_count(self) -> int:
-        return sum(len(v) for v in self._staged.values())

@@ -645,11 +645,6 @@ class ReliableChannel:
     # ------------------------------------------------------------------
     # introspection
 
-    @property
-    def pending_count(self) -> int:
-        """Frames sent but not yet acked (reliable mode only)."""
-        return len(self._pending)
-
     def pending_unacked(self) -> List[Tuple[str, int]]:
         """Sorted ``(dst, seq)`` pairs of frames awaiting an ack.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro._types import KEY_MAX, KEY_MIN, Key, KeyRange
 
@@ -84,16 +84,6 @@ class Assignment:
 
     def nodes(self) -> List[str]:
         return sorted({s.node for s in self.slices})
-
-    def load_map(self, loads: Dict[int, float]) -> Dict[str, float]:
-        """Aggregate per-slice loads (indexed by slice position) per node."""
-        out: Dict[str, float] = {}
-        for idx, s in enumerate(self.slices):
-            out[s.node] = out.get(s.node, 0.0) + loads.get(idx, 0.0)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.slices)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Assignment(gen={self.generation}, {len(self.slices)} slices)"

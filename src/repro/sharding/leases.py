@@ -43,8 +43,6 @@ class LeaseManager:
         self._leases: List[Lease] = []
         #: who the sharder currently wants to own each range
         self._desired: Optional[Assignment] = None
-        self.handoffs = 0
-        self.acquisitions = 0
 
     # ------------------------------------------------------------------
     # assignment side
@@ -80,7 +78,6 @@ class LeaseManager:
             return None  # someone else still holds an overlapping lease
         lease = Lease(desired_range, node, now + self.lease_duration)
         self._leases.append(lease)
-        self.acquisitions += 1
         return lease
 
     def release(self, node: str, key: Key) -> bool:
@@ -89,7 +86,6 @@ class LeaseManager:
         for lease in self._leases:
             if lease.holder == node and lease.key_range.contains(key) and lease.expires_at > now:
                 lease.expires_at = now
-                self.handoffs += 1
                 return True
         return False
 

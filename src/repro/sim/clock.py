@@ -55,21 +55,6 @@ HOURS = 60.0 * MINUTES
 DAYS = 24.0 * HOURS
 
 
-def seconds(n: float) -> float:
-    """Return ``n`` seconds in clock units."""
-    return n * SECONDS
-
-
-def minutes(n: float) -> float:
-    """Return ``n`` minutes in clock units."""
-    return n * MINUTES
-
-
 def hours(n: float) -> float:
     """Return ``n`` hours in clock units."""
     return n * HOURS
-
-
-def days(n: float) -> float:
-    """Return ``n`` days in clock units."""
-    return n * DAYS

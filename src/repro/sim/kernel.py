@@ -133,11 +133,6 @@ class EventHandle:
 
     __slots__ = ("_entry", "_sim", "_seq")
 
-    def __init__(self, entry: List[Any], sim: "Simulation", seq: int) -> None:
-        self._entry = entry
-        self._sim = sim
-        self._seq = seq
-
     def cancel(self) -> None:
         """Prevent the event from firing (idempotent)."""
         sim = self._sim
@@ -152,10 +147,6 @@ class EventHandle:
         entry[_FN] = None
         entry[_CANCELLED] = True
         sim._on_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._sim is None
 
 
 #: bypass type.__call__ on the scheduling hot path; the call sites

@@ -116,9 +116,6 @@ class Network:
         self._endpoints[name] = endpoint
         return endpoint
 
-    def unregister(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-
     def endpoint(self, name: str) -> Optional[Endpoint]:
         return self._endpoints.get(name)
 
@@ -138,9 +135,6 @@ class Network:
         """Restore the link between ``a`` and ``b``."""
         self._partitions.discard((a, b))
         self._partitions.discard((b, a))
-
-    def is_partitioned(self, a: str, b: str) -> bool:
-        return (a, b) in self._partitions
 
     # ------------------------------------------------------------------
     # delivery

@@ -39,9 +39,6 @@ class CommittedTransaction:
     writes: Tuple[Tuple[Key, Mutation], ...]
     commit_time: float = 0.0
 
-    def keys(self) -> Tuple[Key, ...]:
-        return tuple(k for k, _ in self.writes)
-
     def touches(self, key_range: KeyRange) -> bool:
         return any(key_range.contains(k) for k, _ in self.writes)
 
@@ -117,14 +114,6 @@ class ChangeHistory:
         """Version of the oldest retained commit (or the truncation point)."""
         return self._versions[0] if self._versions else self._truncated_max
 
-    @property
-    def truncated_max(self) -> Version:
-        """Largest version ever truncated (VERSION_ZERO if none)."""
-        return self._truncated_max
-
-    def __len__(self) -> int:
-        return len(self._commits)
-
     def can_replay_from(self, version: Version) -> bool:
         """True if ``since(version)`` would yield a contiguous history."""
         return version >= self._truncated_max
@@ -163,7 +152,3 @@ class ChangeHistory:
             self._tailers.pop(tailer_id, None)
 
         return cancel
-
-    @property
-    def tailer_count(self) -> int:
-        return len(self._tailers)

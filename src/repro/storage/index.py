@@ -51,7 +51,6 @@ class SecondaryIndex:
         self._postings = VersionedMap()
         #: current indexed value per key (to remove old postings)
         self._current: Dict[Key, str] = {}
-        self.entries_indexed = 0
         # backfill existing state at the current version, then follow
         version = store.last_version
         for key, row in store.scan():
@@ -79,7 +78,6 @@ class SecondaryIndex:
         encoded = _encode(value)
         self._postings.apply(f"{encoded}{_SEP}{key}", Mutation.put(True), version)
         self._current[key] = encoded
-        self.entries_indexed += 1
 
     def _remove(self, key: Key, version: Version) -> None:
         encoded = self._current.pop(key, None)

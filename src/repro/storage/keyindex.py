@@ -23,7 +23,7 @@ rather than yielding from stale positions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 
 class SortedKeyIndex:
@@ -66,17 +66,6 @@ class SortedKeyIndex:
             self._generation += 1
         return self._sorted
 
-    def __len__(self) -> int:
-        return len(self._sorted) + len(self._pending)
-
-    def __bool__(self) -> bool:
-        return bool(self._sorted) or bool(self._pending)
-
-    def range_bounds(self, low: str, high: str) -> Tuple[int, int]:
-        """(lo, hi) indices of ``[low, high)`` in the merged array."""
-        merged = self._merge()
-        return bisect_left(merged, low), bisect_left(merged, high)
-
     def irange(self, low: str, high: str) -> Iterator[str]:
         """Yield keys in ``[low, high)`` in sorted order, no copies."""
         merged = self._merge()
@@ -101,6 +90,3 @@ class SortedKeyIndex:
         materialized result)."""
         merged = self._merge()
         return merged[bisect_left(merged, low):bisect_left(merged, high)]
-
-    def as_tuple(self) -> Tuple[str, ...]:
-        return tuple(self._merge())

@@ -11,14 +11,15 @@ a watcher that resyncs from a *stale* snapshot at version v simply
 re-watches from v — the watch stream replays the (v, now] suffix, so
 the staleness costs catch-up time, never consistency.
 
-The replica tracks ``snapshots_served`` and the primary counts its own
-(via the snapshot functions built with :func:`primary_snapshot_fn` /
-:func:`replica_snapshot_fn`), so experiment A4 can show the load shift.
+The replica counts the snapshots it serves (``snapshots_served``) and
+:class:`SnapshotCounter` counts the primary's; experiment A4 hands
+either one's ``serve_snapshot`` to its caches as the snapshot function,
+so it can show the load shift.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro._types import Key, KeyRange, Version
 from repro.core.versioned_map import VersionedMap
@@ -40,13 +41,11 @@ class ReadReplica:
         if apply_lag < 0:
             raise ValueError("apply_lag must be >= 0")
         self.sim = sim
-        self.primary = primary
         self.apply_lag = apply_lag
         self.name = name
         self._data = VersionedMap()
         self._applied_version: Version = 0
         self.snapshots_served = 0
-        self.commits_applied = 0
         # bootstrap from the primary's current state, then follow
         bootstrap = primary.snapshot()
         self._data.load_snapshot(bootstrap.items(), bootstrap.version)
@@ -66,21 +65,11 @@ class ReadReplica:
             for key, mutation in commit.writes:
                 self._data.apply(key, mutation, commit.version)
             self._applied_version = commit.version
-            self.commits_applied += 1
 
         if self.apply_lag > 0:
             self.sim.call_after(self.apply_lag, apply)
         else:
             apply()
-
-    @property
-    def applied_version(self) -> Version:
-        """Newest primary version reflected here."""
-        return self._applied_version
-
-    def lag_versions(self) -> int:
-        """How many versions behind the primary this replica is."""
-        return max(0, self.primary.last_version - self._applied_version)
 
     # ------------------------------------------------------------------
     # reads
@@ -110,13 +99,3 @@ class SnapshotCounter:
         self.snapshots_served += 1
         version = self.store.last_version
         return version, dict(self.store.scan(key_range, version))
-
-
-def primary_snapshot_fn(counter: SnapshotCounter) -> Callable:
-    """Snapshot function reading from the primary (counted)."""
-    return counter.serve_snapshot
-
-
-def replica_snapshot_fn(replica: ReadReplica) -> Callable:
-    """Snapshot function reading from a (stale) replica (counted)."""
-    return replica.serve_snapshot

@@ -183,8 +183,9 @@ class EventDrivenCoordinator:
         from repro.cdc.publisher import CdcPublisher
 
         broker.create_topic("provision-events", num_partitions=4)
-        self._desired_pub = CdcPublisher(sim, world.desired.history, broker, "provision-events")
-        self._actual_pub = CdcPublisher(sim, world.actual.history, broker, "provision-events")
+        # each history's subscription holds its publisher
+        CdcPublisher(sim, world.desired.history, broker, "provision-events")
+        CdcPublisher(sim, world.actual.history, broker, "provision-events")
         group = broker.consumer_group(
             "provision-events",
             "coordinator",

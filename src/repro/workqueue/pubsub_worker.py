@@ -104,16 +104,3 @@ class PubsubWorkerPool:
                 worker.recover()
                 return
         raise KeyError(name)
-
-    # ------------------------------------------------------------------
-    # introspection
-
-    def backlog(self) -> int:
-        return self.group.backlog()
-
-    @property
-    def completed(self) -> int:
-        return self.stats.completed
-
-    def queue_depths(self) -> Dict[str, int]:
-        return {worker.name: worker.queue_depth for worker in self.workers}

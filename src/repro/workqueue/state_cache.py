@@ -50,9 +50,6 @@ class StateCache:
             del self._entries[key]
         return len(doomed)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

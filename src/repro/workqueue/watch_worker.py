@@ -144,7 +144,6 @@ class WatchWorker:
         try:
             txn.commit()
         except ConflictError:
-            self.pool.conflicts += 1
             return "conflict"
         return "done"
 
@@ -178,7 +177,6 @@ class WatchWorkerPool:
         self.watchable = watchable
         self.sharder = sharder
         self.stats = TaskStats()
-        self.conflicts = 0
         self.workers: Dict[str, WatchWorker] = {}
         for idx in range(num_workers):
             name = f"worker-{idx}"
@@ -208,16 +206,3 @@ class WatchWorkerPool:
         self.sharder.subscribe(worker.on_assignment)
         self.sharder.add_node(name)
         return worker
-
-    # ------------------------------------------------------------------
-    # introspection
-
-    @property
-    def completed(self) -> int:
-        return self.stats.completed
-
-    def pending_in_store(self) -> int:
-        """Ground truth: pending rows in the store right now."""
-        return sum(
-            1 for _, payload in self.store.scan() if payload.get("state") == "pending"
-        )

@@ -128,12 +128,12 @@ class TestOwnershipView:
         node.serve("b")
         node.serve("q")
         sim.run_for(0.5)
-        assert node.entry_count == 2
+        assert len(node._entries) == 2
         node.on_assignment(
             Assignment.even(["n", "other"], ["m"], generation=1)
         )
         assert node.owns("b") and not node.owns("q")
-        assert node.entry_count == 1
+        assert len(node._entries) == 1
 
     def test_stale_generation_ignored(self, sim):
         store = MVCCStore()

@@ -62,7 +62,7 @@ class TestServing:
         sim.run_for(0.5)
         store.put("k", "new")
         sim.run_for(0.5)
-        known, value = node.read_at("k", v1)
+        known, value = node._cache_for("k").read_at("k", v1)
         assert known and value == "old"
 
 
@@ -76,7 +76,8 @@ class TestHandoff:
         node.on_assignment(Assignment.even(["other", "n"], ["m"]))
         other.on_assignment(Assignment.even(["other", "n"], ["m"]))
         sim.run_for(0.5)
-        assert other.owns("x") if "x" < "m" else node.owns("x")
+        owner = other if "x" < "m" else node
+        assert owner._cache_for("x") is not None
         # handoff x's range to n, with an update racing the handoff
         new_assignment = Assignment.single("n", generation=1)
         store.put("x", "v2")  # update lands just before n learns
@@ -90,7 +91,7 @@ class TestHandoff:
         node.on_assignment(Assignment.single("n"))
         sim.run_for(0.5)
         node.on_assignment(Assignment.single("other", generation=1))
-        assert node.owned_ranges == []
+        assert list(node._caches) == []
         assert node.serve("k")[0] == "not_owner"
 
     def test_stale_generation_ignored(self, sim, setup):
@@ -98,7 +99,7 @@ class TestHandoff:
         node.on_assignment(Assignment.single("n", generation=5))
         sim.run_for(0.5)
         node.on_assignment(Assignment.single("other", generation=2))
-        assert node.owns("k")
+        assert node._cache_for("k") is not None
 
     def test_resync_counting_via_wipe(self, sim, setup):
         store, ws, node = setup

@@ -59,7 +59,7 @@ def test_deadline_releases_with_attribution(sim):
     assert seen == [("b", 2)]
     assert buf.released_deadline == 1 and buf.held_count == 0
     deadline_events = [
-        e for e in tracer.log.events() if e.hop == hops.CAUSAL_DEADLINE
+        e for e in tracer.log if e.hop == hops.CAUSAL_DEADLINE
     ]
     assert len(deadline_events) == 1
     assert deadline_events[0].attrs["waiting_for"] == "a:1"
@@ -132,7 +132,7 @@ def test_held_and_released_hops_traced(sim):
     buf = CausalBuffer(sim, tracer=tracer)
     buf.submit("b", 2, CausalStamp(2, (("a", 1),)), deliver("b", 2))
     buf.submit("a", 1, None, deliver("a", 1))
-    hop_names = [e.hop for e in tracer.log.events()]
+    hop_names = [e.hop for e in tracer.log]
     assert hops.CAUSAL_HELD in hop_names
     assert hops.CAUSAL_RELEASED in hop_names
 

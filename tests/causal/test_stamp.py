@@ -75,7 +75,7 @@ def test_stamper_traces_causal_stamp_hops(sim):
     stamper = CausalStamper(tracer=tracer)
     stamper.observe_store(store)
     v = store.put("k", {"v": 1})
-    events = [e for e in tracer.log.events() if e.hop == hops.CAUSAL_STAMP]
+    events = [e for e in tracer.log if e.hop == hops.CAUSAL_STAMP]
     assert len(events) == 1
     assert events[0].key == "k" and events[0].version == v
     assert stamper.stamped == 1 and stamper.meta_bytes > 0
@@ -87,4 +87,4 @@ def test_index_lookup_misses_return_none():
     assert index.lookup("k", 5) is None
     index.record("k", 5, CausalStamp(5))
     assert index.lookup("k", 5).version == 5
-    assert len(index) == 1
+    assert len(index._stamps) == 1

@@ -155,7 +155,7 @@ def test_fanout_link_without_index_ships_nothing_extra(sim):
     sim.run_for(1.0)
     assert endpoint.events_ingested == 1
     assert endpoint.stamps.lookup("k", 1) is None
-    assert len(endpoint.stamps) == 0
+    assert len(endpoint.stamps._stamps) == 0
     # the plain link's frame has no causal key at all
     event = ChangeEvent("k", Mutation.put(2), 2)
     assert link._event_frame(event) == {"kind": "event", "event": event}

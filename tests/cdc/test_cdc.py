@@ -54,7 +54,7 @@ class TestPublisher:
         assert publisher.published == 1
         messages = [
             m for log in broker.topic("cdc").partitions
-            for m in log.retained_messages()
+            for m in log._messages
         ]
         assert len(messages) == 1
         assert messages[0].key == "row-1"
@@ -70,7 +70,7 @@ class TestPublisher:
             store.put("same-key", i)
         sim.run_for(1.0)
         for log in broker.topic("cdc").partitions:
-            values = [m.payload["value"] for m in log.retained_messages()]
+            values = [m.payload["value"] for m in log._messages]
             if values:
                 assert values == list(range(10))
 

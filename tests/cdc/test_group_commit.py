@@ -70,7 +70,7 @@ class TestGroupCommitEndToEnd:
         assert publisher.published == 20
         log_versions = [
             m.payload["version"]
-            for m in broker.topic("cdc").partitions[0].retained_messages()
+            for m in broker.topic("cdc").partitions[0]._messages
         ]
         expected = [v for v in versions for _ in range(4)]
         assert log_versions == expected

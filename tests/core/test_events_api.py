@@ -26,8 +26,6 @@ class TestProgressEvent:
     def test_key_range_view(self):
         p = ProgressEvent("a", "m", 9)
         assert p.key_range == KeyRange("a", "m")
-        assert p.covers("b")
-        assert not p.covers("m")
 
 
 class TestFnWatchCallback:

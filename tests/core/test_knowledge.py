@@ -35,7 +35,7 @@ class TestKnowledgeMap:
         km.reset(KeyRange("a", "z"), 7)
         assert km.knows(KeyRange("a", "z"), 7)
         assert not km.knows(KeyRange("a", "z"), 8)
-        assert len(km) == 1
+        assert len(km._regions) == 1
 
     def test_extend_full_range(self):
         km = KnowledgeMap()
@@ -43,7 +43,7 @@ class TestKnowledgeMap:
         km.extend(KeyRange("a", "z"), 9)
         assert km.knows(KeyRange("a", "z"), 5)
         assert km.knows(KeyRange("a", "z"), 9)
-        assert len(km) == 1  # merged, not split
+        assert len(km._regions) == 1  # merged, not split
 
     def test_extend_partial_range_splits(self):
         km = KnowledgeMap()
@@ -52,7 +52,7 @@ class TestKnowledgeMap:
         assert km.knows(KeyRange("a", "m"), 9)
         assert not km.knows(KeyRange("m", "z"), 9)
         assert km.knows(KeyRange("a", "z"), 5)  # old version still joint
-        assert len(km) == 2
+        assert len(km._regions) == 2
 
     def test_extend_outside_known_is_ignored(self):
         km = KnowledgeMap()

@@ -51,7 +51,7 @@ class TestRelayForwarding:
         store.put("k", "v")
         sim.run_for(1.0)
         assert leaf.get_latest("k") == "v"
-        assert relay.downstream_watchers == 1
+        assert relay.fanout.active_watchers == 1
 
     def test_downstream_knowledge_opens(self, sim, pipeline):
         store, root, relay = pipeline
@@ -135,7 +135,7 @@ class TestFanOutOffload:
         leaves = [make_downstream(sim, relay, name=f"leaf-{i}") for i in range(10)]
         sim.run_for(0.5)
         assert root.active_watchers == 1      # just the relay
-        assert relay.downstream_watchers == 10
+        assert relay.fanout.active_watchers == 10
         store.put("k", "v")
         sim.run_for(1.0)
         assert all(leaf.get_latest("k") == "v" for leaf in leaves)

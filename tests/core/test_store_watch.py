@@ -121,14 +121,14 @@ class TestLifecycle:
         store.put("a", 1)
         sim.run()
         assert events == []
-        assert watch.active_watchers == 0
-        assert store.history.tailer_count == 0
+        assert len(watch._sessions) == 0
+        assert len(store.history._tailers) == 0
 
     def test_session_close_removes_watcher(self, sim):
         store = MVCCStore()
         watch = StoreWatch(sim, store)
         callback, _, _, _ = collector()
         handle = watch.watch(KEY_MIN, KEY_MAX, 0, callback)
-        assert watch.active_watchers == 1
+        assert len(watch._sessions) == 1
         handle.cancel()
-        assert watch.active_watchers == 0
+        assert len(watch._sessions) == 0

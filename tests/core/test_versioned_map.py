@@ -19,7 +19,7 @@ class TestApply:
         vm = VersionedMap()
         vm.apply("a", Mutation.put(1), 5)
         vm.apply("a", Mutation.put(1), 5)
-        assert vm.version_count() == 1
+        assert len(vm._versions["a"]) == 1
 
     def test_out_of_order_insert(self):
         vm = VersionedMap()
@@ -36,7 +36,7 @@ class TestApply:
         assert vm.get_latest("a") is None
         assert vm.get_at("a", 6) == 1
         assert vm.get_at("a", 8) is None
-        assert "a" in vm
+        assert "a" in vm._versions
 
     def test_latest_version(self):
         vm = VersionedMap()
@@ -53,7 +53,7 @@ class TestSnapshotLoad:
         vm.load_snapshot({"a": 10, "b": 20}, version=5)
         assert vm.get_latest("old") is None
         assert vm.get_at("a", 5) == 10
-        assert len(vm) == 2
+        assert sorted(vm._versions) == ["a", "b"]
 
     def test_items_at_and_latest(self):
         vm = VersionedMap()

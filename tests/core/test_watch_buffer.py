@@ -85,7 +85,7 @@ class TestPeriodicCompaction:
         fill(ws, _BUFFER_COMPACT_MIN + 99)
         assert ws._buf_head == _BUFFER_COMPACT_MIN - 1
         assert len(ws._buffer) == _BUFFER_COMPACT_MIN + 99
-        assert ws.buffered_events == 100
+        assert len(ws._buffer) - ws._buf_head == 100
 
     def test_compaction_resets_head_and_preserves_the_tail(self, sim):
         ws = WatchSystem(sim, WatchSystemConfig(max_buffered_events=100))
@@ -93,7 +93,7 @@ class TestPeriodicCompaction:
         fill(ws, n)
         assert ws._buf_head == 0
         assert len(ws._buffer) == 100
-        assert ws.buffered_events == 100
+        assert len(ws._buffer) - ws._buf_head == 100
         assert ws.events_evicted == _BUFFER_COMPACT_MIN
         assert ws.retained_floor == _BUFFER_COMPACT_MIN
         assert [e.version for e in ws._buffer] == list(range(n - 99, n + 1))
@@ -113,7 +113,7 @@ class TestPeriodicCompaction:
         # and the next eviction cycle starts from a clean head
         fill(ws, 10, start=n + 1)
         assert ws._buf_head == 10
-        assert ws.buffered_events == 100
+        assert len(ws._buffer) - ws._buf_head == 100
 
     def test_physical_buffer_bounded_under_sustained_lag(self, sim):
         """With nobody consuming, the physical list stays within
@@ -123,7 +123,7 @@ class TestPeriodicCompaction:
         for v in range(1, 3 * _BUFFER_COMPACT_MIN + 1):
             ws.append(change(f"k{v % 50:03d}", v))
             assert len(ws._buffer) <= bound
-        assert ws.buffered_events == 64
+        assert len(ws._buffer) - ws._buf_head == 64
         assert ws.events_evicted == 3 * _BUFFER_COMPACT_MIN - 64
         # peak is sampled post-append, pre-eviction: bound + 1
         assert ws.soft_state_peak_events == 65
@@ -135,14 +135,14 @@ class TestPeriodicCompaction:
         ws.raise_floor(n - 10)  # drops a dead prefix > threshold
         assert ws._buf_head == 0
         assert len(ws._buffer) == 10
-        assert ws.buffered_events == 10
+        assert len(ws._buffer) - ws._buf_head == 10
         assert ws.events_evicted == n - 10
 
     def test_raise_floor_clears_buffer_when_everything_is_below(self, sim):
         ws = WatchSystem(sim, WatchSystemConfig(max_buffered_events=100))
         fill(ws, 100)
         ws.raise_floor(500)
-        assert ws.buffered_events == 0
+        assert len(ws._buffer) - ws._buf_head == 0
         assert ws._buf_head == 0
         assert ws._buffer == []
         assert ws.retained_floor == 500

@@ -77,7 +77,7 @@ class TestRetentionAndResync:
         ws = WatchSystem(sim, WatchSystemConfig(max_buffered_events=3))
         for v in range(1, 8):
             ws.append(change("a", v))
-        assert ws.buffered_events == 3
+        assert len(ws._buffer) - ws._buf_head == 3
         assert ws.retained_floor == 4
         assert ws.events_evicted == 4
 
@@ -135,7 +135,7 @@ class TestWipe:
         ws.wipe()
         sim.run()
         assert resyncs == [True]
-        assert ws.buffered_events == 0
+        assert len(ws._buffer) - ws._buf_head == 0
         assert ws.active_watchers == 0
 
     def test_wipe_raises_floor_to_high_water(self, sim):

@@ -154,7 +154,7 @@ def test_slow_client_drop_policy_records_edge_drops(sim):
     session = client.session
     assert session.dropped > 0
     assert session.attributed == session.offered
-    drops = [e for e in tracer.log.events() if e.hop == hops.EDGE_DROP]
+    drops = [e for e in tracer.log if e.hop == hops.EDGE_DROP]
     assert len(drops) == session.dropped
     # the drop trace names the session, enabling "dropped at edge"
     assert all(e.attrs["session"] == "pf0/c0" for e in drops)

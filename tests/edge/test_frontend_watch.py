@@ -119,7 +119,7 @@ def test_reconnect_far_behind_gets_edge_snapshot(sim):
     # the snapshot came from the relay's edge state, not the store:
     # the store-side snapshot_fn ran only for the relay's own sync
     assert frontend.source_snapshots == 1
-    connects = [e for e in tracer.log.events() if e.hop == hops.EDGE_CONNECT]
+    connects = [e for e in tracer.log if e.hop == hops.EDGE_CONNECT]
     assert [e.attrs["mode"] for e in connects] == ["delta", "snapshot"]
     assert connects[1].attrs["staleness"] == 100
 
@@ -189,7 +189,7 @@ def test_crash_drops_sessions_and_rejects_connects(sim):
     sim.run(until=1.0)
     frontend.crash()
     assert client.session is None
-    assert frontend.active_sessions == 0
+    assert len(frontend.sessions) == 0
     # auto-reconnect keeps retrying while the frontend is down
     sim.run(until=2.0)
     assert client.rejected_connects >= 1
@@ -242,4 +242,4 @@ def test_closed_session_chain_leaves_no_reference_cycle(sim, ending):
         assert frontend.feed_resyncs == 1
         assert client.state == latest(store)
     else:
-        assert client.session is None and frontend.active_sessions == 0
+        assert client.session is None and len(frontend.sessions) == 0

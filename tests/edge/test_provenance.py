@@ -112,7 +112,7 @@ def test_coalesce_traces_are_not_losses(sim):
     # coalescing is supersession, not loss: no provenance records at all
     assert index.loss_provenance() == []
     # the superseded chain records which version replaced it
-    coalesces = [e for e in tracer.log.events() if e.hop == hops.EDGE_COALESCE]
+    coalesces = [e for e in tracer.log if e.hop == hops.EDGE_COALESCE]
     assert all(
         e.attrs["superseded_by"] > e.version for e in coalesces
     )

@@ -65,7 +65,7 @@ def test_credits_gate_delivery(sim):
     sim.run()
     # only the initial credits' worth delivered; the rest wait
     assert len(client.delivered) == 3
-    assert session.backlog == 7
+    assert len(session._queue) - session._qhead == 7
     session.grant(2)
     sim.run()
     assert len(client.delivered) == 5
@@ -88,7 +88,7 @@ def test_coalesce_keeps_latest_per_key(sim):
     sim.run()
     assert len(client.delivered) == 1
     # 5 distinct keys pending at most (minus the delivered one's slot)
-    assert session.backlog <= 5
+    assert len(session._queue) - session._qhead <= 5
     session.grant(10)
     sim.run()
     # each key's latest value arrives exactly once
@@ -134,12 +134,12 @@ def test_drop_policy_sheds_oldest_with_trace(sim):
     sim.run()
     assert len(client.delivered) == 1  # the one initial credit
     assert session.dropped == 15
-    assert session.backlog == 4
+    assert len(session._queue) - session._qhead == 4
     # the retained queue holds the newest updates
     session.grant(5)
     sim.run()
     assert [u.version for u in client.delivered] == [16, 17, 18, 19, 20]
-    drops = [e for e in tracer.log.events() if e.hop == hops.EDGE_DROP]
+    drops = [e for e in tracer.log if e.hop == hops.EDGE_DROP]
     assert len(drops) == 15
     assert [e.version for e in drops] == list(range(1, 16))
     assert {e.attrs["session"] for e in drops} == {"fe/c"}
@@ -176,10 +176,10 @@ def test_close_returns_queue_to_cursor(sim):
     for i in range(1, 8):
         session.offer(upd(i))
     sim.run()
-    assert session.backlog == 6
+    assert len(session._queue) - session._qhead == 6
     session.close("frontend-down")
     assert session.returned_to_cursor == 6
-    assert session.backlog == 0
+    assert len(session._queue) - session._qhead == 0
     assert client.closed == ["frontend-down"]
     assert session.attributed == session.offered
 
@@ -259,7 +259,7 @@ def test_drained_session_gives_queue_and_coalesce_table_back(sim):
     for i in range(1, 201):
         session.offer(upd(i, key=f"k{i % 150:04d}"))
     sim.run()
-    assert session.coalesced > 0 and session.backlog == 0
+    assert session.coalesced > 0 and len(session._queue) == session._qhead
     assert session.delivered + session.coalesced == 200
     assert sys.getsizeof(session._queue) == sys.getsizeof([])
     assert sys.getsizeof(session._cells) == sys.getsizeof({})

@@ -70,7 +70,7 @@ def test_slots_are_dense_and_reused_lifo():
     assert table.active == 3
     s1.close()
     assert table.active == 2
-    assert table.session(1) is None
+    assert table._sessions[1] is None
     # LIFO: the freed slot is the next one handed out
     s3, _ = _session(sim, table, "d")
     assert s3.sid == 1
@@ -551,7 +551,7 @@ class SessionTableMachine(RuleBasedStateMachine):
         for sid in range(self.capacity):
             assert self.table.generation[sid] == self.generation[sid]
             name = self.occupant.get(sid)
-            session = self.table.session(sid)
+            session = self.table._sessions[sid]
             assert (session and session.name) == name
 
     @invariant()

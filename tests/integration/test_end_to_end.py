@@ -83,7 +83,7 @@ class TestWatchPipeline:
         # zero stale entries under the watch protocol
         assert cluster.total_stale() == 0
         # stitch a global snapshot from the fleet's linked caches
-        caches = [lc for node in nodes for lc in node.linked_caches]
+        caches = [lc for node in nodes for lc in node._caches.values()]
         stitcher = SnapshotStitcher(caches)
         result = stitcher.stitch(KeyRange.all())
         assert result is not None

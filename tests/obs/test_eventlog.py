@@ -40,13 +40,13 @@ class TestJsonl:
                                      "cause": "loss"}))
         log.append(_event(2, hop="cache.apply", applied=True))
         restored = EventLog.from_jsonl(log.to_jsonl())
-        assert restored.events() == log.events()
+        assert list(restored) == list(log)
 
     def test_identity_less_events_round_trip_none(self):
         log = EventLog()
         log.append(TraceEvent(seq=0, t=0.0, hop="net.drop", component="net"))
         restored = EventLog.from_jsonl(log.to_jsonl())
-        event = restored.events()[0]
+        event = list(restored)[0]
         assert event.key is None
         assert event.version is None
 

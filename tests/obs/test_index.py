@@ -37,7 +37,7 @@ class TestChains:
         log = _log(*_chain("a", 1), *_chain("b", 2, seq=2, t0=1.0))
         index = TraceIndex(log)
         assert index.chains() == [("a", 1), ("b", 2)]
-        assert [e.hop for e in index.chain("a", 1)][0] == hops.COMMIT
+        assert [e.hop for e in index._chains[("a", 1)]][0] == hops.COMMIT
 
     def test_hop_sequence_first_occurrence_only(self):
         # fan-out: three nodes apply the same update; the sequence keeps

@@ -13,7 +13,7 @@ class TestRecord:
         sim.call_after(2.5, lambda: tracer.record(
             hops.CACHE_APPLY, "node-0", key="a", version=1))
         sim.run()
-        events = tracer.log.events()
+        events = list(tracer.log)
         assert [e.seq for e in events] == [0, 1]
         assert events[0].t == 0.0
         assert events[1].t == 2.5
@@ -56,7 +56,7 @@ class TestObserveStore:
         txn.put("b", {"v": 2})
         txn.put("c", {"v": 3})
         txn.commit()
-        events = tracer.log.events()
+        events = list(tracer.log)
         assert [e.hop for e in events] == [hops.COMMIT] * 3
         assert {e.key for e in events} == {"a", "b", "c"}
         # the multi-key transaction shares one commit version
@@ -70,7 +70,7 @@ class TestObserveStore:
         tracer = Tracer(sim)
         tracer.observe_store(store)
         store.put("live", {"v": 1})
-        assert [e.key for e in tracer.log.events()] == ["live"]
+        assert [e.key for e in tracer.log] == ["live"]
 
     def test_cancel_stops_observation(self):
         sim = Simulation(seed=1)
@@ -80,7 +80,7 @@ class TestObserveStore:
         store.put("a", {"v": 1})
         cancel()
         store.put("b", {"v": 2})
-        assert [e.key for e in tracer.log.events()] == ["a"]
+        assert [e.key for e in tracer.log] == ["a"]
 
 
 class TestContext:

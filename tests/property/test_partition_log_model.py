@@ -68,13 +68,13 @@ class PartitionLogMachine(RuleBasedStateMachine):
 
     @invariant()
     def retained_offsets_match_model(self):
-        real = [m.offset for m in self.log.retained_messages()]
+        real = [m.offset for m in self.log._messages]
         expected = [m[0] for m in self.model]
         assert real == expected
 
     @invariant()
     def offsets_strictly_increasing(self):
-        offsets = [m.offset for m in self.log.retained_messages()]
+        offsets = [m.offset for m in self.log._messages]
         assert offsets == sorted(set(offsets))
 
     @invariant()

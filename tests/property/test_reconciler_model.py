@@ -108,7 +108,7 @@ class ReconcilerMachine(RuleBasedStateMachine):
                 self.table.complete(scope, record.op_id, "intruder")
 
     @precondition(lambda self: self.corrupted or any(
-        r.operation is not None for r in self.table.records().values()
+        r.operation is not None for r in self.table._records.values()
     ))
     @rule()
     def settle(self):
@@ -134,13 +134,13 @@ class ReconcilerMachine(RuleBasedStateMachine):
         assert self.r1.repairs + self.r2.repairs <= self.corruptions
         assert self.table.claims == (
             self.table.completions
-            + sum(1 for r in self.table.records().values()
+            + sum(1 for r in self.table._records.values()
                   if r.operation is not None)
         )
 
     @invariant()
     def no_scope_double_claimed(self):
-        for record in self.table.records().values():
+        for record in self.table._records.values():
             if record.operation is not None:
                 assert record.owner in ("r1", "r2")
             else:

@@ -67,7 +67,7 @@ class TestCrashRecover:
         sim.call_after(0.5, consumer.crash)
         sim.run()
         assert acked == []
-        assert consumer.queue_depth == 0
+        assert len(consumer._queue) == 0
 
     def test_deliveries_while_down_dropped(self, sim):
         consumer = Consumer(sim, "c")

@@ -34,7 +34,7 @@ class TestDeadLetterQueue:
         assert group.subscription.dead_lettered == 1
         dlq = broker.topic("t-dlq")
         assert dlq.total_messages_published == 1
-        assert dlq.partitions[0].retained_messages()[0].payload == {"bad": True}
+        assert dlq.partitions[0]._messages[0].payload == {"bad": True}
 
     def test_dlq_drains_the_subscription(self, sim):
         """After dead-lettering, the source subscription moves on —

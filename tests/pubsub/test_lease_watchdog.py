@@ -169,7 +169,7 @@ class _World:
                 consumer.recover()
             elif kind == "remove":
                 sub.remove_member(consumer.name)
-            elif consumer.name not in sub.members():
+            elif consumer.name not in sub._member_order:
                 sub.add_member(consumer)
 
     def play(self, program):
@@ -178,7 +178,7 @@ class _World:
         # bring everyone back so every lease can end, then drain
         for sub, consumer in self.consumers:
             consumer.recover()
-            if consumer.name not in sub.members():
+            if consumer.name not in sub._member_order:
                 sub.add_member(consumer)
         final = self.sim.run()
         counters = [

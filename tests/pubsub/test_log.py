@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pubsub.errors import OffsetOutOfRangeError
 from repro.pubsub.log import CompactionPolicy, PartitionLog, RetentionPolicy
 
 
@@ -32,8 +31,8 @@ class TestAppendRead:
     def test_get_exact(self):
         log = PartitionLog("t", 0)
         log.append("k", "v")
-        assert log.get(0).payload == "v"
-        assert log.get(5) is None
+        assert log.read_from(0, 1)[0].payload == "v"
+        assert log.read_from(5) == []
 
     def test_offset_for_time(self):
         clock = FakeClock()
@@ -79,8 +78,6 @@ class TestRetentionGC:
         clock.t = 10.0
         log.run_gc()
         assert log.read_from(0) == []  # no error, no signal
-        with pytest.raises(OffsetOutOfRangeError):
-            log.read_from_strict(0)
 
     def test_unbounded_retention_never_gcs(self):
         clock = FakeClock()
@@ -111,7 +108,7 @@ class TestCompaction:
         clock.t = 100.0  # everything is now "old"
         deleted = log.run_compaction()
         assert deleted == 1  # k:v1 removed
-        payloads = [m.payload for m in log.retained_messages()]
+        payloads = [m.payload for m in log._messages]
         assert payloads == ["v2", "w1"]
 
     def test_recent_window_protected(self):
@@ -166,7 +163,7 @@ class TestCompaction:
             latest[key] = m.offset
         clock.t = 1e6
         log.run_compaction()
-        survived = [m.offset for m in log.retained_messages()]
+        survived = [m.offset for m in log._messages]
         assert sorted(survived) == sorted(latest.values())
 
 

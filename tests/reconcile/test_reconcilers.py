@@ -54,7 +54,7 @@ class TestAntiEntropy:
         reconciler.start()
         sim.run(until=3.0)
         assert reconciler.planned == 0
-        assert reconciler.converged
+        assert (reconciler.idle_rounds >= 1)
 
     def test_repairs_torn_map(self):
         sim, store, replica, reconciler, corruptor = self._build()
@@ -92,7 +92,7 @@ class TestAntiEntropy:
         planned, repairs = reconciler.planned, reconciler.repairs
         sim.run(until=10.0)
         assert (reconciler.planned, reconciler.repairs) == (planned, repairs)
-        assert reconciler.converged
+        assert (reconciler.idle_rounds >= 1)
 
 
 class TestEdgeReconciler:
@@ -194,4 +194,4 @@ class TestEdgeReconciler:
         assert planned >= 2
         sim.run(until=12.0)
         assert reconciler.planned == planned
-        assert reconciler.converged
+        assert (reconciler.idle_rounds >= 1)

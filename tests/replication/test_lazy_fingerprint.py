@@ -168,9 +168,9 @@ def test_unread_replica_never_hashes(monkeypatch):
     assert calls == []  # no reader, no hash
 
     fingerprint = store.fingerprint
-    assert len(calls) == len(store)  # the first read: one hash per live key
+    assert len(calls) == len(store._state)  # the first read: one hash per live key
     assert store.fingerprint == fingerprint
-    assert len(calls) == len(store)  # later reads are free
+    assert len(calls) == len(store._state)  # later reads are free
 
     for i in range(20):
         calls.clear()

@@ -35,7 +35,7 @@ class TestReliableDelivery:
             tx.send("rx", i)
         sim.run()
         assert received == [0, 1, 2, 3, 4]
-        assert tx.pending_count == 0
+        assert len(tx.pending_unacked()) == 0
         assert net.metrics.counter("resilience.tx.retransmits").value == 0
 
     def test_lossy_link_delivers_everything_exactly_once(self, sim):
@@ -46,7 +46,7 @@ class TestReliableDelivery:
             tx.send("rx", i)
         sim.run()
         assert sorted(received) == list(range(50))  # all of them, once each
-        assert tx.pending_count == 0
+        assert len(tx.pending_unacked()) == 0
         # at 30% loss, retransmission must have actually happened
         assert net.metrics.counter("resilience.tx.retransmits").value > 0
 
@@ -84,7 +84,7 @@ class TestReliableDelivery:
         tx.send("rx", "x", on_giveup=lambda: gaveup.append(True))
         sim.run()
         assert gaveup == [True]
-        assert tx.pending_count == 0
+        assert len(tx.pending_unacked()) == 0
         assert net.metrics.counter("resilience.tx.gaveup").value == 1
         assert net.metrics.counter("resilience.tx.transmits").value == 3
 
@@ -120,7 +120,7 @@ class TestFireAndForget:
             tx.send("rx", i)
         sim.run()
         assert 0 < len(received) < 100  # some lost, nobody noticed
-        assert tx.pending_count == 0  # nothing tracked
+        assert len(tx.pending_unacked()) == 0  # nothing tracked
         assert net.metrics.counter("resilience.tx.retransmits").value == 0
 
 
@@ -145,11 +145,11 @@ class TestFailureModel:
         for i in range(5):
             tx.send("rx", i)
         assert received == []
-        assert tx.pending_count == 5
+        assert len(tx.pending_unacked()) == 5
         sim.call_at(2.0, tx.recover)
         sim.run()
         assert sorted(received) == [0, 1, 2, 3, 4]
-        assert tx.pending_count == 0
+        assert len(tx.pending_unacked()) == 0
 
     def test_partition_window_is_bridged(self, sim):
         net = Network(sim)
@@ -199,7 +199,7 @@ class TestFailureModel:
         if heal_at is not None:
             sim.call_at(heal_at, lambda: net.heal("tx", "rx"))
         sim.run()
-        assert tx.pending_count == 0
+        assert len(tx.pending_unacked()) == 0
         transmits = net.metrics.counter("resilience.tx.transmits").value
         return gaveup, sorted(received), transmits
 
@@ -234,7 +234,7 @@ class TestFailureModel:
             rx.recover()
             rx.recover()  # the receiving end is a channel too
             sim.run()
-            assert sorted(received) == [0, 1, 2] and tx.pending_count == 0
+            assert sorted(received) == [0, 1, 2] and len(tx.pending_unacked()) == 0
             return timers, retransmits
 
         timers, retransmits = run(0)
@@ -263,7 +263,7 @@ class TestFailureModel:
         sim.call_at(2.0, tx.recover)
         sim.run()
         assert sorted(received) == [0, 1, 2, 3, 4]
-        assert tx.pending_count == 0
+        assert len(tx.pending_unacked()) == 0
         assert tx.breaker("rx").state.value == "closed"
 
 

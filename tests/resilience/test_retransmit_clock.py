@@ -261,7 +261,7 @@ def test_compaction_drops_dead_entries_and_keeps_live_ones():
     for action in program:
         world.do(action)
     tx = world.peers["tx"]
-    assert tx.pending_count == 1 and tx.stale_fires == 0
+    assert len(tx.pending_unacked()) == 1 and tx.stale_fires == 0
     assert len(tx._retx) == 601 - 512 and tx._dead == 600 - 512
     _check_clock(tx)
     _assert_same(_UNBOUNDED, program + [("run_for", 0.3), ("heal", 1)])

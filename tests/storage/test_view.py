@@ -79,7 +79,7 @@ class TestViewHistory:
         view = FilteredView(s, key_predicate=contacts_only)
         view.close()
         s.put("contact/a", {"phone": "1"})
-        assert len(view.history) == 0
+        assert len(view.history._commits) == 0
 
     def test_view_is_watchable(self, sim):
         """A StoreWatch over the view streams only visible, projected

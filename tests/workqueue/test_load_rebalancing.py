@@ -46,7 +46,7 @@ def test_hot_range_moves_or_splits_under_load():
             )),
         )
     sim.run(until=30.0)
-    assert pool.completed == 400
+    assert pool.stats.completed == 400
     # the sharder reacted: the hot slice moved or was split at least once
     assert sharder.reassignments > 0
     # load bookkeeping flowed from workers to the sharder
@@ -82,6 +82,6 @@ def test_balanced_load_does_not_thrash():
             )),
         )
     sim.run(until=20.0)
-    assert pool.completed == 200
+    assert pool.stats.completed == 200
     # symmetric load on a 2x imbalance threshold: no reassignment churn
     assert sharder.reassignments <= 1

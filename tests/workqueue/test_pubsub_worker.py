@@ -22,7 +22,7 @@ class TestCompletion:
         pool = PubsubWorkerPool(sim, Broker(sim), num_workers=3)
         submit_n(sim, pool, 30)
         sim.run_for(10.0)
-        assert pool.completed == 30
+        assert pool.stats.completed == 30
 
     def test_crash_redelivers_and_dedupes(self, sim):
         pool = PubsubWorkerPool(
@@ -33,14 +33,14 @@ class TestCompletion:
         sim.call_after(0.2, lambda: pool.crash_worker("worker-0"))
         sim.call_after(5.0, lambda: pool.recover_worker("worker-0"))
         sim.run_for(60.0)
-        assert pool.completed == 20  # exactly once despite redelivery
+        assert pool.stats.completed == 20  # exactly once despite redelivery
 
     def test_add_worker_scales(self, sim):
         pool = PubsubWorkerPool(sim, Broker(sim), num_workers=1)
         pool.add_worker("worker-extra")
         submit_n(sim, pool, 10)
         sim.run_for(10.0)
-        assert pool.completed == 10
+        assert pool.stats.completed == 10
 
     def test_unknown_worker_name(self, sim):
         pool = PubsubWorkerPool(sim, Broker(sim), num_workers=1)
@@ -82,6 +82,6 @@ class TestHeadOfLine:
         # poison first, normal tasks behind it on the only worker
         submit_n(sim, pool, 10, work=0.001, poison={0})
         sim.run_for(30.0)
-        assert pool.completed == 10
+        assert pool.stats.completed == 10
         # normal tasks waited for the 5s poison task
         assert pool.stats.normal_latency.p50 > 4.0

@@ -48,7 +48,7 @@ class TestStateCache:
             cache.touch(key)
         dropped = cache.drop_outside(lambda k: k.startswith("a"))
         assert dropped == 1
-        assert len(cache) == 2
+        assert len(cache._entries) == 2
 
     def test_empty_hit_rate(self):
         assert _cache(2).hit_rate == 0.0

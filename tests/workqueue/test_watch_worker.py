@@ -41,8 +41,8 @@ class TestCompletion:
         store, pool, sharder = build_pool(sim)
         submit_n(sim, pool, 20)
         sim.run_for(20.0)
-        assert pool.completed == 20
-        assert pool.pending_in_store() == 0
+        assert pool.stats.completed == 20
+        assert all(p.get("state") != "pending" for _, p in pool.store.scan())
 
     def test_task_rows_marked_done(self, sim):
         store, pool, sharder = build_pool(sim)
@@ -57,14 +57,14 @@ class TestCompletion:
         submit_n(sim, pool, 30, work=0.01)
         sim.call_after(0.1, lambda: pool.crash_worker("worker-0"))
         sim.run_for(30.0)
-        assert pool.completed == 30
+        assert pool.stats.completed == 30
 
     def test_add_worker_takes_ranges(self, sim):
         store, pool, sharder = build_pool(sim, num_workers=1)
         submit_n(sim, pool, 10)
         pool.add_worker("worker-new")
         sim.run_for(20.0)
-        assert pool.completed == 10
+        assert pool.stats.completed == 10
         assert "worker-new" in sharder.assignment.nodes()
 
 
@@ -75,7 +75,7 @@ class TestPrioritization:
         # before it completes
         submit_n(sim, pool, 8, key_fn=lambda i: f"a{i}key", poison={0})
         sim.run_for(30.0)
-        assert pool.completed == 8
+        assert pool.stats.completed == 8
         # normal tasks were not blocked by the 2s poison task
         assert pool.stats.normal_latency.p50 < 1.5
 
@@ -95,4 +95,4 @@ class TestAffinityUnderChurn:
             pool.submit(Task(task_id=i, key=f"{'az'[i % 2]}key{i % 4}",
                              work=0.005, enqueued_at=sim.now()))
         sim.run_for(10.0)
-        assert pool.completed == 80
+        assert pool.stats.completed == 80
