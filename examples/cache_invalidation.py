@@ -45,9 +45,7 @@ def run_fleet(kind: str) -> dict:
 
     sharder = AutoSharder(
         sim, [f"node-{i}" for i in range(NUM_NODES)],
-        AutoSharderConfig(notify_latency=0.05, notify_jitter=0.25,
-                          max_slices=4096),
-        auto_rebalance=False,
+        AutoSharderConfig(notify_latency=0.05, notify_jitter=0.25),
     )
     for boundary in range(0, NUM_KEYS, 5):
         sharder.split_at(keys[boundary])

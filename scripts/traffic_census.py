@@ -121,10 +121,6 @@ _RETENTION = (
     "store history retention: ROADMAP.md's traffic-census item (no store "
     "sets it, so StoreWatch's truncation resync never runs) is open"
 )
-_SHARDER_LOAD = (
-    "the auto-sharder's load loop: ROADMAP.md's AutoSharder.record_load "
-    "item; deleting its sampler moves E3/E6's rng stream, its own change"
-)
 _LEDGER = "benchmarks/ledger/worlds.py passes it by keyword"
 _LEASE_DIFF = (
     "tests/pubsub/test_lease_watchdog.py::test_watchdog_is_indistinguishable_"
@@ -140,9 +136,9 @@ _RETX_DIFF = (
 # (a) a recovery path or audited funnel ROADMAP.md's recovery item names;
 # (b) a docs/paper_mapping.md row names it; (c) benchmarks/ledger/ imports
 # or calls it; (d) it runs only in a forked fleet child; (e) an error or
-# nack branch, or value semantics tests compare on; (f) the auto-sharder's
-# load loop; (g) a tier-1 test of its own behaviour pins it, until a
-# change retires that test with it (a change may retire only a few).
+# nack branch, or value semantics tests compare on; (f) a tier-1 test of
+# its own behaviour pins it, until a change retires that test with it (a
+# change may retire only a few).
 _RECOVERY = (
     "(a) a failure or recovery path ROADMAP.md's 'Every recovery path "
     "reached' item names for its fault campaign to reach"
@@ -172,7 +168,7 @@ _VALUE = "(e) value semantics the tests compare on"
 
 def _tested(test: str) -> str:
     return (
-        f"(g) pinned by the tier-1 test {test}: deleting it deletes that "
+        f"(f) pinned by the tier-1 test {test}: deleting it deletes that "
         "test, and a change may retire only a few tier-1 tests"
     )
 
@@ -287,11 +283,7 @@ FUNCTION_EXEMPT: Dict[str, str] = {
     "repro.edge.session.Update.__eq__": _VALUE,
     "repro.edge.session.Update.__hash__": _VALUE,
     "repro.edge.session.Update._astuple": _VALUE,
-    # (f) the auto-sharder's load loop
-    "repro.sharding.autosharder.AutoSharder._rebalance_tick": _SHARDER_LOAD,
-    "repro.sharding.autosharder.AutoSharder.rebalance_once": _SHARDER_LOAD,
-    "repro.sharding.autosharder.AutoSharder._split_point": _SHARDER_LOAD,
-    # (g) pinned by a tier-1 test of their own behaviour
+    # (f) pinned by a tier-1 test of their own behaviour
     "repro.sim.kernel.Simulation.pending_events": _tested(
         "tests/sim/test_kernel_oracle.py (compared with the reference "
         "kernel's) and test_kernel_semantics.py::TestCancellationWhileQueued"
@@ -395,17 +387,6 @@ OPTION_EXEMPT: Dict[str, str] = {
         _RETENTION
     ),
     "repro.storage.history.ChangeHistory.retention_commits": _RETENTION,
-    "repro.sharding.autosharder.AutoSharder.auto_rebalance": _SHARDER_LOAD,
-    "repro.sharding.autosharder.AutoSharderConfig.rebalance_interval": (
-        _SHARDER_LOAD
-    ),
-    "repro.sharding.autosharder.AutoSharderConfig.imbalance_ratio": (
-        _SHARDER_LOAD
-    ),
-    "repro.sharding.autosharder.AutoSharderConfig.load_decay": _SHARDER_LOAD,
-    "repro.sharding.autosharder.AutoSharderConfig.split_fraction": (
-        _SHARDER_LOAD
-    ),
     "repro.causal.buffer.CausalBufferConfig.hold_deadline": (
         "the causal row of docs/paper_mapping.md's delivery contracts names "
         "the hold deadline; tests/property/test_causal_model.py::"

@@ -12,7 +12,6 @@ converges either way.
 
 from __future__ import annotations
 
-from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.bench.worlds import store_snapshot
 from repro.core.bridge import DirectIngestBridge, even_ranges

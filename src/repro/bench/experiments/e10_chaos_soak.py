@@ -110,7 +110,7 @@ def run(
         # after the seed writes.  Static assignment: no handoffs — E3
         # already covers the routing race, so any divergence here is
         # attributable to the transport
-        tracer = Tracer(sim, name=config_name)
+        tracer = Tracer(sim)
         tracers[config_name] = tracer
         fleet = worlds.cache_fleet(
             sim, store, tracer, system, num_nodes,

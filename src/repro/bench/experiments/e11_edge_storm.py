@@ -137,7 +137,7 @@ def run(
         bound = 1_000_000_000 if policy_name == "unbounded" else max_queue
         sim = Simulation(seed=seed)
         store = MVCCStore(clock=sim.now)
-        tracer = Tracer(sim, name=config_name)
+        tracer = Tracer(sim)
         tracers[config_name] = tracer
         tracer.observe_store(store)
         net = Network(sim, NetworkConfig(

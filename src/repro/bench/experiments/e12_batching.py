@@ -116,8 +116,8 @@ def run(
     for system in pipelines:
         for batch, linger_ms, fanout, reliable in combos:
             cell = batching_cell(
-                Simulation(seed=seed), f"{system}-b{batch}", system, keys,
-                fanout, batch, linger_ms, reliable, commit_rate, **sizing,
+                Simulation(seed=seed), system, keys, fanout, batch,
+                linger_ms, reliable, commit_rate, **sizing,
             )
             key = dict(
                 config=f"{system}-{'reliable' if reliable else 'fireforget'}",

@@ -123,7 +123,7 @@ def run(
         with_reconciler = config_name == "pubsub+reconciler"
         sim = Simulation(seed=seed)
         store = MVCCStore(clock=sim.now)
-        tracer = Tracer(sim, name=config_name)
+        tracer = Tracer(sim)
         tracers[config_name] = tracer
         tracer.observe_store(store)
 

@@ -154,7 +154,7 @@ def run(
     for num_sessions, storm_fraction in rungs:
         sim = Simulation(seed=seed)
         store = MVCCStore(clock=sim.now)
-        tracer = Tracer(sim, name=f"s{num_sessions}-c{storm_fraction}")
+        tracer = Tracer(sim)
         tracers[f"{num_sessions}x{storm_fraction}"] = tracer
         tracer.observe_store(store)
         source = worlds.edge_source(sim, store, tracer, "watch")

@@ -86,9 +86,8 @@ def run(
                 # rate is records/s; the writer commits txn_size-record
                 # transactions, so scale the commit rate to match
                 cell = batching_cell(
-                    Simulation(seed=seed), f"{system}-r{rate:g}-b{batch}",
-                    system, keys, fanout, batch, linger_ms, True,
-                    rate / txn_size, **sizing,
+                    Simulation(seed=seed), system, keys, fanout, batch,
+                    linger_ms, True, rate / txn_size, **sizing,
                 )
                 table.add(
                     config=system, rate_rps=rate, batch=batch,

@@ -179,7 +179,7 @@ def run(
             causal = mode == "causal"
             sim = Simulation(seed=seed)
             store = MVCCStore(clock=sim.now)
-            tracer = Tracer(sim, name=f"{system}-{mode}")
+            tracer = Tracer(sim)
             tracer.observe_store(store)
             # the stamper always runs (the fifo auditor needs the dep
             # index too); only causal rows build the causal stage, so

@@ -114,7 +114,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
 
     sim = Simulation(seed=spec.seed)
     store = MVCCStore(clock=sim.now)
-    tracer = Tracer(sim, name=f"shard{spec.shard_id:02d}")
+    tracer = Tracer(sim)
     tracer.observe_store(store)
     net = Network(sim, NetworkConfig(base_latency=0.002), tracer=tracer)
 

@@ -11,9 +11,6 @@ the paper's "general enough to handle all pubsub use cases".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from repro._types import KEY_MAX, KEY_MIN
 from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.core.api import FnWatchCallback

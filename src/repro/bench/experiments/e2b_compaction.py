@@ -23,7 +23,7 @@ jump).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult, signature_defaults

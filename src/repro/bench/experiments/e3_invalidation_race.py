@@ -30,8 +30,6 @@ and availability, and we record per-node invalidation message load.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from repro.bench.runner import ExperimentResult, signature_defaults
 from repro.cache.cluster import CacheCluster, Prober
 from repro.cache.invalidation import (
@@ -149,17 +147,14 @@ def run(
         for i, key in enumerate(keys):
             store.put(key, {"v": -1, "i": i})
         # trace only post-prefill commits: attach after the seed writes
-        tracer = Tracer(sim, name=config_name)
+        tracer = Tracer(sim)
         tracers[config_name] = tracer
         tracer.observe_store(store)
         sharder = AutoSharder(
             sim, [f"node-{i}" for i in range(num_nodes)],
             # assignment propagation takes up to ~300ms — the realistic
             # window in which nodes' ownership beliefs diverge
-            AutoSharderConfig(
-                notify_latency=0.05, notify_jitter=0.25, max_slices=4096
-            ),
-            auto_rebalance=False,
+            AutoSharderConfig(notify_latency=0.05, notify_jitter=0.25),
         )
         # fine-grained slices (~5 keys each), as a load-driven sharder
         # would have split a hot keyspace; a handoff then moves a few

@@ -22,7 +22,7 @@ path).  A single consumer pipeline handles all sensors.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro._types import KEY_MAX, KEY_MIN
 from repro.bench.runner import ExperimentResult, signature_defaults

@@ -87,7 +87,6 @@ def run(
             sharder = AutoSharder(
                 sim, [f"worker-{i}" for i in range(num_workers)],
                 AutoSharderConfig(notify_latency=0.02, notify_jitter=0.02),
-                auto_rebalance=False,
             )
             pool = WatchWorkerPool(
                 sim, store, ws, sharder, num_workers=num_workers,

@@ -105,7 +105,6 @@ def cache_fleet(
     sharder = AutoSharder(
         sim, [f"node-{i}" for i in range(num_nodes)],
         AutoSharderConfig(notify_latency=0.01, notify_jitter=0.01),
-        auto_rebalance=False,
     )
     net = Network(sim, net_config, tracer=tracer)
     registries = [net.metrics]
@@ -223,7 +222,7 @@ def _txn_writer(sim, store, keys, txn_size, rate, duration, burst) -> None:
 
 
 def batching_cell(
-    sim: Simulation, name: str, system: str, keys, fanout: int, batch: int,
+    sim: Simulation, system: str, keys, fanout: int, batch: int,
     linger_ms: float, reliable: bool, commit_rate: float, *, txn_size,
     burst, duration, drain, loss_rate, base_latency, net_jitter,
     dispatch_cost, record_service,
@@ -237,7 +236,7 @@ def batching_cell(
     store = MVCCStore(clock=sim.now)
     for i, key in enumerate(keys):
         store.put(key, {"v": -1, "j": i})
-    tracer = Tracer(sim, name=name)
+    tracer = Tracer(sim)
     fleet = cache_fleet(
         sim, store, tracer, system, fanout,
         NetworkConfig(

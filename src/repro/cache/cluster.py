@@ -17,7 +17,7 @@ Two measurement tools used by experiment E3:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro._types import Key
 from repro.sharding.autosharder import AutoSharder

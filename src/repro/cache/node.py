@@ -13,7 +13,7 @@ about the invalidation going to the wrong node afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro._types import Key, KeyRange, Version
 from repro.obs.trace import hops

@@ -24,7 +24,7 @@ Ingester contract requires is preserved.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro._types import KEY_MAX, KEY_MIN, KeyRange, Version, VERSION_ZERO
 from repro.core.api import Ingester

@@ -190,7 +190,7 @@ class ReliableFanoutLink(WatchCallback):
         self.channel = ReliableChannel(sim, net, name, config=config, tracer=tracer)
         self.events_shipped = 0
         self.resyncs = 0
-        self._handle = upstream.watch_range(_ALL_KEYS, VERSION_ZERO, self)
+        upstream.watch_range(_ALL_KEYS, VERSION_ZERO, self)
 
     # WatchCallback --------------------------------------------------
 
@@ -216,7 +216,7 @@ class ReliableFanoutLink(WatchCallback):
         self.resyncs += 1
         floor = getattr(self.upstream, "retained_floor", VERSION_ZERO)
         self.channel.send(self.remote, {"kind": "resync", "version": floor})
-        self._handle = self.upstream.watch_range(_ALL_KEYS, floor, self)
+        self.upstream.watch_range(_ALL_KEYS, floor, self)
 
     # Failable protocol (the link is the thing chaos experiments cut)
     def crash(self) -> None:

@@ -38,7 +38,6 @@ class SessionPlacement:
             sim,
             sorted(self._frontends),
             AutoSharderConfig(notify_latency=0.01, notify_jitter=0.0),
-            auto_rebalance=False,
         )
         self.evictions = 0
         self.sharder.subscribe(self._on_assignment, immediate=False)

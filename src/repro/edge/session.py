@@ -169,7 +169,7 @@ class ClientSession:
         "sim", "name", "client", "key_range", "config", "tracer",
         "table", "sid", "_shared", "_on_closed", "_policy", "_max_queue",
         "_delivery_latency", "_queue", "_qhead", "_cells", "credits",
-        "_draining", "_active", "close_reason", "staleness_at_connect",
+        "_draining", "_active", "staleness_at_connect",
         "live", "expected_offsets", "_feed_handle", "_deliver_cb",
         "_final",
     )
@@ -216,7 +216,6 @@ class ClientSession:
         self.credits = self.config.initial_credits
         self._draining = False
         self._active = True
-        self.close_reason: Optional[str] = None
         #: sampled by the frontend at connect (versions or messages behind)
         self.staleness_at_connect = 0
         # frontend-managed delivery state (pubsub catch-up)
@@ -391,7 +390,6 @@ class ClientSession:
         if not self._active:
             return
         self._active = False
-        self.close_reason = reason
         returned = self.queued_updates
         table = self.table
         sid = self.sid

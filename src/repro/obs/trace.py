@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import MetricsRegistry
 from repro.obs.eventlog import EventLog, TraceEvent
 
 
@@ -130,14 +129,8 @@ class Tracer:
     afterwards with :class:`~repro.obs.index.TraceIndex`.
     """
 
-    def __init__(
-        self,
-        sim: Simulation,
-        name: str = "trace",
-    ) -> None:
+    def __init__(self, sim: Simulation) -> None:
         self.sim = sim
-        self.metrics = MetricsRegistry()
-        self.name = name
         self.log = EventLog()
         self._seq = 0
 
@@ -165,7 +158,6 @@ class Tracer:
         )
         self._seq += 1
         self.log.append(event)
-        self.metrics.counter(f"obs.{self.name}.events").inc()
         return event
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.pubsub.consumer import Consumer, ConsumerGroup, FreeConsumer
-from repro.pubsub.dlq import DeadLetterPolicy
 from repro.pubsub.errors import PubsubError, UnknownTopicError
 from repro.pubsub.log import CompactionPolicy, RetentionPolicy
 from repro.pubsub.message import Message

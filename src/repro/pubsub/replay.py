@@ -23,7 +23,6 @@ from typing import Dict
 
 from repro.pubsub.errors import OffsetOutOfRangeError
 from repro.pubsub.subscription import Subscription
-from repro.pubsub.topic import Topic
 
 
 class SeekTarget(enum.Enum):

@@ -27,7 +27,7 @@ robust to the — astronomically unlikely — XOR collisions.)
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro._types import Key, Version
 from repro.replication.target import ReplicaStore, _item_hash, state_fingerprint

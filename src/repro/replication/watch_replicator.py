@@ -20,7 +20,7 @@ proposed model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro._types import Key, KeyRange, Mutation, Version
 from repro.core.api import WatchCallback

@@ -225,7 +225,6 @@ class ReliableChannel:
     _c_duplicates_dropped = _lazy("counter", "duplicates_dropped")
     _c_held_for_order = _lazy("counter", "held_for_order")
     _c_unhandled = _lazy("counter", "unhandled")
-    _h_delivery_time = _lazy("histogram", "delivery_time")
 
     def __init__(
         self,
@@ -552,12 +551,11 @@ class ReliableChannel:
             if breaker is not None:
                 breaker.record_success()
             self._c_acked.inc()
-            rtt = self.sim.now() - pending.started_at
-            self._h_delivery_time.observe(rtt)
             if self.tracer is not None:
                 self.tracer.record(
                     hops.CHANNEL_ACKED, self.name,
-                    channel=self.name, dst=src, seq=frame.seq, rtt=rtt,
+                    channel=self.name, dst=src, seq=frame.seq,
+                    rtt=self.sim.now() - pending.started_at,
                 )
             if pending.on_delivered is not None:
                 pending.on_delivered()

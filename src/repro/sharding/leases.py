@@ -16,7 +16,7 @@ one holder per key at any instant) is property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro._types import Key, KeyRange
 from repro.sharding.assignment import Assignment

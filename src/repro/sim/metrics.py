@@ -133,10 +133,10 @@ class LazyMetric:
     Declared at class level on a component that exposes ``metrics`` (a
     :class:`MetricsRegistry`) and has an instance ``__dict__``::
 
-        _sent = LazyMetric("counter", "net.sent")
+        _frames_sent = LazyMetric("counter", "net.frames.sent")
         _acked = LazyMetric("counter", "resilience.{0.name}.acked")
 
-    The first read of ``self._sent`` registers the metric (the name is
+    The first read of ``self._frames_sent`` registers the metric (the name is
     ``str.format``-ed with the instance) and stores the handle in the
     instance ``__dict__``, which shadows this non-data descriptor from
     then on: a per-message path pays one attribute load, no registry

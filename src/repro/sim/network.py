@@ -79,7 +79,6 @@ class Endpoint:
 class Network:
     """Delivers messages between endpoints with latency and faults."""
 
-    _sent = LazyMetric("counter", "net.sent")
     _frames_sent = LazyMetric("counter", "net.frames.sent")
     _payload_msgs = LazyMetric("counter", "net.payload.msgs")
     _bytes_sent = LazyMetric("counter", "net.bytes.sent")
@@ -147,7 +146,6 @@ class Network:
         in flight).  Returns False if dropped immediately by loss or
         partition — callers model retries themselves if they need them.
         """
-        self._sent.inc()
         self._frames_sent.inc()
         self._payload_msgs.inc(payload_message_count(payload))
         # real wire volume: the frame's encoded byte size, measured once

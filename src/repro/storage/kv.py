@@ -28,7 +28,6 @@ from repro._types import (
     Key,
     KeyRange,
     Mutation,
-    MutationKind,
     Version,
     VERSION_ZERO,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro._types import Key, KeyRange, Mutation, Version
 from repro.storage.history import ChangeHistory, CommittedTransaction

@@ -9,8 +9,7 @@ and the even-range helpers.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro._types import Key, Mutation
 from repro.sim.kernel import Simulation, Timeout

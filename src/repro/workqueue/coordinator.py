@@ -31,7 +31,7 @@ action time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro._types import KEY_MAX, Key, KeyRange
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig

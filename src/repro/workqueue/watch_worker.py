@@ -17,7 +17,7 @@ at-least-once reprocessing after worker churn harmless.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro._types import Key, KeyRange
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
@@ -99,8 +99,8 @@ class WatchWorker:
             row_key, task = picked
             warm = self.state_cache.touch(task.key)
             cost = task.work if warm else task.work + COLD_PENALTY
-            # report load so the auto-sharder can split/move hot ranges
-            # (the Slicer feedback loop, §4.3)
+            # report load: a worker that joins later takes the slice
+            # with the most recorded load (AutoSharder.add_node)
             self.pool.sharder.record_load(row_key, weight=cost)
             yield Timeout(cost)
             if not self.up:

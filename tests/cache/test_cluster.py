@@ -15,7 +15,6 @@ def cluster_setup(sim):
     sharder = AutoSharder(
         sim, ["n0", "n1"],
         AutoSharderConfig(notify_latency=0.001, notify_jitter=0.0),
-        auto_rebalance=False,
     )
     nodes = [
         PubsubCacheNode(

@@ -25,7 +25,6 @@ def build(sim, mode, num_nodes=2, leases=None, learn_after=None):
     sharder = AutoSharder(
         sim, [f"n{i}" for i in range(num_nodes)],
         AutoSharderConfig(notify_latency=0.001, notify_jitter=0.0),
-        auto_rebalance=False,
     )
     nodes = [
         PubsubCacheNode(
@@ -178,7 +177,6 @@ class TestFreePipeline:
         sharder = AutoSharder(
             sim, ["n0", "n1", "n2"],
             AutoSharderConfig(notify_latency=0.001, notify_jitter=0.0),
-            auto_rebalance=False,
         )
         nodes = [
             PubsubCacheNode(

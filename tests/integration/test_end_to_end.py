@@ -61,7 +61,6 @@ class TestWatchPipeline:
         sharder = AutoSharder(
             sim, ["n0", "n1", "n2"],
             AutoSharderConfig(notify_latency=0.01, notify_jitter=0.01),
-            auto_rebalance=False,
         )
         nodes = [WatchCacheNode(sim, f"n{i}", store, ws) for i in range(3)]
         for node in nodes:

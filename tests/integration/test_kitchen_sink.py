@@ -77,7 +77,6 @@ def test_everything_converges(seed):
     sharder = AutoSharder(
         sim, ["n0", "n1", "n2"],
         AutoSharderConfig(notify_latency=0.02, notify_jitter=0.05),
-        auto_rebalance=False,
     )
     cache_nodes = [WatchCacheNode(sim, f"n{i}", store, ws) for i in range(3)]
     for node in cache_nodes:

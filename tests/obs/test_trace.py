@@ -39,10 +39,11 @@ class TestRecord:
 
     def test_counts_into_metrics(self):
         sim = Simulation(seed=1)
-        tracer = Tracer(sim, name="cfg")
+        tracer = Tracer(sim)
         tracer.record(hops.COMMIT, "store", key="a", version=1)
         tracer.record(hops.COMMIT, "store", key="b", version=2)
-        assert tracer.metrics.counter("obs.cfg.events").value == 2
+        assert len(tracer.log) == 2
+        assert [event.seq for event in tracer.log] == [0, 1]
 
 
 class TestObserveStore:

@@ -278,7 +278,7 @@ class TestHostileInput:
         with pytest.raises(WireError, match=r"'rx'.*dict.*'stranger'"):
             sim.run()
         assert received == []
-        assert net.metrics.counter("net.sent").value == 1  # nothing acked
+        assert net.metrics.counter("net.frames.sent").value == 1  # nothing acked
         assert "resilience.rx.received" not in net.metrics.names()
 
 

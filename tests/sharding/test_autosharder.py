@@ -1,4 +1,4 @@
-"""Tests for the auto-sharder: moves, splits, rebalancing, notification."""
+"""Tests for the auto-sharder: moves, splits, membership, notification."""
 
 import pytest
 
@@ -10,7 +10,7 @@ def make_sharder(sim, nodes=("n1", "n2"), **config_kwargs):
     config = AutoSharderConfig(
         notify_latency=0.01, notify_jitter=0.0, **config_kwargs
     )
-    return AutoSharder(sim, list(nodes), config, auto_rebalance=False)
+    return AutoSharder(sim, list(nodes), config)
 
 
 class TestBasics:
@@ -49,6 +49,28 @@ class TestMembership:
         sharder = make_sharder(sim)
         sharder.add_node("n3")
         assert "n3" in sharder.assignment.nodes()
+
+    def test_add_node_takes_the_slice_with_most_recorded_load(self, sim):
+        # slices [min, i) [i, r) [r, max) on a, b, c
+        sharder = make_sharder(sim, nodes=("a", "b", "c"))
+        for key, times in (("bkey", 3), ("pkey", 5)):
+            for _ in range(times):
+                sharder.record_load(key)
+        # the split shifts [i, r) from index 1 to 2 and the move keeps
+        # every index: the recorded load follows its range
+        sharder.split_at("c")
+        sharder.move_key("zkey", "a")
+        for _ in range(4):
+            sharder.record_load("tkey")
+        sharder.add_node("d")
+        assert sharder.assignment.owner_of("pkey") == "d"
+        assert sharder.assignment.owner_of("bkey") == "a"
+        # the steal keeps the loads: [r, max) overtakes [i, r) at 6 > 5
+        for _ in range(2):
+            sharder.record_load("tkey")
+        sharder.add_node("e")
+        assert sharder.assignment.owner_of("tkey") == "e"
+        assert sharder.assignment.owner_of("pkey") == "d"
 
     def test_remove_node_reassigns(self, sim):
         sharder = make_sharder(sim, nodes=("a", "b", "c"))
@@ -107,7 +129,6 @@ class TestNotification:
         sharder = AutoSharder(
             sim, ["a", "b"],
             AutoSharderConfig(notify_latency=0.01, notify_jitter=0.5),
-            auto_rebalance=False,
         )
         times = {}
         sharder.subscribe(lambda a: times.setdefault("l1", sim.now()), immediate=False)
@@ -118,50 +139,8 @@ class TestNotification:
 
 
 class TestLoadRebalancing:
-    def test_imbalance_triggers_move_or_split(self, sim):
-        sharder = make_sharder(sim, nodes=("a", "b"), imbalance_ratio=1.2)
-        # hammer one node's range
-        hot_owner = sharder.assignment.owner_of("c")
-        for _ in range(200):
-            sharder.record_load("ckey")
-        changed = sharder.rebalance_once()
-        assert changed
-        # the hot slice moved (or split and partially moved) off the
-        # hot node
-        assert sharder.assignment.owner_of("ckey") != hot_owner or sharder.splits > 0
-
-    def test_balanced_load_stable(self, sim):
-        sharder = make_sharder(sim, nodes=("a", "b"))
-        for key in ("akey", "zkey"):
-            for _ in range(50):
-                sharder.record_load(key)
-        # "akey" and "zkey" are on different nodes in the initial even
-        # split, so load is balanced
-        if sharder.assignment.owner_of("akey") != sharder.assignment.owner_of("zkey"):
-            assert not sharder.rebalance_once()
-
-    def test_no_load_no_change(self, sim):
-        sharder = make_sharder(sim)
-        assert not sharder.rebalance_once()
-
-    def test_auto_rebalance_loop_runs(self):
-        from repro.sim.kernel import Simulation
-
-        sim = Simulation(seed=9)
-        sharder = AutoSharder(
-            sim, ["a", "b"],
-            AutoSharderConfig(
-                rebalance_interval=1.0, imbalance_ratio=1.1,
-                notify_latency=0.0, notify_jitter=0.0,
-            ),
-        )
-        for _ in range(500):
-            sharder.record_load("hotkey")
-        sim.run_for(5.0)
-        assert sharder.reassignments > 0
-
     def test_assignment_remains_complete_under_churn(self, sim):
-        sharder = make_sharder(sim, nodes=("a", "b", "c"), max_slices=64)
+        sharder = make_sharder(sim, nodes=("a", "b", "c"))
         for i in range(30):
             op = i % 4
             if op == 0:
@@ -173,7 +152,7 @@ class TestLoadRebalancing:
             else:
                 for _ in range(20):
                     sharder.record_load(f"{chr(97 + i % 26)}load")
-                sharder.rebalance_once()
+                sharder.remove_node(f"new-{i - 1}")
             assert ranges_cover(
                 [s.key_range for s in sharder.assignment.slices],
                 KeyRange.all(),

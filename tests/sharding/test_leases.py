@@ -86,7 +86,6 @@ class TestSafetyInvariant:
         sharder = AutoSharder(
             sim, ["a", "b", "c"],
             AutoSharderConfig(notify_latency=0.0, notify_jitter=0.0),
-            auto_rebalance=False,
         )
         sharder.subscribe(lm.on_assignment)
         sim.run_for(0.1)

@@ -82,7 +82,7 @@ class TestDropsCountedExactlyOnce:
         for i in range(500):
             net.send("a", "b", i)
         sim.run()
-        sent = net.metrics.counter("net.sent").value
+        sent = net.metrics.counter("net.frames.sent").value
         delivered = net.metrics.counter("net.delivered").value
         assert sent == 500
         assert delivered + _dropped_total(net) == 500

@@ -19,7 +19,6 @@ def build_pool(sim, num_workers=2):
     sharder = AutoSharder(
         sim, [f"worker-{i}" for i in range(num_workers)],
         AutoSharderConfig(notify_latency=0.01, notify_jitter=0.0),
-        auto_rebalance=False,
     )
     pool = WatchWorkerPool(
         sim, store, ws, sharder, num_workers=num_workers,
