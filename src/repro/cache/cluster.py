@@ -70,7 +70,6 @@ class CacheCluster:
         node = self.nodes.get(owner)
         if node is None:
             return ("unavailable", None, owner)
-        self.sharder.record_load(key)
         status, value = node.serve(key)
         return (status, value, owner)
 

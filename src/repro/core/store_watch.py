@@ -47,6 +47,8 @@ class StoreWatch(Watchable):
         self.store = store
         self.watcher_defaults = watcher_defaults or WatcherConfig()
         self._sessions: List[WatcherSession] = []
+        #: one bound method, shared by every session this owner opens
+        self._on_session_closed = self._session_closed
         self._cancel_tail = store.history.tail(self._on_commit)
         self.resyncs_issued = 0
 
@@ -95,7 +97,7 @@ class StoreWatch(Watchable):
             from_version=version,
             callback=callback,
             config=config or self.watcher_defaults,
-            on_closed=self._session_closed,
+            on_closed=self._on_session_closed,
             predicate=predicate,
         )
         self._sessions.append(session)

@@ -70,8 +70,8 @@ class WatcherSession(Cancellable):
         "_qhead", "_draining", "_active", "delivered_version",
         "events_delivered", "progress_delivered", "resyncs_signalled",
         "overflow_drops",
-        "_low", "_high", "_cb_event", "_cb_progress", "_max_backlog",
-        "_delivery_latency", "_service_time", "_pending", "_drain_cb",
+        "_low", "_high", "_max_backlog", "_delivery_latency",
+        "_service_time", "_pending",
     )
 
     def __init__(
@@ -114,19 +114,17 @@ class WatcherSession(Cancellable):
         self.progress_delivered = 0
         self.resyncs_signalled = 0
         self.overflow_drops = 0
-        # hot-path prebinds: the fan-out loops run these per event, so
-        # the config/range/callback indirections are resolved once here
+        # hot-path copies: the fan-out loops read these per event, so
+        # the config/range indirections are resolved once here.  No
+        # callable is stored: a bound method is a GC-tracked object per
+        # session, so the drain kick posts a short-lived one and the
+        # drain reads the callback's method once per burst
         self._low = key_range.low
         self._high = key_range.high
-        self._cb_event = callback.on_event
-        self._cb_progress = callback.on_progress
         self._max_backlog = config.max_backlog
         self._delivery_latency = config.delivery_latency
         self._service_time = config.service_time
         self._pending: Optional[_Item] = None
-        #: pre-bound so the offer paths post without allocating a bound
-        #: method per drain kick
-        self._drain_cb = self._drain_next
 
     # ------------------------------------------------------------------
     # Cancellable
@@ -142,12 +140,6 @@ class WatcherSession(Cancellable):
         if self._queue is not None:
             self._queue.clear()
             self._qhead = 0
-        # the prebinds point back at this session (``_drain_cb``) and at
-        # the callback, which may point back here too: cleared, a closed
-        # session is freed by reference counting, not by a full GC.
-        # Nothing reads them once inactive (every offer and drain path
-        # checks ``_active`` first; a running drain holds its own copy)
-        self._drain_cb = self._cb_event = self._cb_progress = None
         if self._on_closed is not None:
             self._on_closed(self)
 
@@ -175,7 +167,7 @@ class WatcherSession(Cancellable):
         queue.append(event)
         if not self._draining:
             self._draining = True
-            self.sim.post(self._delivery_latency, self._drain_cb)
+            self.sim.post(self._delivery_latency, self._drain_next)
 
     def offer_matched(self, event: ChangeEvent) -> None:
         """:meth:`offer_event` minus the range check, for producers that
@@ -196,7 +188,7 @@ class WatcherSession(Cancellable):
         queue.append(event)
         if not self._draining:
             self._draining = True
-            self.sim.post(self._delivery_latency, self._drain_cb)
+            self.sim.post(self._delivery_latency, self._drain_next)
 
     def offer_progress(self, progress: ProgressEvent) -> None:
         """Enqueue the intersection of a progress event with our range."""
@@ -239,7 +231,7 @@ class WatcherSession(Cancellable):
         queue.append(item)
         if not self._draining:
             self._draining = True
-            self.sim.post(self._delivery_latency, self._drain_cb)
+            self.sim.post(self._delivery_latency, self._drain_next)
 
     # ------------------------------------------------------------------
     # consumer side
@@ -276,7 +268,7 @@ class WatcherSession(Cancellable):
         # common item — are delivered inline; everything else (resync,
         # progress, traced deliveries) goes through _deliver
         deliver = self._deliver
-        cb_event = self._cb_event
+        cb_event = self.callback.on_event
         change_event = ChangeEvent
         untraced = self.tracer is None
         delivered = 0  # batched into events_delivered at burst end
@@ -321,7 +313,7 @@ class WatcherSession(Cancellable):
                     hops.WATCH_DELIVER, self.label,
                     key=item.key, version=item.version, watcher=self.label,
                 )
-            self._cb_event(item)
+            self.callback.on_event(item)
             return
         if item is _RESYNC:
             self.resyncs_signalled += 1
@@ -332,13 +324,12 @@ class WatcherSession(Cancellable):
                 )
             # the session ends; the client must snapshot + re-watch
             self._active = False
-            self._drain_cb = self._cb_event = self._cb_progress = None
             if self._on_closed is not None:
                 self._on_closed(self)
             self.callback.on_resync()
             return
         self.progress_delivered += 1
-        self._cb_progress(item)
+        self.callback.on_progress(item)
 
     @property
     def backlog(self) -> int:

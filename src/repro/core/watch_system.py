@@ -162,6 +162,8 @@ class WatchSystem(Watchable, Ingester):
         # identical to the f-string-per-call implementation
         self._watches_counter: Optional[Counter] = None
         self._resyncs_counter: Optional[Counter] = None
+        #: one bound method, shared by every session this owner opens
+        self._on_session_closed = self._session_closed
         self.soft_state_peak_events = 0
         self.events_ingested = 0
         self.events_evicted = 0
@@ -225,7 +227,7 @@ class WatchSystem(Watchable, Ingester):
                         queue.append(event)
                         if not session._draining:
                             session._draining = True
-                            sim_post(session._delivery_latency, session._drain_cb)
+                            sim_post(session._delivery_latency, session._drain_next)
                         continue
                 session.offer_matched(event)
         while retained > self.config.max_buffered_events:
@@ -296,7 +298,7 @@ class WatchSystem(Watchable, Ingester):
             from_version=version,
             callback=callback,
             config=config or self.config.watcher_defaults,
-            on_closed=self._session_closed,
+            on_closed=self._on_session_closed,
             predicate=predicate,
             tracer=self.tracer if tracer is _SYSTEM_TRACER else tracer,
             label=self._next_label(),

@@ -172,6 +172,8 @@ class WatchEdgeFrontend:
         self.tracer = tracer
         self.up = True
         self.sessions: Dict[str, ClientSession] = {}
+        #: one bound method, shared by every session this owner opens
+        self._on_session_closed = self._session_closed
         self.table = SessionTable(
             sim,
             drain_interval=self.config.drain_interval,
@@ -236,7 +238,7 @@ class WatchEdgeFrontend:
         session = ClientSession(
             self.sim, f"{self.name}/{client.name}", client,
             key_range=client.key_range, config=self.config.session,
-            on_closed=self._session_closed, tracer=tracer,
+            on_closed=self._on_session_closed, tracer=tracer,
             table=self.table,
         )
         self.sessions[client.name] = session
@@ -246,7 +248,6 @@ class WatchEdgeFrontend:
         if age is not None and client.connects > 1:
             cursor = min(cursor, max(0, head - age))
         staleness = head - cursor if head > cursor else 0
-        session.staleness_at_connect = staleness
         client.staleness_at_connect.append(staleness)
         threshold = self.config.catchup_threshold
         if self.config.session.policy is SlowConsumerPolicy.DISCONNECT:
@@ -393,6 +394,8 @@ class PubsubEdgeFrontend:
         self.up = True
         self.topic = broker.topic(topic)
         self.sessions: Dict[str, ClientSession] = {}
+        #: one bound method, shared by every session this owner opens
+        self._on_session_closed = self._session_closed
         self.table = SessionTable(
             sim,
             drain_interval=config.drain_interval,
@@ -476,7 +479,7 @@ class PubsubEdgeFrontend:
         session = ClientSession(
             self.sim, f"{self.name}/{client.name}", client,
             key_range=client.key_range, config=self.config.session,
-            on_closed=self._session_closed, tracer=tracer,
+            on_closed=self._on_session_closed, tracer=tracer,
             table=self.table,
         )
         offsets = dict(client.offsets)
@@ -498,7 +501,6 @@ class PubsubEdgeFrontend:
             max(0, log.next_offset - offsets[log.partition])
             for log in self.topic.partitions
         )
-        session.staleness_at_connect = staleness
         client.staleness_at_connect.append(staleness)
         self.sessions[client.name] = session
         if session.tracer is not None:

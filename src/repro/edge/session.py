@@ -169,9 +169,8 @@ class ClientSession:
         "sim", "name", "client", "key_range", "config", "tracer",
         "table", "sid", "_shared", "_on_closed", "_policy", "_max_queue",
         "_delivery_latency", "_queue", "_qhead", "_cells", "credits",
-        "_draining", "_active", "staleness_at_connect",
-        "live", "expected_offsets", "_feed_handle", "_deliver_cb",
-        "_final",
+        "_draining", "_active", "live", "expected_offsets",
+        "_feed_handle", "_final",
     )
 
     def __init__(
@@ -216,15 +215,11 @@ class ClientSession:
         self.credits = self.config.initial_credits
         self._draining = False
         self._active = True
-        #: sampled by the frontend at connect (versions or messages behind)
-        self.staleness_at_connect = 0
-        # frontend-managed delivery state (pubsub catch-up)
+        # frontend-managed delivery state (pubsub catch-up: the pubsub
+        # frontend sets the per-partition offsets at connect)
         self.live = True
-        self.expected_offsets: Dict[int, int] = {}
+        self.expected_offsets: Optional[Dict[int, int]] = None
         self._feed_handle = None
-        #: pre-bound so the hot drain path posts without allocating a
-        #: bound method per event
-        self._deliver_cb = self._deliver_next
         #: counters snapshot taken at close, before the slot is recycled
         self._final: Optional[tuple] = None
 
@@ -326,7 +321,7 @@ class ClientSession:
                 self.table.enqueue_ready(self.sid)
             elif not self._draining:
                 self._draining = True
-                self.sim.post(self._delivery_latency, self._deliver_cb)
+                self.sim.post(self._delivery_latency, self._deliver_next)
 
     def _deliver_next(self) -> None:
         self._draining = False
@@ -404,10 +399,6 @@ class ClientSession:
         self._qhead = 0
         if self._cells is not None:
             self._cells.clear()
-        # the prebind is a bound method of this session: cleared, a
-        # closed session is freed by reference counting, not by a full
-        # GC (``_kick`` checks ``_active`` before posting it)
-        self._deliver_cb = None
         if self.tracer is not None:
             self.tracer.record(
                 hops.EDGE_DISCONNECT, self.name,

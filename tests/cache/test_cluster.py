@@ -41,11 +41,6 @@ class TestRouting:
         status, value, _ = cluster.read("akey")
         assert (status, value) == ("hit", 1)
 
-    def test_read_records_load(self, sim, cluster_setup):
-        store, sharder, nodes, cluster = cluster_setup
-        cluster.read("akey")
-        assert sum(sharder._slice_loads.values()) > 0
-
     def test_unknown_owner_unavailable(self, sim, cluster_setup):
         store, sharder, nodes, cluster = cluster_setup
         sharder.move_key("akey", "ghost-node")

@@ -1,6 +1,7 @@
 """WatchEdgeFrontend: reconnect decision rule, edge-served catch-up."""
 
 import gc
+import types
 
 import pytest
 
@@ -221,8 +222,9 @@ def _chain_objects_in_cycles():
 @pytest.mark.parametrize("ending", ["disconnect", "feed-resync"])
 def test_closed_session_chain_leaves_no_reference_cycle(sim, ending):
     """A closed client session, and a relay watch ended by cancel or by
-    a resync, are freed by reference counting alone: their prebound
-    callbacks are cleared, so no full collection is needed."""
+    a resync, are freed by reference counting alone: no object of the
+    chain holds a bound method of itself, so no full collection is
+    needed."""
     store, frontend = build(sim, catchup_threshold=1_000_000)
     client = EdgeClient(sim, "c0", StaticPlacement(frontend))
     client.connect()
@@ -243,3 +245,36 @@ def test_closed_session_chain_leaves_no_reference_cycle(sim, ending):
         assert client.state == latest(store)
     else:
         assert client.session is None and len(frontend.sessions) == 0
+
+
+def test_live_session_chain_holds_no_callable_but_its_owners_close_hook(sim):
+    """Each live chain (client session, relay watcher, feed adapter)
+    holds no bound method or function of its own: a callable stored per
+    session is a tracked object per session.  The one exception is the
+    owner's close hook, bound once per owner and shared by its sessions."""
+    store, frontend = build(sim, catchup_threshold=1_000_000)
+    clients = [
+        EdgeClient(sim, f"c{i}", StaticPlacement(frontend)) for i in range(2)
+    ]
+    for client in clients:
+        client.connect()
+    write(store, 10)
+    sim.run(until=2.0)
+    callables = (types.MethodType, types.FunctionType)
+    chains = []
+    for client in clients:
+        session = client.session
+        watcher = session._feed_handle
+        assert isinstance(watcher, WatcherSession)
+        assert isinstance(watcher.callback, _SessionFeed)
+        chains.append((session, watcher))
+        for obj in (session, watcher, watcher.callback):
+            held = [
+                ref for ref in gc.get_referents(obj)
+                if isinstance(ref, callables)
+                and ref is not getattr(obj, "_on_closed", None)
+            ]
+            assert held == [], type(obj).__name__
+    (first, first_watcher), (second, second_watcher) = chains
+    assert first._on_closed is second._on_closed is not None
+    assert first_watcher._on_closed is second_watcher._on_closed is not None
