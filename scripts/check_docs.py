@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lint: intra-repo markdown links resolve; architecture is complete.
 
-Seven checks, run by CI (see ``.github/workflows/ci.yml``):
+Eight checks, run by CI (see ``.github/workflows/ci.yml``):
 
 1. Every relative link in every tracked ``*.md`` file points at a file
    or directory that exists (anchors after ``#`` are stripped; external
@@ -36,6 +36,11 @@ Seven checks, run by CI (see ``.github/workflows/ci.yml``):
    ``__init__`` parameter counts as declared too.  Dunders, and a name
    that is no class in the code (``Path.exists``), are not read;
    history files are exempt.
+8. Every backticked dotted ``repro.*`` name (``repro.core.stream``,
+   ``repro.causal.stage.GatedWatchFrontend``) resolves: its longest
+   prefix that is a module under ``src/`` is followed by nothing, or by
+   a name that module's top level defines, assigns or imports.  A path
+   (``src/repro/...``) is not read; history files are exempt.
 
     python scripts/check_docs.py
 
@@ -87,6 +92,9 @@ _KEYWORD_RE = re.compile(r"(?<![\w.-])([a-z_]\w*)=(?!=)")
 _METHOD_RE = re.compile(
     r"(?<![\w.])(_?[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)\.(_*[a-z]\w*)"
 )
+
+#: a dotted ``repro.*`` name inside a code span, not part of a path
+_DOTTED_RE = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
 
 _CODE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
 
@@ -289,6 +297,60 @@ def check_keywords_exist():
     return errors
 
 
+def _module_source(parts):
+    """The source file of module ``parts`` under ``src/``, or None."""
+    base = os.path.join(REPO_ROOT, "src", *parts)
+    for path in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _top_level_names(path):
+    """The names a module's top level defines, assigns or imports."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names.update(
+                (alias.asname or alias.name).split(".")[0] for alias in stmt.names
+            )
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(
+                node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)
+            )
+    return names
+
+
+def check_dotted_names_resolve():
+    """Every backticked ``repro.*`` name is a module or a name in one."""
+    errors = []
+    for rel, text in current_prose():
+        named = {
+            dotted
+            for span in inline_code(text)
+            for dotted in _DOTTED_RE.findall(span)
+        }
+        for dotted in sorted(named):
+            parts = dotted.split(".")
+            depth = len(parts)
+            while depth and _module_source(parts[:depth]) is None:
+                depth -= 1
+            if depth == len(parts) or (
+                depth and parts[depth] in _top_level_names(
+                    _module_source(parts[:depth])
+                )
+            ):
+                continue
+            errors.append(f"{rel}: no such module or name -> {dotted}")
+    return errors
+
+
 def check_architecture_mentions():
     errors = []
     architecture = os.path.join(REPO_ROOT, "docs", "architecture.md")
@@ -345,6 +407,7 @@ def main() -> int:
     errors = (
         check_links() + check_paths_exist() + check_identifiers_exist()
         + check_keywords_exist() + check_methods_exist()
+        + check_dotted_names_resolve()
         + check_architecture_mentions() + check_docs_reachable()
     )
     for error in errors:

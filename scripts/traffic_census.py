@@ -87,18 +87,6 @@ LIBRARY = str(SRC / "repro") + "/"
 #: classes no census traffic reaches, kept on purpose: qualified name ->
 #: why.  ROADMAP.md lists them as surfaces no experiment reaches yet.
 EXEMPT: Dict[str, str] = {
-    "repro.storage.index.SecondaryIndex": (
-        "reproduces a paper element: docs/paper_mapping.md row "
-        "'\"reads, scans, writes, indices\" of real stores'"
-    ),
-    "repro.storage.index.UniqueIndex": (
-        "reproduces a paper element: docs/paper_mapping.md row "
-        "'\"reads, scans, writes, indices\" of real stores'"
-    ),
-    "repro.storage.view.FilteredView": (
-        "reproduces a paper element: docs/paper_mapping.md row "
-        "'§4.1 filtered views'"
-    ),
     "repro.pubsub.dlq.DeadLetterPolicy": (
         "reproduces a paper element: docs/paper_mapping.md row "
         "'\"dead-letter queues\" (Azure)'"
@@ -122,6 +110,12 @@ _RETENTION = (
     "sets it, so StoreWatch's truncation resync never runs) is open"
 )
 _LEDGER = "benchmarks/ledger/worlds.py passes it by keyword"
+_TEST_ADAPTER = (
+    "FnWatchCallback builds a callback from plain functions for tests and "
+    "examples; tests/core/test_stream.py, test_watch_system.py and "
+    "test_sharded_watch.py pass it progress and resync handlers, while "
+    "traffic hands it only on_event"
+)
 _LEASE_DIFF = (
     "tests/pubsub/test_lease_watchdog.py::test_watchdog_is_indistinguishable_"
     "from_per_message_timers varies it over the dispatch path traffic takes"
@@ -214,13 +208,6 @@ FUNCTION_EXEMPT: Dict[str, str] = {
     "repro.pubsub.replay.seek_to_timestamp": _REPLAY_ROW,
     "repro.pubsub.log.PartitionLog.offset_for_time": _REPLAY_ROW,
     "repro.pubsub.subscription.Subscription.seek": _REPLAY_ROW,
-    "repro.storage.index._encode": (
-        _PAPER_ROW + "'\"reads, scans, writes, indices\" of real stores' "
-        "(repro.storage.index)"
-    ),
-    "repro.storage.view._identity_projection": (
-        _PAPER_ROW + "'§4.1 filtered views' (repro.storage.view)"
-    ),
     "repro.storage.kv.MVCCStore.apply_at": _STORE_API,
     "repro.storage.kv.MVCCStore.count": _STORE_API,
     "repro.storage.kv.MVCCStore.gc_versions_below": _STORE_API,
@@ -323,20 +310,6 @@ FUNCTION_EXEMPT: Dict[str, str] = {
         "tests/sharding/test_assignment.py::TestValidation::"
         "test_single_covers_all"
     ),
-    "repro.cdc.capture.CdcCapture.close": _tested(
-        "tests/cdc/test_cdc.py::TestCapture::test_close_stops_capture"
-    ),
-    "repro.cdc.publisher.CdcPublisher.close": _tested(
-        "tests/cdc/test_cdc.py::TestPublisher::test_close_stops_publishing"
-    ),
-    "repro.storage.replica.ReadReplica.close": _tested(
-        "tests/storage/test_replica.py::TestReplication::"
-        "test_close_stops_following"
-    ),
-    "repro.core.store_watch.StoreWatch.close": _tested(
-        "tests/core/test_store_watch.py::TestLifecycle::"
-        "test_close_cancels_everything"
-    ),
     "repro.core.linked_cache.LinkedCache.set_key_range": _tested(
         "tests/core/test_linked_cache.py::TestResync::"
         "test_set_key_range_resyncs_over_new_range"
@@ -414,6 +387,9 @@ OPTION_EXEMPT: Dict[str, str] = {
         "hands it a retrying channel to converge over the lossy networked "
         "applier path the ledger's repl-net worlds take"
     ),
+    # a test adapter: the tier-1 watch tests pass it handlers
+    "repro.core.api.FnWatchCallback.on_progress": _TEST_ADAPTER,
+    "repro.core.api.FnWatchCallback.on_resync": _TEST_ADAPTER,
     # a per-message record field: the data sets it, not a caller
     "repro.edge.session.Update.is_delete": (
         "a per-update record field: the mutation being delivered sets it"

@@ -9,7 +9,7 @@ from typing import List
 
 from repro.causal.buffer import CausalBuffer, CausalBufferConfig
 from repro.causal.stamp import StampIndex
-from repro.core.api import FnWatchCallback
+from repro.core.api import WatchCallback
 from repro.core.relay import ReliableFanoutEndpoint, ReliableFanoutLink
 from repro.edge.frontend import WatchEdgeFrontend
 from repro.obs.trace import payload_version
@@ -109,19 +109,35 @@ class GatedWatchFrontend(WatchEdgeFrontend):
         )
         buffer.set_floor(from_version)
         self.buffers.append(buffer)
-        feed, stamps = super()._new_feed(session, from_version), self.stamps
+        return _GatedFeed(
+            buffer, super()._new_feed(session, from_version), self.stamps
+        )
 
-        def on_event(event):
-            key, version = event.key, event.version
-            buffer.submit(
-                key, version, stamps.lookup(key, version),
-                lambda: feed.on_event(event),
-            )
 
-        def on_resync():
-            # the snapshot replacing this feed covers what the gate
-            # holds; released later, a held update would overwrite it
-            buffer.discard()
-            feed.on_resync()
+class _GatedFeed(WatchCallback):
+    """One session's feed through its gate: each event waits in
+    ``buffer`` until its dependencies are observed, then reaches the
+    inner ``feed``."""
 
-        return FnWatchCallback(on_event, feed.on_progress, on_resync)
+    __slots__ = ("buffer", "feed", "stamps")
+
+    def __init__(self, buffer: CausalBuffer, feed: WatchCallback, stamps: StampIndex):
+        self.buffer = buffer
+        self.feed = feed
+        self.stamps = stamps
+
+    def on_event(self, event) -> None:
+        key, version, feed = event.key, event.version, self.feed
+        self.buffer.submit(
+            key, version, self.stamps.lookup(key, version),
+            lambda: feed.on_event(event),
+        )
+
+    def on_progress(self, event) -> None:
+        self.feed.on_progress(event)
+
+    def on_resync(self) -> None:
+        # the snapshot replacing this feed covers what the gate
+        # holds; released later, a held update would overwrite it
+        self.buffer.discard()
+        self.feed.on_resync()

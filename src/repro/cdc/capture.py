@@ -56,10 +56,7 @@ class CdcCapture:
         self.tracer = tracer
         self.records_emitted = 0
         self.commits_captured = 0
-        self._cancel = history.tail(self._on_commit)
-
-    def close(self) -> None:
-        self._cancel()
+        history.tail(self._on_commit)
 
     def _on_commit(self, commit: CommittedTransaction) -> None:
         self.commits_captured += 1

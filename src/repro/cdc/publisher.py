@@ -72,10 +72,7 @@ class CdcPublisher:
             self._publish_batch = None
         self.published = 0
         self._txn_buffer: List[Tuple[Optional[str], Any, int]] = []
-        self._capture = CdcCapture(history, self._on_record, tracer=tracer)
-
-    def close(self) -> None:
-        self._capture.close()
+        CdcCapture(history, self._on_record, tracer=tracer)
 
     def _on_record(self, record: ChangeRecord) -> None:
         payload = {

@@ -101,8 +101,8 @@ class FnWatchCallback:
 
 
 class Watchable(abc.ABC):
-    """Anything consumers can watch: a store with built-in watch, an
-    external watch system, or a filtered view wrapper."""
+    """Anything consumers can watch: a store with built-in watch or an
+    external watch system."""
 
     @abc.abstractmethod
     def watch(

@@ -4,7 +4,7 @@ This is the left column of Figure 3 — Spanner change streams, the
 Kubernetes API server over etcd: "the store may directly implement the
 watch contract" (§4.2.2).  :class:`StoreWatch` layers on any object
 exposing a :class:`~repro.storage.history.ChangeHistory` (the MVCC
-store, a filtered view, or the ingestion store) and:
+store or the ingestion store) and:
 
 - streams each committed write as a :class:`ChangeEvent`;
 - emits a whole-keyspace :class:`ProgressEvent` after every commit
@@ -49,14 +49,8 @@ class StoreWatch(Watchable):
         self._sessions: List[WatcherSession] = []
         #: one bound method, shared by every session this owner opens
         self._on_session_closed = self._session_closed
-        self._cancel_tail = store.history.tail(self._on_commit)
+        store.history.tail(self._on_commit)
         self.resyncs_issued = 0
-
-    def close(self) -> None:
-        """Detach from the store history and cancel all sessions."""
-        self._cancel_tail()
-        for session in list(self._sessions):
-            session.cancel()
 
     # ------------------------------------------------------------------
     # store side

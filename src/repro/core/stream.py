@@ -84,7 +84,7 @@ class WatcherSession(Cancellable):
         on_closed: Optional[Callable[["WatcherSession"], None]] = None,
         predicate: Optional[Callable[[ChangeEvent], bool]] = None,
         tracer=None,
-        label: str = "watcher",
+        label: Optional[str] = "watcher",
     ) -> None:
         self.sim = sim
         self.key_range = key_range

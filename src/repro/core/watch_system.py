@@ -292,6 +292,12 @@ class WatchSystem(Watchable, Ingester):
         the per-tick progress fan-out then costs O(subscribed), not
         O(sessions) — the difference between a knowledge-window
         consumer and a million value-only edge feeds."""
+        if tracer is _SYSTEM_TRACER:
+            tracer = self.tracer
+        # the sequence advances for every session, so a traced label is
+        # the same whichever sessions are sampled; only tracer records
+        # read the label, so an untraced session carries none
+        self._session_seq += 1
         session = WatcherSession(
             sim=self.sim,
             key_range=key_range,
@@ -300,8 +306,8 @@ class WatchSystem(Watchable, Ingester):
             config=config or self.config.watcher_defaults,
             on_closed=self._on_session_closed,
             predicate=predicate,
-            tracer=self.tracer if tracer is _SYSTEM_TRACER else tracer,
-            label=self._next_label(),
+            tracer=tracer,
+            label=None if tracer is None else f"{self.name}#{self._session_seq}",
         )
         self._sessions.add(session)
         if progress:
@@ -346,10 +352,6 @@ class WatchSystem(Watchable, Ingester):
             for mark_range, mark_version in self._progress_marks.items():
                 session.offer_progress(ProgressEvent(mark_range.low, mark_range.high, mark_version))
         return session
-
-    def _next_label(self) -> str:
-        self._session_seq += 1
-        return f"{self.name}#{self._session_seq}"
 
     def _session_closed(self, session: WatcherSession) -> None:
         if session not in self._sessions:

@@ -235,8 +235,10 @@ class WatchEdgeFrontend:
             raise RuntimeError(f"frontend {self.name} is down")
         self.connects += 1
         tracer = self.tracer if self.table.sampler.keep(self.connects - 1) else None
+        # only tracer records read the name: an untraced session has none
         session = ClientSession(
-            self.sim, f"{self.name}/{client.name}", client,
+            self.sim,
+            None if tracer is None else f"{self.name}/{client.name}", client,
             key_range=client.key_range, config=self.config.session,
             on_closed=self._on_session_closed, tracer=tracer,
             table=self.table,
@@ -476,8 +478,10 @@ class PubsubEdgeFrontend:
             raise RuntimeError(f"frontend {self.name} is down")
         self.connects += 1
         tracer = self.tracer if self.table.sampler.keep(self.connects - 1) else None
+        # only tracer records read the name: an untraced session has none
         session = ClientSession(
-            self.sim, f"{self.name}/{client.name}", client,
+            self.sim,
+            None if tracer is None else f"{self.name}/{client.name}", client,
             key_range=client.key_range, config=self.config.session,
             on_closed=self._on_session_closed, tracer=tracer,
             table=self.table,

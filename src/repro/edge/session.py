@@ -176,7 +176,7 @@ class ClientSession:
     def __init__(
         self,
         sim: Simulation,
-        name: str,
+        name: Optional[str],
         client,  # anything with on_delivery(session, item) / on_session_closed
         key_range: KeyRange,
         config: Optional[SessionConfig] = None,

@@ -10,9 +10,6 @@ This package is the stand-in for the producer stores the paper cites
 - :class:`~repro.storage.history.ChangeHistory` is the ordered commit
   log every store maintains internally; it feeds both CDC (for the
   pubsub baseline) and the watch systems (for the proposed model).
-- :class:`~repro.storage.view.FilteredView` implements §4.1 ("hiding
-  producer store internals"): a read-only projection of the store that
-  consumers may scan and watch without seeing unrelated columns/keys.
 - :class:`~repro.storage.timeseries.IngestionStore` is the
   time-series-style ingestion store of §2/§4.3.
 """
@@ -27,10 +24,8 @@ from repro.storage.tso import TimestampOracle
 from repro.storage.history import ChangeHistory, CommittedTransaction
 from repro.storage.kv import MVCCStore, Transaction
 from repro.storage.snapshot import SnapshotView
-from repro.storage.view import FilteredView
 from repro.storage.timeseries import IngestionStore, Event
 from repro.storage.replica import ReadReplica, SnapshotCounter
-from repro.storage.index import SecondaryIndex, UniqueIndex, UniqueConstraintError
 
 __all__ = [
     "StorageError",
@@ -43,12 +38,8 @@ __all__ = [
     "MVCCStore",
     "Transaction",
     "SnapshotView",
-    "FilteredView",
     "IngestionStore",
     "Event",
     "ReadReplica",
     "SnapshotCounter",
-    "SecondaryIndex",
-    "UniqueIndex",
-    "UniqueConstraintError",
 ]

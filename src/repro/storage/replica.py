@@ -50,10 +50,7 @@ class ReadReplica:
         bootstrap = primary.snapshot()
         self._data.load_snapshot(bootstrap.items(), bootstrap.version)
         self._applied_version = bootstrap.version
-        self._cancel = primary.history.tail(self._on_commit)
-
-    def close(self) -> None:
-        self._cancel()
+        primary.history.tail(self._on_commit)
 
     # ------------------------------------------------------------------
     # replication

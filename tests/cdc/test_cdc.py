@@ -27,14 +27,6 @@ class TestCapture:
         assert records[-1].is_delete
         assert records[-1].value is None
 
-    def test_close_stops_capture(self):
-        store = MVCCStore()
-        records = []
-        capture = CdcCapture(store.history, records.append)
-        capture.close()
-        store.put("a", 1)
-        assert records == []
-
     def test_counters(self):
         store = MVCCStore()
         capture = CdcCapture(store.history, lambda r: None)
@@ -74,12 +66,3 @@ class TestPublisher:
             if values:
                 assert values == list(range(10))
 
-    def test_close_stops_publishing(self, sim):
-        store = MVCCStore()
-        broker = Broker(sim)
-        broker.create_topic("cdc")
-        publisher = CdcPublisher(sim, store.history, broker, "cdc")
-        publisher.close()
-        store.put("a", 1)
-        sim.run_for(1.0)
-        assert publisher.published == 0

@@ -112,18 +112,6 @@ class TestOverIngestionStore:
 
 
 class TestLifecycle:
-    def test_close_cancels_everything(self, sim):
-        store = MVCCStore()
-        watch = StoreWatch(sim, store)
-        callback, events, _, _ = collector()
-        watch.watch(KEY_MIN, KEY_MAX, 0, callback)
-        watch.close()
-        store.put("a", 1)
-        sim.run()
-        assert events == []
-        assert len(watch._sessions) == 0
-        assert len(store.history._tailers) == 0
-
     def test_session_close_removes_watcher(self, sim):
         store = MVCCStore()
         watch = StoreWatch(sim, store)

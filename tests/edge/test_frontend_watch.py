@@ -278,3 +278,29 @@ def test_live_session_chain_holds_no_callable_but_its_owners_close_hook(sim):
     (first, first_watcher), (second, second_watcher) = chains
     assert first._on_closed is second._on_closed is not None
     assert first_watcher._on_closed is second_watcher._on_closed is not None
+
+
+def test_untraced_session_and_its_relay_watcher_carry_no_name(sim):
+    """Only tracer records read a session's name and its relay watcher's
+    label, so a session the sampler leaves untraced builds neither; the
+    label sequence still advances per session, so a traced label does
+    not depend on which sessions were sampled."""
+    store, frontend = build(
+        sim, tracer=Tracer(sim), catchup_threshold=1_000_000, trace_sample=2
+    )
+    clients = [
+        EdgeClient(sim, f"c{i}", StaticPlacement(frontend)) for i in range(3)
+    ]
+    for client in clients:
+        client.connect()
+    write(store, 5)
+    sim.run(until=2.0)
+    sessions = [client.session for client in clients]
+    watchers = [session._feed_handle for session in sessions]
+    assert [s.tracer is not None for s in sessions] == [True, False, True]
+    assert [s.name for s in sessions] == ["fe0/c0", None, "fe0/c2"]
+    prefix, seq = watchers[0].label.split("#")
+    assert prefix == frontend.relay.fanout.name
+    assert [w.label for w in watchers] == [
+        watchers[0].label, None, f"{prefix}#{int(seq) + 2}"
+    ]

@@ -8,13 +8,12 @@ One producer store drives, simultaneously:
   - a watch replicator into a checked target,
   - a relay with downstream leaves;
 - a read replica serving resync snapshots;
-- a secondary index;
 - periodic soft-state destruction (wipe) of the watch system.
 
 At quiescence: the replicated target is point-in-time consistent and
-byte-equal; every watch consumer converged; the index matches a scan;
-the pubsub mirror's divergence is exactly explained by its silent GC
-loss being nonzero (or zero loss → zero divergence).
+byte-equal; every watch consumer converged; the pubsub mirror's
+divergence is exactly explained by its silent GC loss being nonzero (or
+zero loss → zero divergence).
 """
 
 import pytest
@@ -35,7 +34,6 @@ from repro.replication.target import ReplicaStore
 from repro.replication.watch_replicator import WatchReplicator
 from repro.sharding.autosharder import AutoSharder, AutoSharderConfig
 from repro.sim.kernel import Simulation, Timeout
-from repro.storage.index import SecondaryIndex
 from repro.storage.kv import MVCCStore
 from repro.storage.replica import ReadReplica
 from repro.workloads.generators import UniformKeys, WriteStream, key_universe
@@ -105,8 +103,6 @@ def test_everything_converges(seed):
         leaves.append(leaf)
         sim.call_at(2.0 + i, leaf.start)
 
-    index = SecondaryIndex(store, lambda row: row % 7 if isinstance(row, int) else None)
-
     # --- churn ------------------------------------------------------------
     writer = WriteStream(
         sim, store, UniformKeys(sim, keys), rate=40.0, delete_fraction=0.1
@@ -141,13 +137,6 @@ def test_everything_converges(seed):
     for leaf in leaves:
         assert leaf.state == "watching"
         assert leaf.data.items_latest() == truth
-
-    # secondary index agrees with a scan
-    for residue in range(7):
-        expected = sorted(
-            k for k, v in truth.items() if isinstance(v, int) and v % 7 == residue
-        )
-        assert index.lookup(residue) == expected
 
     # pubsub mirror: divergence iff silent GC loss occurred
     divergent = {k for k, v in truth.items() if pubsub_mirror.get(k) != v}

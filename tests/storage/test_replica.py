@@ -50,14 +50,6 @@ class TestReplication:
         version, served = replica.serve_snapshot(KeyRange.all())
         assert served == dict(primary.scan(version=version))
 
-    def test_close_stops_following(self, sim):
-        primary = MVCCStore(clock=sim.now)
-        replica = ReadReplica(sim, primary, apply_lag=0.0)
-        replica.close()
-        primary.put("a", 1)
-        sim.run_for(1.0)
-        assert replica.get("a") is None
-
     def test_invalid_lag(self, sim):
         with pytest.raises(ValueError):
             ReadReplica(sim, MVCCStore(), apply_lag=-1.0)

@@ -26,7 +26,6 @@ _ARGS = {
     "HistoryTruncatedError": (2, 7),
     "OffsetOutOfRangeError": (4, 10),
     "SnapshotUnavailableError": (1, 6),
-    "UniqueConstraintError": ("alice@x", "u1", "u2"),
     "UnknownTopicError": ("orders",),
 }
 
