@@ -312,8 +312,10 @@ def check(result: ExperimentResult, params: dict) -> None:
     amortized = 0
     for row, srow in zip(accounting.rows, sweep.rows):
         assert row["sessions"] == srow["sessions"]
-        # drained queues hold no item array and no grown hash table
-        assert srow["bytes_per_sess"] <= 2000, srow["sessions"]
+        # drained queues hold no item array and no grown hash table;
+        # the bound leaves room for the 36-session rung the edge-scale
+        # gate runs, whose table columns amortize over few sessions
+        assert srow["bytes_per_sess"] <= 1800, srow["sessions"]
         assert row["pump_visits"] >= srow["delivered"], row["sessions"]
         if row["sessions"] / cell >= 10:
             assert row["pump_runs"] < srow["delivered"] / 10, row["sessions"]

@@ -63,6 +63,10 @@ class Cancellable(abc.ABC):
 class WatchCallback(abc.ABC):
     """Consumer-side callbacks of the watch stream."""
 
+    #: empty, as on Cancellable: a slotted subclass (one edge session
+    #: feed per client) then carries no instance dict or weakref slot
+    __slots__ = ()
+
     @abc.abstractmethod
     def on_event(self, event: ChangeEvent) -> None:
         """A change subsequent to the requested version."""

@@ -111,12 +111,11 @@ class WatchRelay(LinkedCache, Watchable):
         version: Version,
         callback: WatchCallback,
         config: Optional[WatcherConfig] = None,
-        predicate=None,
         tracer=_SYSTEM_TRACER,
         progress: bool = True,
     ) -> Cancellable:
         return self.fanout.watch_range(
-            key_range, version, callback, config, predicate=predicate,
+            key_range, version, callback, config,
             tracer=tracer, progress=progress,
         )
 

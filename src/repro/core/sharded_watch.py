@@ -141,7 +141,6 @@ class ShardedWatchSystem(Watchable, Ingester):
         version: Version,
         callback: WatchCallback,
         config: Optional[WatcherConfig] = None,
-        predicate=None,
     ) -> Cancellable:
         composite = _CompositeWatch(callback)
         sub_callback = _SubCallback(composite)
@@ -150,10 +149,7 @@ class ShardedWatchSystem(Watchable, Ingester):
             if overlap is None:
                 continue
             composite.add(
-                shard.watch_range(
-                    overlap, version, sub_callback,
-                    config=config, predicate=predicate,
-                )
+                shard.watch_range(overlap, version, sub_callback, config=config)
             )
         return composite
 

@@ -81,10 +81,8 @@ class StoreWatch(Watchable):
         version: Version,
         callback: WatchCallback,
         config: Optional[WatcherConfig] = None,
-        predicate=None,
     ) -> Cancellable:
-        """Watch with optional per-watch delivery configuration and an
-        optional server-side event predicate."""
+        """Watch with optional per-watch delivery configuration."""
         session = WatcherSession(
             sim=self.sim,
             key_range=key_range,
@@ -92,7 +90,6 @@ class StoreWatch(Watchable):
             callback=callback,
             config=config or self.watcher_defaults,
             on_closed=self._on_session_closed,
-            predicate=predicate,
         )
         self._sessions.append(session)
         history = self.store.history

@@ -65,8 +65,8 @@ class WatcherSession(Cancellable):
     """
 
     __slots__ = (
-        "sim", "key_range", "from_version", "callback", "config",
-        "_on_closed", "tracer", "label", "predicate", "_queue",
+        "sim", "key_range", "from_version", "callback",
+        "_on_closed", "tracer", "label", "_queue",
         "_qhead", "_draining", "_active", "delivered_version",
         "events_delivered", "progress_delivered", "resyncs_signalled",
         "overflow_drops",
@@ -82,7 +82,6 @@ class WatcherSession(Cancellable):
         callback: WatchCallback,
         config: WatcherConfig,
         on_closed: Optional[Callable[["WatcherSession"], None]] = None,
-        predicate: Optional[Callable[[ChangeEvent], bool]] = None,
         tracer=None,
         label: Optional[str] = "watcher",
     ) -> None:
@@ -90,16 +89,9 @@ class WatcherSession(Cancellable):
         self.key_range = key_range
         self.from_version = from_version
         self.callback = callback
-        self.config = config
         self._on_closed = on_closed
         self.tracer = tracer
         self.label = label
-        #: optional server-side event filter (k8s-selector style); the
-        #: consumer receives only matching events.  Progress semantics
-        #: are unchanged: progress still means "all *matching* events
-        #: up to v supplied", which is exactly what a filtered
-        #: materialization needs.
-        self.predicate = predicate
         #: lazily allocated on first enqueue (None == empty); items
         #: before ``_qhead`` are delivered, and a drain that delivers the
         #: last item clears the list and resets ``_qhead`` to 0
@@ -115,7 +107,8 @@ class WatcherSession(Cancellable):
         self.resyncs_signalled = 0
         self.overflow_drops = 0
         # hot-path copies: the fan-out loops read these per event, so
-        # the config/range indirections are resolved once here.  No
+        # the range and the config are read once here (the config
+        # itself is not kept: no slot per session for it).  No
         # callable is stored: a bound method is a GC-tracked object per
         # session, so the drain kick posts a short-lived one and the
         # drain reads the callback's method once per burst
@@ -148,36 +141,14 @@ class WatcherSession(Cancellable):
 
     def offer_event(self, event: ChangeEvent) -> None:
         """Enqueue a change event if it matches this watch."""
-        # body mirrors offer_matched with the range check added; both
-        # inline _enqueue — this pair is the fan-out inner loop
+        # inlines _enqueue: catch-up and the watch system's multi-group
+        # fallback call this per (event, session) pair; its one-group
+        # fan-out loop inlines the same rule
         if not self._active:
             return
         if not self._low <= event.key < self._high:
             return
         if event.version <= self.from_version:
-            return
-        if self.predicate is not None and not self.predicate(event):
-            return
-        queue = self._queue
-        if queue is None:
-            queue = self._queue = []
-        elif len(queue) - self._qhead >= self._max_backlog:
-            self.signal_resync()
-            return
-        queue.append(event)
-        if not self._draining:
-            self._draining = True
-            self.sim.post(self._delivery_latency, self._drain_next)
-
-    def offer_matched(self, event: ChangeEvent) -> None:
-        """:meth:`offer_event` minus the range check, for producers that
-        already know ``event.key`` is inside this session's range (the
-        watch system's range-group fan-out)."""
-        if not self._active:
-            return
-        if event.version <= self.from_version:
-            return
-        if self.predicate is not None and not self.predicate(event):
             return
         queue = self._queue
         if queue is None:

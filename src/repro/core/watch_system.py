@@ -212,24 +212,21 @@ class WatchSystem(Watchable, Ingester):
             sim_post = self.sim.post
             version = event.version
             for session in target:
-                # inlined WatcherSession.offer_matched common case
-                # (active, unfiltered, not backlogged); anything else
-                # takes the full method
-                if (
-                    session._active
-                    and session.predicate is None
-                    and version > session.from_version
-                ):
-                    queue = session._queue
-                    if queue is None:
-                        queue = session._queue = []
-                    if len(queue) - session._qhead < session._max_backlog:
-                        queue.append(event)
-                        if not session._draining:
-                            session._draining = True
-                            sim_post(session._delivery_latency, session._drain_next)
-                        continue
-                session.offer_matched(event)
+                # WatcherSession's enqueue rule, inlined minus the range
+                # check (the group's range holds the key): this loop is
+                # the fan-out's inner loop
+                if not session._active or version <= session.from_version:
+                    continue
+                queue = session._queue
+                if queue is None:
+                    queue = session._queue = []
+                elif len(queue) - session._qhead >= session._max_backlog:
+                    session.signal_resync()
+                    continue
+                queue.append(event)
+                if not session._draining:
+                    session._draining = True
+                    sim_post(session._delivery_latency, session._drain_next)
         while retained > self.config.max_buffered_events:
             evicted = buf[self._buf_head]
             self._buf_head += 1
@@ -274,13 +271,11 @@ class WatchSystem(Watchable, Ingester):
     def watch_range(
         self, key_range: KeyRange, version: Version, callback: WatchCallback,
         config: Optional[WatcherConfig] = None,
-        predicate=None,
         tracer=_SYSTEM_TRACER,
         progress: bool = True,
     ) -> Cancellable:
-        """Like :meth:`watch` with a KeyRange, optional per-watch
-        delivery configuration (slow watcher modeling), and an optional
-        server-side event ``predicate`` (selector-style filtering).
+        """Like :meth:`watch` with a KeyRange and optional per-watch
+        delivery configuration (slow watcher modeling).
 
         ``tracer`` overrides the per-watcher tracer (``None`` silences
         this watcher's delivery hops); by default the session inherits
@@ -305,7 +300,6 @@ class WatchSystem(Watchable, Ingester):
             callback=callback,
             config=config or self.config.watcher_defaults,
             on_closed=self._on_session_closed,
-            predicate=predicate,
             tracer=tracer,
             label=None if tracer is None else f"{self.name}#{self._session_seq}",
         )

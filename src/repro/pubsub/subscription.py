@@ -81,7 +81,6 @@ class SubscriptionConfig:
 @dataclass(slots=True)
 class _Inflight:
     message: Message
-    member: str
     attempts: int
     #: the lease: when an unacked delivery is redelivered, and the event
     #: seq reserved for that moment at dispatch
@@ -306,13 +305,10 @@ class Subscription:
             )
 
     def _dispatch(self, partition: int, message: Message, attempts: int) -> None:
-        state = self._state[partition]
         member = self._route(message)
+        self._lease(self._state[partition], message, attempts)
         if member is None:
-            # nobody up; the lease expires and redelivers
-            self._lease(state, message, "", attempts)
-            return
-        self._lease(state, message, member, attempts)
+            return  # nobody up; the lease expires and redelivers
         consumer = self._members[member]
         self.delivered += 1
         if attempts > 1:
@@ -349,7 +345,7 @@ class Subscription:
         state = self._state[partition]
         consumer = self._members[member]
         for message in messages:
-            self._lease(state, message, member, 1)
+            self._lease(state, message, 1)
             self.delivered += 1
             if self.tracer is not None:
                 self.tracer.record(
@@ -383,11 +379,11 @@ class Subscription:
     # heads.  The watchdog is armed at exactly that lease's slot.
 
     def _lease(
-        self, state: _PartitionState, message: Message, member: str, attempts: int
+        self, state: _PartitionState, message: Message, attempts: int
     ) -> None:
         sim = self.sim
         inflight = _Inflight(
-            message, member, attempts,
+            message, attempts,
             sim.clock._now + self.config.ack_timeout, sim.next_seq(),
         )
         state.inflight[message.offset] = inflight

@@ -30,19 +30,21 @@ a slab:
   entry detects the seq mismatch and its ``cancel()`` is a no-op.
 - **Lane 1, the heap**, orders every delayed event, near or far: a
   plain ``heappush`` at the scheduling call.
-- **Lane 2, the zero-delay deque**: ``call_after(0.0, ...)`` — the
-  dominant pattern (``spawn``, subscription pumps,
-  zero-latency watch drains) — bypasses the heap through a FIFO.  Its
-  entries carry the same ``(time, seq)`` stamps, and the run loop always
-  fires the smaller ``(time, seq)`` head of the two lanes, so the
-  observable order is identical to a single heap
-  (``tests/sim/test_kernel_oracle.py`` checks it against a pure-heap
-  reference kernel).
-- Cancelled events stay queued as tombstones and are skipped on pop; a
-  tombstone counter keeps :attr:`Simulation.pending_events` O(1) and
-  exact, and both lanes are compacted when tombstones dominate them
-  (resilience timers and idle-session backoffs cancel constantly and
-  would otherwise accumulate until drained; see ``docs/scale.md``).
+- **Lane 2, the zero-delay deque**: ``post(0.0, ...)`` — the dominant
+  pattern (``spawn``, subscription pumps, zero-latency watch drains) —
+  bypasses the heap through a FIFO.  Its entries carry the same
+  ``(time, seq)`` stamps, and the run loop always fires the smaller
+  ``(time, seq)`` head of the two lanes, so the observable order is
+  identical to a single heap (``tests/sim/test_kernel_oracle.py``
+  checks it against a pure-heap reference kernel).  ``call_after(0.0,
+  ...)`` returns a cancellable handle and goes on the heap, so the
+  deque never holds a cancelled entry.
+- Cancelled events stay queued on the heap as tombstones and are
+  skipped on pop; a tombstone counter keeps
+  :attr:`Simulation.pending_events` O(1) and exact, and the heap is
+  compacted when tombstones dominate it (resilience timers and
+  idle-session backoffs cancel constantly and would otherwise
+  accumulate until drained; see ``docs/scale.md``).
 
 Reserved slots, two primitives:
 
@@ -268,32 +270,14 @@ class Simulation:
 
     def call_after(
         self, delay: float, fn: Callable[[], None], label: Optional[str] = None,
-        # default-arg bindings, as in call_at_seq
-        _next_seq=_next_seq, _pool=_POOL,
-        _new_handle=_new_handle, _EventHandle=EventHandle,
+        _next_seq=_next_seq,  # default-arg binding, as in call_at_seq
     ) -> EventHandle:
         """Schedule ``fn`` to run ``delay`` seconds from now.
 
-        Zero-delay calls take the FIFO fast lane (no heap traffic) while
-        firing in exactly the same global ``(time, seq)`` order.
+        Always on the heap, zero delay included: a cancellable event
+        never enters the zero-delay lane, which therefore holds no
+        tombstones.
         """
-        if delay == 0.0:
-            t = self.clock._now
-            seq = _next_seq()
-            if _pool:
-                entry = _pool.pop()
-                entry[0] = t
-                entry[1] = seq
-                entry[2] = fn
-                entry[3] = label
-            else:
-                entry = [t, seq, fn, label, False]
-            self._fast.append(entry)
-            handle = _new_handle(_EventHandle)
-            handle._entry = entry
-            handle._sim = self
-            handle._seq = seq
-            return handle
         if delay < 0:
             raise SimError(f"negative delay {delay!r}")
         return self.call_at_seq(self.clock._now + delay, _next_seq(), fn, label)
@@ -309,7 +293,9 @@ class Simulation:
         The fire-and-forget flavor for hot paths that never cancel
         (process resumption, subscription pumps, watch drains); these
         entries recycle through the slab, so at steady state a posted
-        event allocates nothing.
+        event allocates nothing.  Zero-delay posts take the FIFO fast
+        lane (no heap traffic) while firing in exactly the same global
+        ``(time, seq)`` order.
         """
         now = self.clock._now
         if delay == 0.0:
@@ -340,15 +326,16 @@ class Simulation:
         self._tombstones += 1
         if (
             self._tombstones >= _COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 > len(self._heap) + len(self._fast)
+            and self._tombstones * 2 > len(self._heap)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled tombstones from both lanes.
+        """Drop cancelled tombstones from the heap (the only lane that
+        holds cancellable events).
 
-        Mutates the queues in place: the run loop holds direct
-        references to them, and a cancel inside a callback can land here
+        Mutates the heap in place: the run loop holds a direct
+        reference to it, and a cancel inside a callback can land here
         mid-loop.
         """
         pool = _POOL
@@ -361,14 +348,6 @@ class Simulation:
                     pool.append(e)
             heap[:] = live
             heapify(heap)
-        fast = self._fast
-        for _ in range(len(fast)):
-            entry = fast.popleft()
-            if not entry[_CANCELLED]:
-                fast.append(entry)
-            else:
-                entry[_CANCELLED] = False  # pool invariant
-                pool.append(entry)
         self._tombstones = 0
         if len(pool) > _POOL_MAX:
             del pool[_POOL_MAX:]
@@ -442,16 +421,12 @@ class Simulation:
         consumed = 0  # fired events (runaway guard)
         try:
             while True:
-                # drop tombstones from both lane heads so selection
-                # below only ever compares live entries
+                # drop tombstones from the heap head so selection below
+                # only ever compares live entries (the zero-delay lane
+                # holds only posts, which cannot be cancelled)
                 if self._tombstones:
                     while heap and heap[0][_CANCELLED]:
                         entry = heappop(heap)
-                        entry[_CANCELLED] = False  # pool invariant
-                        pool.append(entry)
-                        self._tombstones -= 1
-                    while fast and fast[0][_CANCELLED]:
-                        entry = fast.popleft()
                         entry[_CANCELLED] = False  # pool invariant
                         pool.append(entry)
                         self._tombstones -= 1

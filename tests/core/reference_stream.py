@@ -34,7 +34,7 @@ class ReferenceWatcherSession(Cancellable):
 
     __slots__ = (
         "sim", "key_range", "from_version", "callback", "config",
-        "_on_closed", "tracer", "label", "predicate", "_queue",
+        "_on_closed", "tracer", "label", "_queue",
         "_draining", "_active", "delivered_version", "events_delivered",
         "progress_delivered", "resyncs_signalled", "overflow_drops",
         "_low", "_high", "_cb_event", "_cb_progress", "_max_backlog",
@@ -49,7 +49,6 @@ class ReferenceWatcherSession(Cancellable):
         callback: WatchCallback,
         config: WatcherConfig,
         on_closed: Optional[Callable[["WatcherSession"], None]] = None,
-        predicate: Optional[Callable[[ChangeEvent], bool]] = None,
         tracer=None,
         label: str = "watcher",
     ) -> None:
@@ -61,12 +60,6 @@ class ReferenceWatcherSession(Cancellable):
         self._on_closed = on_closed
         self.tracer = tracer
         self.label = label
-        #: optional server-side event filter (k8s-selector style); the
-        #: consumer receives only matching events.  Progress semantics
-        #: are unchanged: progress still means "all *matching* events
-        #: up to v supplied", which is exactly what a filtered
-        #: materialization needs.
-        self.predicate = predicate
         #: lazily allocated on first enqueue (None == empty)
         self._queue: Optional[Deque[_Item]] = None
         self._draining = False
@@ -113,36 +106,12 @@ class ReferenceWatcherSession(Cancellable):
 
     def offer_event(self, event: ChangeEvent) -> None:
         """Enqueue a change event if it matches this watch."""
-        # body mirrors offer_matched with the range check added; both
-        # inline _enqueue — this pair is the fan-out inner loop
+        # inlines _enqueue — this is the fan-out inner loop
         if not self._active:
             return
         if not self._low <= event.key < self._high:
             return
         if event.version <= self.from_version:
-            return
-        if self.predicate is not None and not self.predicate(event):
-            return
-        queue = self._queue
-        if queue is None:
-            queue = self._queue = deque()
-        elif len(queue) >= self._max_backlog:
-            self.signal_resync()
-            return
-        queue.append(event)
-        if not self._draining:
-            self._draining = True
-            self.sim.post(self._delivery_latency, self._drain_cb)
-
-    def offer_matched(self, event: ChangeEvent) -> None:
-        """:meth:`offer_event` minus the range check, for producers that
-        already know ``event.key`` is inside this session's range (the
-        watch system's range-group fan-out)."""
-        if not self._active:
-            return
-        if event.version <= self.from_version:
-            return
-        if self.predicate is not None and not self.predicate(event):
             return
         queue = self._queue
         if queue is None:

@@ -1,9 +1,8 @@
-"""Relay compositions: partial ranges, predicates, sharded upstreams."""
+"""Relay compositions: partial ranges, sharded upstreams."""
 
 import pytest
 
 from repro._types import KeyRange
-from repro.core.api import FnWatchCallback
 from repro.core.bridge import DirectIngestBridge, even_ranges
 from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
 from repro.core.relay import WatchRelay
@@ -58,29 +57,6 @@ class TestPartialRangeRelay:
         sim.run_for(1.0)
         with pytest.raises(SnapshotUnavailable):
             relay.snapshot_for_downstream(KeyRange("n", "z"))
-
-
-class TestFilteredDownstream:
-    def test_predicate_on_relay_fanout(self, sim):
-        store = MVCCStore(clock=sim.now)
-        root = WatchSystem(sim)
-        DirectIngestBridge(sim, store.history, root, progress_interval=0.2)
-        relay = WatchRelay(
-            sim, root, store_snapshot_fn(store), KeyRange.all(),
-            config=LinkedCacheConfig(snapshot_latency=0.01),
-        )
-        relay.start()
-        sim.run_for(0.5)
-        seen = []
-        relay.watch_range(
-            KeyRange.all(), store.last_version,
-            FnWatchCallback(on_event=seen.append),
-            predicate=lambda e: e.mutation.value >= 10,
-        )
-        for value in (5, 15, 3, 20):
-            store.put(f"k{value}", value)
-        sim.run_for(1.0)
-        assert sorted(e.mutation.value for e in seen) == [15, 20]
 
 
 class TestRelayOverShardedUpstream:

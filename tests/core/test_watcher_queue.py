@@ -3,10 +3,10 @@
 ``WatcherSession`` holds its delivery queue in a plain list with a head
 offset and clears the list whenever a drain delivers its last item;
 ``tests/core/reference_stream.py`` keeps the deque it used before.
-Hypothesis writes the programs — ``offer_event`` (also out of range),
-``offer_matched``, ``offer_progress``, ``signal_resync``, ``cancel`` and
-clock steps, with ``service_time`` and ``delivery_latency`` 0 or not,
-``max_backlog`` 1 to 5, a predicate or none, a tracer or none — plus
+Hypothesis writes the programs — ``offer_event`` (in range and out),
+``offer_progress``, ``signal_resync``, ``cancel`` and clock steps, with
+``service_time`` and ``delivery_latency`` 0 or not, ``max_backlog`` 1
+to 5, a tracer or none — plus
 callbacks that re-offer, offer progress, cancel or resync in the middle
 of a drain.  Both must deliver the same items at the same times, report
 the same ``backlog`` and ``active`` after every step, end with the same
@@ -41,7 +41,6 @@ _PROFILE = settings.get_profile(
 
 #: the watched range; keys "a" and "e"/"f" fall outside it
 _RANGE = KeyRange("b", "e")
-_PREDICATES = (None, lambda event: event.version % 3 != 0)
 
 _SPECS = st.tuples(
     st.builds(
@@ -51,14 +50,12 @@ _SPECS = st.tuples(
         max_backlog=st.integers(1, 5),
     ),
     st.sampled_from([0, 2]),  # from_version
-    st.integers(0, len(_PREDICATES) - 1),
     st.booleans(),  # traced
 )
 
 _version = st.integers(0, 8)
 _ACTIONS = st.one_of(
     st.tuples(st.just("event"), st.sampled_from("abcdef"), _version),
-    st.tuples(st.just("matched"), st.sampled_from("bcd"), _version),
     st.tuples(
         st.just("progress"), st.sampled_from("ac"), st.sampled_from("cf"),
         _version,
@@ -72,7 +69,7 @@ _PROGRAMS = st.lists(_ACTIONS, max_size=20)
 #: program terminates
 _REACTIONS = st.dictionaries(
     st.integers(0, 12),
-    st.sampled_from(["reoffer", "rematch", "progress", "resync", "cancel"]),
+    st.sampled_from(["reoffer", "progress", "resync", "cancel"]),
     max_size=4,
 )
 
@@ -83,7 +80,7 @@ class _World:
     in :attr:`log` with the time it was made."""
 
     def __init__(self, session_cls, spec, reactions) -> None:
-        config, from_version, predicate, traced = spec
+        config, from_version, traced = spec
         self.sim = Simulation(seed=7)
         self.log = []
         self.calls = 0
@@ -99,7 +96,6 @@ class _World:
             ),
             config,
             on_closed=lambda session: self.log.append((self.sim.now(), "closed")),
-            predicate=_PREDICATES[predicate],
             tracer=self if traced else None,
         )
 
@@ -114,8 +110,6 @@ class _World:
         session = self.session
         if reaction == "reoffer":
             session.offer_event(_event("c", 100 + n))
-        elif reaction == "rematch":
-            session.offer_matched(_event("d", 100 + n))
         elif reaction == "progress":
             session.offer_progress(ProgressEvent("a", "z", 100 + n))
         elif reaction == "resync":
@@ -128,8 +122,6 @@ class _World:
         session = self.session
         if kind == "event":
             session.offer_event(_event(action[1], action[2]))
-        elif kind == "matched":
-            session.offer_matched(_event(action[1], action[2]))
         elif kind == "progress":
             session.offer_progress(ProgressEvent(*action[1:]))
         elif kind == "resync":
@@ -158,7 +150,7 @@ def _event(key, version) -> ChangeEvent:
     return ChangeEvent(key, Mutation.put(version), version)
 
 
-_ZERO_SERVICE = (WatcherConfig(delivery_latency=0.001, max_backlog=5), 0, 0, False)
+_ZERO_SERVICE = (WatcherConfig(delivery_latency=0.001, max_backlog=5), 0, False)
 
 
 @_PROFILE
@@ -180,9 +172,9 @@ _ZERO_SERVICE = (WatcherConfig(delivery_latency=0.001, max_backlog=5), 0, 0, Fal
 )
 # a callback re-offers at a full backlog of 1 and overflows
 @example(
-    (WatcherConfig(delivery_latency=0.0, max_backlog=1), 0, 0, True),
+    (WatcherConfig(delivery_latency=0.0, max_backlog=1), 0, True),
     [("event", "b", 1), ("run_for", 0.0)],
-    {0: "reoffer", 1: "rematch"},
+    {0: "reoffer", 1: "reoffer"},
 )
 def test_list_queue_matches_the_deque(spec, program, reactions):
     got = _World(WatcherSession, spec, reactions).play(program)

@@ -16,9 +16,9 @@ class ReferenceSubscription(Subscription):
         super().__init__(*args, **kwargs)
         self._timers = {}  # id(_Inflight) -> its own deadline timer
 
-    def _lease(self, state, message, member, attempts) -> None:
+    def _lease(self, state, message, attempts) -> None:
         timeout = self.config.ack_timeout
-        inflight = _Inflight(message, member, attempts, self.sim.now() + timeout, -1)
+        inflight = _Inflight(message, attempts, self.sim.now() + timeout, -1)
         state.inflight[message.offset] = inflight
         self._timers[id(inflight)] = self.sim.call_after(
             timeout, lambda: self._on_deadline(message.partition, message.offset)

@@ -1,7 +1,8 @@
 """Static field census: every field the library assigns is read somewhere.
 
-Every ``self.<name> = ...`` under ``src/repro`` (outside ``repro.bench``)
-must be loaded as an attribute (``x.<name>``, or ``getattr(x, "<name>")``)
+Every ``self.<name> = ...`` under ``src/repro`` (outside ``repro.bench``),
+and every annotated field of a ``@dataclass`` class there, must be
+loaded as an attribute (``x.<name>``, or ``getattr(x, "<name>")``)
 where a reader may live, or be kept by an entry in :data:`FIELD_EXEMPT`
 with its reason.  A public field may be read anywhere under ``src/``,
 ``tests/``, ``benchmarks/``, ``scripts/`` or ``examples/``; a ``_private``
@@ -27,7 +28,16 @@ LIBRARY = ROOT / "src" / "repro"
 OUTSIDE_READERS = ("tests", "benchmarks", "scripts", "examples")
 
 #: fields nothing reads, kept on purpose: ``Class.field`` -> why
-FIELD_EXEMPT: Dict[str, str] = {}
+FIELD_EXEMPT: Dict[str, str] = {
+    "CommittedTransaction.commit_time": (
+        "the one use of MVCCStore's clock, which benchmarks/ledger/worlds.py "
+        "passes: deleting the field leaves that option nothing to do"
+    ),
+    "SubscriptionSnapshot.created_at": (
+        "docs/paper_mapping.md's 'repro.pubsub.replay' (seek/replay) row: "
+        "a Pub/Sub snapshot records when it was taken"
+    ),
+}
 
 
 def _python_files(top: Path):
@@ -41,9 +51,25 @@ def _package(path: Path) -> str:
     return parts[0] if len(parts) > 1 else ""
 
 
+def _dataclass_fields(cls: ast.ClassDef) -> Iterable[ast.Name]:
+    """The annotated names of a ``@dataclass`` (or ``@dataclass(...)``)
+    class body."""
+    if not any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+        and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    ):
+        return
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target
+
+
 def library_fields() -> Dict[str, Tuple[str, List[str]]]:
     """``Class.field`` -> its subpackage and the ``file:line`` of every
-    ``self.field = ...`` under ``src/repro`` outside ``repro.bench``."""
+    ``self.field = ...``, or of its ``@dataclass`` annotation, under
+    ``src/repro`` outside ``repro.bench``."""
     fields: Dict[str, Tuple[str, List[str]]] = {}
     for path in _python_files(LIBRARY):
         if _package(path) == "bench":
@@ -52,6 +78,10 @@ def library_fields() -> Dict[str, Tuple[str, List[str]]]:
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
+            for name in _dataclass_fields(cls):
+                fields.setdefault(
+                    f"{cls.name}.{name.id}", (_package(path), [])
+                )[1].append(f"{path.relative_to(ROOT)}:{name.lineno}")
             for node in ast.walk(cls):
                 if isinstance(node, ast.Assign):
                     targets = node.targets
