@@ -16,20 +16,25 @@ Path-by-path contract:
   call (the handle is the API) → a small fixed number of blocks per
   event, all dead by the time the burst drains.
 
-The last three tests pin *work counters* instead of blocks: exact
+The next three tests pin *work counters* instead of blocks: exact
 per-frame call counts on the reliable networked hop, and the kernel
 calls a reliable burst and a broker publish→deliver→ack burst make,
 which repeat bit-for-bit and so can be gated at zero tolerance where
-wall-clock cannot.
+wall-clock cannot.  The last two pin what one broker delivery holds:
+objects the cyclic collector tracks, and function objects made.
 """
 
+import dis
 import gc
+import os
 import sys
 import tracemalloc
 from collections import Counter
 
+import repro
 from repro.pubsub.broker import Broker
 from repro.pubsub.consumer import Consumer
+from repro.pubsub.subscription import SubscriptionConfig
 from repro.resilience.channel import ReliableChannel
 from repro.sim import wire
 from repro.sim.kernel import Simulation
@@ -262,3 +267,79 @@ def test_broker_burst_schedules_no_handle_per_delivery():
     # wakes and 12 after the acks (3 groups x 4 partitions), and one
     # processing-loop start for each of the 6 consumers
     assert calls["post"] == rounds * (16 + 48 + 12 + 12 + 6)
+
+
+def test_queued_broker_delivery_holds_five_tracked_objects():
+    # one consumer busy on its first delivery, the other 255 queued
+    # behind it: every queued delivery holds its Message, its lease
+    # (_Inflight), its receipt and its queue tuple — no closure, cell
+    # or closure tuple (the closure dispatch held 10)
+    deliveries = 4 * SubscriptionConfig().max_inflight_per_partition
+    sim = Simulation(seed=1)
+    # warm the kernel's entry pool (before the broker, whose sweeps
+    # would keep an unbounded run going forever)
+    _drive_post(sim, 2 * deliveries)
+    broker = Broker(sim)
+    broker.create_topic("t", num_partitions=4)
+    consumer = Consumer(sim, "c", service_time=1_000.0)
+    broker.consumer_group("t", "g").join(consumer)
+    sim.run(until=0.01)
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(deliveries):
+        broker.publish("t", None, i)  # round-robin: 64 per partition
+    sim.run(until=0.02)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert len(consumer._queue) == deliveries - 1
+    assert tracked / deliveries <= 5.0, (
+        f"{tracked / deliveries:.2f} tracked objects per queued delivery"
+    )
+
+
+def _functions_made(fn, *args) -> int:
+    """MAKE_FUNCTION opcodes run in ``repro`` code during ``fn``: one per
+    ``def`` or ``lambda`` evaluated, whether or not it outlives the call."""
+    src = os.path.dirname(repro.__file__)
+    make_function = dis.opmap["MAKE_FUNCTION"]
+    made = [0]
+
+    def trace(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(src):
+            return None
+        frame.f_trace_opcodes = True
+        if event == "opcode" and frame.f_code.co_code[frame.f_lasti] == make_function:
+            made[0] += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return made[0]
+
+
+def test_broker_burst_makes_no_function_objects():
+    # the burst of test_broker_burst_schedules_no_handle_per_delivery:
+    # wakes, pumps and receipts are bound once, so a steady-state
+    # publish->deliver->ack burst evaluates no def and no lambda
+    sim = Simulation(seed=1)
+    broker = Broker(sim)
+    broker.create_topic("t", num_partitions=4)
+    groups = [broker.consumer_group("t", f"g{g}") for g in range(3)]
+    for g, group in enumerate(groups):
+        for c in range(2):
+            group.join(Consumer(sim, f"g{g}c{c}"))
+
+    def bursts(n: int) -> None:
+        for _ in range(n):
+            for i in range(16):
+                broker.publish("t", f"k{i}", i)
+            sim.run(until=sim.now() + 0.01)
+
+    bursts(3)
+    rounds = 5
+    assert _functions_made(bursts, rounds) == 0
+    subscriptions = [group.subscription for group in groups]
+    assert sum(sub.acked for sub in subscriptions) == (rounds + 3) * 16 * len(groups)

@@ -265,6 +265,9 @@ FUNCTION_EXEMPT: Dict[str, str] = {
     "repro.pubsub.subscription.Subscription.nack_batch": (
         "(e) the nack branch of a batched delivery"
     ),
+    "repro.pubsub.subscription._BatchReceipt.nack": (
+        "(e) the nack branch of a batched delivery"
+    ),
     "repro.causal.stamp.CausalStamp.__eq__": _VALUE,
     "repro.causal.stamp.CausalStamp.__hash__": _VALUE,
     "repro.edge.session.Update.__eq__": _VALUE,

@@ -28,7 +28,7 @@ an in-order stream never perturbs the schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.trace import hops
 from repro.sim.kernel import Simulation
@@ -56,14 +56,15 @@ class CausalBufferConfig:
 
 
 class _Held:
-    __slots__ = ("hold_id", "key", "version", "deliver", "unmet",
+    __slots__ = ("hold_id", "key", "version", "target", "item", "unmet",
                  "held_at", "timer")
 
-    def __init__(self, hold_id, key, version, deliver, unmet, held_at):
+    def __init__(self, hold_id, key, version, target, item, unmet, held_at):
         self.hold_id = hold_id
         self.key = key
         self.version = version
-        self.deliver = deliver
+        self.target = target
+        self.item = item
         self.unmet = unmet  # set of (key, version) still missing
         self.held_at = held_at
         self.timer = None
@@ -126,19 +127,20 @@ class CausalBuffer:
         key: str,
         version: int,
         stamp,
-        deliver: Callable[[], None],
+        target: Callable[[Any], None],
+        item: Any,
     ) -> bool:
         """Gate one delivery; returns True if it was delivered now.
 
         ``stamp`` is a :class:`~repro.causal.stamp.CausalStamp` or None
-        (unstamped updates pass through).  ``deliver`` runs exactly once
-        — now, on dependency arrival, or at the hold deadline.
+        (unstamped updates pass through).  ``target(item)`` runs exactly
+        once — now, on dependency arrival, or at the hold deadline.
         """
         unmet = self._unmet(stamp)
         if not unmet:
-            self._deliver(key, version, deliver)
+            self._deliver(key, version, target, item)
             return True
-        self._hold(key, version, deliver, unmet)
+        self._hold(key, version, target, item, unmet)
         return False
 
     def flush(self) -> int:
@@ -177,17 +179,17 @@ class CausalBuffer:
             and applied.get(k, 0) < v
         }
 
-    def _deliver(self, key: str, version: int, deliver) -> None:
+    def _deliver(self, key: str, version: int, target, item) -> None:
         if version > self.applied.get(key, 0):
             self.applied[key] = version
         self.delivered += 1
-        deliver()
+        target(item)
         self._wake_waiters(key)
 
-    def _hold(self, key, version, deliver, unmet) -> None:
+    def _hold(self, key, version, target, item, unmet) -> None:
         hold_id = self._next_hold_id
         self._next_hold_id += 1
-        entry = _Held(hold_id, key, version, deliver, unmet, self.sim.now())
+        entry = _Held(hold_id, key, version, target, item, unmet, self.sim.now())
         self._held[hold_id] = entry
         for dep_key, _v in unmet:
             self._waiters.setdefault(dep_key, []).append(hold_id)
@@ -253,7 +255,7 @@ class CausalBuffer:
         if entry.version > self.applied.get(entry.key, 0):
             self.applied[entry.key] = entry.version
         self.delivered += 1
-        entry.deliver()
+        entry.target(entry.item)
 
     def _on_deadline(self, hold_id: int) -> None:
         entry = self._held.get(hold_id)
@@ -279,7 +281,7 @@ class CausalBuffer:
         if entry.version > self.applied.get(entry.key, 0):
             self.applied[entry.key] = entry.version
         self.delivered += 1
-        entry.deliver()
+        entry.target(entry.item)
         self._wake_waiters(entry.key)
 
     def _remove(self, entry: _Held) -> None:

@@ -39,18 +39,21 @@ class GatedConsumer(Consumer):
         super().__init__(sim, name, handler)
         self.buffer = CausalBuffer(sim, gate, name=name, tracer=tracer, component=name)
 
-    def deliver(self, message, ack, nack) -> None:
-        deliver = super().deliver
+    def deliver(self, message, receipt) -> None:
         version = payload_version(message.payload)
         if not self.up or version is None:
-            deliver(message, ack, nack)  # dropped while down / unordered
+            super().deliver(message, receipt)  # dropped while down / unordered
             return
         self.buffer.submit(
             message.key, version, message.payload.get("causal"),
-            lambda: deliver(message, ack, nack),
+            self._admit, receipt,
         )
 
-    def deliver_batch(self, messages, ack, nack) -> None:
+    def _admit(self, receipt) -> None:
+        """A gated delivery passed: queue it for the handler."""
+        super().deliver(receipt.message, receipt)
+
+    def deliver_batch(self, messages, receipt) -> None:
         raise TypeError(f"{self.name} gates messages one at a time; "
                         f"subscribe it with max_delivery_batch=1")
 
@@ -127,10 +130,10 @@ class _GatedFeed(WatchCallback):
         self.stamps = stamps
 
     def on_event(self, event) -> None:
-        key, version, feed = event.key, event.version, self.feed
+        key, version = event.key, event.version
         self.buffer.submit(
             key, version, self.stamps.lookup(key, version),
-            lambda: feed.on_event(event),
+            self.feed.on_event, event,
         )
 
     def on_progress(self, event) -> None:

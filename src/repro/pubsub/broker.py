@@ -12,7 +12,7 @@ already persisted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.pubsub.consumer import Consumer, ConsumerGroup, FreeConsumer
 from repro.pubsub.errors import PubsubError, UnknownTopicError
@@ -43,6 +43,17 @@ class BrokerConfig:
             raise ValueError("sweep intervals must be positive")
 
 
+def _waker(subscriptions: List[Subscription], partition: int) -> Callable[[], None]:
+    """Pump ``partition`` on every subscription of a topic — the ones
+    there when the wake fires, not when the publish posted it."""
+
+    def wake() -> None:
+        for subscription in subscriptions:
+            subscription.pump(partition)
+
+    return wake
+
+
 class Broker:
     """In-process pubsub broker running on the simulation kernel."""
 
@@ -59,6 +70,9 @@ class Broker:
         self.tracer = tracer
         self._topics: Dict[str, Topic] = {}
         self._subscriptions: Dict[str, List[Subscription]] = {}
+        #: one pre-bound wake callable per (topic, partition), posted by
+        #: every publish to that partition
+        self._wakers: Dict[str, List[Callable[[], None]]] = {}
         self._sweeps_started = False
         self._channel: Optional[ReliableChannel] = None
         # prebound: one registry lookup at construction instead of one
@@ -120,7 +134,11 @@ class Broker:
             clock=self.sim.now,
         )
         self._topics[name] = topic
-        self._subscriptions[name] = []
+        subscriptions: List[Subscription] = []
+        self._subscriptions[name] = subscriptions
+        self._wakers[name] = [
+            _waker(subscriptions, log.partition) for log in topic.partitions
+        ]
         if not self._sweeps_started:
             self._sweeps_started = True
             self.sim.post(self.config.gc_interval, self._gc_sweep)
@@ -149,12 +167,7 @@ class Broker:
                 topic=topic_name, partition=message.partition,
                 offset=message.offset,
             )
-
-        def wake() -> None:
-            for subscription in self._subscriptions[topic_name]:
-                subscription.pump(message.partition)
-
-        self.sim.post(PUBLISH_LATENCY, wake)
+        self.sim.post(PUBLISH_LATENCY, self._wakers[topic_name][message.partition])
         return message
 
     def publish_batch(

@@ -19,7 +19,7 @@ message in the topic.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Deque, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, List, Optional, Protocol, TYPE_CHECKING
 from collections import deque
 
 from repro.pubsub.message import Message
@@ -34,6 +34,14 @@ Handler = Callable[[Message], Optional[bool]]
 #: Batch handler: one invocation applies N messages (group-apply).
 #: Same result convention; False nacks the whole group.
 BatchHandler = Callable[[List[Message]], Optional[bool]]
+
+
+class Receipt(Protocol):
+    """What a consumer settles a delivery with (see :meth:`Consumer.deliver`)."""
+
+    def ack(self) -> None: ...
+
+    def nack(self) -> None: ...
 
 
 class Consumer:
@@ -72,7 +80,7 @@ class Consumer:
         self.processed = 0
         self.failed = 0
         self.dropped_while_down = 0
-        self._queue: Deque[tuple[Message, Callable[[], None], Callable[[], None]]] = deque()
+        self._queue: Deque[tuple[Any, Receipt]] = deque()
         self._busy = False
         #: bumped by crash(): a service begun before it ends into nothing
         self._epoch = 0
@@ -81,8 +89,18 @@ class Consumer:
     # ------------------------------------------------------------------
     # delivery entry point (called by Subscription)
 
-    def deliver(self, message: Message, ack: Callable[[], None], nack: Callable[[], None]) -> None:
+    def deliver(self, message: Message, receipt: Receipt) -> None:
         """Receive one delivery; queues it for serial processing.
+
+        The consumer settles the delivery by calling ``receipt.ack()``
+        once the handler succeeded, or ``receipt.nack()`` once it failed
+        (redeliver now, or dead-letter).  A receipt settles by
+        ``(partition, offset)``, not by attempt: whichever lease holds
+        that offset when the call lands is the one it ends.  So a late
+        ack from an earlier attempt, whose lease already expired and
+        redelivered, acks the current attempt's lease; once nothing
+        holds the offset (acked, dead-lettered, seeked past), the call
+        is a no-op.
 
         While down, deliveries are dropped on the floor — the broker's
         lease expiry will redeliver them later.
@@ -90,28 +108,25 @@ class Consumer:
         if not self.up:
             self.dropped_while_down += 1
             return
-        self._queue.append((message, ack, nack))
+        self._queue.append((message, receipt))
         if not self._busy:
             self._busy = True
             self.sim.post(0.0, self._process_next)
 
-    def deliver_batch(
-        self,
-        messages: List[Message],
-        ack: Callable[[], None],
-        nack: Callable[[], None],
-    ) -> None:
+    def deliver_batch(self, messages: List[Message], receipt: Receipt) -> None:
         """Receive a group delivery; processed as ONE work item.
 
         The group occupies a single queue slot and is applied by a
         single handler invocation (``batch_handler`` if set), paying
         ``batch_overhead`` once plus the summed per-message service
-        time — N messages for one dispatch's fixed cost.
+        time — N messages for one dispatch's fixed cost.  One
+        ``receipt`` call settles every message of the group, each by
+        its own offset, as in :meth:`deliver`.
         """
         if not self.up:
             self.dropped_while_down += len(messages)
             return
-        self._queue.append((messages, ack, nack))
+        self._queue.append((messages, receipt))
         if not self._busy:
             self._busy = True
             self.sim.post(0.0, self._process_next)
@@ -123,7 +138,7 @@ class Consumer:
         its finish event."""
         queue = self._queue
         while self.up and queue:
-            message, ack, nack = queue.popleft()
+            message, receipt = queue.popleft()
             if type(message) is list:
                 if self.service_time_fn is not None:
                     delay = sum(self.service_time_fn(m) for m in message)
@@ -137,24 +152,19 @@ class Consumer:
             if delay > 0:
                 epoch = self._epoch
                 self.sim.post(
-                    delay, lambda: self._finish(epoch, message, ack, nack)
+                    delay, lambda: self._finish(epoch, message, receipt)
                 )
                 return
-            self._complete(message, ack, nack)
+            self._complete(message, receipt)
         self._busy = False
 
-    def _finish(
-        self, epoch: int, message: Any,
-        ack: Callable[[], None], nack: Callable[[], None],
-    ) -> None:
+    def _finish(self, epoch: int, message: Any, receipt: Receipt) -> None:
         if epoch != self._epoch:
             return  # crashed mid-service: the ack is lost, the lease redelivers
-        self._complete(message, ack, nack)
+        self._complete(message, receipt)
         self._process_next()
 
-    def _complete(
-        self, message: Any, ack: Callable[[], None], nack: Callable[[], None]
-    ) -> None:
+    def _complete(self, message: Any, receipt: Receipt) -> None:
         """Run the handler over one work item and ack or nack it."""
         is_batch = type(message) is list
         try:
@@ -164,10 +174,10 @@ class Consumer:
         count = len(message) if is_batch else 1
         if ok is False:
             self.failed += count
-            nack()
+            receipt.nack()
         else:
             self.processed += count
-            ack()
+            receipt.ack()
 
     def _handle_batch(self, messages: List[Message]) -> Optional[bool]:
         if self.batch_handler is not None:

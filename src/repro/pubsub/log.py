@@ -124,24 +124,23 @@ class PartitionLog:
         messages, which is the undetectable loss of §3.1.  The replay
         seeks (:mod:`repro.pubsub.replay`) check :attr:`gc_floor` and
         raise instead.
-        """
-        result: List[Message] = []
-        for message in self._iter_from(offset):
-            result.append(message)
-            if limit is not None and len(result) >= limit:
-                break
-        return result
 
-    def _iter_from(self, offset: int):
+        A positive ``limit`` copies at most ``limit`` messages, however
+        long the retained tail: a pump or a replay batch costs its
+        budget, not the backlog.
+        """
         # binary search over retained messages (offset order, may have holes)
-        lo, hi = 0, len(self._messages)
+        messages = self._messages
+        lo, hi = 0, len(messages)
         while lo < hi:
             mid = (lo + hi) // 2
-            if self._messages[mid].offset < offset:
+            if messages[mid].offset < offset:
                 lo = mid + 1
             else:
                 hi = mid
-        return iter(self._messages[lo:])
+        if limit is None:
+            return messages[lo:]
+        return messages[lo:lo + limit]
 
     def offset_for_time(self, t: float) -> int:
         """Smallest retained offset with publish_time >= ``t`` (or the

@@ -95,6 +95,59 @@ class _PartitionState:
     acked: int = 0  # count of acked messages (not an offset)
 
 
+class _Receipt:
+    """One delivery and all the state it needs: posted as the kernel
+    callable that delivers it, then handed to the consumer as the
+    receipt it acks or nacks with (contract: :meth:`Consumer.deliver`).
+    """
+
+    __slots__ = ("subscription", "partition", "message", "consumer")
+
+    def __init__(
+        self, subscription: "Subscription", partition: int,
+        message: Message, consumer: "Consumer",
+    ) -> None:
+        self.subscription = subscription
+        self.partition = partition
+        self.message = message
+        self.consumer = consumer
+
+    def __call__(self) -> None:
+        self.consumer.deliver(self.message, self)
+
+    def ack(self) -> None:
+        self.subscription.ack(self.partition, self.message.offset)
+
+    def nack(self) -> None:
+        self.subscription.nack(self.partition, self.message.offset)
+
+
+class _BatchReceipt:
+    """A same-member group delivered as one ``deliver_batch`` call;
+    settles every offset in ``offsets`` at once."""
+
+    __slots__ = ("subscription", "partition", "messages", "offsets", "consumer")
+
+    def __init__(
+        self, subscription: "Subscription", partition: int,
+        messages: List[Message], offsets: List[int], consumer: "Consumer",
+    ) -> None:
+        self.subscription = subscription
+        self.partition = partition
+        self.messages = messages
+        self.offsets = offsets
+        self.consumer = consumer
+
+    def __call__(self) -> None:
+        self.consumer.deliver_batch(self.messages, self)
+
+    def ack(self) -> None:
+        self.subscription.ack_batch(self.partition, self.offsets)
+
+    def nack(self) -> None:
+        self.subscription.nack_batch(self.partition, self.offsets)
+
+
 def _stable_hash(key: str) -> int:
     return int.from_bytes(hashlib.md5(key.encode("utf-8")).digest()[:8], "big")
 
@@ -222,8 +275,13 @@ class Subscription:
         state = self._state[partition]
         log = self.topic.partitions[partition]
         budget = self.config.max_inflight_per_partition - len(state.inflight)
-        if budget <= 0 or not self._up_members():
+        if budget <= 0:
             return
+        for member in self._members.values():
+            if member.up:
+                break
+        else:
+            return  # nobody up
         messages = log.read_from(state.fetch_offset, limit=budget)
         if not messages and state.fetch_offset < log.gc_floor:
             # everything between the cursor and the floor is gone
@@ -322,11 +380,7 @@ class Subscription:
             )
         self.sim.post(
             self.config.delivery_latency,
-            lambda: consumer.deliver(
-                message,
-                ack=lambda: self.ack(partition, message.offset),
-                nack=lambda: self.nack(partition, message.offset),
-            ),
+            _Receipt(self, partition, message, consumer),
         )
 
     def _dispatch_group(
@@ -355,14 +409,11 @@ class Subscription:
                     partition=partition, offset=message.offset, attempts=1,
                     n_events=len(messages),
                 )
-        batch = list(messages)
-        offsets = [message.offset for message in messages]
         self.sim.post(
             self.config.delivery_latency,
-            lambda: consumer.deliver_batch(
-                batch,
-                ack=lambda: self.ack_batch(partition, offsets),
-                nack=lambda: self.nack_batch(partition, offsets),
+            _BatchReceipt(
+                self, partition, messages,
+                [message.offset for message in messages], consumer,
             ),
         )
 

@@ -38,6 +38,7 @@ from repro.replication.appliers import ConcurrentApplier
 from repro.replication.target import ReplicaStore
 from repro.sim.network import Network, NetworkConfig
 from repro.storage.kv import MVCCStore
+from tests.pubsub.reference_dispatch import CallableReceipt
 
 
 def _payload(version, value, stamp=None):
@@ -285,7 +286,7 @@ def test_gated_consumer_refuses_batches(sim):
     broker.create_topic("cdc", num_partitions=1)
     subscription, consumer, order = _gated(sim, broker, max_delivery_batch=4)
     with pytest.raises(TypeError, match="one at a time"):
-        consumer.deliver_batch([], ack=lambda: None, nack=lambda: None)
+        consumer.deliver_batch([], CallableReceipt(ack=lambda: None, nack=lambda: None))
     # a batching subscription cannot slip a group past the gate
     broker.publish("cdc", "data", _payload(1, 7))
     with pytest.raises(TypeError, match="one at a time"):

@@ -107,12 +107,10 @@ class CausalMachine(RuleBasedStateMachine):
     def _submit(self, update):
         key, version, stamp = update
         self.submitted += 1
-        self.buffer.submit(
-            key, version, stamp,
-            lambda k=key, v=version, s=stamp: self._delivered(k, v, s),
-        )
+        self.buffer.submit(key, version, stamp, self._delivered, update)
 
-    def _delivered(self, key, version, stamp):
+    def _delivered(self, update):
+        key, version, stamp = update
         self.delivered += 1
         for dep_key, dep_version in stamp.deps:
             if self.applied.get(dep_key, 0) < dep_version:

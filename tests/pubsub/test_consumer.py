@@ -5,6 +5,7 @@ import pytest
 from repro.pubsub.broker import Broker
 from repro.pubsub.consumer import Consumer
 from repro.pubsub.message import Message
+from tests.pubsub.reference_dispatch import CallableReceipt
 
 
 def msg(payload, key=None, offset=0):
@@ -19,7 +20,7 @@ class TestProcessing:
         consumer = Consumer(sim, "c", service_time=1.0)
         acked = []
         for i in range(3):
-            consumer.deliver(msg(i, offset=i), ack=lambda i=i: acked.append((i, sim.now())), nack=lambda: None)
+            consumer.deliver(msg(i, offset=i), CallableReceipt(ack=lambda i=i: acked.append((i, sim.now())), nack=lambda: None))
         sim.run()
         assert acked == [(0, 1.0), (1, 2.0), (2, 3.0)]
 
@@ -28,8 +29,8 @@ class TestProcessing:
             sim, "c", handler=lambda m: False
         )
         outcomes = []
-        consumer.deliver(msg(1), ack=lambda: outcomes.append("ack"),
-                         nack=lambda: outcomes.append("nack"))
+        consumer.deliver(msg(1), CallableReceipt(ack=lambda: outcomes.append("ack"),
+                                                 nack=lambda: outcomes.append("nack")))
         sim.run()
         assert outcomes == ["nack"]
         assert consumer.failed == 1
@@ -40,8 +41,8 @@ class TestProcessing:
 
         consumer = Consumer(sim, "c", handler=boom)
         outcomes = []
-        consumer.deliver(msg(1), ack=lambda: outcomes.append("ack"),
-                         nack=lambda: outcomes.append("nack"))
+        consumer.deliver(msg(1), CallableReceipt(ack=lambda: outcomes.append("ack"),
+                                                 nack=lambda: outcomes.append("nack")))
         sim.run()
         assert outcomes == ["nack"]
 
@@ -51,8 +52,8 @@ class TestProcessing:
             service_time_fn=lambda m: 5.0 if m.payload == "slow" else 0.5,
         )
         done = []
-        consumer.deliver(msg("slow"), ack=lambda: done.append(("slow", sim.now())), nack=lambda: None)
-        consumer.deliver(msg("fast", offset=1), ack=lambda: done.append(("fast", sim.now())), nack=lambda: None)
+        consumer.deliver(msg("slow"), CallableReceipt(ack=lambda: done.append(("slow", sim.now())), nack=lambda: None))
+        consumer.deliver(msg("fast", offset=1), CallableReceipt(ack=lambda: done.append(("fast", sim.now())), nack=lambda: None))
         sim.run()
         # FIFO: fast waits behind slow — head-of-line blocking
         assert done == [("slow", 5.0), ("fast", 5.5)]
@@ -63,7 +64,7 @@ class TestCrashRecover:
         consumer = Consumer(sim, "c", service_time=1.0)
         acked = []
         for i in range(3):
-            consumer.deliver(msg(i, offset=i), ack=lambda i=i: acked.append(i), nack=lambda: None)
+            consumer.deliver(msg(i, offset=i), CallableReceipt(ack=lambda i=i: acked.append(i), nack=lambda: None))
         sim.call_after(0.5, consumer.crash)
         sim.run()
         assert acked == []
@@ -72,7 +73,7 @@ class TestCrashRecover:
     def test_deliveries_while_down_dropped(self, sim):
         consumer = Consumer(sim, "c")
         consumer.crash()
-        consumer.deliver(msg(1), ack=lambda: None, nack=lambda: None)
+        consumer.deliver(msg(1), CallableReceipt(ack=lambda: None, nack=lambda: None))
         assert consumer.dropped_while_down == 1
 
     def test_recover_runs_hooks(self, sim):
@@ -88,7 +89,7 @@ class TestCrashRecover:
     def test_crash_mid_processing_no_ack(self, sim):
         consumer = Consumer(sim, "c", service_time=2.0)
         acked = []
-        consumer.deliver(msg(1), ack=lambda: acked.append(1), nack=lambda: None)
+        consumer.deliver(msg(1), CallableReceipt(ack=lambda: acked.append(1), nack=lambda: None))
         sim.call_after(1.0, consumer.crash)
         sim.run()
         assert acked == []

@@ -178,3 +178,41 @@ class TestAccounting:
         assert log.bytes_written > 0
         log.run_gc()
         assert log.messages_gced == 1
+
+
+@settings(max_examples=80)
+@given(
+    # per append: (key, seconds since the previous append)
+    st.lists(
+        st.tuples(st.sampled_from([None, "a", "b", "c"]), st.sampled_from([0.0, 1.0, 5.0])),
+        max_size=40,
+    ),
+    st.integers(0, 40),  # retention: keep at most this many (0 = unbounded)
+    st.booleans(),  # compact once
+    st.integers(0, 45),  # read offset
+    st.integers(1, 50),  # limit
+)
+def test_bounded_read_is_the_unbounded_read_truncated(
+    appends, keep, compact, offset, limit
+):
+    """``read_from(offset, limit)`` copies at most ``limit`` messages and
+    returns exactly the first ``limit`` of the unbounded read — below
+    the GC floor, across compaction holes, and past the head."""
+    clock = FakeClock()
+    log = PartitionLog(
+        "t", 0,
+        retention=RetentionPolicy(max_messages=keep or None),
+        compaction=CompactionPolicy(recent_window=2.0),
+        clock=clock,
+    )
+    for key, dt in appends:
+        clock.t += dt
+        log.append(key, clock.t)
+    if compact:
+        log.run_compaction()
+    log.run_gc()
+    unbounded = log.read_from(offset)
+    assert log.read_from(offset, limit) == unbounded[:limit]
+    assert [m.offset for m in unbounded] == sorted(
+        m.offset for m in log.read_from(0) if m.offset >= offset
+    )
