@@ -21,7 +21,9 @@ per-frame call counts on the reliable networked hop, and the kernel
 calls a reliable burst and a broker publish→deliver→ack burst make,
 which repeat bit-for-bit and so can be gated at zero tolerance where
 wall-clock cannot.  The last two pin what one broker delivery holds:
-objects the cyclic collector tracks, and function objects made.
+objects the cyclic collector tracks, and function objects made, the
+latter also for consumers whose service takes time.  The last one
+bounds the blocks a partition-log append keeps.
 """
 
 import dis
@@ -34,6 +36,7 @@ from collections import Counter
 import repro
 from repro.pubsub.broker import Broker
 from repro.pubsub.consumer import Consumer
+from repro.pubsub.log import PartitionLog
 from repro.pubsub.subscription import SubscriptionConfig
 from repro.resilience.channel import ReliableChannel
 from repro.sim import wire
@@ -343,3 +346,50 @@ def test_broker_burst_makes_no_function_objects():
     assert _functions_made(bursts, rounds) == 0
     subscriptions = [group.subscription for group in groups]
     assert sum(sub.acked for sub in subscriptions) == (rounds + 3) * 16 * len(groups)
+
+
+def test_broker_burst_to_busy_consumers_makes_no_function_objects():
+    # the same burst to consumers that take 0.1 ms a message: each
+    # service parks the serial loop on a posted finish, and the finisher
+    # is bound once per consumer epoch, not built per item
+    sim = Simulation(seed=1)
+    broker = Broker(sim)
+    broker.create_topic("t", num_partitions=4)
+    groups = [broker.consumer_group("t", f"g{g}") for g in range(3)]
+    consumers = []
+    for g, group in enumerate(groups):
+        for c in range(2):
+            consumers.append(
+                group.join(Consumer(sim, f"g{g}c{c}", service_time=0.0001))
+            )
+
+    def bursts(n: int) -> None:
+        for _ in range(n):
+            for i in range(16):
+                broker.publish("t", f"k{i}", i)
+            sim.run(until=sim.now() + 0.01)
+
+    bursts(3)
+    rounds = 5
+    assert _functions_made(bursts, rounds) == 0
+    subscriptions = [group.subscription for group in groups]
+    assert sum(sub.acked for sub in subscriptions) == (rounds + 3) * 16 * len(groups)
+    assert sum(c.processed for c in consumers) == (rounds + 3) * 16 * len(groups)
+
+
+def test_partition_log_append_keeps_two_blocks():
+    # an append keeps its Message (slotted: no instance __dict__) and
+    # its offset int, nothing else: the byte count is worked out when
+    # read, so no size is computed or stored on the append path
+    log = PartitionLog("t", 0)
+    payload = {"op": "put", "value": 7}
+
+    def appends(n: int) -> None:
+        append = log.append
+        for _ in range(n):
+            append("k042", payload)
+
+    n = 5_000
+    appends(n)  # past the small-int cache, list storage warm
+    delta = _net_blocks(appends, n)
+    assert delta <= 2 * n + 16, f"{delta / n:.2f} blocks kept per append"

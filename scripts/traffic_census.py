@@ -270,9 +270,6 @@ FUNCTION_EXEMPT: Dict[str, str] = {
     ),
     "repro.causal.stamp.CausalStamp.__eq__": _VALUE,
     "repro.causal.stamp.CausalStamp.__hash__": _VALUE,
-    "repro.edge.session.Update.__eq__": _VALUE,
-    "repro.edge.session.Update.__hash__": _VALUE,
-    "repro.edge.session.Update._astuple": _VALUE,
     # (f) pinned by a tier-1 test of their own behaviour
     "repro.sim.kernel.Simulation.pending_events": _tested(
         "tests/sim/test_kernel_oracle.py (compared with the reference "
@@ -393,10 +390,6 @@ OPTION_EXEMPT: Dict[str, str] = {
     # a test adapter: the tier-1 watch tests pass it handlers
     "repro.core.api.FnWatchCallback.on_progress": _TEST_ADAPTER,
     "repro.core.api.FnWatchCallback.on_resync": _TEST_ADAPTER,
-    # a per-message record field: the data sets it, not a caller
-    "repro.edge.session.Update.is_delete": (
-        "a per-update record field: the mutation being delivered sets it"
-    ),
 }
 
 LEDGER_WORKLOADS = (

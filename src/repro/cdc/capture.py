@@ -18,7 +18,7 @@ from repro.obs.trace import hops
 from repro.storage.history import ChangeHistory, CommittedTransaction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ChangeRecord:
     """One captured key change.
 
@@ -26,6 +26,10 @@ class ChangeRecord:
     number of writes in the originating transaction (consumers that
     want transactional apply need to regroup — pubsub does not preserve
     boundaries across partitions, §3.2.1).
+
+    Immutable by contract: slotted and not frozen, so building one per
+    key write costs plain stores, not an ``object.__setattr__`` per
+    field; equality and hash are the frozen dataclass's.
     """
 
     key: Key

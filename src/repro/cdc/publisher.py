@@ -102,7 +102,7 @@ class CdcPublisher:
             self._publish(self.topic, record.key, payload)
 
         if self.publish_latency > 0:
-            self.sim.call_after(self.publish_latency, publish)
+            self.sim.post(self.publish_latency, publish)
         else:
             publish()
 
@@ -122,6 +122,6 @@ class CdcPublisher:
             self._publish_batch(self.topic, records)
 
         if self.publish_latency > 0:
-            self.sim.call_after(self.publish_latency, publish)
+            self.sim.post(self.publish_latency, publish)
         else:
             publish()

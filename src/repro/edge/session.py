@@ -90,6 +90,7 @@ class SessionConfig:
             raise ValueError("delivery_latency must be >= 0")
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Update:
     """One update offered to a session, from either pipeline.
 
@@ -97,51 +98,19 @@ class Update:
     carry their partition/offset so the client can advance its offset
     cursor.
 
-    A ``__slots__`` value object rather than a frozen dataclass: the
-    edge hot path builds one per fanned-out event, and the frozen
-    dataclass's ``object.__setattr__``-per-field construction dominated
-    the offer path at E14 scale.  Field set, construction signature,
-    equality, and repr match the previous dataclass exactly.
+    A slotted, non-frozen dataclass, immutable by contract: the edge hot
+    path builds one per fanned-out event, and a frozen dataclass's
+    ``object.__setattr__``-per-field construction dominated the offer
+    path at E14 scale.  Fields, equality, hash and repr are those of
+    the frozen dataclass it replaced.
     """
 
-    __slots__ = ("key", "version", "value", "is_delete", "partition", "offset")
-
-    def __init__(
-        self,
-        key: Key,
-        version: Version,
-        value: Any = None,
-        is_delete: bool = False,
-        partition: Optional[int] = None,
-        offset: Optional[int] = None,
-    ) -> None:
-        self.key = key
-        self.version = version
-        self.value = value
-        self.is_delete = is_delete
-        self.partition = partition
-        self.offset = offset
-
-    def _astuple(self):
-        return (
-            self.key, self.version, self.value,
-            self.is_delete, self.partition, self.offset,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Update:
-            return NotImplemented
-        return self._astuple() == other._astuple()  # type: ignore[union-attr]
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"Update(key={self.key!r}, version={self.version!r}, "
-            f"value={self.value!r}, is_delete={self.is_delete!r}, "
-            f"partition={self.partition!r}, offset={self.offset!r})"
-        )
+    key: Key
+    version: Version
+    value: Any = None
+    is_delete: bool = False
+    partition: Optional[int] = None
+    offset: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,6 @@ class RemotePublisher:
             sim, net, name, config=config, metrics=metrics, tracer=tracer
         )
         self.published = 0
-        self.delivered = 0
 
     def publish(self, topic: str, key: Optional[str], payload: Any) -> None:
         """Ship one publish command across the network."""
@@ -337,31 +336,29 @@ class RemotePublisher:
         if not grouped:
             records = ((command["key"], command["payload"]),)
         self.published += len(records)
+        if self.tracer is None:
+            self.channel.send(self.broker_endpoint, command)
+            return
 
-        # the callbacks re-read len(records): a captured count would be
-        # one more closure cell per publish than needed, which is enough
-        # to move repl-net-batched's GC phase (docs/performance.md)
+        # the outcome callbacks only trace, so an untraced publish
+        # builds none
         def delivered() -> None:
-            self.delivered += len(records)
-            if self.tracer is not None:
-                self._trace(hops.PUBLISH_ACKED, records, seq=seq)
+            self._trace(hops.PUBLISH_ACKED, records, seq=seq)
 
         def gaveup() -> None:
-            if self.tracer is not None:
-                self._trace(hops.PUBLISH_GAVEUP, records, seq=seq)
+            self._trace(hops.PUBLISH_GAVEUP, records, seq=seq)
 
         seq = self.channel.send(
             self.broker_endpoint, command,
             on_delivered=delivered, on_giveup=gaveup,
         )
-        if self.tracer is not None:
-            attrs = dict(
-                channel=self.channel.name, dst=self.broker_endpoint,
-                seq=seq, topic=command["topic"],
-            )
-            if grouped:
-                attrs["n_events"] = len(records)
-            self._trace(hops.PUBLISH_SEND, records, **attrs)
+        attrs = dict(
+            channel=self.channel.name, dst=self.broker_endpoint,
+            seq=seq, topic=command["topic"],
+        )
+        if grouped:
+            attrs["n_events"] = len(records)
+        self._trace(hops.PUBLISH_SEND, records, **attrs)
 
     def _trace(self, hop: str, records, **attrs: Any) -> None:
         for key, payload in records:

@@ -44,6 +44,31 @@ class Receipt(Protocol):
     def nack(self) -> None: ...
 
 
+class _Finisher:
+    """Ends a consumer's in-service item when its service time is up.
+
+    The loop is serial, so the item lives on the consumer and the posted
+    event needs no closure.  Each epoch has its own finisher:
+    :meth:`Consumer.crash` swaps in a fresh one, and a finish posted
+    before the crash finds itself stale and ends into nothing (the ack
+    is lost, the lease redelivers).
+    """
+
+    __slots__ = ("consumer",)
+
+    def __init__(self, consumer: "Consumer") -> None:
+        self.consumer = consumer
+
+    def __call__(self) -> None:
+        consumer = self.consumer
+        if consumer._finisher is not self:
+            return
+        message, receipt = consumer._in_service
+        consumer._in_service = None
+        consumer._complete(message, receipt)
+        consumer._process_next()
+
+
 class Consumer:
     """One consumer application instance with a serial processing loop."""
 
@@ -82,8 +107,10 @@ class Consumer:
         self.dropped_while_down = 0
         self._queue: Deque[tuple[Any, Receipt]] = deque()
         self._busy = False
-        #: bumped by crash(): a service begun before it ends into nothing
-        self._epoch = 0
+        #: the (message, receipt) queue item in service, while it takes time
+        self._in_service: Optional[tuple[Any, Receipt]] = None
+        #: replaced by crash(): a service begun before it ends into nothing
+        self._finisher = _Finisher(self)
         self._on_recover: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
@@ -138,7 +165,8 @@ class Consumer:
         its finish event."""
         queue = self._queue
         while self.up and queue:
-            message, receipt = queue.popleft()
+            item = queue.popleft()
+            message, receipt = item
             if type(message) is list:
                 if self.service_time_fn is not None:
                     delay = sum(self.service_time_fn(m) for m in message)
@@ -150,19 +178,11 @@ class Consumer:
             else:
                 delay = self.service_time
             if delay > 0:
-                epoch = self._epoch
-                self.sim.post(
-                    delay, lambda: self._finish(epoch, message, receipt)
-                )
+                self._in_service = item
+                self.sim.post(delay, self._finisher)
                 return
             self._complete(message, receipt)
         self._busy = False
-
-    def _finish(self, epoch: int, message: Any, receipt: Receipt) -> None:
-        if epoch != self._epoch:
-            return  # crashed mid-service: the ack is lost, the lease redelivers
-        self._complete(message, receipt)
-        self._process_next()
 
     def _complete(self, message: Any, receipt: Receipt) -> None:
         """Run the handler over one work item and ack or nack it."""
@@ -195,7 +215,8 @@ class Consumer:
         self.up = False
         self._queue.clear()
         self._busy = False
-        self._epoch += 1
+        self._in_service = None
+        self._finisher = _Finisher(self)
 
     def recover(self) -> None:
         """Resume; redeliveries arrive via broker deadlines/pumps."""

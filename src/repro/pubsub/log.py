@@ -15,7 +15,9 @@ criticizes:
 
 The log counts every byte appended (``bytes_written``) because the
 paper's efficiency argument (§4.4) is that this is a *second* durable
-log that the unbundled model does not need.
+log that the unbundled model does not need.  Only that accounting reads
+the count, so the log sizes messages when the count is read, or just
+before GC or compaction deletes them, never on the append path.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ class PartitionLog:
         self._messages: List[Message] = []  # retained, offset order
         self._next_offset = 0
         self._gc_floor = 0  # offsets below this may be gone
-        self.bytes_written = 0
+        self._bytes_sized = 0  # bytes of every message below _sized_upto
+        self._sized_upto = 0
         self.messages_gced = 0  # retention GC deletions
 
     # ------------------------------------------------------------------
@@ -99,8 +102,27 @@ class PartitionLog:
         )
         self._next_offset += 1
         self._messages.append(message)
-        self.bytes_written += message.size()
         return message
+
+    @property
+    def bytes_written(self) -> int:
+        """Bytes of every message ever appended, deleted ones included."""
+        self._size_appended()
+        return self._bytes_sized
+
+    def _size_appended(self) -> None:
+        """Add the sizes of the messages appended since the last call.
+
+        Each message is sized once: here, while it is still retained,
+        because GC and compaction call this before deleting anything.
+        Messages and their payloads are immutable by contract, so this
+        reads the size an append-time sizing would have.
+        """
+        if self._sized_upto < self._next_offset:
+            self._bytes_sized += sum(
+                message.size() for message in self.read_from(self._sized_upto)
+            )
+            self._sized_upto = self._next_offset
 
     # ------------------------------------------------------------------
     # reading
@@ -174,6 +196,7 @@ class PartitionLog:
             cutoff_idx = max(cutoff_idx, over)
         if cutoff_idx <= 0:
             return 0
+        self._size_appended()
         deleted = self._messages[:cutoff_idx]
         del self._messages[:cutoff_idx]
         self._gc_floor = max(self._gc_floor, deleted[-1].offset + 1)
@@ -215,5 +238,6 @@ class PartitionLog:
             else:
                 deleted += 1
         if deleted:
+            self._size_appended()
             self._messages[:old_end] = survivors
         return deleted

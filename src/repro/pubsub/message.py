@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Message:
     """One published message as stored in a partition log.
 
@@ -14,6 +14,13 @@ class Message:
     and dense within the partition.  ``key`` is optional; key-based
     partitioning, key-affine routing, and compaction all require it.
     ``size`` feeds the hard-state accounting of experiment E8.
+
+    Immutable by contract, not by enforcement: nothing assigns a field
+    after :meth:`PartitionLog.append` builds the message, and the log's
+    lazily summed ``bytes_written`` relies on that.  A slotted,
+    non-frozen dataclass because a frozen one pays an
+    ``object.__setattr__`` call per field on every append; equality,
+    hash and fields are those of the frozen dataclass it replaced.
     """
 
     topic: str

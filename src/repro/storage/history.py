@@ -26,13 +26,17 @@ from repro._types import Key, KeyRange, Mutation, Version, VERSION_ZERO
 from repro.storage.errors import HistoryTruncatedError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CommittedTransaction:
     """One committed transaction: an atomic set of key mutations.
 
     ``writes`` preserves the order keys were written in (insertion
     order of the originating dict), though atomicity means consumers
     should treat them as simultaneous at ``version``.
+
+    Immutable by contract: slotted and not frozen, so a commit costs
+    plain stores, not an ``object.__setattr__`` per field; equality and
+    hash are the frozen dataclass's.
     """
 
     version: Version

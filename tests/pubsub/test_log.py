@@ -216,3 +216,57 @@ def test_bounded_read_is_the_unbounded_read_truncated(
     assert [m.offset for m in unbounded] == sorted(
         m.offset for m in log.read_from(0) if m.offset >= offset
     )
+
+
+_LOG_OPS = st.lists(
+    st.one_of(
+        # append: (key, seconds since the previous op, payload length)
+        st.tuples(
+            st.just("append"), st.sampled_from([None, "a", "bb", "c"]),
+            st.sampled_from([0.0, 1.0, 5.0]), st.integers(0, 30),
+        ),
+        st.tuples(st.just("read"), st.integers(0, 45)),
+        st.tuples(st.just("bytes")),
+        st.tuples(st.just("gc")),
+        st.tuples(st.just("compact")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150)
+@given(
+    _LOG_OPS,
+    st.sampled_from([
+        RetentionPolicy(max_age=4.0),
+        RetentionPolicy(max_messages=3),
+        RetentionPolicy(max_age=8.0, max_messages=5),
+        RetentionPolicy(),
+    ]),
+)
+def test_lazy_bytes_written_equals_the_eager_count(ops, retention):
+    """``bytes_written``, summed when read, equals the count an eager
+    log keeps by adding each message's size as it is appended — read
+    at any point, and across retention GC and compaction, which delete
+    messages the lazy count has not sized yet."""
+    clock = FakeClock()
+    log = PartitionLog(
+        "t", 0, retention=retention,
+        compaction=CompactionPolicy(recent_window=2.0), clock=clock,
+    )
+    eager = 0
+    for op in ops:
+        if op[0] == "append":
+            _, key, dt, length = op
+            clock.t += dt
+            eager += log.append(key, "x" * length).size()
+        elif op[0] == "read":
+            log.read_from(op[1])
+        elif op[0] == "bytes":
+            assert log.bytes_written == eager
+        elif op[0] == "gc":
+            log.run_gc()
+        else:
+            log.run_compaction()
+    assert log.bytes_written == eager
+    assert log.bytes_written == eager  # a second read adds nothing
