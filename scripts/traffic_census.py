@@ -147,7 +147,6 @@ _RETENTION_PATH = (
 )
 _PAPER_ROW = "(b) a docs/paper_mapping.md row names it: "
 _REPLAY_ROW = _PAPER_ROW + "'repro.pubsub.replay' (seek/replay)"
-_STORE_API = _PAPER_ROW + "'\"reads, scans, writes, indices\" of real stores'"
 _KNOWLEDGE = (
     _PAPER_ROW + "'Figure 5 knowledge regions, stitching' "
     "(the knowledge-checked read)"
@@ -208,22 +207,9 @@ FUNCTION_EXEMPT: Dict[str, str] = {
     "repro.pubsub.replay.seek_to_timestamp": _REPLAY_ROW,
     "repro.pubsub.log.PartitionLog.offset_for_time": _REPLAY_ROW,
     "repro.pubsub.subscription.Subscription.seek": _REPLAY_ROW,
-    "repro.storage.kv.MVCCStore.apply_at": _STORE_API,
-    "repro.storage.kv.MVCCStore.count": _STORE_API,
-    "repro.storage.kv.MVCCStore.gc_versions_below": _STORE_API,
-    "repro.storage.kv.MVCCStore.keys": _STORE_API,
-    "repro.storage.kv.MVCCStore.oldest_readable_version": _STORE_API,
-    "repro.storage.kv.Transaction.delete": _STORE_API,
-    "repro.storage.kv.Transaction.read_version": _STORE_API,
-    "repro.storage.kv._VersionChain.gc_below": _STORE_API,
-    "repro.storage.keyindex.SortedKeyIndex.slice": _STORE_API,
-    "repro.storage.snapshot.SnapshotView.count": _STORE_API,
-    "repro.storage.snapshot.SnapshotView.get": _STORE_API,
-    "repro.storage.tso.TimestampOracle.observe": _STORE_API,
     "repro.core.knowledge.KnowledgeMap.knows_key": _KNOWLEDGE,
     "repro.core.knowledge.KnowledgeRegion.knows": _KNOWLEDGE,
     "repro.core.linked_cache.LinkedCache.read_at": _KNOWLEDGE,
-    "repro.core.versioned_map.VersionedMap.get_at": _KNOWLEDGE,
     "repro._types.KeyRange.single": _KNOWLEDGE,
     "repro.sharding.leases.LeaseManager.release": (
         _PAPER_ROW + "'leasing mitigation + availability tradeoff' "
@@ -231,16 +217,6 @@ FUNCTION_EXEMPT: Dict[str, str] = {
     ),
     "repro.sharding.leases.LeaseManager.active_leases": (
         _PAPER_ROW + "'leasing mitigation + availability tradeoff'"
-    ),
-    "repro.storage.timeseries.IngestionStore.events_since": (
-        _PAPER_ROW + "'event ingestion & fanout / ingestion storage'"
-    ),
-    "repro.storage.timeseries.IngestionStore.series_events": (
-        _PAPER_ROW + "'event ingestion & fanout / ingestion storage'"
-    ),
-    "repro.storage.replica.ReadReplica.get": (
-        _PAPER_ROW + "'resync semantics incl. \"read a stale snapshot … "
-        "from a replica\"'"
     ),
     # (c) the ledger imports or calls it
     "repro.sim.wire.encode": _WIRE_CODEC,
@@ -313,6 +289,14 @@ FUNCTION_EXEMPT: Dict[str, str] = {
     "repro.core.linked_cache.LinkedCache.set_key_range": _tested(
         "tests/core/test_linked_cache.py::TestResync::"
         "test_set_key_range_resyncs_over_new_range"
+    ),
+    "repro.storage.kv.MVCCStore.keys": _tested(
+        "tests/cache/test_cluster.py::TestAudit::"
+        "test_audit_defaults_to_all_store_keys, tests/integration/"
+        "test_end_to_end.py::TestWatchPipeline::"
+        "test_store_to_stitched_cache_fleet and tests/integration/"
+        "test_kitchen_sink.py::test_everything_converges (the cache "
+        "staleness audit run with no key list)"
     ),
     "repro.storage.history.CommittedTransaction.touches": _tested(
         "tests/storage/test_history.py::TestAppend::test_commit_touches"

@@ -10,7 +10,7 @@ this reproduction.  It owns the full client state machine:
    (possibly stale, possibly from a replica: the snapshot function is
    pluggable), load it, and reset knowledge to ``[v_snap, v_snap]``;
 2. **watch** — watch from the snapshot version; apply each change event
-   into a local :class:`~repro.core.versioned_map.VersionedMap`; extend
+   into a local :class:`~repro.storage.versioned_map.VersionedMap`; extend
    knowledge windows on each range-scoped progress event;
 3. **resync** — on ``on_resync`` (producer-side retention loss, watcher
    backlog overflow, or watch-system wipe), drop to step 1.  Recovery
@@ -34,10 +34,10 @@ from repro.core.api import Cancellable, WatchCallback
 from repro.core.events import ChangeEvent, ProgressEvent
 from repro.core.knowledge import KnowledgeMap
 from repro.core.stream import WatcherConfig
-from repro.core.versioned_map import VersionedMap
 from repro.obs.trace import hops
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
+from repro.storage.versioned_map import VersionedMap
 
 #: Reads a snapshot of a key range: returns (snapshot version, items).
 SnapshotFn = Callable[[KeyRange], Tuple[Version, Dict[Key, Any]]]

@@ -18,7 +18,6 @@ from repro.storage.errors import (
     StorageError,
     ConflictError,
     HistoryTruncatedError,
-    SnapshotUnavailableError,
 )
 from repro.storage.tso import TimestampOracle
 from repro.storage.history import ChangeHistory, CommittedTransaction
@@ -31,7 +30,6 @@ __all__ = [
     "StorageError",
     "ConflictError",
     "HistoryTruncatedError",
-    "SnapshotUnavailableError",
     "TimestampOracle",
     "ChangeHistory",
     "CommittedTransaction",

@@ -50,18 +50,3 @@ class HistoryTruncatedError(StorageError):
         args = (self.requested_version, self.oldest_retained)
         return type(self), args, self.__dict__
 
-
-class SnapshotUnavailableError(StorageError):
-    """A snapshot read at a version older than MVCC GC allows."""
-
-    def __init__(self, requested_version: int, oldest_readable: int) -> None:
-        super().__init__(
-            f"snapshot at v{requested_version} unavailable "
-            f"(oldest readable version is v{oldest_readable})"
-        )
-        self.requested_version = requested_version
-        self.oldest_readable = oldest_readable
-
-    def __reduce__(self):
-        args = (self.requested_version, self.oldest_readable)
-        return type(self), args, self.__dict__

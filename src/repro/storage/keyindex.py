@@ -1,10 +1,11 @@
 """Lazily merged sorted key index.
 
-Both MVCC maps (server-side :mod:`repro.storage.kv`, client-side
-:mod:`repro.core.versioned_map`) need their key set in sorted order for
-range scans, but keys arrive in commit order.  ``bisect.insort`` makes
-every *new* key O(n) — O(n²) across key-space growth, which dominates
-ingest-heavy experiments once the keyspace is large.
+:class:`~repro.storage.versioned_map.VersionedMap` (under the store and
+every watch client) and the ingestion store's series keys need their
+key set in sorted order for range scans, but keys arrive in commit
+order.  ``bisect.insort`` makes every *new* key O(n) — O(n²) across
+key-space growth, which dominates ingest-heavy experiments once the
+keyspace is large.
 
 :class:`SortedKeyIndex` batches new keys in a pending list (O(1)
 amortized per add) and merges on first read.  The merge sorts the
@@ -29,8 +30,8 @@ from typing import Iterator, List
 class SortedKeyIndex:
     """Sorted set of keys with amortized-O(1) insertion.
 
-    The caller guarantees added keys are not already present (both MVCC
-    maps gate :meth:`add` on first-write of a key).
+    The caller guarantees added keys are not already present (every
+    owner gates :meth:`add` on the first write of a key).
     """
 
     __slots__ = ("_sorted", "_pending", "_generation")
@@ -84,9 +85,3 @@ class SortedKeyIndex:
                 i = bisect_right(merged, key)
             else:
                 i += 1
-
-    def slice(self, low: str, high: str) -> List[str]:
-        """Keys in ``[low, high)`` as a fresh list (callers that need a
-        materialized result)."""
-        merged = self._merge()
-        return merged[bisect_left(merged, low):bisect_left(merged, high)]

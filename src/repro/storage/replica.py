@@ -19,13 +19,13 @@ so it can show the load shift.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro._types import Key, KeyRange, Version
-from repro.core.versioned_map import VersionedMap
 from repro.sim.kernel import Simulation
 from repro.storage.history import CommittedTransaction
 from repro.storage.kv import MVCCStore
+from repro.storage.versioned_map import VersionedMap
 
 
 class ReadReplica:
@@ -71,12 +71,9 @@ class ReadReplica:
     # ------------------------------------------------------------------
     # reads
 
-    def get(self, key: Key) -> Optional[Any]:
-        """Read at the replica's applied version (stale but consistent)."""
-        return self._data.get_at(key, self._applied_version)
-
     def snapshot_items(self, key_range: KeyRange = KeyRange.all()) -> Dict[Key, Any]:
-        """Materialized range snapshot at the applied version."""
+        """Materialized range snapshot at the applied version (stale but
+        consistent)."""
         return self._data.items_at(key_range, self._applied_version)
 
     def serve_snapshot(self, key_range: KeyRange) -> Tuple[Version, Dict[Key, Any]]:

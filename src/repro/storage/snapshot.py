@@ -10,7 +10,7 @@ snapshot is acceptable and can come from a replica
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterator, Tuple
 
 from repro._types import Key, KeyRange, Version
 
@@ -27,10 +27,6 @@ class SnapshotView:
         self._store = store
         self.version = version
 
-    def get(self, key: Key) -> Optional[Any]:
-        """Value of ``key`` as of the snapshot version."""
-        return self._store.get(key, self.version)
-
     def scan(self, key_range: KeyRange = KeyRange.all()) -> Iterator[Tuple[Key, Any]]:
         """(key, value) pairs in range as of the snapshot version."""
         return self._store.scan(key_range, self.version)
@@ -38,9 +34,6 @@ class SnapshotView:
     def items(self, key_range: KeyRange = KeyRange.all()) -> dict[Key, Any]:
         """Materialize the snapshot contents of ``key_range`` as a dict."""
         return dict(self.scan(key_range))
-
-    def count(self, key_range: KeyRange = KeyRange.all()) -> int:
-        return self._store.count(key_range, self.version)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SnapshotView({self._store.name}@v{self.version})"

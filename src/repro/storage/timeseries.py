@@ -9,9 +9,9 @@ that store:
 - events are appended under a series key (e.g. ``sensor/42``) and get a
   monotonic version from the store's oracle, so the store is watchable
   with exactly the same machinery as the MVCC store;
-- queries: by series-key range, by version window, and "recent events
-  for series" — the access patterns fraud-detection/alerting consumers
-  need.
+- queries: series keys by range, latest event per series, events in
+  a time window, and the latest-payload snapshot a resyncing watcher
+  loads.
 
 Each appended event is also a commit in ``history`` (key = series key,
 value = event), which is what the watch layers tail.
@@ -19,12 +19,12 @@ value = event), which is what the watch layers tail.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro._types import Key, KeyRange, Mutation, Version
 from repro.storage.history import ChangeHistory, CommittedTransaction
+from repro.storage.keyindex import SortedKeyIndex
 from repro.storage.tso import TimestampOracle
 
 
@@ -53,7 +53,7 @@ class IngestionStore:
         self._clock = clock or (lambda: 0.0)
         self._events: List[Event] = []  # version order == append order
         self._by_series: Dict[Key, List[Event]] = {}
-        self._series_sorted: List[Key] = []
+        self._series_index = SortedKeyIndex()
         self.bytes_written = 0
 
     # ------------------------------------------------------------------
@@ -73,7 +73,7 @@ class IngestionStore:
         if per_series is None:
             per_series = []
             self._by_series[series] = per_series
-            bisect.insort(self._series_sorted, series)
+            self._series_index.add(series)  # amortized O(1), merged on read
         per_series.append(event)
         self.bytes_written += len(series) + 16 + len(repr(payload))
         self.history.append(
@@ -95,32 +95,9 @@ class IngestionStore:
     def __len__(self) -> int:
         return len(self._events)
 
-    def events_since(self, version: Version) -> Iterator[Event]:
-        """Events with version strictly greater than ``version``."""
-        # events are in version order; binary search the boundary
-        lo, hi = 0, len(self._events)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._events[mid].version <= version:
-                lo = mid + 1
-            else:
-                hi = mid
-        return iter(self._events[lo:])
-
-    def series_events(
-        self, series: Key, since_version: Version = 0, limit: Optional[int] = None
-    ) -> List[Event]:
-        """Retained events of one series after ``since_version``."""
-        events = [e for e in self._by_series.get(series, ()) if e.version > since_version]
-        if limit is not None:
-            events = events[-limit:]
-        return events
-
     def scan_series(self, key_range: KeyRange = KeyRange.all()) -> List[Key]:
-        """Series keys with retained events, in range, sorted."""
-        lo = bisect.bisect_left(self._series_sorted, key_range.low)
-        hi = bisect.bisect_left(self._series_sorted, key_range.high)
-        return [s for s in self._series_sorted[lo:hi] if self._by_series.get(s)]
+        """Series keys with events, in range, sorted."""
+        return list(self._series_index.irange(key_range.low, key_range.high))
 
     def latest(self, series: Key) -> Optional[Event]:
         """Most recent retained event of a series."""

@@ -30,12 +30,3 @@ class TimestampOracle:
     def last(self) -> Version:
         """The most recently issued version (VERSION_ZERO if none)."""
         return self._last
-
-    def observe(self, version: Version) -> None:
-        """Advance the oracle past an externally observed version.
-
-        Used when replaying a history into a fresh store: subsequent
-        allocations must exceed every replayed version.
-        """
-        if version > self._last:
-            self._last = version

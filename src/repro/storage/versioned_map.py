@@ -1,28 +1,29 @@
-"""A small client-side MVCC map.
+"""Per-key version chains: the one MVCC structure in the repo.
 
-Watch clients (linked caches, replication appliers) materialize the
-stream into versioned state so they can serve reads *at a version* —
-the capability knowledge regions promise.  :class:`VersionedMap` is the
-storage for that: per-key version chains with range reads at a version
-and pruning of old versions.
+The producer store (:class:`~repro.storage.kv.MVCCStore`) keeps its
+committed versions here, and watch clients (linked caches, relays,
+read replicas) materialize the stream they receive into one so they can
+serve reads *at a version* — the capability knowledge regions promise.
 
-This mirrors the server-side MVCC in ``repro.storage.kv`` but is kept
-separate on purpose: clients apply events they *received* (possibly a
-re-applied duplicate after redelivery), so appends are idempotent and
-tolerate equal versions, unlike the store's strict commit order.
+Versions for a key usually arrive in increasing order (every store
+commit, most deliveries), which :meth:`VersionedMap.apply` appends at
+the tail.  A client may also re-apply a duplicate after redelivery or
+receive a key's versions out of order from concurrent appliers, so an
+apply at or below a key's newest version is an idempotent in-place
+insert.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro._types import Key, KeyRange, Mutation, Version
 from repro.storage.keyindex import SortedKeyIndex
 
 
 class VersionedMap:
-    """Per-key version chains with snapshot reads and pruning."""
+    """Per-key version chains with reads at any version."""
 
     def __init__(self) -> None:
         self._versions: Dict[Key, List[Version]] = {}
@@ -40,22 +41,26 @@ class VersionedMap:
     def apply(self, key: Key, mutation: Mutation, version: Version) -> None:
         """Record ``key -> mutation`` at ``version``.
 
-        Idempotent: re-applying the same (key, version) replaces rather
-        than duplicates.  Out-of-order versions for a key are inserted
-        in place (needed by concurrent replication appliers).
+        A version above the key's newest is appended.  Otherwise the
+        apply is idempotent: re-applying the same (key, version)
+        replaces rather than duplicates, and an older version is
+        inserted in place (needed by concurrent replication appliers).
         """
         versions = self._versions.get(key)
         if versions is None:
             self._versions[key] = [version]
             self._mutations[key] = [mutation]
             self._key_index.add(key)  # amortized O(1), merged on read
-            return
-        idx = bisect.bisect_left(versions, version)
-        if idx < len(versions) and versions[idx] == version:
-            self._mutations[key][idx] = mutation
+        elif version > versions[-1]:
+            versions.append(version)
+            self._mutations[key].append(mutation)
         else:
-            versions.insert(idx, version)
-            self._mutations[key].insert(idx, mutation)
+            idx = bisect.bisect_left(versions, version)
+            if versions[idx] == version:
+                self._mutations[key][idx] = mutation
+            else:
+                versions.insert(idx, version)
+                self._mutations[key].insert(idx, mutation)
 
     def load_snapshot(self, items: Dict[Key, Any], version: Version) -> None:
         """Replace all state with a snapshot's items at ``version``."""
@@ -68,14 +73,8 @@ class VersionedMap:
 
     def get_at(self, key: Key, version: Version) -> Optional[Any]:
         """Value visible at ``version`` (None if absent or deleted)."""
-        versions = self._versions.get(key)
-        if not versions:
-            return None
-        idx = bisect.bisect_right(versions, version) - 1
-        if idx < 0:
-            return None
-        mutation = self._mutations[key][idx]
-        return None if mutation.is_delete else mutation.value
+        visible = self.get_versioned_at(key, version)
+        return None if visible is None else visible[1]
 
     def get_latest(self, key: Key) -> Optional[Any]:
         """Newest value (None if absent or last write was a delete)."""
@@ -84,6 +83,20 @@ class VersionedMap:
             return None
         mutation = mutations[-1]
         return None if mutation.is_delete else mutation.value
+
+    def get_versioned_at(
+        self, key: Key, version: Version
+    ) -> Optional[Tuple[Version, Any]]:
+        """(version, value) of the write visible at ``version``, or None
+        if absent or deleted."""
+        versions = self._versions.get(key)
+        if not versions:
+            return None
+        idx = bisect.bisect_right(versions, version) - 1
+        if idx < 0:
+            return None
+        mutation = self._mutations[key][idx]
+        return None if mutation.is_delete else (versions[idx], mutation.value)
 
     def latest_version(self, key: Key) -> Optional[Version]:
         """Version of the newest write to ``key`` (None if never written)."""

@@ -1,10 +1,10 @@
-"""Tests for the client-side MVCC map."""
+"""Tests for the versioned map under the store and every watch client."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro._types import KeyRange, Mutation
-from repro.core.versioned_map import VersionedMap
+from repro.storage.versioned_map import VersionedMap
 
 
 class TestApply:
@@ -114,3 +114,68 @@ class TestProperties:
         vm.load_snapshot(items, version)
         assert vm.items_at(KeyRange.all(), version) == items
         assert vm.items_latest() == items
+
+
+#: one apply: (key, version or None for "just above the key's newest",
+#: is_delete, value)
+_applies = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.none() | st.integers(1, 12),
+        st.booleans(),
+        st.integers(0, 9),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestDifferential:
+    @settings(max_examples=200)
+    @given(_applies)
+    # an equal-version re-apply after a newer version must replace in
+    # place, not be appended at the tail
+    @example([("a", 5, False, 1), ("a", 9, False, 2), ("a", 5, False, 3)])
+    @example([("a", 3, False, 1), ("a", 3, True, 0), ("a", None, False, 2)])
+    def test_matches_a_sorted_list_reference(self, applies):
+        """In-order, duplicate and out-of-order applies, deletes
+        included: every read at every version equals a per-key sorted
+        list of the last mutation applied at each version."""
+        vm = VersionedMap()
+        reference = {}  # key -> {version: mutation}
+        for key, version, is_delete, value in applies:
+            if version is None:
+                version = max(reference.get(key, {0: None})) + 1
+            mutation = Mutation.delete() if is_delete else Mutation.put(value)
+            vm.apply(key, mutation, version)
+            reference.setdefault(key, {})[version] = mutation
+
+        def visible(key, version):
+            chain = sorted(reference.get(key, {}).items())
+            below = [(v, m) for v, m in chain if v <= version]
+            if not below or below[-1][1].is_delete:
+                return None
+            return below[-1][0], below[-1][1].value
+
+        top = max(max(chain) for chain in reference.values())
+        for version in range(top + 2):
+            for key in ("a", "b", "c", "d"):
+                expected = visible(key, version)
+                assert vm.get_versioned_at(key, version) == expected
+                assert vm.get_at(key, version) == (
+                    None if expected is None else expected[1]
+                )
+            for key_range in (KeyRange.all(), KeyRange("b", "c")):
+                expected_items = {
+                    key: visible(key, version)[1]
+                    for key in sorted(reference)
+                    if key_range.contains(key) and visible(key, version)
+                }
+                # equal in key order too
+                assert list(vm.items_at(key_range, version).items()) == list(
+                    expected_items.items()
+                )
+        for key in ("a", "b", "c", "d"):
+            chain = reference.get(key)
+            assert vm.latest_version(key) == (max(chain) if chain else None)
+            assert vm._versions.get(key, []) == sorted(chain or [])

@@ -15,24 +15,24 @@ class TestReplication:
         primary = MVCCStore(clock=sim.now)
         primary.put("a", 1)
         replica = ReadReplica(sim, primary, apply_lag=0.5)
-        assert replica.get("a") == 1
+        assert replica.snapshot_items() == {"a": 1}
         assert replica._applied_version == primary.last_version
 
     def test_follows_with_lag(self, sim):
         primary = MVCCStore(clock=sim.now)
         replica = ReadReplica(sim, primary, apply_lag=1.0)
         primary.put("a", 1)
-        assert replica.get("a") is None  # not applied yet
+        assert replica.snapshot_items() == {}  # not applied yet
         assert primary.last_version - replica._applied_version == 1
         sim.run_for(2.0)
-        assert replica.get("a") == 1
+        assert replica.snapshot_items() == {"a": 1}
         assert primary.last_version == replica._applied_version
 
     def test_zero_lag_is_synchronous(self, sim):
         primary = MVCCStore(clock=sim.now)
         replica = ReadReplica(sim, primary, apply_lag=0.0)
         primary.put("a", 1)
-        assert replica.get("a") == 1
+        assert replica.snapshot_items() == {"a": 1}
 
     def test_snapshot_is_internally_consistent(self, sim):
         """The replica's snapshot is the primary's state at the applied

@@ -15,7 +15,7 @@ class TestSnapshotView:
         store.put("c", 3)
         assert list(snap.scan()) == [("a", 1), ("b", 2)]
         assert snap.items(KeyRange("a", "b")) == {"a": 1}
-        assert snap.count() == 2
+        assert len(snap.items()) == 2
 
     def test_version_attribute(self):
         store = MVCCStore()
@@ -23,16 +23,12 @@ class TestSnapshotView:
         store.put("a", 2)
         snap = store.snapshot(v1)
         assert snap.version == v1
-        assert snap.get("a") == 1
+        assert snap.items().get("a") == 1
 
 
 class TestErrorTypes:
     def test_storage_errors_carry_context(self):
-        from repro.storage.errors import (
-            ConflictError,
-            HistoryTruncatedError,
-            SnapshotUnavailableError,
-        )
+        from repro.storage.errors import ConflictError, HistoryTruncatedError
 
         conflict = ConflictError("k", 5, 9)
         assert conflict.key == "k"
@@ -40,8 +36,6 @@ class TestErrorTypes:
         truncated = HistoryTruncatedError(3, 10)
         assert truncated.requested_version == 3
         assert truncated.oldest_retained == 10
-        unavailable = SnapshotUnavailableError(1, 4)
-        assert unavailable.oldest_readable == 4
 
     def test_pubsub_errors_carry_context(self):
         from repro.pubsub.errors import OffsetOutOfRangeError, UnknownTopicError

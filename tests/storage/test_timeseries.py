@@ -29,21 +29,6 @@ class TestAppend:
 
 
 class TestQueries:
-    def test_events_since(self):
-        s = IngestionStore()
-        events = [s.append("a", i) for i in range(5)]
-        mid = events[2].version
-        newer = list(s.events_since(mid))
-        assert [e.payload for e in newer] == [3, 4]
-
-    def test_series_events(self):
-        s = IngestionStore()
-        s.append("a", 1)
-        s.append("b", 2)
-        s.append("a", 3)
-        assert [e.payload for e in s.series_events("a")] == [1, 3]
-        assert [e.payload for e in s.series_events("a", limit=1)] == [3]
-
     def test_latest(self):
         s = IngestionStore()
         s.append("a", 1)
@@ -56,6 +41,19 @@ class TestQueries:
         for series in ["alpha", "beta", "gamma"]:
             s.append(series, 1)
         assert s.scan_series(KeyRange("a", "c")) == ["alpha", "beta"]
+
+    def test_scan_series_sorted_across_interleaved_appends(self):
+        """New series arriving out of key order, with reads between the
+        appends, are listed once each and in key order."""
+        s = IngestionStore()
+        seen = []
+        for series in ["m", "c", "x", "c", "a", "m", "b"]:
+            s.append(series, 1)
+            seen.append(s.scan_series())
+        assert seen[2] == ["c", "m", "x"]
+        assert seen[-1] == ["a", "b", "c", "m", "x"]
+        assert s.scan_series(KeyRange("b", "n")) == ["b", "c", "m"]
+        assert s.snapshot_latest(KeyRange("b", "n")) == {"b": 1, "c": 1, "m": 1}
 
     def test_window(self):
         s = IngestionStore()

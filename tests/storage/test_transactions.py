@@ -13,13 +13,6 @@ class TestReadYourWrites:
         txn.put("a", 1)
         assert txn.get("a") == 1
 
-    def test_buffered_delete_visible(self):
-        s = MVCCStore()
-        s.put("a", 1)
-        txn = s.transaction()
-        txn.delete("a")
-        assert txn.get("a") is None
-
     def test_snapshot_isolation(self):
         s = MVCCStore()
         s.put("a", 1)

@@ -15,17 +15,6 @@ class TestTimestampOracle:
         assert tso.last == 0
         assert tso.next() == 1
 
-    def test_observe_advances(self):
-        tso = TimestampOracle()
-        tso.observe(50)
-        assert tso.next() == 51
-
-    def test_observe_never_regresses(self):
-        tso = TimestampOracle()
-        tso.observe(50)
-        tso.observe(10)
-        assert tso.next() == 51
-
     def test_shared_oracle_orders_across_stores(self):
         from repro.storage.kv import MVCCStore
 

@@ -25,7 +25,6 @@ _ARGS = {
     "CursorCorruption": ("ahead", "k", "v9 > watermark v4"),
     "HistoryTruncatedError": (2, 7),
     "OffsetOutOfRangeError": (4, 10),
-    "SnapshotUnavailableError": (1, 6),
     "UnknownTopicError": ("orders",),
 }
 

@@ -11,19 +11,22 @@ field nothing reads is a counter nobody looks at or a reference nothing
 follows: delete it with every write to it.  An entry that no longer
 names an unread field fails too.
 
-The match is by attribute name, not by class: a read of ``x.active``
-anywhere keeps every class's ``active``, and a read of ``x._handle`` in
-``repro.core`` keeps every ``repro.core`` class's ``_handle``.  An
-augmented assignment (``self.count += 1``) is a write, not a read."""
+A ``self.<name>`` load inside a class counts only for that class, its
+bases and its subclasses (matched by class name): a read of
+``self._handle`` in one class keeps no other class's ``_handle``.  Any
+other load (``x.active``, ``getattr(x, "active")``) matches by
+attribute name, so a read of ``x.active`` anywhere keeps every class's
+``active``, and a read of ``x._handle`` in ``repro.core`` keeps every
+``repro.core`` class's ``_handle``.  An augmented assignment
+(``self.count += 1``) is a write, not a read."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
-LIBRARY = ROOT / "src" / "repro"
 #: where any field may be read, ``_private`` ones included
 OUTSIDE_READERS = ("tests", "benchmarks", "scripts", "examples")
 
@@ -44,10 +47,10 @@ def _python_files(top: Path):
     return sorted(top.rglob("*.py"))
 
 
-def _package(path: Path) -> str:
+def _package(path: Path, library: Path) -> str:
     """The ``repro`` subpackage a library file belongs to ("" for the
     modules directly under ``repro``)."""
-    parts = path.relative_to(LIBRARY).parts
+    parts = path.relative_to(library).parts
     return parts[0] if len(parts) > 1 else ""
 
 
@@ -66,13 +69,15 @@ def _dataclass_fields(cls: ast.ClassDef) -> Iterable[ast.Name]:
             yield node.target
 
 
-def library_fields() -> Dict[str, Tuple[str, List[str]]]:
+def library_fields(root: Path = ROOT) -> Dict[str, Tuple[str, List[str]]]:
     """``Class.field`` -> its subpackage and the ``file:line`` of every
     ``self.field = ...``, or of its ``@dataclass`` annotation, under
     ``src/repro`` outside ``repro.bench``."""
+    library = root / "src" / "repro"
     fields: Dict[str, Tuple[str, List[str]]] = {}
-    for path in _python_files(LIBRARY):
-        if _package(path) == "bench":
+    for path in _python_files(library):
+        package = _package(path, library)
+        if package == "bench":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for cls in ast.walk(tree):
@@ -80,8 +85,8 @@ def library_fields() -> Dict[str, Tuple[str, List[str]]]:
                 continue
             for name in _dataclass_fields(cls):
                 fields.setdefault(
-                    f"{cls.name}.{name.id}", (_package(path), [])
-                )[1].append(f"{path.relative_to(ROOT)}:{name.lineno}")
+                    f"{cls.name}.{name.id}", (package, [])
+                )[1].append(f"{path.relative_to(root)}:{name.lineno}")
             for node in ast.walk(cls):
                 if isinstance(node, ast.Assign):
                     targets = node.targets
@@ -97,53 +102,114 @@ def library_fields() -> Dict[str, Tuple[str, List[str]]]:
                             and isinstance(attr.value, ast.Name)
                             and attr.value.id == "self"
                         ):
-                            where = f"{path.relative_to(ROOT)}:{attr.lineno}"
+                            where = f"{path.relative_to(root)}:{attr.lineno}"
                             fields.setdefault(
-                                f"{cls.name}.{attr.attr}",
-                                (_package(path), []),
+                                f"{cls.name}.{attr.attr}", (package, [])
                             )[1].append(where)
     return fields
 
 
-def loaded_names(paths: Iterable[Path]) -> Set[str]:
-    """Every attribute name loaded in ``paths``."""
-    names: Set[str] = set()
+class Loads:
+    """The attribute loads of some files: names loaded off anything but
+    ``self`` in a class, and ``(class, name)`` for each ``self.<name>``
+    loaded in a class's body (the innermost enclosing class)."""
+
+    def __init__(self) -> None:
+        self.names: Set[str] = set()
+        self.self_loads: Set[Tuple[str, str]] = set()
+
+    def read(self, paths: Iterable[Path]) -> "Loads":
+        for path in paths:
+            self._visit(ast.parse(path.read_text(encoding="utf-8")), None)
+        return self
+
+    def _visit(self, node: ast.AST, cls: Optional[str]) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if (
+                cls is not None
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                self.self_loads.add((cls, node.attr))
+            else:
+                self.names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            self.names.add(node.args[1].value)
+        for child in ast.iter_child_nodes(node):
+            self._visit(child, cls)
+
+
+def class_bases(paths: Iterable[Path]) -> Dict[str, Set[str]]:
+    """Class name -> the names of its bases, over every class in
+    ``paths`` (same-named classes pool their bases)."""
+    bases: Dict[str, Set[str]] = {}
     for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Load
-            ):
-                names.add(node.attr)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in ("getattr", "hasattr")
-                and len(node.args) > 1
-                and isinstance(node.args[1], ast.Constant)
-            ):
-                names.add(node.args[1].value)
-    return names
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            named = bases.setdefault(node.name, set())
+            for base in node.bases:
+                if isinstance(base, ast.Subscript):  # Generic[T]
+                    base = base.value
+                if isinstance(base, ast.Name):
+                    named.add(base.id)
+                elif isinstance(base, ast.Attribute):
+                    named.add(base.attr)
+    return bases
 
 
-def unread_fields() -> Dict[str, List[str]]:
-    outside = loaded_names(
-        path for top in OUTSIDE_READERS for path in _python_files(ROOT / top)
-    )
-    by_package: Dict[str, Set[str]] = {}
-    for path in _python_files(LIBRARY):
-        by_package.setdefault(_package(path), set()).update(
-            loaded_names([path])
-        )
-    anywhere = outside.union(*by_package.values())
+def _closure(start: str, edges: Dict[str, Set[str]]) -> Set[str]:
+    seen, todo = {start}, [start]
+    while todo:
+        for nxt in edges.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+def related_classes(cls: str, bases: Dict[str, Set[str]]) -> Set[str]:
+    """``cls``, its bases and its subclasses, transitively."""
+    subclasses: Dict[str, Set[str]] = {}
+    for name, named in bases.items():
+        for base in named:
+            subclasses.setdefault(base, set()).add(name)
+    return _closure(cls, bases) | _closure(cls, subclasses)
+
+
+def unread_fields(root: Path = ROOT) -> Dict[str, List[str]]:
+    library = root / "src" / "repro"
+    outside_files = [
+        path for top in OUTSIDE_READERS for path in _python_files(root / top)
+    ]
+    outside = Loads().read(outside_files)
+    by_package: Dict[str, Loads] = {}
+    for path in _python_files(library):
+        by_package.setdefault(_package(path, library), Loads()).read([path])
+    bases = class_bases(outside_files + _python_files(root / "src"))
     unread = {}
-    for name, (package, where) in library_fields().items():
-        field = name.split(".", 1)[1]
+    for name, (package, where) in library_fields(root).items():
+        cls, field = name.split(".", 1)
         if field.startswith("_"):
-            readers = outside | by_package.get(package, set())
+            readers = [outside, by_package.get(package, Loads())]
         else:
-            readers = anywhere
-        if field not in readers:
+            readers = [outside, *by_package.values()]
+        if any(field in loads.names for loads in readers):
+            continue
+        related = related_classes(cls, bases)
+        if not any(
+            (reader, field) in loads.self_loads
+            for loads in readers
+            for reader in related
+        ):
             unread[name] = where
     return unread
 
@@ -162,3 +228,31 @@ def test_every_library_field_is_read():
 
 def test_no_stale_field_exemption():
     assert sorted(set(FIELD_EXEMPT) - set(unread_fields())) == []
+
+
+def test_a_self_read_counts_only_in_the_class_hierarchy(tmp_path):
+    """``self._x`` read in a class that neither is, extends nor is
+    extended by the writer keeps nothing; a read in a subclass, or in a
+    base that leaves the write to a subclass, keeps the field."""
+    package = tmp_path / "src" / "repro" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._x = 1\n"
+        "        self._y = 2\n"
+        "class B:\n"
+        "    def read(self):\n"
+        "        return self._x\n"
+        "class C(A):\n"
+        "    def read(self):\n"
+        "        return self._y\n"
+        "class Base:\n"
+        "    def read(self):\n"
+        "        return self._z\n"
+        "class Sub(Base):\n"
+        "    def __init__(self):\n"
+        "        self._z = 3\n",
+        encoding="utf-8",
+    )
+    assert sorted(unread_fields(tmp_path)) == ["A._x"]
