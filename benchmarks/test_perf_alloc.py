@@ -17,7 +17,8 @@ Path-by-path contract:
   event, all dead by the time the burst drains.
 
 The next three tests pin *work counters* instead of blocks: exact
-per-frame call counts on the reliable networked hop, and the kernel
+per-frame counts on the reliable networked hop (wire-size visits, no
+call into the metrics module, two function objects), and the kernel
 calls a reliable burst and a broker publish→deliver→ack burst make,
 which repeat bit-for-bit and so can be gated at zero tolerance where
 wall-clock cannot.  The last two pin what one broker delivery holds:
@@ -41,7 +42,7 @@ from repro.pubsub.subscription import SubscriptionConfig
 from repro.resilience.channel import ReliableChannel
 from repro.sim import wire
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import MetricsRegistry
+from repro.sim import metrics
 from repro.sim.network import Network, NetworkConfig
 
 
@@ -122,15 +123,21 @@ def test_tracemalloc_confirms_no_per_message_retention():
     assert delta < 16 * 1024, f"retained {delta} bytes across 5k events"
 
 
-class _CountingRegistry(MetricsRegistry):
-    """Registry that counts name lookups (``_get`` is every accessor's
-    single way in)."""
+def _metrics_calls(fn, *args) -> int:
+    """Python function calls into ``repro.sim.metrics`` during ``fn``."""
+    path = metrics.__file__
+    calls = [0]
 
-    lookups = 0
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path:
+            calls[0] += 1
 
-    def _get(self, name, cls):
-        self.lookups += 1
-        return super()._get(name, cls)
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
 
 
 def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
@@ -144,8 +151,7 @@ def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
         },
     }
     sim = Simulation(seed=1)
-    metrics = _CountingRegistry()
-    net = Network(sim, NetworkConfig(base_latency=0.001), metrics=metrics)
+    net = Network(sim, NetworkConfig(base_latency=0.001))
     delivered = []
     ReliableChannel(sim, net, "rx", handler=lambda src, p: delivered.append(p))
     tx = ReliableChannel(sim, net, "tx")
@@ -155,8 +161,18 @@ def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
             tx.send("rx", record)
             sim.run()  # data frame, delivery, ack, alarm cancel
 
-    round_trips(3)  # first touch binds every counter on the path
-    assert len(tx.pending_unacked()) == 0 and len(delivered) == 3
+    round_trips(3)  # warm-up: first transmits, first deliveries
+    frames = 50
+    # counts are plain ints on the channel and the network: no call into
+    # the metrics module per frame, only when a registry is read
+    assert _metrics_calls(round_trips, frames) == 0
+    # one function object per frame on the wire, data and ack alike:
+    # Network.send's delivery lambda.  Pinned at today's value on
+    # purpose — fewer GC-tracked objects per message moves the ledger's
+    # GC phase (docs/performance.md "Known limit: GC phase"), so the
+    # change that removes it must move this pin too
+    assert _functions_made(round_trips, frames) == 2 * frames
+    assert len(tx.pending_unacked()) == 0 and len(delivered) == 3 + 2 * frames
 
     visits = [0]
     size = wire._size
@@ -170,12 +186,8 @@ def test_reliable_round_trip_work_counters_are_exact(monkeypatch):
 
     monkeypatch.setattr(wire, "_size", counting_size)
     monkeypatch.setattr(wire, "encode", no_encode)
-    metrics.lookups = 0
-    frames = 50
     round_trips(frames)
-    assert len(tx.pending_unacked()) == 0 and len(delivered) == 3 + frames
-    # steady state: every counter handle is already bound
-    assert metrics.lookups == 0
+    assert len(tx.pending_unacked()) == 0 and len(delivered) == 3 + 3 * frames
     # the record frame is walked once at first transmit — frame, seq,
     # command dict (3 keys, 2 strings, inner dict of 5 keys + 5 values),
     # needs_ack = 20 visits — then Network.send reads the stored size

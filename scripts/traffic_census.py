@@ -264,8 +264,17 @@ FUNCTION_EXEMPT: Dict[str, str] = {
     "repro._types.ranges_cover": _tested(
         "tests/test_types.py::TestKeyRange::test_ranges_cover"
     ),
-    "repro.sim.metrics.Gauge.add": _tested(
-        "tests/sim/test_metrics.py::TestGauge::test_set_and_add"
+    "repro.core.linked_cache.LinkedCache._counts": _tested(
+        "tests/core/test_linked_cache.py::TestInitialSync::"
+        "test_unavailable_snapshot_source_is_retried_and_counted"
+    ),
+    "repro.core.watch_system.WatchSystem._counts": _tested(
+        "tests/core/test_watch_system.py::TestRetentionAndResync::"
+        "test_watch_below_floor_resyncs_immediately"
+    ),
+    "repro.sim.failures.FailureInjector._counts": _tested(
+        "tests/sim/test_failures.py::TestPartitionWindow::"
+        "test_partition_opens_and_heals"
     ),
     "repro.resilience.breaker.CircuitBreaker.check": _tested(
         "tests/resilience/test_breaker.py::TestTripping::"

@@ -232,9 +232,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     else:
         counters["edge.replayed"] = frontend.replayed
         counters["edge.replay_gaps"] = frontend.replay_gaps
-        counters["msgs.published"] = int(
-            source.broker.metrics.counter("pubsub.published").value
-        )
+        counters["msgs.published"] = source.broker.published
     for name, value in sorted(net.metrics.snapshot().items()):
         if name.startswith("net.bytes."):
             counters[name] = int(value)

@@ -120,22 +120,20 @@ def cache_fleet(
             for i in range(num_nodes)
         ]
         batched = batch > 1
-        remote = FreeInvalidationPipeline(
+        pipeline = FreeInvalidationPipeline(
             sim, store, broker, sharder, nodes,
             network=net, resilience=channel, tracer=tracer,
             delivery_batch=batch,
             batch_overhead=dispatch_cost if batched else 0.0,
             group_commit=batched,
             service_time=record_service + (0.0 if batched else dispatch_cost),
-        ).remote_publisher
-        received = broker.metrics.counter(
-            "resilience.invalidations-broker.received"
         )
+        remote, inbound = pipeline.remote_publisher, pipeline.broker_channel
         return CacheFleet(
             sharder, net, nodes, registries, hops.CACHE_APPLY,
             outage=(remote, "cdc-publisher"),
             partition=("invalidations-cdc", "invalidations-broker"),
-            lost_updates=lambda: remote.published - received.value,
+            lost_updates=lambda: remote.published - inbound.received,
         )
     if system == "watch":
         ws_local = WatchSystem(sim, name="src-ws", tracer=tracer)
@@ -181,17 +179,11 @@ def metric_sum(registries, suffix: str) -> int:
 def wire_stats(net: Network) -> dict:
     """Frames, payload messages and encoded bytes on the wire, with the
     per-frame and per-message ratios (None when nothing crossed)."""
-    counter = net.metrics.counter
-    frames = counter("net.frames.sent").value
-    msgs = counter("net.payload.msgs").value
-    sent = counter("net.bytes.sent").value
+    frames, msgs, sent = net.frames_sent, net.payload_msgs, net.bytes_sent
     return dict(
         frames=frames, wire_msgs=msgs, bytes_sent=sent,
-        bytes_delivered=counter("net.bytes.delivered").value,
-        bytes_dropped=int(sum(
-            value for name, value in net.metrics.snapshot().items()
-            if name.startswith("net.bytes.dropped.")
-        )),
+        bytes_delivered=net.bytes_delivered,
+        bytes_dropped=sum(net.bytes_dropped.values()),
         msgs_per_frame=round(msgs / frames, 2) if frames else None,
         bytes_per_frame=round(sent / frames, 1) if frames else None,
         bytes_per_msg=round(sent / msgs, 1) if msgs else None,

@@ -39,7 +39,7 @@ from repro.pubsub.broker import Broker, RemotePublisher
 from repro.pubsub.consumer import Consumer
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RoutingPolicy, SubscriptionConfig
-from repro.resilience.channel import ChannelConfig
+from repro.resilience.channel import ChannelConfig, ReliableChannel
 from repro.sharding.autosharder import AutoSharder
 from repro.sharding.leases import LeaseManager
 from repro.sim.kernel import Simulation
@@ -217,12 +217,14 @@ class FreeInvalidationPipeline:
         self.nodes = nodes
         broker.create_topic(topic, num_partitions=8)
         self.remote_publisher: Optional[RemotePublisher] = None
+        #: the broker's end of the network hop (None without a network)
+        self.broker_channel: Optional[ReliableChannel] = None
         if network is not None:
             # the §3.1 cross-DC hop: the broker gets a network endpoint
             # and CDC publishes through a RemotePublisher instead of a
             # direct call, so loss and partitions silently eat
             # invalidations unless the channel config retries
-            broker.attach_network(
+            self.broker_channel = broker.attach_network(
                 network, endpoint=f"{topic}-broker", config=resilience
             )
             self.remote_publisher = RemotePublisher(

@@ -27,7 +27,7 @@ Reads come in two consistencies, both local:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro._types import Key, KeyRange, Version
 from repro.core.api import Cancellable, WatchCallback
@@ -102,6 +102,14 @@ class LinkedCache(WatchCallback):
         #: lagging replica below the watch floor) cannot cause a
         #: resync storm
         self._consecutive_resyncs = 0
+        #: snapshots refused with SnapshotUnavailable, reported as
+        #: ``resilience.snapshot.retries`` once nonzero
+        self.snapshot_retries = 0
+        self.metrics.register(self._counts)
+
+    def _counts(self) -> Iterator[Tuple[str, int]]:
+        if self.snapshot_retries:
+            yield "resilience.snapshot.retries", self.snapshot_retries
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -176,7 +184,7 @@ class LinkedCache(WatchCallback):
         except SnapshotUnavailable:
             # the snapshot source cannot serve right now; retry after
             # the snapshot latency
-            self.metrics.counter("resilience.snapshot.retries").inc()
+            self.snapshot_retries += 1
             self.sim.call_after(
                 max(self.config.snapshot_latency, 0.01),
                 lambda: self._finish_sync(generation),

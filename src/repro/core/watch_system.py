@@ -35,7 +35,7 @@ from repro.core.events import ChangeEvent, ProgressEvent
 from repro.core.stream import WatcherConfig, WatcherSession
 from repro.obs.trace import hops
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import Counter, MetricsRegistry
+from repro.sim.metrics import MetricsRegistry
 
 _event_version = attrgetter("version")
 
@@ -158,15 +158,22 @@ class WatchSystem(Watchable, Ingester):
         #: (range, group) when exactly one group exists — the common
         #: sharded topology — letting ingest skip the group scan
         self._sole_group = None
-        # counters created on first use so the registry's contents stay
-        # identical to the f-string-per-call implementation
-        self._watches_counter: Optional[Counter] = None
-        self._resyncs_counter: Optional[Counter] = None
+        #: watch() calls, and those answered with a resync; reported as
+        #: ``watch.<name>.watches`` / ``.resyncs`` once nonzero
+        self.watches = 0
+        self.resyncs = 0
+        self.metrics.register(self._counts)
         #: one bound method, shared by every session this owner opens
         self._on_session_closed = self._session_closed
         self.soft_state_peak_events = 0
         self.events_ingested = 0
         self.events_evicted = 0
+
+    def _counts(self) -> Iterator[Tuple[str, int]]:
+        if self.watches:
+            yield f"watch.{self.name}.watches", self.watches
+        if self.resyncs:
+            yield f"watch.{self.name}.resyncs", self.resyncs
 
     # ------------------------------------------------------------------
     # Ingester (the store feeds us)
@@ -315,19 +322,9 @@ class WatchSystem(Watchable, Ingester):
             )
         else:
             group.add(session)
-        counter = self._watches_counter
-        if counter is None:
-            counter = self._watches_counter = self.metrics.counter(
-                f"watch.{self.name}.watches"
-            )
-        counter.inc()
+        self.watches += 1
         if version < self._floor:
-            counter = self._resyncs_counter
-            if counter is None:
-                counter = self._resyncs_counter = self.metrics.counter(
-                    f"watch.{self.name}.resyncs"
-                )
-            counter.inc()
+            self.resyncs += 1
             session.signal_resync()
             return session
         # catch up from the retained buffer, then replay current

@@ -12,7 +12,7 @@ already persisted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.pubsub.consumer import Consumer, ConsumerGroup, FreeConsumer
 from repro.pubsub.errors import PubsubError, UnknownTopicError
@@ -75,9 +75,22 @@ class Broker:
         self._wakers: Dict[str, List[Callable[[], None]]] = {}
         self._sweeps_started = False
         self._channel: Optional[ReliableChannel] = None
-        # prebound: one registry lookup at construction instead of one
-        # dict probe per publish on the hot path
-        self._published = self.metrics.counter("pubsub.published")
+        self.published = 0
+        self.dead_lettered = 0
+        self.gc_deleted = 0
+        self.compaction_deleted = 0
+        self.metrics.register(self._counts)
+
+    def _counts(self) -> Iterator[Tuple[str, int]]:
+        # published is reported from construction on, the rest once
+        # nonzero
+        yield "pubsub.published", self.published
+        if self.dead_lettered:
+            yield "pubsub.dead_lettered", self.dead_lettered
+        if self.gc_deleted:
+            yield "pubsub.gc.deleted", self.gc_deleted
+        if self.compaction_deleted:
+            yield "pubsub.compaction.deleted", self.compaction_deleted
 
     # ------------------------------------------------------------------
     # network attachment (resilience layer)
@@ -159,7 +172,7 @@ class Broker:
         latency.  Returns the stored message (offset assigned)."""
         topic = self.topic(topic_name)
         message = topic.append(key, payload)
-        self._published.inc()
+        self.published += 1
         if self.tracer is not None:
             self.tracer.record(
                 hops.PUBSUB_APPEND, "broker",
@@ -192,7 +205,7 @@ class Broker:
                     topic=topic_name, partition=message.partition,
                     offset=message.offset, n_events=len(records),
                 )
-        self._published.inc(len(messages))
+        self.published += len(messages)
         partitions = sorted({message.partition for message in messages})
 
         def wake() -> None:
@@ -223,7 +236,7 @@ class Broker:
 
             def dlq_append(message: Message, _name: str = dlq_topic_name) -> None:
                 self.publish(_name, message.key, message.payload)
-                self.metrics.counter("pubsub.dead_lettered").inc()
+                self.dead_lettered += 1
 
         subscription = Subscription(
             self.sim,
@@ -266,14 +279,12 @@ class Broker:
 
     def _gc_sweep(self) -> None:
         deleted = sum(topic.run_gc() for topic in self._topics.values())
-        if deleted:
-            self.metrics.counter("pubsub.gc.deleted").inc(deleted)
+        self.gc_deleted += deleted
         self.sim.post(self.config.gc_interval, self._gc_sweep)
 
     def _compaction_sweep(self) -> None:
         deleted = sum(topic.run_compaction() for topic in self._topics.values())
-        if deleted:
-            self.metrics.counter("pubsub.compaction.deleted").inc(deleted)
+        self.compaction_deleted += deleted
         self.sim.post(self.config.compaction_interval, self._compaction_sweep)
 
     # ------------------------------------------------------------------

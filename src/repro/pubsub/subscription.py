@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.trace import hops, payload_version
 from repro.pubsub.dlq import DeadLetterPolicy
@@ -195,6 +195,12 @@ class Subscription:
         self._leases = 0
         self._watchdog: Optional[EventHandle] = None
         self._watched: Optional[_Inflight] = None
+        self.metrics.register(self._counts)
+
+    def _counts(self) -> Iterator[Tuple[str, int]]:
+        lost = self.lost_to_gc + self.lost_to_compaction
+        if lost:
+            yield f"pubsub.sub.{self.name}.lost", lost
 
     # ------------------------------------------------------------------
     # membership
@@ -350,7 +356,6 @@ class Subscription:
         below_floor = max(0, min(next_present, log.gc_floor) - state.fetch_offset)
         self.lost_to_gc += below_floor
         self.lost_to_compaction += gap - below_floor
-        self.metrics.counter(f"pubsub.sub.{self.name}.lost").inc(gap)
         if self.tracer is not None:
             # identity-less: the messages are gone, so the TraceIndex
             # recovers (key, version) from its pubsub.append offset map

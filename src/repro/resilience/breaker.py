@@ -15,7 +15,10 @@ machine:
   breaker half-open forever.
 
 State transitions are recorded (for experiment tables) and counted in
-the metrics registry under ``resilience.breaker.<name>.*``.
+plain ints, reported to the metrics registry under
+``resilience.breaker.<name>.*`` once touched: ``transitions``,
+``trips``, ``fast_failures``, ``probe_reclaims``, and ``state`` (0
+closed, 1 half-open, 2 open) from the first transition on.
 
 Usage::
 
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
@@ -54,6 +57,10 @@ class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
+
+
+#: the ``state`` metric's reading of each state
+_LEVEL = {BreakerState.CLOSED: 0, BreakerState.HALF_OPEN: 1, BreakerState.OPEN: 2}
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,22 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self._probes_in_flight = 0
         self._last_probe_at = 0.0
+        self.trips = 0
+        self.fast_failures = 0
+        self.probe_reclaims = 0
+        self.metrics.register(self._counts)
+
+    def _counts(self) -> Iterator[Tuple[str, int]]:
+        prefix = f"resilience.breaker.{self.name}."
+        if self.transitions:
+            yield prefix + "transitions", len(self.transitions)
+            yield prefix + "state", _LEVEL[self.state]
+        if self.trips:
+            yield prefix + "trips", self.trips
+        if self.fast_failures:
+            yield prefix + "fast_failures", self.fast_failures
+        if self.probe_reclaims:
+            yield prefix + "probe_reclaims", self.probe_reclaims
 
     # ------------------------------------------------------------------
     # gating
@@ -108,7 +131,7 @@ class CircuitBreaker:
             if self.sim.now() - self._opened_at >= self.config.cooldown:
                 self._transition(BreakerState.HALF_OPEN)
             else:
-                self.metrics.counter(self._metric("fast_failures")).inc()
+                self.fast_failures += 1
                 return False
         if self.state is BreakerState.HALF_OPEN:
             if self._probes_in_flight >= self.config.half_open_probes:
@@ -119,9 +142,9 @@ class CircuitBreaker:
                     # never coming.  Reclaim the slots rather than stay
                     # wedged half-open with an exhausted budget forever.
                     self._probes_in_flight = 0
-                    self.metrics.counter(self._metric("probe_reclaims")).inc()
+                    self.probe_reclaims += 1
                 else:
-                    self.metrics.counter(self._metric("fast_failures")).inc()
+                    self.fast_failures += 1
                     return False
             self._probes_in_flight += 1
             self._last_probe_at = self.sim.now()
@@ -166,17 +189,10 @@ class CircuitBreaker:
         if to is self.state:
             return
         self.transitions.append((self.sim.now(), self.state, to))
-        self.metrics.counter(self._metric("transitions")).inc()
         if to is BreakerState.OPEN:
             self._opened_at = self.sim.now()
-            self.metrics.counter(self._metric("trips")).inc()
+            self.trips += 1
         if to is BreakerState.CLOSED:
             self._consecutive_failures = 0
         self._probes_in_flight = 0
         self.state = to
-        # 0 = closed, 1 = half-open, 2 = open (gauge for dashboards)
-        level = {BreakerState.CLOSED: 0, BreakerState.HALF_OPEN: 1, BreakerState.OPEN: 2}
-        self.metrics.gauge(self._metric("state")).set(level[to])
-
-    def _metric(self, suffix: str) -> str:
-        return f"resilience.breaker.{self.name}.{suffix}"

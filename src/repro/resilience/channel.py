@@ -32,10 +32,11 @@ frames are kept); ``recover`` re-kicks every pending frame — the
 "consumer data center down for days" scenario recovers
 programmatically.
 
-All counters live in the metrics registry under
-``resilience.<channel>.*`` (sent, transmits, retransmits,
-retransmit_bytes, acked, gaveup, received, duplicates_dropped,
-held_for_order).
+Every count is a plain int attribute of the channel (``sent``,
+``transmits``, ``retransmits``, ``retransmit_bytes``, ``acked``,
+``gaveup``, ``received``, ``frames_received``, ``duplicates_dropped``,
+``held_for_order``, ``unhandled``), reported to the metrics registry
+as ``resilience.<channel>.<count>`` once nonzero.
 
 Usage::
 
@@ -59,11 +60,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.trace import hops
 from repro.sim.kernel import EventHandle, Simulation
-from repro.sim.metrics import LazyMetric, MetricsRegistry
+from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
 from repro.sim.wire import WireError, register as _wire_register, wire_size
 from repro.resilience.breaker import CircuitBreaker, CircuitBreakerConfig
@@ -207,24 +208,8 @@ class _SeenSeqs:
         return True
 
 
-def _lazy(kind: str, suffix: str) -> LazyMetric:
-    return LazyMetric(kind, "resilience.{0.name}." + suffix)
-
-
 class ReliableChannel:
     """A named network peer with reliable-delivery semantics."""
-
-    _c_sent = _lazy("counter", "sent")
-    _c_transmits = _lazy("counter", "transmits")
-    _c_retransmits = _lazy("counter", "retransmits")
-    _c_retransmit_bytes = _lazy("counter", "retransmit_bytes")
-    _c_acked = _lazy("counter", "acked")
-    _c_gaveup = _lazy("counter", "gaveup")
-    _c_received = _lazy("counter", "received")
-    _c_frames_received = _lazy("counter", "frames_received")
-    _c_duplicates_dropped = _lazy("counter", "duplicates_dropped")
-    _c_held_for_order = _lazy("counter", "held_for_order")
-    _c_unhandled = _lazy("counter", "unhandled")
 
     def __init__(
         self,
@@ -263,6 +248,37 @@ class ReliableChannel:
         self._seen: Dict[str, _SeenSeqs] = {}
         self._expected: Dict[str, int] = {}
         self._holdback: Dict[str, Dict[int, Any]] = {}
+        self.sent = 0
+        self.transmits = 0
+        self.retransmits = 0
+        self.retransmit_bytes = 0
+        self.acked = 0
+        self.gaveup = 0
+        self.received = 0
+        self.frames_received = 0
+        self.duplicates_dropped = 0
+        self.held_for_order = 0
+        self.unhandled = 0
+        self.metrics.register(self._counts)
+
+    def _counts(self) -> Iterator[Tuple[str, int]]:
+        # every count grows by positive steps: nonzero means touched
+        prefix = f"resilience.{self.name}."
+        for suffix, value in (
+            ("sent", self.sent),
+            ("transmits", self.transmits),
+            ("retransmits", self.retransmits),
+            ("retransmit_bytes", self.retransmit_bytes),
+            ("acked", self.acked),
+            ("gaveup", self.gaveup),
+            ("received", self.received),
+            ("frames_received", self.frames_received),
+            ("duplicates_dropped", self.duplicates_dropped),
+            ("held_for_order", self.held_for_order),
+            ("unhandled", self.unhandled),
+        ):
+            if value:
+                yield prefix + suffix, value
 
     # ------------------------------------------------------------------
     # sending
@@ -290,7 +306,7 @@ class ReliableChannel:
             return self._send_batched(dst, payload, on_delivered, on_giveup)
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        self._c_sent.inc()
+        self.sent += 1
         self._ship(dst, seq, payload, on_delivered, on_giveup)
         return seq
 
@@ -314,7 +330,7 @@ class ReliableChannel:
                 self._transmit(pending)
             # else: queued; recover() re-kicks every pending frame
         elif self.up:
-            self._c_transmits.inc()
+            self.transmits += 1
             if self.tracer is not None:
                 self._trace(hops.CHANNEL_TRANSMIT, dst, seq, payload, attempt=1)
             self.net.send(self.name, dst, _DataFrame(seq, payload, needs_ack=False))
@@ -344,7 +360,7 @@ class ReliableChannel:
         on_giveup: Optional[Callable[[], None]],
     ) -> int:
         batch = self.config.batch
-        self._c_sent.inc()
+        self.sent += 1
         open_frame = self._open.get(dst)
         if open_frame is None:
             seq = self._next_seq.get(dst, 0)
@@ -409,7 +425,7 @@ class ReliableChannel:
         else:
             pending.attempts += 1
             pending.transmitted = True
-            self._c_transmits.inc()
+            self.transmits += 1
             if self.tracer is not None:
                 self._trace(
                     hops.CHANNEL_TRANSMIT, pending.dst, pending.seq,
@@ -421,8 +437,8 @@ class ReliableChannel:
                 frame.cached_size = wire_size(frame)
                 pending.frame = frame
             if pending.attempts > 1:
-                self._c_retransmits.inc()
-                self._c_retransmit_bytes.inc(frame.cached_size)
+                self.retransmits += 1
+                self.retransmit_bytes += frame.cached_size
             self.net.send(self.name, pending.dst, frame)
             delay = self.config.retry.backoff(pending.attempts, self.sim.rng)
         self._arm_retransmit(pending, delay)
@@ -440,7 +456,7 @@ class ReliableChannel:
             del self._pending[(pending.dst, pending.seq)]
             if not self._pending:
                 self._stop_clock()
-            self._c_gaveup.inc()
+            self.gaveup += 1
             if self.tracer is not None:
                 self.tracer.record(
                     hops.CHANNEL_GIVEUP, self.name,
@@ -550,7 +566,7 @@ class ReliableChannel:
             breaker = self.breaker(src)
             if breaker is not None:
                 breaker.record_success()
-            self._c_acked.inc()
+            self.acked += 1
             if self.tracer is not None:
                 self.tracer.record(
                     hops.CHANNEL_ACKED, self.name,
@@ -573,7 +589,7 @@ class ReliableChannel:
         if seen is None:
             seen = self._seen[src] = _SeenSeqs()
         if not seen.add(frame.seq):
-            self._c_duplicates_dropped.inc()
+            self.duplicates_dropped += 1
             return
         if self.config.ordered and frame.needs_ack:
             self._deliver_ordered(src, frame.seq, frame.payload)
@@ -583,7 +599,7 @@ class ReliableChannel:
     def _deliver_ordered(self, src: str, seq: int, payload: Any) -> None:
         expected = self._expected.get(src, 0)
         if seq != expected:
-            self._c_held_for_order.inc()
+            self.held_for_order += 1
             self._holdback.setdefault(src, {})[seq] = payload
             return
         self._deliver(src, payload)
@@ -598,18 +614,18 @@ class ReliableChannel:
         if type(payload) is _GroupPayload:
             # unpack a group frame into per-message handler calls; the
             # frame was acked/deduped/ordered as one unit above
-            self._c_frames_received.inc()
+            self.frames_received += 1
             for message in payload.payloads:
                 self._deliver_one(src, message)
             return
         self._deliver_one(src, payload)
 
     def _deliver_one(self, src: str, payload: Any) -> None:
-        self._c_received.inc()
+        self.received += 1
         if self.handler is not None:
             self.handler(src, payload)
         else:
-            self._c_unhandled.inc()
+            self.unhandled += 1
 
     # ------------------------------------------------------------------
     # failure model (Failable protocol)

@@ -26,7 +26,7 @@ simulation's seeded :class:`random.Random`.
 from repro.sim.clock import VirtualClock
 from repro.sim.kernel import Simulation, Timeout, ProcessExit, SimError
 from repro.sim.network import Network, NetworkConfig, Endpoint
-from repro.sim.metrics import MetricsRegistry, Counter, Gauge, Histogram
+from repro.sim.metrics import MetricsRegistry, Histogram
 from repro.sim.failures import FailureInjector
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "NetworkConfig",
     "Endpoint",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
     "FailureInjector",
 ]

@@ -11,7 +11,7 @@ experiments can correlate outcomes with causes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
@@ -40,11 +40,33 @@ class InjectedFault:
 
 @dataclass
 class FailureInjector:
-    """Schedules crashes/outages against failable components."""
+    """Schedules crashes/outages against failable components.
+
+    Injected faults are counted in ``crashes``, ``recoveries``,
+    ``partitions`` and ``heals``, reported to ``metrics`` as
+    ``faults.<count>`` once nonzero.
+    """
 
     sim: Simulation
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     log: List[InjectedFault] = field(default_factory=list)
+    crashes: int = field(default=0, init=False)
+    recoveries: int = field(default=0, init=False)
+    partitions: int = field(default=0, init=False)
+    heals: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        self.metrics.register(self._counts)
+
+    def _counts(self) -> Iterator[Tuple[str, int]]:
+        for name, value in (
+            ("faults.crashes", self.crashes),
+            ("faults.recoveries", self.recoveries),
+            ("faults.partitions", self.partitions),
+            ("faults.heals", self.heals),
+        ):
+            if value:
+                yield name, value
 
     def outage(self, target: Failable, name: str, start: float, duration: float) -> InjectedFault:
         """Crash ``target`` at ``start`` and recover it ``duration`` later."""
@@ -54,11 +76,11 @@ class FailureInjector:
 
         def begin() -> None:
             target.crash()
-            self.metrics.counter("faults.crashes").inc()
+            self.crashes += 1
 
         def finish() -> None:
             target.recover()
-            self.metrics.counter("faults.recoveries").inc()
+            self.recoveries += 1
 
         self.sim.call_at(start, begin)
         self.sim.call_at(start + duration, finish)
@@ -71,7 +93,7 @@ class FailureInjector:
 
         def begin() -> None:
             target.crash()
-            self.metrics.counter("faults.crashes").inc()
+            self.crashes += 1
 
         self.sim.call_at(start, begin)
         self.log.append(fault)
@@ -95,11 +117,11 @@ class FailureInjector:
 
         def begin() -> None:
             net.partition(a, b)
-            self.metrics.counter("faults.partitions").inc()
+            self.partitions += 1
 
         def finish() -> None:
             net.heal(a, b)
-            self.metrics.counter("faults.heals").inc()
+            self.heals += 1
 
         self.sim.call_at(start, begin)
         self.sim.call_at(start + duration, finish)

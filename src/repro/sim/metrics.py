@@ -1,68 +1,33 @@
 """Metrics collection for simulated systems.
 
 Each substrate (broker, network, watch system, cache, work pool, ...)
-owns its own :class:`MetricsRegistry`; experiments read whichever
-registries they care about (summing across them where a cost spans
-components, as E10 does for ``resilience.*``) and render the numbers
-into their result tables.  The causal-tracing layer also lands its
-per-hop latency histograms in a registry, under ``obs.hop.*`` (see
-:meth:`repro.obs.index.TraceIndex.hop_latencies`).  Metric types:
+owns its own :class:`MetricsRegistry`, or shares one; experiments read
+whichever registries they care about (summing across them where a cost
+spans components, as E10 does for ``resilience.*``) and render the
+numbers into their result tables.  The causal-tracing layer also lands
+its per-hop latency histograms in a registry, under ``obs.hop.*`` (see
+:meth:`repro.obs.index.TraceIndex.hop_latencies`).
 
-- :class:`Counter` — monotonically increasing count.
-- :class:`Gauge` — last-set value.
-- :class:`Histogram` — streaming distribution with exact quantiles
-  (values kept; simulations here are small enough for that).
+Counts are *pulled*: a component keeps each count as a plain int
+attribute (``self.frames_sent += 1`` on the hot path) and registers one
+reader that yields the names it has touched with their values; the
+registry calls the readers only when asked (:meth:`~MetricsRegistry.
+snapshot`, :meth:`~MetricsRegistry.get`, :meth:`~MetricsRegistry.names`).
+A reader yields a name exactly when the component has counted it (or,
+for a count the component reports from construction, always), so a
+registry holds the same names whether or not anything reads it.
+:class:`Histogram` — a streaming distribution with exact quantiles
+(values kept; simulations here are small enough for that) — is pushed
+instead, through ``registry.histogram(name).observe(value)``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-
-class Counter:
-    """A monotonically increasing counter."""
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
-        self._value += amount
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self.name}={self._value})"
-
-
-class Gauge:
-    """A last-value-wins gauge."""
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        self._value += delta
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Gauge({self.name}={self._value})"
+#: yields ``(name, value)`` for every count its owner reports right now
+Reader = Callable[[], Iterable[Tuple[str, float]]]
 
 
 class Histogram:
@@ -127,91 +92,64 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, p50={self.p50:.4g}, p99={self.p99:.4g})"
 
 
-class LazyMetric:
-    """A metric handle bound on first touch and kept on the instance.
-
-    Declared at class level on a component that exposes ``metrics`` (a
-    :class:`MetricsRegistry`) and has an instance ``__dict__``::
-
-        _frames_sent = LazyMetric("counter", "net.frames.sent")
-        _acked = LazyMetric("counter", "resilience.{0.name}.acked")
-
-    The first read of ``self._frames_sent`` registers the metric (the name is
-    ``str.format``-ed with the instance) and stores the handle in the
-    instance ``__dict__``, which shadows this non-data descriptor from
-    then on: a per-message path pays one attribute load, no registry
-    lookup and no name formatting, and a metric that is never touched
-    never appears in ``names()`` / ``snapshot()``.
-    """
-
-    __slots__ = ("_kind", "_template", "_attr")
-
-    def __init__(self, kind: str, template: str) -> None:
-        self._kind = kind
-        self._template = template
-
-    def __set_name__(self, owner: type, attr: str) -> None:
-        self._attr = attr
-
-    def __get__(self, obj: object, owner: Optional[type] = None) -> object:
-        if obj is None:
-            return self
-        metric = getattr(obj.metrics, self._kind)(self._template.format(obj))
-        obj.__dict__[self._attr] = metric
-        return metric
-
-
 class MetricsRegistry:
-    """Namespace of metrics, created on first use.
+    """Namespace of metrics: pulled counts plus pushed histograms.
 
-    Names are dotted paths, e.g. ``pubsub.broker.published`` or
-    ``watch.resyncs``.  Asking for the same name twice returns the same
-    object; asking for the same name with a *different* type is an error.
+    Names are dotted paths, e.g. ``pubsub.published`` or
+    ``watch.watchsys.resyncs``.  A component keeps its counts as plain
+    ints and registers one *reader* — a callable yielding
+    ``(name, value)`` for every count it has touched — so counting costs
+    the hot path one add and no call into this module.  When several
+    readers on one registry yield the same name (two channels sharing a
+    name), the values are summed.  Histograms are created on first use
+    by :meth:`histogram` and fed with ``observe``.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._readers: List[Reader] = []
+        self._histograms: Dict[str, Histogram] = {}
 
-    def _get(self, name: str, cls: type) -> object:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}, requested {cls.__name__}"
-                )
-            return existing
-        metric = cls(name)
-        self._metrics[name] = metric
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)  # type: ignore[return-value]
+    def register(self, reader: Reader) -> None:
+        """Add ``reader`` to the counts this registry reports."""
+        self._readers.append(reader)
 
     def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)  # type: ignore[return-value]
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(name)
+        return histogram
+
+    def _counts(self) -> Dict[str, float]:
+        counts: Dict[str, float] = {}
+        for reader in self._readers:
+            for name, value in reader():
+                counts[name] = counts.get(name, 0) + value
+        return counts
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        return sorted({**self._counts(), **self._histograms})
 
     def get(self, name: str) -> Optional[object]:
-        return self._metrics.get(name)
+        """The histogram or the (summed) count named ``name``; None if
+        nothing has touched it."""
+        histogram = self._histograms.get(name)
+        if histogram is not None:
+            return histogram
+        return self._counts().get(name)
 
     def snapshot(self) -> Dict[str, float]:
-        """Flatten scalar metrics into a dict (histograms report p50/p99/n)."""
+        """Flatten every metric into a dict (histograms report
+        count/mean/p50/p99)."""
+        counts = self._counts()
+        histograms = self._histograms
         out: Dict[str, float] = {}
-        for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                out[name] = float(metric.value)
-            elif isinstance(metric, Gauge):
-                out[name] = metric.value
-            elif isinstance(metric, Histogram):
-                out[f"{name}.count"] = float(metric.count)
-                out[f"{name}.mean"] = metric.mean
-                out[f"{name}.p50"] = metric.p50
-                out[f"{name}.p99"] = metric.p99
+        for name in sorted({**counts, **histograms}):
+            histogram = histograms.get(name)
+            if histogram is None:
+                out[name] = float(counts[name])
+            else:
+                out[f"{name}.count"] = float(histogram.count)
+                out[f"{name}.mean"] = histogram.mean
+                out[f"{name}.p50"] = histogram.p50
+                out[f"{name}.p99"] = histogram.p99
         return out

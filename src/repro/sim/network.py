@@ -14,10 +14,10 @@ the proposed system in every experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
 
 from repro.sim.kernel import Simulation
-from repro.sim.metrics import Counter, LazyMetric, MetricsRegistry
+from repro.sim.metrics import MetricsRegistry
 from repro.sim.wire import wire_size
 
 
@@ -77,13 +77,14 @@ class Endpoint:
 
 
 class Network:
-    """Delivers messages between endpoints with latency and faults."""
+    """Delivers messages between endpoints with latency and faults.
 
-    _frames_sent = LazyMetric("counter", "net.frames.sent")
-    _payload_msgs = LazyMetric("counter", "net.payload.msgs")
-    _bytes_sent = LazyMetric("counter", "net.bytes.sent")
-    _delivered = LazyMetric("counter", "net.delivered")
-    _bytes_delivered = LazyMetric("counter", "net.bytes.delivered")
+    Counts are plain ints, reported to ``metrics`` under ``net.*`` once
+    touched: ``frames.sent``/``payload.msgs``/``bytes.sent`` from the
+    first send, ``delivered``/``bytes.delivered`` from the first
+    delivery, and ``dropped.<cause>``/``bytes.dropped.<cause>`` from the
+    first drop of that cause.
+    """
 
     def __init__(
         self,
@@ -102,9 +103,27 @@ class Network:
         self.tracer = tracer
         self._endpoints: Dict[str, Endpoint] = {}
         self._partitions: Set[Tuple[str, str]] = set()
-        #: cause -> (net.dropped.<cause>, net.bytes.dropped.<cause>),
-        #: bound at the first drop of that cause
-        self._drop_counters: Dict[str, Tuple[Counter, Counter]] = {}
+        self.frames_sent = 0
+        self.payload_msgs = 0
+        self.bytes_sent = 0
+        self.delivered = 0
+        self.bytes_delivered = 0
+        #: cause -> frames / bytes dropped, keyed from the first drop
+        self.dropped: Dict[str, int] = {}
+        self.bytes_dropped: Dict[str, int] = {}
+        self.metrics.register(self._counts)
+
+    def _counts(self) -> Iterator[Tuple[str, int]]:
+        if self.frames_sent:
+            yield "net.frames.sent", self.frames_sent
+            yield "net.payload.msgs", self.payload_msgs
+            yield "net.bytes.sent", self.bytes_sent
+        if self.delivered:
+            yield "net.delivered", self.delivered
+            yield "net.bytes.delivered", self.bytes_delivered
+        for cause, frames in self.dropped.items():
+            yield f"net.dropped.{cause}", frames
+            yield f"net.bytes.dropped.{cause}", self.bytes_dropped[cause]
 
     # ------------------------------------------------------------------
     # topology
@@ -146,13 +165,13 @@ class Network:
         in flight).  Returns False if dropped immediately by loss or
         partition — callers model retries themselves if they need them.
         """
-        self._frames_sent.inc()
-        self._payload_msgs.inc(payload_message_count(payload))
+        self.frames_sent += 1
+        self.payload_msgs += payload_message_count(payload)
         # real wire volume: the frame's encoded byte size, measured once
         # here and threaded through to the delivered/dropped counters so
         # every byte sent is accounted exactly once on one outcome
         nbytes = wire_size(payload)
-        self._bytes_sent.inc(nbytes)
+        self.bytes_sent += nbytes
         if self._partitions and (src, dst) in self._partitions:
             self._drop(src, dst, payload, "partition", nbytes)
             return False
@@ -175,8 +194,8 @@ class Network:
         if self._partitions and (src, dst) in self._partitions:
             self._drop(src, dst, payload, "partition", nbytes)
             return
-        self._delivered.inc()
-        self._bytes_delivered.inc(nbytes)
+        self.delivered += 1
+        self.bytes_delivered += nbytes
         endpoint.handler(src, payload)
 
     def _drop(
@@ -192,14 +211,8 @@ class Network:
         checks.  Byte counters mirror the message funnel: the frame's
         size lands on ``net.bytes.dropped.{cause}`` exactly once.
         """
-        counters = self._drop_counters.get(cause)
-        if counters is None:
-            counters = self._drop_counters[cause] = (
-                self.metrics.counter(f"net.dropped.{cause}"),
-                self.metrics.counter(f"net.bytes.dropped.{cause}"),
-            )
-        counters[0].inc()
-        counters[1].inc(nbytes)
+        self.dropped[cause] = self.dropped.get(cause, 0) + 1
+        self.bytes_dropped[cause] = self.bytes_dropped.get(cause, 0) + nbytes
         if self.tracer is None:
             return
         self.tracer.record(

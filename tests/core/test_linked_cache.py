@@ -4,7 +4,7 @@ import pytest
 
 from repro._types import KeyRange
 from repro.core.bridge import DirectIngestBridge, PartitionedIngestBridge, even_ranges
-from repro.core.linked_cache import LinkedCache, LinkedCacheConfig
+from repro.core.linked_cache import LinkedCache, LinkedCacheConfig, SnapshotUnavailable
 from repro.core.watch_system import WatchSystem, WatchSystemConfig
 from repro.storage.kv import MVCCStore
 
@@ -56,6 +56,26 @@ class TestInitialSync:
         assert not cache.available
         sim.run_for(10.0)
         assert cache.available
+
+    def test_unavailable_snapshot_source_is_retried_and_counted(self, sim):
+        store, ws, snap = make_pipeline(sim)
+        store.put("a", 1)
+        refusals = [2]
+
+        def refusing_snap(kr):
+            if refusals[0]:
+                refusals[0] -= 1
+                raise SnapshotUnavailable("source mid-resync")
+            return snap(kr)
+
+        cache = LinkedCache(sim, ws, refusing_snap, KeyRange.all(),
+                            LinkedCacheConfig(snapshot_latency=0.01))
+        assert cache.metrics.names() == []
+        cache.start()
+        sim.run_for(1.0)
+        assert cache.available and cache.get_latest("a") == 1
+        assert cache.snapshots_taken == 1
+        assert cache.metrics.snapshot() == {"resilience.snapshot.retries": 2.0}
 
 
 class TestEventApplication:

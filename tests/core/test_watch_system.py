@@ -90,6 +90,9 @@ class TestRetentionAndResync:
         sim.run()
         assert resyncs == [True]
         assert events == []
+        assert ws.metrics.snapshot() == {
+            "watch.watchsys.resyncs": 1.0, "watch.watchsys.watches": 1.0,
+        }
 
     def test_watch_at_floor_catches_up(self, sim):
         ws = WatchSystem(sim, WatchSystemConfig(max_buffered_events=2))

@@ -39,7 +39,7 @@ class TestSweeps:
         broker.publish("t", None, "old")
         sim.run(until=30.0)
         assert sum(log.messages_gced for log in broker.topic("t").partitions) == 1
-        assert broker.metrics.counter("pubsub.gc.deleted").value == 1
+        assert broker.gc_deleted == 1
 
     def test_compaction_sweep(self, sim):
         broker = Broker(sim, BrokerConfig(compaction_interval=10.0))

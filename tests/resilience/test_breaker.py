@@ -34,9 +34,9 @@ class TestTripping:
             breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert not breaker.allow()
-        assert metrics.counter("resilience.breaker.b.trips").value == 1
-        assert metrics.counter("resilience.breaker.b.fast_failures").value == 1
-        assert metrics.gauge("resilience.breaker.b.state").value == 2
+        assert breaker.trips == 1
+        assert breaker.fast_failures == 1
+        assert metrics.get("resilience.breaker.b.state") == 2
 
     def test_success_resets_failure_count(self, sim):
         breaker, _ = make_breaker(sim)
@@ -71,7 +71,7 @@ class TestHalfOpen:
         assert breaker.state is BreakerState.HALF_OPEN
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
-        assert metrics.gauge("resilience.breaker.b.state").value == 0
+        assert metrics.get("resilience.breaker.b.state") == 0
 
     def test_probe_failure_reopens_with_fresh_cooldown(self, sim):
         breaker, _ = make_breaker(sim, failure_threshold=1, cooldown=5.0)
@@ -104,7 +104,7 @@ class TestHalfOpen:
         assert not breaker.allow()      # still within the probe's cooldown
         advance(sim, 0.5)
         assert breaker.allow()          # stranded slot reclaimed
-        assert metrics.counter("resilience.breaker.b.probe_reclaims").value == 1
+        assert breaker.probe_reclaims == 1
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
 
@@ -122,7 +122,7 @@ class TestBookkeeping:
             (BreakerState.OPEN, BreakerState.HALF_OPEN),
             (BreakerState.HALF_OPEN, BreakerState.CLOSED),
         ]
-        assert metrics.counter("resilience.breaker.b.transitions").value == 3
+        assert metrics.get("resilience.breaker.b.transitions") == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

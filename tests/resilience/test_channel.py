@@ -36,7 +36,7 @@ class TestReliableDelivery:
         sim.run()
         assert received == [0, 1, 2, 3, 4]
         assert len(tx.pending_unacked()) == 0
-        assert net.metrics.counter("resilience.tx.retransmits").value == 0
+        assert tx.retransmits == 0
 
     def test_lossy_link_delivers_everything_exactly_once(self, sim):
         net = Network(sim, NetworkConfig(loss_rate=0.3))
@@ -48,7 +48,7 @@ class TestReliableDelivery:
         assert sorted(received) == list(range(50))  # all of them, once each
         assert len(tx.pending_unacked()) == 0
         # at 30% loss, retransmission must have actually happened
-        assert net.metrics.counter("resilience.tx.retransmits").value > 0
+        assert tx.retransmits > 0
 
     def test_duplicates_are_suppressed_and_reacked(self, sim):
         # a lost ack forces a retransmit of an already-delivered frame;
@@ -60,7 +60,7 @@ class TestReliableDelivery:
             tx.send("rx", i)
         sim.run()
         assert sorted(received) == list(range(80))
-        assert net.metrics.counter("resilience.rx.duplicates_dropped").value > 0
+        assert rx.duplicates_dropped > 0
 
     def test_delivery_callbacks_fire(self, sim):
         net = Network(sim)
@@ -69,7 +69,7 @@ class TestReliableDelivery:
         tx.send("rx", "x", on_delivered=lambda: delivered.append(True))
         sim.run()
         assert delivered == [True]
-        assert net.metrics.counter("resilience.tx.acked").value == 1
+        assert tx.acked == 1
 
     def test_bounded_policy_gives_up_on_dead_destination(self, sim):
         net = Network(sim)
@@ -85,8 +85,8 @@ class TestReliableDelivery:
         sim.run()
         assert gaveup == [True]
         assert len(tx.pending_unacked()) == 0
-        assert net.metrics.counter("resilience.tx.gaveup").value == 1
-        assert net.metrics.counter("resilience.tx.transmits").value == 3
+        assert tx.gaveup == 1
+        assert tx.transmits == 3
 
 
 class TestOrdering:
@@ -98,7 +98,7 @@ class TestOrdering:
             tx.send("rx", i)
         sim.run()
         assert received == list(range(60))
-        assert net.metrics.counter("resilience.rx.held_for_order").value > 0
+        assert rx.held_for_order > 0
 
     def test_unordered_channel_can_reorder_under_loss(self, sim):
         net = Network(sim, NetworkConfig(loss_rate=0.3, jitter=0.01))
@@ -121,7 +121,7 @@ class TestFireAndForget:
         sim.run()
         assert 0 < len(received) < 100  # some lost, nobody noticed
         assert len(tx.pending_unacked()) == 0  # nothing tracked
-        assert net.metrics.counter("resilience.tx.retransmits").value == 0
+        assert tx.retransmits == 0
 
 
 class TestFailureModel:
@@ -135,7 +135,7 @@ class TestFailureModel:
         sim.call_at(3.0, rx.recover)
         sim.run()
         assert sorted(received) == [0, 1, 2, 3, 4]
-        assert net.metrics.counter("net.dropped.down").value > 0
+        assert net.dropped["down"] > 0
 
     def test_sender_crash_queues_and_recover_flushes(self, sim):
         net = Network(sim)
@@ -175,10 +175,8 @@ class TestFailureModel:
         sim.call_at(10.0, lambda: net.heal("tx", "rx"))
         sim.run()
         assert sorted(received) == [0, 1, 2, 3, 4]
-        trips = net.metrics.counter("resilience.breaker.tx->rx.trips").value
-        fast = net.metrics.counter(
-            "resilience.breaker.tx->rx.fast_failures"
-        ).value
+        trips = tx.breaker("rx").trips
+        fast = tx.breaker("rx").fast_failures
         assert trips >= 1
         assert fast > 0  # retransmits were actually suppressed while open
         assert tx.breaker("rx").state.value == "closed"
@@ -200,7 +198,7 @@ class TestFailureModel:
             sim.call_at(heal_at, lambda: net.heal("tx", "rx"))
         sim.run()
         assert len(tx.pending_unacked()) == 0
-        transmits = net.metrics.counter("resilience.tx.transmits").value
+        transmits = tx.transmits
         return gaveup, sorted(received), transmits
 
     def test_breaker_suppression_spends_no_attempt_budget(self):
@@ -230,7 +228,7 @@ class TestFailureModel:
                 tx.recover()
             timers = sim.pending_events
             sim.run_for(1.0)
-            retransmits = net.metrics.counter("resilience.tx.retransmits").value
+            retransmits = tx.retransmits
             rx.recover()
             rx.recover()  # the receiving end is a channel too
             sim.run()
@@ -278,7 +276,7 @@ class TestHostileInput:
         with pytest.raises(WireError, match=r"'rx'.*dict.*'stranger'"):
             sim.run()
         assert received == []
-        assert net.metrics.counter("net.frames.sent").value == 1  # nothing acked
+        assert net.frames_sent == 1  # nothing acked
         assert "resilience.rx.received" not in net.metrics.names()
 
 
@@ -295,8 +293,8 @@ class TestDeterminism:
             return (
                 received,
                 end,
-                net.metrics.counter("resilience.tx.retransmits").value,
-                net.metrics.counter("resilience.rx.duplicates_dropped").value,
+                tx.retransmits,
+                rx.duplicates_dropped,
             )
 
         assert run(5) == run(5)

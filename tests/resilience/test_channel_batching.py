@@ -54,11 +54,11 @@ class TestGroupFrames:
         sim.run_for(1.0)
         assert received == list(range(8))
         # per-message accounting vs per-frame wire accounting
-        assert net.metrics.counter("resilience.tx.sent").value == 8
-        assert net.metrics.counter("resilience.tx.transmits").value == 1
-        assert net.metrics.counter("resilience.tx.acked").value == 1
-        assert net.metrics.counter("resilience.rx.frames_received").value == 1
-        assert net.metrics.counter("resilience.rx.received").value == 8
+        assert tx.sent == 8
+        assert tx.transmits == 1
+        assert tx.acked == 1
+        assert net.metrics.get("resilience.rx.frames_received") == 1
+        assert net.metrics.get("resilience.rx.received") == 8
 
     def test_delivered_callbacks_fire_per_message(self, sim):
         net = Network(sim)
@@ -95,7 +95,7 @@ class TestBatchAckRange:
         sim.run_for(2.0)
         assert sorted(received) == list(range(12))  # all, exactly once
         assert tx.pending_unacked() == []
-        assert net.metrics.counter("resilience.tx.retransmits").value > 0
+        assert tx.retransmits > 0
 
     def test_lossy_link_redelivers_frames_exactly_once(self, sim):
         net = Network(sim, NetworkConfig(loss_rate=0.3))
@@ -129,9 +129,9 @@ class TestFireAndForgetFrames:
             tx.send("rx", i)
         sim.run_for(1.0)
         assert received == []
-        assert net.metrics.counter("resilience.tx.sent").value == 4
-        assert net.metrics.counter("resilience.tx.transmits").value == 1
-        assert net.metrics.counter("net.dropped.partition").value == 1
+        assert tx.sent == 4
+        assert tx.transmits == 1
+        assert net.dropped["partition"] == 1
 
 
 class TestCrashRecovery:

@@ -43,7 +43,7 @@ def test_ship_path_counters_trace_and_recovery(sim, batched, reliable, crashed):
     tx = ReliableChannel(sim, net, "tx", config=config, tracer=tracer)
 
     def counter(name):
-        return net.metrics.counter(f"resilience.tx.{name}").value
+        return getattr(tx, name)
 
     def trace():
         return [(e.hop, e.attrs) for e in tracer.log if e.component == "tx"]

@@ -71,8 +71,9 @@ class TestPartitionWindow:
         assert fault.target == "a<->b"
         assert fault.end == 3.0
         assert injector.log == [fault]
-        assert injector.metrics.counter("faults.partitions").value == 1
-        assert injector.metrics.counter("faults.heals").value == 1
+        assert injector.metrics.snapshot() == {
+            "faults.heals": 1.0, "faults.partitions": 1.0,
+        }
 
     def test_zero_duration_rejected(self, sim):
         from repro.sim.network import Network

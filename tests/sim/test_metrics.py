@@ -1,31 +1,22 @@
-"""Tests for metrics: counters, gauges, exact-quantile histograms."""
+"""Tests for metrics: the pulled-count registry, exact-quantile histograms."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim.metrics import Histogram, MetricsRegistry
 
 
-class TestCounter:
-    def test_increments(self):
-        c = Counter("c")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+class _Owner:
+    """A component that counts in plain ints and reports the touched ones."""
 
-    def test_rejects_decrease(self):
-        with pytest.raises(ValueError):
-            Counter("c").inc(-1)
+    def __init__(self, registry: MetricsRegistry, **counts: int) -> None:
+        self.counts = counts
+        registry.register(self._counts)
 
-
-class TestGauge:
-    def test_set_and_add(self):
-        g = Gauge("g")
-        g.set(2.0)
-        g.add(0.5)
-        assert g.value == 2.5
+    def _counts(self):
+        return [(name, value) for name, value in self.counts.items() if value]
 
 
 class TestHistogram:
@@ -86,26 +77,42 @@ class TestHistogram:
 class TestRegistry:
     def test_same_name_same_object(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-
-    def test_type_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
+        assert reg.histogram("a") is reg.histogram("a")
 
     def test_snapshot_flattens(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.gauge("g").set(1.5)
+        _Owner(reg, c=3)
         reg.histogram("h").observe(2.0)
         snap = reg.snapshot()
-        assert snap["c"] == 3.0
-        assert snap["g"] == 1.5
-        assert snap["h.count"] == 1.0
+        assert snap == {
+            "c": 3.0, "h.count": 1.0, "h.mean": 2.0, "h.p50": 2.0, "h.p99": 2.0,
+        }
+        assert type(snap["c"]) is float
 
     def test_names_sorted(self):
         reg = MetricsRegistry()
-        reg.counter("zz")
-        reg.counter("aa")
-        assert reg.names() == ["aa", "zz"]
+        _Owner(reg, zz=1)
+        reg.histogram("mm")
+        _Owner(reg, aa=1)
+        assert reg.names() == ["aa", "mm", "zz"]
+
+    def test_counts_are_read_when_asked(self):
+        reg = MetricsRegistry()
+        owner = _Owner(reg, c=0)
+        assert reg.names() == [] and reg.get("c") is None
+        owner.counts["c"] = 2
+        assert reg.get("c") == 2 and reg.snapshot() == {"c": 2.0}
+        owner.counts["c"] += 5
+        assert reg.get("c") == 7
+
+    def test_owners_sharing_a_name_are_summed(self):
+        reg = MetricsRegistry()
+        _Owner(reg, shared=2, mine=1)
+        _Owner(reg, shared=3, other=0)
+        assert reg.snapshot() == {"mine": 1.0, "shared": 5.0}
+
+    def test_get_returns_the_histogram(self):
+        reg = MetricsRegistry()
+        histogram = reg.histogram("h")
+        assert reg.get("h") is histogram
+        assert reg.get("missing") is None

@@ -24,7 +24,7 @@ class TestDelivery:
         net = Network(sim)
         assert net.send("a", "ghost", "x")
         sim.run()
-        assert net.metrics.counter("net.dropped.down").value == 1
+        assert net.dropped["down"] == 1
 
     def test_down_endpoint_drops(self, sim):
         net = Network(sim)
@@ -80,8 +80,8 @@ class TestFaults:
         sim.run()
         assert inbox == []
         # the drop happened at delivery time, counted as a partition drop
-        assert net.metrics.counter("net.dropped.partition").value == 1
-        assert net.metrics.counter("net.delivered").value == 0
+        assert net.dropped["partition"] == 1
+        assert net.delivered == 0
 
     def test_destination_down_in_flight_drops(self, sim):
         # send() succeeded (the message is on the wire) but the
@@ -92,8 +92,8 @@ class TestFaults:
         sim.call_after(0.5, lambda: net.set_up("b", False))
         sim.run()
         assert inbox == []
-        assert net.metrics.counter("net.dropped.down").value == 1
-        assert net.metrics.counter("net.dropped.loss").value == 0
+        assert net.dropped["down"] == 1
+        assert "loss" not in net.dropped
 
     def test_loss_is_deterministic_under_fixed_seed(self):
         from tests.conftest import make_sim
@@ -107,7 +107,7 @@ class TestFaults:
             sim.run()
             return (
                 [p for _, p in inbox],
-                net.metrics.counter("net.dropped.loss").value,
+                net.dropped["loss"],
             )
 
         assert run(1234) == run(1234)

@@ -24,15 +24,15 @@ class TestFrameCounters:
         net = Network(sim)
         net.register("b", lambda src, p: None)
         net.send("a", "b", {"x": 1})
-        assert net.metrics.counter("net.frames.sent").value == 1
-        assert net.metrics.counter("net.payload.msgs").value == 1
+        assert net.frames_sent == 1
+        assert net.payload_msgs == 1
 
     def test_group_frame_counts_all_messages(self, sim):
         net = Network(sim)
         net.register("b", lambda src, p: None)
         net.send("a", "b", _DataFrame(0, _GroupPayload([1, 2, 3, 4]), needs_ack=False))
-        assert net.metrics.counter("net.frames.sent").value == 1
-        assert net.metrics.counter("net.payload.msgs").value == 4
+        assert net.frames_sent == 1
+        assert net.payload_msgs == 4
 
     def test_payload_message_count_nesting(self):
         # channel frame of group-commit publish commands → leaf records
@@ -51,7 +51,7 @@ class TestDropsCountedExactlyOnce:
         net.register("b", lambda src, p: None)
         net.partition("a", "b")
         assert net.send("a", "b", 1) is False
-        assert net.metrics.counter("net.dropped.partition").value == 1
+        assert net.dropped["partition"] == 1
         assert _dropped_total(net) == 1
 
     def test_mid_flight_partition_counts_once(self, sim):
@@ -60,9 +60,9 @@ class TestDropsCountedExactlyOnce:
         assert net.send("a", "b", 1)
         sim.call_after(0.5, lambda: net.partition("a", "b"))
         sim.run()
-        assert net.metrics.counter("net.dropped.partition").value == 1
+        assert net.dropped["partition"] == 1
         assert _dropped_total(net) == 1
-        assert net.metrics.counter("net.delivered").value == 0
+        assert net.delivered == 0
 
     def test_mid_flight_down_counts_once(self, sim):
         net = Network(sim, NetworkConfig(base_latency=1.0))
@@ -70,7 +70,7 @@ class TestDropsCountedExactlyOnce:
         assert net.send("a", "b", 1)
         sim.call_after(0.5, lambda: net.set_up("b", False))
         sim.run()
-        assert net.metrics.counter("net.dropped.down").value == 1
+        assert net.dropped["down"] == 1
         assert _dropped_total(net) == 1
 
     def test_sent_equals_delivered_plus_dropped_under_loss(self):
@@ -82,8 +82,8 @@ class TestDropsCountedExactlyOnce:
         for i in range(500):
             net.send("a", "b", i)
         sim.run()
-        sent = net.metrics.counter("net.frames.sent").value
-        delivered = net.metrics.counter("net.delivered").value
+        sent = net.frames_sent
+        delivered = net.delivered
         assert sent == 500
         assert delivered + _dropped_total(net) == 500
-        assert net.metrics.counter("net.dropped.loss").value > 0
+        assert net.dropped["loss"] > 0

@@ -44,7 +44,7 @@ class TestBatchingSender:
         seqs = [sender.send("dst", i) for i in range(3)]
         assert seqs == [0, 0, 0]  # one shared frame seq
         # on the wire already: flushed by size, not linger
-        assert net.metrics.counter("net.frames.sent").value == 1
+        assert net.frames_sent == 1
         sim.run()
         assert received == [0, 1, 2]
 
@@ -56,7 +56,7 @@ class TestBatchingSender:
         sender.send("dst", "b")
         sim.run_for(0.4)
         assert received == []  # still lingering
-        assert net.metrics.counter("net.frames.sent").value == 0
+        assert net.frames_sent == 0
         sim.run_for(0.2)
         assert received == ["a", "b"]
 
@@ -83,15 +83,15 @@ class TestBatchingSender:
 
     def test_metrics_count_frames_and_messages(self, sim):
         net = Network(sim)
-        make_receiver(net, "dst")
+        receiver = ReliableChannel(sim, net, "dst", handler=lambda src, p: None)
         sender = make_sender(sim, net, max_batch=4, max_linger=1.0)
         for i in range(8):
             sender.send("dst", i)
         sim.run()
-        assert net.metrics.counter("resilience.src.transmits").value == 2
-        assert net.metrics.counter("resilience.src.sent").value == 8
-        assert net.metrics.counter("resilience.dst.frames_received").value == 2
-        assert net.metrics.counter("resilience.dst.received").value == 8
+        assert sender.transmits == 2
+        assert sender.sent == 8
+        assert receiver.frames_received == 2
+        assert receiver.received == 8
 
     def test_network_counts_frame_payloads(self, sim):
         net = Network(sim)
@@ -100,8 +100,8 @@ class TestBatchingSender:
         for i in range(5):
             sender.send("dst", i)
         sim.run()
-        assert net.metrics.counter("net.frames.sent").value == 1
-        assert net.metrics.counter("net.payload.msgs").value == 5
+        assert net.frames_sent == 1
+        assert net.payload_msgs == 5
 
     def test_dropped_frame_loses_whole_group(self, sim):
         net = Network(sim)
@@ -112,4 +112,4 @@ class TestBatchingSender:
         sender.send("dst", 2)
         sim.run()
         assert received == []
-        assert net.metrics.counter("net.dropped.partition").value == 1
+        assert net.dropped["partition"] == 1
